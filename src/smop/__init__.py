@@ -16,7 +16,6 @@ from .driver import (
     PathStep,
     SmopConfig,
     SmopResult,
-    eta,
     nnz,
     smop_solve,
     solve_path,
@@ -48,6 +47,7 @@ from .rootfind import (
     RootState,
     bisection_solve,
     bracket_init,
+    eta,
     eval_beta_fn,
     eval_constructed_fn,
     hs_derivative_l1,

@@ -27,6 +27,7 @@ from .rootfind import (
     RootState,
     bisection_solve,
     bracket_init,
+    eta,
     hybrid_secant_solve,
     newton_hybrid_solve,
 )
@@ -109,11 +110,6 @@ def nnz(x) -> int:
     return int(np.searchsorted(np.cumsum(ax), 0.999 * total) + 1)
 
 
-def eta(phi_tilde: float, rho: float) -> float:
-    """Relative constraint residual ``|phi - rho| / max(1, rho)``."""
-    return abs(phi_tilde - rho) / max(1.0, rho)
-
-
 class _PhiOracle:
     """Counting, caching, warm-starting phi evaluator shared by the solvers."""
 
@@ -180,26 +176,6 @@ class _PhiOracle:
         return res.phi, res.x
 
 
-def _expand_bracket(oracle, rho, lo, hi, lam_top):
-    """Repair a warm-start bracket so that phi(lo) < rho < phi(hi)."""
-    hi = min(hi, lam_top)
-    for _ in range(60):
-        p_hi, _ = oracle(hi)
-        if p_hi > rho:
-            break
-        if hi >= lam_top:
-            raise BracketError("require 0 < rho < ||b||")
-        hi = min(2.0 * hi, lam_top)
-    else:
-        raise BracketError("could not find an upper bracket end")
-    for _ in range(13):
-        p_lo, _ = oracle(lo)
-        if p_lo < rho:
-            return lo, hi
-        lo = lo / 10.0
-    raise BracketError("rho too small for numeric range")
-
-
 def smop_solve(
     data: ProblemData,
     reg: Regularizer,
@@ -207,7 +183,11 @@ def smop_solve(
     warm_bracket=None,
     warm_x=None,
 ) -> SmopResult:
-    """Solve ``min p(x) s.t. ||A x - b|| <= rho`` by level-set root finding."""
+    """Solve ``min p(x) s.t. ||A x - b|| <= rho`` by level-set root finding.
+
+    ``warm_bracket`` is an optional ``(lo, hi)`` guess that ``bracket_init``
+    grows into a sign-changing bracket; ``warm_x`` seeds the first solve.
+    """
     cfg = cfg or SmopConfig()
     if data.rho is None:
         raise ValueError("data.rho must be set")
@@ -224,10 +204,8 @@ def smop_solve(
     )
     root_cfg = replace(cfg.root, stoptol=cfg.stoptol)
 
-    if warm_bracket is not None:
-        lo, hi = _expand_bracket(oracle, rho, warm_bracket[0], warm_bracket[1], lam_top)
-    else:
-        lo, hi = bracket_init(oracle, rho, lam_top)
+    lo, hi = warm_bracket if warm_bracket is not None else (None, None)
+    lo, hi = bracket_init(oracle, rho, lam_top, lo, hi)
 
     if cfg.method == "smop":
         lam_star, x_star, state = hybrid_secant_solve(oracle, rho, lo, hi, root_cfg)

@@ -144,10 +144,17 @@ def solve_reduced(
         gram = A_I.T @ A_I
         G = gram.toarray() if hasattr(gram, "toarray") else np.asarray(gram)
         gram_mv = lambda z: G @ z
+        diag = np.diag(G)
     else:
         gram_mv = lambda z: A_I.T @ (A_I @ z)
+        diag = np.asarray((A_I * A_I).sum(axis=0)).ravel()
 
-    L = max(_power_iteration_bound(gram_mv, k), 1e-12)
+    L = _power_iteration_bound(gram_mv, k)
+    # the power start can lie in the null space of G (columns [u, -u]); the
+    # largest diagonal entry bounds lambda_max below and the trace above it
+    if L < diag.max():
+        L = float(diag.sum())
+    L = max(L, 1e-12)
 
     def smooth(z, Gz):
         return 0.5 * float(z @ Gz) - float(c @ z) + 0.5 * bb

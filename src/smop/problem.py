@@ -126,6 +126,8 @@ class ProblemData:
         b = np.asarray(self.b, dtype=np.float64)
         if b.shape != (self.A.m,):
             raise ValueError("b must have length equal to the row count of A")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("b must be finite: it contains NaN or inf")
         if not np.any(b != 0.0):
             raise ValueError("b must have at least one nonzero entry")
         object.__setattr__(self, "b", b)

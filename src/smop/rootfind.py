@@ -10,6 +10,14 @@ Three solvers share one safeguarded skeleton for the equation
 * ``newton_hybrid_solve`` replaces the secant proposal with a Newton step
   using the generalized derivative of phi available for the l1 penalty.
 
+``bracket_init`` supplies the bracket for cold and warm starts alike. It
+walks the upper end up from its guess by doubling (capped at ``lam_inf``)
+and the lower end down by ``lam *= max(0.1, 0.5 * rho / phi(lam))``. Where
+phi is proportional to lam that step lands at half the root, safely below
+it but not far; it never shrinks ``lam`` by more than a decade. Every
+evaluated point tightens the bracket, so no evaluation lies strictly inside
+the bracket it returns.
+
 The module also provides the plain (unsafeguarded) secant iteration together
 with two scalar test functions and a convergence-order estimator used to
 validate it.
@@ -22,6 +30,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 
 class BracketError(ValueError):
@@ -165,8 +174,7 @@ def hs_derivative_l1(x, A, lam: float, phi: float) -> float:
     G = gram.toarray() if hasattr(gram, "toarray") else np.asarray(gram)
     s = np.sign(x[J])
     try:
-        np.linalg.cholesky(G)
-        w = np.linalg.solve(G, s)
+        w = cho_solve(cho_factor(G), s)
     except np.linalg.LinAlgError:
         ridge = 1e-10 * max(np.trace(G), 1.0)
         warnings.warn("rank-deficient support columns; ridge-regularized derivative")
@@ -175,8 +183,9 @@ def hs_derivative_l1(x, A, lam: float, phi: float) -> float:
     return float(lam * (h @ h) / phi)
 
 
-def _eta(phi_val: float, rho: float) -> float:
-    return abs(phi_val - rho) / max(1.0, rho)
+def eta(phi_tilde: float, rho: float) -> float:
+    """Relative constraint residual ``|phi - rho| / max(1, rho)``."""
+    return abs(phi_tilde - rho) / max(1.0, rho)
 
 
 def _validate_bracket(phi, rho, lam_lo, lam_hi, stoptol):
@@ -188,10 +197,10 @@ def _validate_bracket(phi, rho, lam_lo, lam_hi, stoptol):
     if not 0 < lam_lo < lam_hi:
         raise BracketError("need 0 < lam_lo < lam_hi")
     p_hi, x_hi = phi(lam_hi)
-    if _eta(p_hi, rho) <= stoptol:
+    if eta(p_hi, rho) <= stoptol:
         return None, None, None, None, (lam_hi, x_hi, p_hi)
     p_lo, x_lo = phi(lam_lo)
-    if _eta(p_lo, rho) <= stoptol:
+    if eta(p_lo, rho) <= stoptol:
         return None, None, None, None, (lam_lo, x_lo, p_lo)
     if not p_lo < rho < p_hi:
         raise BracketError(
@@ -203,7 +212,7 @@ def _validate_bracket(phi, rho, lam_lo, lam_hi, stoptol):
 
 def _finish(state, lam, x, phi_val, rho, step):
     state.converged = True
-    state.record(lam, phi_val, _eta(phi_val, rho), step)
+    state.record(lam, phi_val, eta(phi_val, rho), step)
     return lam, x, state
 
 
@@ -221,8 +230,8 @@ def _safeguarded_solve(phi, rho, lam_m1, lam_0, cfg, proposal, step_name):
     state = RootState(lo=lam_m1, hi=lam_0)
     if hit is not None:
         return _finish(state, hit[0], hit[1], hit[2], rho, "init")
-    state.record(lam_m1, p_lo, _eta(p_lo, rho), "init")
-    state.record(lam_0, p_hi, _eta(p_hi, rho), "init")
+    state.record(lam_m1, p_lo, eta(p_lo, rho), "init")
+    state.record(lam_0, p_hi, eta(p_hi, rho), "init")
     hist = [(lam_m1, p_lo), (lam_0, p_hi)]
     x_last = x_hi
     best = (abs(p_hi - rho), lam_0, x_hi, p_hi)
@@ -247,7 +256,7 @@ def _safeguarded_solve(phi, rho, lam_m1, lam_0, cfg, proposal, step_name):
             p_hat, x_hat = phi(lam_hat)
             state.n_evals += 1
             state.safeguard_i += 1
-            if _eta(p_hat, rho) <= cfg.stoptol:
+            if eta(p_hat, rho) <= cfg.stoptol:
                 return _finish(state, lam_hat, x_hat, p_hat, rho, step_name)
             update_bracket(lam_hat, p_hat)
             track_best(lam_hat, p_hat, x_hat)
@@ -258,20 +267,20 @@ def _safeguarded_solve(phi, rho, lam_m1, lam_0, cfg, proposal, step_name):
             if decrease_ok:
                 hist.append((lam_hat, p_hat))
                 x_last = x_hat
-                state.record(lam_hat, p_hat, _eta(p_hat, rho), step_name)
+                state.record(lam_hat, p_hat, eta(p_hat, rho), step_name)
                 take_bisection = False
         if take_bisection:
             lam_b = 0.5 * (state.lo + state.hi)
             p_b, x_b = phi(lam_b)
             state.n_evals += 1
             state.safeguard_i = 0
-            if _eta(p_b, rho) <= cfg.stoptol:
+            if eta(p_b, rho) <= cfg.stoptol:
                 return _finish(state, lam_b, x_b, p_b, rho, "bisection")
             update_bracket(lam_b, p_b)
             track_best(lam_b, p_b, x_b)
             hist.append((lam_b, p_b))
             x_last = x_b
-            state.record(lam_b, p_b, _eta(p_b, rho), "bisection")
+            state.record(lam_b, p_b, eta(p_b, rho), "bisection")
 
     state.converged = False
     return best[1], best[2], state
@@ -321,14 +330,14 @@ def bisection_solve(phi, rho: float, lam_lo: float, lam_hi: float, cfg: RootConf
     state = RootState(lo=lam_lo, hi=lam_hi)
     if hit is not None:
         return _finish(state, hit[0], hit[1], hit[2], rho, "init")
-    state.record(lam_lo, p_lo, _eta(p_lo, rho), "init")
-    state.record(lam_hi, p_hi, _eta(p_hi, rho), "init")
+    state.record(lam_lo, p_lo, eta(p_lo, rho), "init")
+    state.record(lam_hi, p_hi, eta(p_hi, rho), "init")
     best = (abs(p_hi - rho), lam_hi, x_hi, p_hi)
     for _ in range(cfg.max_outer):
         lam_b = 0.5 * (state.lo + state.hi)
         p_b, x_b = phi(lam_b)
         state.n_evals += 1
-        if _eta(p_b, rho) <= cfg.stoptol:
+        if eta(p_b, rho) <= cfg.stoptol:
             return _finish(state, lam_b, x_b, p_b, rho, "bisection")
         if p_b > rho:
             state.hi = lam_b
@@ -336,29 +345,43 @@ def bisection_solve(phi, rho: float, lam_lo: float, lam_hi: float, cfg: RootConf
             state.lo = lam_b
         if abs(p_b - rho) < best[0]:
             best = (abs(p_b - rho), lam_b, x_b, p_b)
-        state.record(lam_b, p_b, _eta(p_b, rho), "bisection")
+        state.record(lam_b, p_b, eta(p_b, rho), "bisection")
     state.converged = False
     return best[1], best[2], state
 
 
-def bracket_init(phi, rho: float, lam_inf: float):
-    """Build a sign-changing bracket ``(lam_m1, lam_0)`` for ``phi = rho``.
+def bracket_init(phi, rho: float, lam_inf: float, lo=None, hi=None):
+    """Grow a guess into the tightest sign-changing bracket ``(lo, hi)`` seen.
 
-    Starts just below the zero-solution threshold and shrinks the lower end
-    geometrically until ``phi`` drops below ``rho``.
+    The upper end starts at ``hi`` (cold: ``0.95 * lam_inf``) and doubles,
+    capped at ``lam_inf``, until ``phi(hi) > rho``; a point passed on the way
+    with ``phi < rho`` is the lower end. Otherwise the lower end starts at
+    ``lo`` (if given and below ``hi``) or one step below ``hi`` and steps down
+    by ``lam *= max(0.1, 0.5 * rho / phi(lam))`` until ``phi(lam) < rho``;
+    each point passed on the way becomes the upper end.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    lam_0 = 0.95 * lam_inf
-    p_0, _ = phi(lam_0)
-    if p_0 <= rho:
-        lam_0 = lam_inf
-        p_0, _ = phi(lam_0)
-        if p_0 <= rho:
+    hi = 0.95 * lam_inf if hi is None else min(hi, lam_inf)
+    below = None
+    while True:
+        p, _ = phi(hi)
+        if p > rho:
+            break
+        if p < rho:
+            below = hi
+        if hi >= lam_inf:
             raise BracketError("require 0 < rho < ||b||")
-    for j in range(1, 13):
-        lam = lam_0 / 10.0 ** j
+        hi = min(2.0 * hi, lam_inf)
+    floor = 1e-12 * hi
+    lam = lo if lo is not None and lo < hi else hi * max(0.1, 0.5 * rho / p)
+    while below is None:
+        if lam < floor:
+            raise BracketError("rho too small for numeric range")
         p, _ = phi(lam)
         if p < rho:
-            return lam, lam_0
-    raise BracketError("rho too small for numeric range")
+            below = lam
+        else:
+            hi = lam
+            lam *= max(0.1, 0.5 * rho / p)
+    return below, hi

@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -189,6 +190,26 @@ class TestEdgeInstances:
         data = ProblemData(A, b, rho=1e-9 * np.linalg.norm(b))
         with pytest.raises(BracketError, match="too small"):
             smop_solve(data, L1(), SmopConfig(stoptol=1e-8))
+
+    @pytest.mark.parametrize("method", ["smop", "bmop", "nmop"])
+    def test_opposite_columns_end_in_time(self, method):
+        # columns [u, -u] once drove the Lipschitz estimate to ~0 and the
+        # inner iterates to NaN; the solve must now end certified or flagged
+        rng = np.random.default_rng(0)
+        u = rng.standard_normal(30)
+        b = u + 0.1 * rng.standard_normal(30)
+        r_min = np.linalg.norm(b - u * (u @ b) / (u @ u))
+        data = ProblemData(SparseMatrix.from_dense(np.column_stack([u, -u])), b,
+                           rho=0.5 * (r_min + np.linalg.norm(b)))
+        t0 = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # nmop's ridge fallback warns
+            res = smop_solve(data, L1(), SmopConfig(stoptol=1e-8, method=method))
+        assert time.perf_counter() - t0 < 10.0
+        assert np.all(np.isfinite(res.x))
+        if res.converged:
+            assert res.eta <= 1e-8
+            assert eta_l(res.x, data.A, data.b, L1(), res.lambda_star) <= 1e-8
 
     def test_rho_barely_below_bnorm(self):
         data, _ = synth_instance(SynthSpec(m=30, n=90, s=4, sigma=0.01, seed=31))

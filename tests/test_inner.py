@@ -88,6 +88,25 @@ class TestSolveReduced:
         )
         assert not res.converged
 
+    @pytest.mark.parametrize(
+        "gram_limit, dense_limit", [(4096, 4_194_304), (1, 4_194_304), (1, 0)]
+    )
+    def test_power_start_in_null_space(self, monkeypatch, gram_limit, dense_limit):
+        # columns [u, -u]: the all-ones power start is a null vector of the
+        # Gram matrix, so the eigenvalue estimate must fall back to its trace
+        # (gram_limit=1 never forms the Gram matrix; dense_limit=0 keeps the
+        # reduced matrix sparse)
+        monkeypatch.setattr("smop.inner._GRAM_LIMIT", gram_limit)
+        monkeypatch.setattr("smop.inner._DENSE_LIMIT", dense_limit)
+        rng = np.random.default_rng(0)
+        u = rng.standard_normal(30)
+        data = ProblemData(SparseMatrix.from_dense(np.column_stack([u, -u])),
+                           rng.standard_normal(30))
+        res = solve_reduced(data, L1(), 0.1, [0, 1])
+        assert np.all(np.isfinite(res.x))
+        assert res.converged
+        assert eta_l(res.x, data.A, data.b, L1(), 0.1) <= 1e-8
+
     def test_monotone_objective_trace(self):
         data, _ = synth_instance(SynthSpec(m=30, n=80, s=5, sigma=0.05, seed=2))
         lam = 0.3 * lambda_inf(L1(), data.A, data.b)

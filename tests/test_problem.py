@@ -88,6 +88,14 @@ class TestProblemData:
         assert data.rho is None
         assert data.with_rho(0.5).rho == 0.5
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_b(self, bad):
+        A = SparseMatrix.from_dense([[1.0], [2.0]])
+        with pytest.raises(ValueError, match="NaN or inf"):
+            ProblemData(A, np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="NaN or inf"):
+            ProblemData(A, np.array([1.0, bad]), rho=0.5)
+
     def test_rejects_zero_b(self):
         A = SparseMatrix.from_dense([[1.0]])
         with pytest.raises(ValueError, match="nonzero"):

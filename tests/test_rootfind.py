@@ -338,7 +338,7 @@ class TestHsDerivative:
     def test_matches_finite_differences(self):
         # independent slope oracle: central difference of phi across a point
         # where the support is stable
-        from smop import InnerConfig, L1, SynthSpec, lambda_inf, phi_eval, synth_instance
+        from smop import InnerConfig, SynthSpec, lambda_inf, phi_eval, synth_instance
 
         data, _ = synth_instance(SynthSpec(m=100, n=600, s=10, sigma=0.01, seed=55))
         lam0 = 0.25 * lambda_inf(L1(), data.A, data.b)
@@ -379,11 +379,102 @@ class TestNewtonHybrid:
         assert state.history[2].step == "bisection"
 
 
+def recording(phi):
+    """Wrap ``phi`` so that every evaluated lambda is kept in ``.lams``."""
+
+    def wrapped(lam):
+        wrapped.lams.append(float(lam))
+        return phi(lam)
+
+    wrapped.lams = []
+    return wrapped
+
+
+def synthetic_phi():
+    """phi of a small synthetic l1 instance, with its lambda_inf and ||b||."""
+    from smop import InnerConfig, SynthSpec, lambda_inf, phi_eval, synth_instance
+
+    data, _ = synth_instance(SynthSpec(m=40, n=120, s=5, sigma=0.01, seed=3))
+    cfg = InnerConfig(kkt_tol=1e-10)
+
+    def phi(lam):
+        res = phi_eval(data, L1(), lam, cfg=cfg)
+        return res.phi, res.x
+
+    return phi, lambda_inf(L1(), data.A, data.b), data.bnorm
+
+
 class TestBracketInit:
     def test_scalar_example(self):
+        # phi(0.95) = 0.95 > 0.3, so one step of 0.95 * 0.5 * 0.3 / 0.95
         lo, hi = bracket_init(scalar_phi, 0.3, 1.0)
         assert hi == pytest.approx(0.95)
-        assert lo == pytest.approx(0.095)
+        assert lo == pytest.approx(0.15)
+
+    @staticmethod
+    def _assert_tightest(phi, rho, lo, hi, lams):
+        assert 0 < lo < hi
+        assert phi(lo)[0] < rho < phi(hi)[0]
+        # every evaluated point is an end or lies outside the bracket
+        assert not [lam for lam in lams if lo < lam < hi]
+
+    @pytest.mark.parametrize("rho", [1e-6, 0.01, 0.2, 0.5, 1.0, 1.2, 1.4])
+    def test_diagonal_tightest_bracket(self, rho):
+        # ||b|| = sqrt(2), lam_inf = 2
+        phi = recording(diagonal_phi)
+        lo, hi = bracket_init(phi, rho, 2.0)
+        self._assert_tightest(diagonal_phi, rho, lo, hi, phi.lams)
+
+    @pytest.mark.parametrize("c", [0.05, 0.1, 0.3, 0.9])
+    def test_synthetic_tightest_bracket(self, c):
+        base, lam_inf, bnorm = synthetic_phi()
+        phi = recording(base)
+        rho = c * bnorm
+        lo, hi = bracket_init(phi, rho, lam_inf)
+        self._assert_tightest(base, rho, lo, hi, phi.lams)
+
+    @pytest.mark.parametrize("c", [0.05, 0.3])
+    def test_synthetic_warm_guesses(self, c):
+        base, lam_inf, bnorm = synthetic_phi()
+        rho = c * bnorm
+        lam_star = 0.5 * sum(bracket_init(base, rho, lam_inf))
+        for lo0, hi0 in [(0.5 * lam_star, 1.5 * lam_star), (1.1 * lam_star, 1.3 * lam_star),
+                         (0.2 * lam_star, 0.6 * lam_star), (0.9 * lam_star, 0.95 * lam_star)]:
+            phi = recording(base)
+            lo, hi = bracket_init(phi, rho, lam_inf, lo0, hi0)
+            self._assert_tightest(base, rho, lo, hi, phi.lams)
+
+    def test_warm_hi_below_root(self):
+        # root of scalar_phi at rho = 0.3 is 0.3: hi = 0.2 doubles to 0.4
+        phi = recording(scalar_phi)
+        lo, hi = bracket_init(phi, 0.3, 1.0, lo=0.1, hi=0.2)
+        assert (lo, hi) == (0.2, 0.4)
+        assert phi.lams == [0.2, 0.4]
+
+    def test_warm_lo_above_root_steps_down(self):
+        # phi(0.5) = 0.5 > 0.3 makes 0.5 the upper end; 0.5 * 0.3 = 0.15 below
+        phi = recording(scalar_phi)
+        lo, hi = bracket_init(phi, 0.3, 1.0, lo=0.5, hi=0.8)
+        assert hi == 0.5
+        assert lo == pytest.approx(0.15)
+        assert phi.lams == [0.8, 0.5, pytest.approx(0.15)]
+
+    def test_warm_bracket_kept_when_valid(self):
+        phi = recording(scalar_phi)
+        assert bracket_init(phi, 0.3, 1.0, lo=0.25, hi=0.35) == (0.25, 0.35)
+        assert phi.lams == [0.35, 0.25]
+
+    def test_warm_lo_not_below_hi_is_ignored(self):
+        phi = recording(scalar_phi)
+        lo, hi = bracket_init(phi, 0.3, 1.0, lo=0.9, hi=0.6)
+        assert hi == 0.6
+        assert lo == pytest.approx(0.15)
+        assert 0.9 not in phi.lams
+
+    def test_warm_hi_capped_at_lam_inf(self):
+        lo, hi = bracket_init(scalar_phi, 0.97, 1.0, lo=0.5, hi=4.0)
+        assert hi == 1.0
+        assert scalar_phi(lo)[0] < 0.97
 
     def test_rho_too_large(self):
         with pytest.raises(BracketError, match="0 < rho"):
