@@ -26,6 +26,7 @@ from .driver import (
 )
 from .problem import LibsvmFormatError, ProblemData, SynthSpec, libsvm_read, synth_instance
 from .regularizers import make_regularizer
+from .sieving import MIN_GROWTH, SieveConfig
 from .rootfind import (
     BracketError,
     eval_beta_fn,
@@ -95,7 +96,8 @@ def _build_config(args) -> SmopConfig:
     cfg = SmopConfig(stoptol=args.stoptol, method=args.method, sieving=not args.no_sieve)
     cfg.root.mu = args.mu
     cfg.root.max_outer = args.max_outer
-    cfg.sieve.k_max = args.kmax
+    if args.kmax is not None:
+        cfg.sieve.k_max = args.kmax
     if getattr(args, "inner_trace", None):
         cfg.inner.keep_trace = True
     return cfg
@@ -114,7 +116,11 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--stoptol", type=float, default=1e-6)
     p.add_argument("--mu", type=float, default=0.5)
     p.add_argument("--max-outer", type=int, default=200)
-    p.add_argument("--kmax", type=int, default=500)
+    p.add_argument("--kmax", type=int, default=None,
+                   help="cap on the coordinates one sieve round adds (default "
+                        f"{SieveConfig.k_max}); a round adds at most "
+                        f"min(kmax, max(|I|, {MIN_GROWTH})), so the index set I "
+                        "at most doubles per round")
     p.add_argument("--no-sieve", action="store_true")
     p.add_argument("--out", help="write the result JSON here instead of stdout")
 

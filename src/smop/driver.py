@@ -62,6 +62,7 @@ class EvalRecord:
     phi: float
     inner_iters: int
     support: int
+    converged: bool          # the evaluation's solve certified its KKT residual
     x: np.ndarray | None = None
     trace: list | None = None
 
@@ -147,7 +148,7 @@ class _PhiOracle:
 
     def __call__(self, lam):
         if lam in self.cache:
-            phi_val, x = self.cache[lam]
+            phi_val, x, _ = self.cache[lam]
             return phi_val, x
         res = phi_eval(
             self.data,
@@ -160,7 +161,7 @@ class _PhiOracle:
         self.n_solves += 1
         self.inner_iters += res.iters
         self.x_warm = res.x
-        self.cache[lam] = (res.phi, res.x)
+        self.cache[lam] = (res.phi, res.x, res.converged)
         self.evals.append(
             EvalRecord(
                 index=self.n_solves,
@@ -168,6 +169,7 @@ class _PhiOracle:
                 phi=res.phi,
                 inner_iters=res.iters,
                 support=int(np.count_nonzero(res.x)),
+                converged=res.converged,
                 x=res.x.copy() if self.keep_x else None,
                 trace=res.trace if self.inner_cfg.keep_trace else None,
             )
@@ -214,7 +216,10 @@ def smop_solve(
     else:
         lam_star, x_star, state = newton_hybrid_solve(oracle, rho, lo, hi, root_cfg, data.A)
 
-    phi_star = oracle.cache[lam_star][0]
+    phi_star, _, certified = oracle.cache[lam_star]
+    if not certified:
+        log.warning("the phi evaluation at lambda*=%.8g did not certify its KKT residual",
+                    lam_star)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     result = SmopResult(
         lambda_star=lam_star,
@@ -226,7 +231,7 @@ def smop_solve(
         wall_ms=wall_ms,
         nnz=nnz(x_star),
         method=cfg.method,
-        converged=state.converged,
+        converged=state.converged and certified,
         bracket=(lo, hi),
         root_state=state,
         evals=oracle.evals,

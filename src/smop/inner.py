@@ -90,15 +90,17 @@ def _power_iteration_bound(gram_mv, k: int, iters: int = 20, safety: float = 1.1
     return safety * max(lam_est, 0.0)
 
 
-def _zero_result(data: ProblemData, reg: Regularizer, lam: float) -> InnerSolveResult:
-    n = data.A.n
-    x = np.zeros(n)
+def _zero_result(data: ProblemData) -> InnerSolveResult:
+    """The solve over an empty index set: ``x = 0``, ``y = b``, no products.
+
+    The reduced problem has no coordinates, so its KKT residual is zero.
+    """
     y = data.b.copy()
     return InnerSolveResult(
-        x=x,
+        x=np.zeros(data.A.n),
         y=y,
         phi=float(np.linalg.norm(y)),
-        eta_l=eta_l(x, data.A, data.b, reg, lam),
+        eta_l=0.0,
         iters=0,
         objective=0.5 * float(y @ y),
         converged=True,
@@ -125,7 +127,7 @@ def solve_reduced(
     cfg = cfg or InnerConfig()
     idx = np.asarray(index_set, dtype=np.int64)
     if idx.size == 0:
-        return _zero_result(data, reg, lam)
+        return _zero_result(data)
     if idx.size != np.unique(idx).size:
         raise ValueError("index set must not contain duplicates")
     if idx.min() < 0 or idx.max() >= data.A.n:
@@ -214,10 +216,7 @@ def solve_reduced(
         Gxh = gram_mv(xh)
     x_full = np.zeros(data.A.n)
     x_full[idx] = xh
-    if isinstance(A_I, np.ndarray):
-        y_full = b - A_I @ xh
-    else:
-        y_full = b - data.A.matvec(x_full)
+    y_full = b - A_I @ xh
     phi = float(np.sqrt(y_full @ y_full))
     # KKT residual of the reduced problem at the polished point
     red_num = float(np.linalg.norm(xh - reg_r.prox(xh - (Gxh - c), lam)))

@@ -1,12 +1,20 @@
 """Adaptive sieving: solve the regularized problem over a growing index set.
 
-Each round solves the problem restricted to the current index set, measures
+Each round solves the problem restricted to the current index set I, measures
 the full-dimension proximal residual R at the assembled point, and, while
-``||R|| > eps``, grows the set with the largest off-set residual entries
-(at most ``k_max`` per round). Rounds where no off-set entry exceeds the
-zero threshold re-solve the current set at a tighter tolerance, which drives
-the full residual down since an exact reduced solve with an empty candidate
-set already solves the full problem.
+``||R|| > eps``, grows the set with the largest off-set residual entries.
+A round adds at most ``min(k_max, max(|I|, MIN_GROWTH))`` entries, so the set
+starts at up to ``MIN_GROWTH`` coordinates and then at most doubles per round:
+the reduced problems stay near the size of the support the solve needs, and
+reaching a support of size s takes ``O(log s)`` rounds. Rounds where no
+off-set entry exceeds the zero threshold re-solve the current set at a
+tighter tolerance, which drives the full residual down since an exact reduced
+solve with an empty candidate set already solves the full problem.
+
+The residual ``y = b - A_I x_I`` that the reduced solve returns is reused:
+the round's gradient is ``-A^T y`` and the final ``y``/``phi`` are the last
+round's, so a sieve round forms no full product ``A x``. The ``A^T`` product
+over all n columns stays; it is the certificate.
 """
 
 from __future__ import annotations
@@ -16,15 +24,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .inner import InnerConfig, InnerSolveResult, residual_R, solve_reduced, _zero_result
+from .inner import InnerConfig, residual_R, solve_reduced, _zero_result
 from .problem import ProblemData
 from .regularizers import Regularizer
+
+# a round may add this many coordinates even when I is smaller
+MIN_GROWTH = 20
 
 
 @dataclass
 class SieveConfig:
     eps: float = 1e-8        # full-dimension residual tolerance, unnormalized
-    k_max: int = 500         # coordinates added per round
+    k_max: int = 500         # cap on coordinates added per round
     max_rounds: int = 100
 
     def __post_init__(self):
@@ -103,7 +114,6 @@ def sieve_solve(
     round_tol = max(cfg.eps, 1e-15)
     trace = SieveTrace()
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    result = None
     total_iters = 0
     converged = False
 
@@ -113,10 +123,10 @@ def sieve_solve(
                 data, reg, lam, I, x0=x, cfg=replace(inner_cfg, kkt_tol=round_tol)
             )
         else:
-            result = _zero_result(data, reg, lam)
+            result = _zero_result(data)
         total_iters += result.iters
         x = result.x
-        grad = data.A.rmatvec(data.A.matvec(x) - data.b)
+        grad = -data.A.rmatvec(result.y)
         R = residual_R(x, grad, reg, lam)
         r_norm = float(np.linalg.norm(R))
         if r_norm <= cfg.eps:
@@ -131,21 +141,12 @@ def sieve_solve(
             trace.rounds.append(SieveRound(I.size, r_norm, 0, 0, result.iters))
             round_tol *= 0.1
             continue
-        add = select_top_k(R, J, min(J.size, cfg.k_max))
+        add = select_top_k(R, J, min(J.size, cfg.k_max, max(I.size, MIN_GROWTH)))
         trace.rounds.append(SieveRound(I.size, r_norm, J.size, add.size, result.iters))
         I = np.union1d(I, add)
 
-    y = data.b - data.A.matvec(x)
-    phi = float(np.linalg.norm(y))
-    den = 1.0 + float(np.linalg.norm(x)) + phi
-    final = InnerSolveResult(
-        x=x,
-        y=y,
-        phi=phi,
-        eta_l=float(np.linalg.norm(R)) / den,
-        iters=total_iters,
-        objective=0.5 * phi * phi + lam * reg.value(x),
-        converged=converged,
-        trace=result.trace if result is not None else [],
+    den = 1.0 + float(np.linalg.norm(x)) + result.phi
+    final = replace(
+        result, eta_l=float(np.linalg.norm(R)) / den, iters=total_iters, converged=converged
     )
     return final, trace

@@ -6,9 +6,11 @@ import pytest
 
 from smop import (
     BracketError,
+    InnerConfig,
     L1,
     PathSpec,
     ProblemData,
+    SieveConfig,
     SmopConfig,
     SortedL1,
     SparseMatrix,
@@ -100,6 +102,21 @@ class TestSmopSolve:
         on = smop_solve(diagonal_data, L1(), SmopConfig(stoptol=1e-9, sieving=True))
         off = smop_solve(diagonal_data, L1(), SmopConfig(stoptol=1e-9, sieving=False))
         assert on.lambda_star == pytest.approx(off.lambda_star, abs=1e-9)
+
+    @pytest.mark.parametrize("sieving", [True, False])
+    def test_uncertified_final_evaluation_not_converged(self, sieving):
+        # capped inner iterations (and sieve rounds) still bracket and let the
+        # root finder stop, but the solve at lambda* misses its KKT tolerance
+        data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=0))
+        data = data.with_rho(0.1 * data.bnorm)
+        cfg = SmopConfig(stoptol=1e-8, sieving=sieving, sieve=SieveConfig(max_rounds=2),
+                         inner=InnerConfig(max_iters=20))
+        res = smop_solve(data, L1(), cfg)
+        assert res.root_state.converged
+        final = next(e for e in res.evals if e.lam == res.lambda_star)
+        assert not final.converged
+        assert not res.converged
+        assert all(e.converged for e in smop_solve(data, L1(), SmopConfig(stoptol=1e-8)).evals)
 
     def test_keep_solutions(self, diagonal_data):
         res = smop_solve(diagonal_data, L1(), SmopConfig(keep_solutions=True))

@@ -6,6 +6,7 @@ from smop import (
     L1,
     SieveConfig,
     SortedL1,
+    SparseMatrix,
     SynthSpec,
     lambda_inf,
     linear_weights,
@@ -14,6 +15,7 @@ from smop import (
     solve_reduced,
     synth_instance,
 )
+from smop.sieving import MIN_GROWTH
 
 
 class TestSelectTopK:
@@ -80,6 +82,50 @@ class TestSieveSolve:
         lam = 0.1 * lambda_inf(L1(), data.A, data.b)
         _, trace = sieve_solve(data, L1(), lam, [], SieveConfig(eps=1e-8, k_max=3))
         assert all(r.added <= 3 for r in trace.rounds)
+
+    @pytest.mark.parametrize("k_max", [30, 500])
+    def test_growth_at_most_doubles(self, k_max):
+        data, _ = synth_instance(SynthSpec(m=80, n=600, s=40, sigma=0.01, seed=15))
+        lam = 0.02 * lambda_inf(L1(), data.A, data.b)
+        res, trace = sieve_solve(data, L1(), lam, [], SieveConfig(eps=1e-9, k_max=k_max))
+        assert res.converged
+        assert all(r.added <= min(k_max, max(r.size_I, MIN_GROWTH)) for r in trace.rounds)
+        # the support outgrows MIN_GROWTH and the bound above it is met
+        assert any(r.added == min(k_max, r.size_I) > MIN_GROWTH for r in trace.rounds)
+
+    @pytest.mark.parametrize("dense_limit", [4_194_304, 0])
+    @pytest.mark.parametrize("start", ["empty", "support"])
+    def test_no_full_matvec(self, monkeypatch, start, dense_limit):
+        # the round residual comes from the reduced solve, so only A^T
+        # products touch all n columns (dense_limit=0 keeps A_I sparse)
+        data, x_true = synth_instance(SynthSpec(m=50, n=300, s=8, sigma=0.01, seed=16))
+        lam = 0.1 * lambda_inf(L1(), data.A, data.b)
+        calls = []
+        matvec = SparseMatrix.matvec
+
+        def counting(self, x):
+            calls.append(1)
+            return matvec(self, x)
+
+        monkeypatch.setattr(SparseMatrix, "matvec", counting)
+        monkeypatch.setattr("smop.inner._DENSE_LIMIT", dense_limit)
+        initial = [] if start == "empty" else np.flatnonzero(x_true)
+        res, trace = sieve_solve(data, L1(), lam, initial, SieveConfig(eps=1e-9))
+        assert res.converged
+        assert len(trace.rounds) > 1
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["l1", "slope"])
+    @pytest.mark.parametrize("max_rounds", [100, 2])
+    def test_returned_residual_matches_fresh_product(self, kind, max_rounds):
+        data, _ = synth_instance(SynthSpec(m=60, n=250, s=10, sigma=0.05, seed=13))
+        reg = L1() if kind == "l1" else SortedL1(linear_weights(250))
+        lam = 0.1 * lambda_inf(reg, data.A, data.b)
+        res, _ = sieve_solve(data, reg, lam, [], SieveConfig(eps=1e-9, max_rounds=max_rounds))
+        assert res.converged == (max_rounds == 100)
+        y = data.b - data.A.matvec(res.x)
+        assert np.linalg.norm(res.y - y) <= 1e-12 * np.linalg.norm(y)
+        assert res.phi == pytest.approx(np.linalg.norm(y), rel=1e-12)
 
     def test_threshold_matches_exact_nonzeros_on_exact_case(self, diagonal_data):
         # at x = 0 the residual is prox(A^T b) with exactly representable
