@@ -63,8 +63,8 @@ class EvalRecord:
     inner_iters: int
     support: int
     converged: bool          # the evaluation's solve certified its KKT residual
-    x: np.ndarray | None = None
-    trace: list | None = None
+    x: np.ndarray | None = None   # kept with SmopConfig.keep_solutions
+    trace: list | None = None     # kept with InnerConfig.keep_trace
 
 
 @dataclass
@@ -112,19 +112,19 @@ def nnz(x) -> int:
 
 
 class _PhiOracle:
-    """Counting, caching, warm-starting phi evaluator shared by the solvers."""
+    """Caching, warm-starting phi evaluator shared by the solvers.
 
-    def __init__(self, data, reg, inner_cfg, sieve_cfg, x_warm=None, keep_x=False):
+    ``cache`` maps each evaluated ``lam`` to its :class:`EvalRecord`, in
+    evaluation order.
+    """
+
+    def __init__(self, data, reg, inner_cfg, sieve_cfg, x_warm=None):
         self.data = data
         self.reg = reg
         self.inner_cfg = inner_cfg
         self.sieve_cfg = sieve_cfg
         self.x_warm = x_warm
-        self.keep_x = keep_x
-        self.cache = {}
-        self.evals = []
-        self.n_solves = 0
-        self.inner_iters = 0
+        self.cache: dict[float, EvalRecord] = {}
 
     def _warm_start(self, lam):
         """Interpolate the two nearest cached solutions around ``lam``.
@@ -141,41 +141,35 @@ class _PhiOracle:
                 above = l0
         if below is not None and above is not None:
             w = (lam - below) / (above - below)
-            return (1.0 - w) * self.cache[below][1] + w * self.cache[above][1]
+            return (1.0 - w) * self.cache[below].x + w * self.cache[above].x
         if below is not None or above is not None:
-            return self.cache[below if below is not None else above][1]
+            return self.cache[below if below is not None else above].x
         return self.x_warm
 
     def __call__(self, lam):
-        if lam in self.cache:
-            phi_val, x, _ = self.cache[lam]
-            return phi_val, x
-        res = phi_eval(
-            self.data,
-            self.reg,
-            lam,
-            x0=self._warm_start(lam),
-            cfg=self.inner_cfg,
-            sieve_cfg=self.sieve_cfg,
-        )
-        self.n_solves += 1
-        self.inner_iters += res.iters
-        self.x_warm = res.x
-        self.cache[lam] = (res.phi, res.x, res.converged)
-        self.evals.append(
-            EvalRecord(
-                index=self.n_solves,
+        rec = self.cache.get(lam)
+        if rec is None:
+            res = phi_eval(
+                self.data,
+                self.reg,
+                lam,
+                x0=self._warm_start(lam),
+                cfg=self.inner_cfg,
+                sieve_cfg=self.sieve_cfg,
+            )
+            self.x_warm = res.x
+            rec = self.cache[lam] = EvalRecord(
+                index=len(self.cache) + 1,
                 lam=lam,
                 phi=res.phi,
                 inner_iters=res.iters,
                 support=int(np.count_nonzero(res.x)),
                 converged=res.converged,
-                x=res.x.copy() if self.keep_x else None,
+                x=res.x,
                 trace=res.trace if self.inner_cfg.keep_trace else None,
             )
-        )
-        log.debug("phi(%0.6g) = %0.6g, support %d", lam, res.phi, np.count_nonzero(res.x))
-        return res.phi, res.x
+            log.debug("phi(%0.6g) = %0.6g, support %d", lam, rec.phi, rec.support)
+        return rec.phi, rec.x
 
 
 def smop_solve(
@@ -200,14 +194,24 @@ def smop_solve(
     lam_top = lambda_inf(reg, data.A, data.b)
     eff_tol = min(cfg.inner.kkt_tol, 0.01 * cfg.stoptol * max(1.0, rho))
     inner_cfg = replace(cfg.inner, kkt_tol=eff_tol)
-    sieve_cfg = replace(cfg.sieve, eps=eff_tol) if cfg.sieving else None
-    oracle = _PhiOracle(
-        data, reg, inner_cfg, sieve_cfg, x_warm=warm_x, keep_x=cfg.keep_solutions
-    )
+    sieve_cfg = cfg.sieve if cfg.sieving else None
+    oracle = _PhiOracle(data, reg, inner_cfg, sieve_cfg, x_warm=warm_x)
     root_cfg = replace(cfg.root, stoptol=cfg.stoptol)
 
     lo, hi = warm_bracket if warm_bracket is not None else (None, None)
-    lo, hi = bracket_init(oracle, rho, lam_top, lo, hi)
+    try:
+        lo, hi = bracket_init(oracle, rho, lam_top, lo, hi)
+    except BracketError as exc:
+        # an evaluation that stopped short of its KKT tolerance can misplace
+        # the sign of phi - rho; name that cause rather than the bracket's
+        uncertified = sum(not rec.converged for rec in oracle.cache.values())
+        if not uncertified:
+            raise
+        raise BracketError(
+            f"{uncertified} of {len(oracle.cache)} phi evaluations in the bracket "
+            "search did not certify their KKT residual; raise InnerConfig.max_iters "
+            f"or SieveConfig.max_rounds ({exc})"
+        ) from exc
 
     if cfg.method == "smop":
         lam_star, x_star, state = hybrid_secant_solve(oracle, rho, lo, hi, root_cfg)
@@ -216,25 +220,29 @@ def smop_solve(
     else:
         lam_star, x_star, state = newton_hybrid_solve(oracle, rho, lo, hi, root_cfg, data.A)
 
-    phi_star, _, certified = oracle.cache[lam_star]
-    if not certified:
+    final = oracle.cache[lam_star]
+    evals = list(oracle.cache.values())
+    if not cfg.keep_solutions:
+        for rec in evals:
+            rec.x = None
+    if not final.converged:
         log.warning("the phi evaluation at lambda*=%.8g did not certify its KKT residual",
                     lam_star)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     result = SmopResult(
         lambda_star=lam_star,
         x=x_star,
-        phi=phi_star,
-        eta=eta(phi_star, rho),
-        n_subproblems=oracle.n_solves,
-        inner_iters_total=oracle.inner_iters,
+        phi=final.phi,
+        eta=eta(final.phi, rho),
+        n_subproblems=len(evals),
+        inner_iters_total=sum(rec.inner_iters for rec in evals),
         wall_ms=wall_ms,
         nnz=nnz(x_star),
         method=cfg.method,
-        converged=state.converged and certified,
+        converged=state.converged and final.converged,
         bracket=(lo, hi),
         root_state=state,
-        evals=oracle.evals,
+        evals=evals,
     )
     log.info(
         "%s: lambda*=%.8g eta=%.2e solves=%d wall=%.1fms",

@@ -31,8 +31,7 @@ _DENSE_LIMIT = 4_194_304
 class InnerConfig:
     kkt_tol: float = 1e-8
     max_iters: int = 20000
-    use_restart: bool = True
-    keep_trace: bool = False
+    keep_trace: bool = False  # record (iter, objective, eta_l) at each certificate check
 
     def __post_init__(self):
         if self.kkt_tol <= 0:
@@ -180,7 +179,7 @@ def solve_reduced(
         z_new = reg_r.prox(y - g_y * inv_L, step_t)
         Gz_new = gram_mv(z_new)
         F_new = smooth(z_new, Gz_new) + lam * reg_r.value(z_new)
-        if cfg.use_restart and F_new > F_z:
+        if F_new > F_z:
             # momentum restart: plain proximal-gradient step from the last
             # accepted iterate, which cannot increase the objective
             g_z = Gz - c
@@ -190,8 +189,8 @@ def solve_reduced(
             t = 1.0
 
         # the certificate evaluation costs two extra Gram products, so run it
-        # on a fixed cadence unless a per-iteration trace was requested
-        if iters % 3 == 1 or cfg.keep_trace:
+        # on a fixed cadence; the trace rides along and changes no iterate
+        if iters % 3 == 1:
             g_new = Gz_new - c
             xh = reg_r.prox(z_new - g_new, lam)
             Gxh = gram_mv(xh)

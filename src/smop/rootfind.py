@@ -6,7 +6,8 @@ Three solvers share one safeguarded skeleton for the equation
 * ``hybrid_secant_solve`` proposes secant steps and falls back to bisection
   when a proposal leaves the initial bracket or fails a sufficient-decrease
   test against the residual three accepted iterates ago;
-* ``bisection_solve`` is the plain bisection baseline;
+* ``bisection_solve`` is the plain bisection baseline: the same skeleton
+  with no proposal, so every step bisects the current bracket;
 * ``newton_hybrid_solve`` replaces the secant proposal with a Newton step
   using the generalized derivative of phi available for the l1 penalty.
 
@@ -217,14 +218,16 @@ def _finish(state, lam, x, phi_val, rho, step):
 
 
 def _safeguarded_solve(phi, rho, lam_m1, lam_0, cfg, proposal, step_name):
-    """Shared skeleton of the secant and Newton hybrids.
+    """Shared skeleton of the secant and Newton hybrids and of bisection.
 
     ``proposal(hist, x_last)`` returns a trial lambda from the accepted
     iterate history (list of (lam, phi) pairs) or None to force bisection.
     Every evaluation updates the bracket by the sign of ``phi - rho``; trial
     points are only evaluated inside the *initial* interval, and an accepted
     trial must either be among the first two since the last bisection or
-    shrink the residual by ``mu`` relative to three iterates back.
+    shrink the residual by ``mu`` relative to three iterates back. A run that
+    does not converge returns the evaluated point, bracket ends included,
+    with the smallest ``|phi - rho|``.
     """
     p_lo, x_lo, p_hi, x_hi, hit = _validate_bracket(phi, rho, lam_m1, lam_0, cfg.stoptol)
     state = RootState(lo=lam_m1, hi=lam_0)
@@ -325,29 +328,8 @@ def newton_hybrid_solve(phi, rho: float, lam_m1: float, lam_0: float, cfg: RootC
 
 
 def bisection_solve(phi, rho: float, lam_lo: float, lam_hi: float, cfg: RootConfig):
-    """Plain bisection baseline on a validated bracket."""
-    p_lo, x_lo, p_hi, x_hi, hit = _validate_bracket(phi, rho, lam_lo, lam_hi, cfg.stoptol)
-    state = RootState(lo=lam_lo, hi=lam_hi)
-    if hit is not None:
-        return _finish(state, hit[0], hit[1], hit[2], rho, "init")
-    state.record(lam_lo, p_lo, eta(p_lo, rho), "init")
-    state.record(lam_hi, p_hi, eta(p_hi, rho), "init")
-    best = (abs(p_hi - rho), lam_hi, x_hi, p_hi)
-    for _ in range(cfg.max_outer):
-        lam_b = 0.5 * (state.lo + state.hi)
-        p_b, x_b = phi(lam_b)
-        state.n_evals += 1
-        if eta(p_b, rho) <= cfg.stoptol:
-            return _finish(state, lam_b, x_b, p_b, rho, "bisection")
-        if p_b > rho:
-            state.hi = lam_b
-        else:
-            state.lo = lam_b
-        if abs(p_b - rho) < best[0]:
-            best = (abs(p_b - rho), lam_b, x_b, p_b)
-        state.record(lam_b, p_b, eta(p_b, rho), "bisection")
-    state.converged = False
-    return best[1], best[2], state
+    """Plain bisection baseline: the safeguarded skeleton with no proposal."""
+    return _safeguarded_solve(phi, rho, lam_lo, lam_hi, cfg, lambda _h, _x: None, "bisection")
 
 
 def bracket_init(phi, rho: float, lam_inf: float, lo=None, hi=None):

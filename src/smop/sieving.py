@@ -2,7 +2,8 @@
 
 Each round solves the problem restricted to the current index set I, measures
 the full-dimension proximal residual R at the assembled point, and, while
-``||R|| > eps``, grows the set with the largest off-set residual entries.
+``||R||`` exceeds the inner solver's ``kkt_tol``, grows the set with the
+largest off-set residual entries.
 A round adds at most ``min(k_max, max(|I|, MIN_GROWTH))`` entries, so the set
 starts at up to ``MIN_GROWTH`` coordinates and then at most doubles per round:
 the reduced problems stay near the size of the support the solve needs, and
@@ -34,13 +35,10 @@ MIN_GROWTH = 20
 
 @dataclass
 class SieveConfig:
-    eps: float = 1e-8        # full-dimension residual tolerance, unnormalized
     k_max: int = 500         # cap on coordinates added per round
     max_rounds: int = 100
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
         if self.max_rounds < 1:
@@ -99,8 +97,8 @@ def sieve_solve(
     Returns
     -------
     (InnerSolveResult, SieveTrace)
-        Full-dimension result with ``||R(x)|| <= eps`` on success, and the
-        per-round log.
+        Full-dimension result with ``||R(x)|| <= inner_cfg.kkt_tol`` (an
+        unnormalized tolerance here) on success, and the per-round log.
     """
     cfg = cfg or SieveConfig()
     inner_cfg = inner_cfg or InnerConfig()
@@ -110,8 +108,9 @@ def sieve_solve(
         raise ValueError("initial index set out of range")
 
     # treat roundoff-sized residual entries as zero when building J
-    zero_thresh = max(1e-12, 1e-3 * cfg.eps)
-    round_tol = max(cfg.eps, 1e-15)
+    eps = inner_cfg.kkt_tol
+    zero_thresh = max(1e-12, 1e-3 * eps)
+    round_tol = max(eps, 1e-15)
     trace = SieveTrace()
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     total_iters = 0
@@ -129,7 +128,7 @@ def sieve_solve(
         grad = -data.A.rmatvec(result.y)
         R = residual_R(x, grad, reg, lam)
         r_norm = float(np.linalg.norm(R))
-        if r_norm <= cfg.eps:
+        if r_norm <= eps:
             trace.rounds.append(SieveRound(I.size, r_norm, 0, 0, result.iters))
             converged = True
             break

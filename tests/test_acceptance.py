@@ -164,7 +164,7 @@ def test_criterion_5_sieving_equivalence():
         data, _ = synth_instance(SynthSpec(m=80, n=400, s=10, sigma=0.02, seed=seed))
         reg = L1() if seed % 2 == 0 else SortedL1(linear_weights(400))
         lam = 0.3 * lambda_inf(reg, data.A, data.b)
-        res, trace = sieve_solve(data, reg, lam, [], SieveConfig(eps=eps))
+        res, trace = sieve_solve(data, reg, lam, [], inner_cfg=InnerConfig(kkt_tol=eps))
         assert res.converged
         grad = data.A.rmatvec(data.A.matvec(res.x) - data.b)
         R = res.x - reg.prox(res.x - grad, lam)

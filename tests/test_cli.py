@@ -33,11 +33,10 @@ class TestSolve:
         assert doc["converged"] is True
 
     def test_rho_out_of_range(self, capsys):
-        code, _, err = run(
-            capsys, "solve", "--synth", "m=4,n=8,s=2,seed=7", "--c", "1.5"
-        )
-        assert code == 1
-        assert "require 0 < rho < ||b||" in err
+        for level in (("--c", "1.5"), ("--rho", "-1")):
+            code, _, err = run(capsys, "solve", "--synth", "m=4,n=8,s=2,seed=7", *level)
+            assert code == 1
+            assert "require 0 < rho < ||b||" in err
 
     def test_nmop_slope_rejected(self, capsys):
         code, _, err = run(
@@ -113,6 +112,17 @@ class TestSolve:
         header = iters_csv.read_text().splitlines()[0]
         assert header == "k,lambda,phi,eta,step,inner_iters,support"
         assert trace_csv.read_text().splitlines()[0] == "iter,objective,eta_l"
+
+    def test_inner_trace_changes_no_output(self, capsys, tmp_path):
+        argv = ["solve", "--synth", "m=40,n=120,s=8,sigma=0.01,seed=0", "--c", "0.1",
+                "--stoptol", "1e-8"]
+        code1, out1, _ = run(capsys, *argv)
+        code2, out2, _ = run(capsys, *argv, "--inner-trace", str(tmp_path / "trace.csv"))
+        assert code1 == code2 == 0
+        d1, d2 = json.loads(out1), json.loads(out2)
+        d1.pop("wall_ms"), d2.pop("wall_ms")
+        assert d1 == d2
+        assert len((tmp_path / "trace.csv").read_text().splitlines()) > 1
 
     def test_no_sieve_flag(self, capsys):
         code, out, _ = run(

@@ -118,9 +118,37 @@ class TestSmopSolve:
         assert not res.converged
         assert all(e.converged for e in smop_solve(data, L1(), SmopConfig(stoptol=1e-8)).evals)
 
+    @pytest.mark.parametrize("sieving", [True, False])
+    def test_uncertified_bracket_evaluations_named(self, sieving):
+        # one sieve round (x = 0) or one APG iteration leaves phi near ||b||,
+        # so the lower bracket end runs off the numeric range; the error must
+        # name the uncertified evaluations, not only the range
+        data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=0))
+        data = data.with_rho(0.1 * data.bnorm)
+        if sieving:
+            cfg = SmopConfig(stoptol=1e-8, sieve=SieveConfig(max_rounds=1))
+        else:
+            cfg = SmopConfig(stoptol=1e-8, sieving=False, inner=InnerConfig(max_iters=1))
+        with pytest.raises(BracketError, match="did not certify their KKT residual") as exc:
+            smop_solve(data, L1(), cfg)
+        assert "InnerConfig.max_iters or SieveConfig.max_rounds" in str(exc.value)
+        assert isinstance(exc.value.__cause__, BracketError)
+
+    def test_keep_trace_changes_no_iterate(self):
+        data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=0))
+        data = data.with_rho(0.1 * data.bnorm)
+        plain = smop_solve(data, L1(), SmopConfig(stoptol=1e-8))
+        cfg = SmopConfig(stoptol=1e-8, inner=InnerConfig(keep_trace=True))
+        traced = smop_solve(data, L1(), cfg)
+        assert traced.lambda_star == plain.lambda_star
+        assert traced.inner_iters_total == plain.inner_iters_total
+        np.testing.assert_array_equal(traced.x, plain.x)
+        assert any(e.trace for e in traced.evals)
+
     def test_keep_solutions(self, diagonal_data):
         res = smop_solve(diagonal_data, L1(), SmopConfig(keep_solutions=True))
         assert all(e.x is not None for e in res.evals)
+        assert all(e.x is None for e in smop_solve(diagonal_data, L1()).evals)
 
     def test_to_doc_roundtrip(self, diagonal_data):
         res = smop_solve(diagonal_data, L1(), SmopConfig(stoptol=1e-9))

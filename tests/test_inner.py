@@ -143,7 +143,7 @@ class TestPhiEval:
         lam = 0.25 * lambda_inf(L1(), data.A, data.b)
         cfg = InnerConfig(kkt_tol=1e-10)
         direct = phi_eval(data, L1(), lam, cfg=cfg)
-        sieved = phi_eval(data, L1(), lam, cfg=cfg, sieve_cfg=SieveConfig(eps=1e-10))
+        sieved = phi_eval(data, L1(), lam, cfg=cfg, sieve_cfg=SieveConfig())
         assert sieved.phi == pytest.approx(direct.phi, abs=1e-8)
         assert sieved.eta_l <= 1e-9
 
@@ -194,7 +194,7 @@ class TestSolverInvariants:
             lam = 0.3 * lambda_inf(L1(), data.A, data.b)
             res = phi_eval(
                 data, L1(), lam, cfg=InnerConfig(kkt_tol=eps_in),
-                sieve_cfg=SieveConfig(eps=eps_in),
+                sieve_cfg=SieveConfig(),
             )
             recomputed = eta_l(res.x, data.A, data.b, L1(), lam)
             assert recomputed <= 10 * eps_in

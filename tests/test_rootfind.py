@@ -309,6 +309,14 @@ class TestBisection:
         expected = np.log2((0.99 - 0.01) / 1e-6)
         assert state.n_evals <= expected + 2
 
+    def test_unconverged_returns_closest_evaluated_point(self):
+        # the one bisection step lands at 0.64; the lower end 0.29 is closer
+        cfg = RootConfig(stoptol=1e-14, max_outer=1)
+        lam, x, state = bisection_solve(scalar_phi, 0.3, 0.29, 0.99, cfg)
+        assert not state.converged
+        assert lam == 0.29
+        np.testing.assert_array_equal(x, [0.71])
+
     def test_invalid_bracket(self):
         with pytest.raises(BracketError):
             bisection_solve(scalar_phi, 0.3, 0.4, 0.99, RootConfig())

@@ -17,6 +17,9 @@ from smop import (
 )
 from smop.sieving import MIN_GROWTH
 
+# inner tolerance, and so the sieve's full-residual tolerance, of most cases
+TIGHT = InnerConfig(kkt_tol=1e-9)
+
 
 class TestSelectTopK:
     def test_example(self):
@@ -41,14 +44,14 @@ class TestSelectTopK:
 
 class TestSieveSolve:
     def test_superset_start_single_round(self, diagonal_data):
-        res, trace = sieve_solve(diagonal_data, L1(), 0.4, [0, 1], SieveConfig(eps=1e-9))
+        res, trace = sieve_solve(diagonal_data, L1(), 0.4, [0, 1], inner_cfg=TIGHT)
         assert res.converged
         np.testing.assert_allclose(res.x, [0.6, 0.4], atol=1e-8)
         assert len(trace.rounds) == 1
 
     def test_zero_accepted_above_threshold(self, diagonal_data):
         lam_top = lambda_inf(L1(), diagonal_data.A, diagonal_data.b)
-        res, trace = sieve_solve(diagonal_data, L1(), lam_top * 1.01, [], SieveConfig(eps=1e-9))
+        res, trace = sieve_solve(diagonal_data, L1(), lam_top * 1.01, [], inner_cfg=TIGHT)
         assert res.converged
         np.testing.assert_array_equal(res.x, np.zeros(2))
         assert trace.rounds[0].size_I == 0
@@ -57,15 +60,14 @@ class TestSieveSolve:
     def test_growth_is_monotone_and_terminates(self):
         data, _ = synth_instance(SynthSpec(m=50, n=200, s=8, sigma=0.02, seed=12))
         lam = 0.2 * lambda_inf(L1(), data.A, data.b)
-        cfg = SieveConfig(eps=1e-9, k_max=5)
-        res, trace = sieve_solve(data, L1(), lam, [], cfg)
+        res, trace = sieve_solve(data, L1(), lam, [], SieveConfig(k_max=5), inner_cfg=TIGHT)
         assert res.converged
         sizes = [r.size_I for r in trace.rounds]
         assert all(b >= a for a, b in zip(sizes, sizes[1:]))
         # authoritative full-dimension residual certificate
         grad = data.A.rmatvec(data.A.matvec(res.x) - data.b)
         R = res.x - L1().prox(res.x - grad, lam)
-        assert np.linalg.norm(R) <= cfg.eps
+        assert np.linalg.norm(R) <= TIGHT.kkt_tol
 
     @pytest.mark.parametrize("kind", ["l1", "slope"])
     def test_matches_full_dimension_solve(self, kind):
@@ -73,21 +75,21 @@ class TestSieveSolve:
         reg = L1() if kind == "l1" else SortedL1(linear_weights(250))
         lam = 0.3 * lambda_inf(reg, data.A, data.b)
         eps = 1e-9
-        res, _ = sieve_solve(data, reg, lam, [], SieveConfig(eps=eps))
+        res, _ = sieve_solve(data, reg, lam, [], inner_cfg=InnerConfig(kkt_tol=eps))
         full = solve_reduced(data, reg, lam, np.arange(250), cfg=InnerConfig(kkt_tol=eps))
         assert res.objective == pytest.approx(full.objective, rel=1e-6, abs=1e-9)
 
     def test_kmax_limits_growth_per_round(self):
         data, _ = synth_instance(SynthSpec(m=40, n=150, s=10, sigma=0.0, seed=14))
         lam = 0.1 * lambda_inf(L1(), data.A, data.b)
-        _, trace = sieve_solve(data, L1(), lam, [], SieveConfig(eps=1e-8, k_max=3))
+        _, trace = sieve_solve(data, L1(), lam, [], SieveConfig(k_max=3))
         assert all(r.added <= 3 for r in trace.rounds)
 
     @pytest.mark.parametrize("k_max", [30, 500])
     def test_growth_at_most_doubles(self, k_max):
         data, _ = synth_instance(SynthSpec(m=80, n=600, s=40, sigma=0.01, seed=15))
         lam = 0.02 * lambda_inf(L1(), data.A, data.b)
-        res, trace = sieve_solve(data, L1(), lam, [], SieveConfig(eps=1e-9, k_max=k_max))
+        res, trace = sieve_solve(data, L1(), lam, [], SieveConfig(k_max=k_max), inner_cfg=TIGHT)
         assert res.converged
         assert all(r.added <= min(k_max, max(r.size_I, MIN_GROWTH)) for r in trace.rounds)
         # the support outgrows MIN_GROWTH and the bound above it is met
@@ -110,7 +112,7 @@ class TestSieveSolve:
         monkeypatch.setattr(SparseMatrix, "matvec", counting)
         monkeypatch.setattr("smop.inner._DENSE_LIMIT", dense_limit)
         initial = [] if start == "empty" else np.flatnonzero(x_true)
-        res, trace = sieve_solve(data, L1(), lam, initial, SieveConfig(eps=1e-9))
+        res, trace = sieve_solve(data, L1(), lam, initial, inner_cfg=TIGHT)
         assert res.converged
         assert len(trace.rounds) > 1
         assert calls == []
@@ -121,7 +123,9 @@ class TestSieveSolve:
         data, _ = synth_instance(SynthSpec(m=60, n=250, s=10, sigma=0.05, seed=13))
         reg = L1() if kind == "l1" else SortedL1(linear_weights(250))
         lam = 0.1 * lambda_inf(reg, data.A, data.b)
-        res, _ = sieve_solve(data, reg, lam, [], SieveConfig(eps=1e-9, max_rounds=max_rounds))
+        res, _ = sieve_solve(
+            data, reg, lam, [], SieveConfig(max_rounds=max_rounds), inner_cfg=TIGHT
+        )
         assert res.converged == (max_rounds == 100)
         y = data.b - data.A.matvec(res.x)
         assert np.linalg.norm(res.y - y) <= 1e-12 * np.linalg.norm(y)
@@ -144,7 +148,7 @@ class TestSieveSolve:
             sieve_solve(diagonal_data, L1(), 0.4, [7], SieveConfig())
 
     def test_trace_csv(self, tmp_path, diagonal_data):
-        _, trace = sieve_solve(diagonal_data, L1(), 0.4, [], SieveConfig(eps=1e-9))
+        _, trace = sieve_solve(diagonal_data, L1(), 0.4, [], inner_cfg=TIGHT)
         out = tmp_path / "trace.csv"
         trace.write_csv(out)
         lines = out.read_text().strip().splitlines()
@@ -153,7 +157,7 @@ class TestSieveSolve:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SieveConfig(eps=-1.0)
+            InnerConfig(kkt_tol=0.0)  # the sieve's residual tolerance
         with pytest.raises(ValueError):
             SieveConfig(k_max=0)
         with pytest.raises(ValueError):
