@@ -284,7 +284,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--iters-csv", help="per-outer-iteration CSV log")
     p.add_argument("--inner-trace",
                    help="CSV of the final inner solve, one row per certificate "
-                        "check (every third iteration)")
+                        "check (every third iteration) of every sieve round")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("path", help="solve a decreasing-rho solution path")

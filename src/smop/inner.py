@@ -7,6 +7,13 @@ is certified by two unit-step quantities at the candidate: the inexactness
 certificate ``||z - xh + grad(xh) - grad(z)||`` (xh the polished point) and
 the proximal residual at xh itself; both must fall below the tolerance.
 
+For the l1 penalty each certificate check that fails also tries a Newton
+step on the identified support: with J the support of xh and s its signs,
+``G_JJ z_J = c_J - lam*s`` is solved by one Cholesky factorization (by
+minimum-norm least squares when ``G_JJ`` is singular) and the same
+certificate, at the same tolerance, is run on z. APG stops when it passes and
+otherwise continues unchanged; a failed pattern (J, s) is not solved again.
+
 ``phi_eval`` evaluates phi(lam) = ||A x(lam) - b|| by a full-dimension solve,
 optionally through the adaptive sieving loop.
 """
@@ -16,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .problem import ProblemData
 from .regularizers import Regularizer
@@ -89,6 +97,12 @@ def _power_iteration_bound(gram_mv, k: int, iters: int = 20, safety: float = 1.1
     return safety * max(lam_est, 0.0)
 
 
+def _dense_gram(A_I) -> np.ndarray:
+    """``A_I^T A_I`` as a dense array, for a dense or sparse ``A_I``."""
+    gram = A_I.T @ A_I
+    return gram.toarray() if hasattr(gram, "toarray") else np.asarray(gram)
+
+
 def _zero_result(data: ProblemData) -> InnerSolveResult:
     """The solve over an empty index set: ``x = 0``, ``y = b``, no products.
 
@@ -142,11 +156,11 @@ def solve_reduced(
         A_I = data.A.take_columns(idx)
     c = A_I.T @ b
     if k <= _GRAM_LIMIT:
-        gram = A_I.T @ A_I
-        G = gram.toarray() if hasattr(gram, "toarray") else np.asarray(gram)
+        G = _dense_gram(A_I)
         gram_mv = lambda z: G @ z
         diag = np.diag(G)
     else:
+        G = None
         gram_mv = lambda z: A_I.T @ (A_I @ z)
         diag = np.asarray((A_I * A_I).sum(axis=0)).ravel()
 
@@ -166,7 +180,50 @@ def solve_reduced(
     Gz = gram_mv(z)
     F_z = smooth(z, Gz) + lam * reg_r.value(z)
 
+    def certify(zc, Gzc):
+        """Polished point of ``zc``, its Gram product and both certificate norms."""
+        xh = reg_r.prox(zc - (Gzc - c), lam)
+        Gxh = gram_mv(xh)
+        cert_vec = zc - xh + (Gxh - Gzc)
+        r_hat = xh - reg_r.prox(xh - (Gxh - c), lam)
+        return xh, Gxh, float(np.sqrt(cert_vec @ cert_vec)), float(np.sqrt(r_hat @ r_hat))
+
+    failed = set()
+    last_key = None
+
+    def newton_point(xh):
+        """Solution of ``G_JJ z_J = c_J - lam*s`` for the support J and signs s
+        of ``xh``, or None.
+
+        Each pattern is solved at most once, by Cholesky when ``|J| <= m``.
+        A singular ``G_JJ``, or a pattern longer than m that has held since the
+        previous check (duplicate and negated columns make such supports
+        optimal), gets the minimum-norm least-squares solution instead.
+        """
+        nonlocal last_key
+        J = np.flatnonzero(xh)
+        s = np.sign(xh[J])
+        key = (J.tobytes(), s.tobytes())
+        stable, last_key = key == last_key, key
+        if J.size == 0 or key in failed or (J.size > data.A.m and not stable):
+            return None
+        failed.add(key)  # a pattern that certifies ends the solve
+        G_JJ = G[np.ix_(J, J)] if G is not None else _dense_gram(A_I[:, J])
+        rhs = c[J] - lam * s
+        try:
+            z_J = cho_solve(cho_factor(G_JJ), rhs) if J.size <= data.A.m else None
+        except np.linalg.LinAlgError:
+            z_J = None
+        if z_J is None:
+            z_J = np.linalg.lstsq(G_JJ, rhs, rcond=None)[0]
+        if not np.all(np.isfinite(z_J)):
+            return None
+        zn = np.zeros(k)
+        zn[J] = z_J
+        return zn
+
     tol = cfg.kkt_tol
+    newton = reg.kind == "l1"
     inv_L = 1.0 / L
     step_t = lam * inv_L
     trace = []
@@ -191,13 +248,14 @@ def solve_reduced(
         # the certificate evaluation costs two extra Gram products, so run it
         # on a fixed cadence; the trace rides along and changes no iterate
         if iters % 3 == 1:
-            g_new = Gz_new - c
-            xh = reg_r.prox(z_new - g_new, lam)
-            Gxh = gram_mv(xh)
-            cert_vec = z_new - xh + (Gxh - Gz_new)
-            cert = float(np.sqrt(cert_vec @ cert_vec))
-            r_hat = xh - reg_r.prox(xh - (Gxh - c), lam)
-            r_norm = float(np.sqrt(r_hat @ r_hat))
+            xh, Gxh, cert, r_norm = certify(z_new, Gz_new)
+            zn = newton_point(xh) if newton and max(cert, r_norm) > tol else None
+            if zn is not None:
+                Gzn = gram_mv(zn)
+                n_cert = certify(zn, Gzn)
+                if max(n_cert[2:]) <= tol:
+                    xh, Gxh, cert, r_norm = n_cert
+                    F_new = smooth(zn, Gzn) + lam * reg_r.value(zn)
             if cfg.keep_trace:
                 res_sq = max(float(xh @ Gxh) - 2.0 * float(c @ xh) + bb, 0.0)
                 den = 1.0 + float(np.sqrt(xh @ xh)) + np.sqrt(res_sq)

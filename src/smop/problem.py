@@ -22,24 +22,30 @@ class SparseMatrix:
 
     Invariants enforced at construction: row indices lie in ``[0, m)`` and are
     strictly increasing within each column; stored values are finite and
-    nonzero.
+    nonzero. Index arrays are stored as int32 when every index fits (the
+    sparse products run faster on them), else as int64.
     """
 
     def __init__(self, m, n, indptr, indices, data):
-        indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
+        indptr = np.asarray(indptr)
+        indices = np.asarray(indices)
         data = np.asarray(data, dtype=np.float64)
         if m < 0 or n < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size:
             raise ValueError("malformed column pointer array")
-        if np.any(np.diff(indptr) < 0):
+        if np.any(indptr[1:] < indptr[:-1]):
             raise ValueError("column pointers must be nondecreasing")
         if indices.size != data.size:
             raise ValueError("index and value arrays must have equal length")
+        if indices.size and (indices.min() < 0 or indices.max() >= m):
+            raise ValueError("row index out of range [0, m)")
+        # every pointer now lies in [0, nnz] and every index in [0, m), so the
+        # cast cannot wrap
+        idx_dtype = np.int32 if max(m, n, indices.size) <= np.iinfo(np.int32).max else np.int64
+        indptr = indptr.astype(idx_dtype, copy=False)
+        indices = indices.astype(idx_dtype, copy=False)
         if indices.size:
-            if indices.min() < 0 or indices.max() >= m:
-                raise ValueError("row index out of range [0, m)")
             if not np.all(np.isfinite(data)) or np.any(data == 0.0):
                 raise ValueError("stored values must be finite and nonzero")
             # strictly increasing inside each column: diffs crossing a column

@@ -98,7 +98,9 @@ def sieve_solve(
     -------
     (InnerSolveResult, SieveTrace)
         Full-dimension result with ``||R(x)|| <= inner_cfg.kkt_tol`` (an
-        unnormalized tolerance here) on success, and the per-round log.
+        unnormalized tolerance here) on success, and the per-round log. The
+        result's ``iters`` and ``trace`` cover every round; trace iterations
+        are counted from the start of the first round.
     """
     cfg = cfg or SieveConfig()
     inner_cfg = inner_cfg or InnerConfig()
@@ -114,6 +116,7 @@ def sieve_solve(
     trace = SieveTrace()
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     total_iters = 0
+    rows = []  # certificate-check rows of every round, iterations counted across rounds
     converged = False
 
     for _ in range(cfg.max_rounds):
@@ -123,6 +126,7 @@ def sieve_solve(
             )
         else:
             result = _zero_result(data)
+        rows.extend((total_iters + it, obj, eta) for it, obj, eta in result.trace)
         total_iters += result.iters
         x = result.x
         grad = -data.A.rmatvec(result.y)
@@ -146,6 +150,7 @@ def sieve_solve(
 
     den = 1.0 + float(np.linalg.norm(x)) + result.phi
     final = replace(
-        result, eta_l=float(np.linalg.norm(R)) / den, iters=total_iters, converged=converged
+        result, eta_l=float(np.linalg.norm(R)) / den, iters=total_iters,
+        converged=converged, trace=rows,
     )
     return final, trace

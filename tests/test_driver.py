@@ -106,17 +106,88 @@ class TestSmopSolve:
     @pytest.mark.parametrize("sieving", [True, False])
     def test_uncertified_final_evaluation_not_converged(self, sieving):
         # capped inner iterations (and sieve rounds) still bracket and let the
-        # root finder stop, but the solve at lambda* misses its KKT tolerance
+        # root finder stop, but the solve at lambda* misses its KKT tolerance;
+        # sorted-l1 solves by APG alone (an l1 solve certifies under these caps,
+        # see the next test)
+        data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=0))
+        data = data.with_rho(0.1 * data.bnorm)
+        reg = SortedL1(linear_weights(120))
+        cfg = SmopConfig(stoptol=1e-8, sieving=sieving, sieve=SieveConfig(max_rounds=2),
+                         inner=InnerConfig(max_iters=50))
+        res = smop_solve(data, reg, cfg)
+        assert res.root_state.converged
+        final = next(e for e in res.evals if e.lam == res.lambda_star)
+        assert not final.converged
+        assert not res.converged
+        assert all(e.converged for e in smop_solve(data, reg, SmopConfig(stoptol=1e-8)).evals)
+
+    @pytest.mark.parametrize("sieving", [True, False])
+    def test_l1_certifies_under_small_caps(self, sieving):
+        # 20 APG iterations per solve and two sieve rounds: the Newton step on
+        # the identified support certifies the evaluation at lambda*
         data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=0))
         data = data.with_rho(0.1 * data.bnorm)
         cfg = SmopConfig(stoptol=1e-8, sieving=sieving, sieve=SieveConfig(max_rounds=2),
                          inner=InnerConfig(max_iters=20))
         res = smop_solve(data, L1(), cfg)
-        assert res.root_state.converged
         final = next(e for e in res.evals if e.lam == res.lambda_star)
-        assert not final.converged
-        assert not res.converged
-        assert all(e.converged for e in smop_solve(data, L1(), SmopConfig(stoptol=1e-8)).evals)
+        assert final.converged
+        assert res.converged
+        eps_in = min(cfg.inner.kkt_tol, 0.01 * cfg.stoptol * max(1.0, data.rho))
+        assert eta_l(res.x, data.A, data.b, L1(), res.lambda_star) <= 10 * eps_in
+
+    @pytest.mark.parametrize("sieving", [True, False])
+    def test_iterate_support_above_row_count_certifies(self, sieving):
+        # a small rho pushes APG iterates past m = 20 nonzeros, where G_JJ is
+        # singular; APG alone took 19,166 (sieving) and 32,941 inner
+        # iterations here
+        data, _ = synth_instance(SynthSpec(m=20, n=200, s=5, sigma=0.01, seed=3))
+        data = data.with_rho(0.01 * data.bnorm)
+        cfg = SmopConfig(stoptol=1e-8, sieving=sieving)
+        res = smop_solve(data, L1(), cfg)
+        assert res.converged
+        eps_in = min(cfg.inner.kkt_tol, 0.01 * cfg.stoptol * max(1.0, data.rho))
+        assert eta_l(res.x, data.A, data.b, L1(), res.lambda_star) <= 10 * eps_in
+        assert res.inner_iters_total <= 2000
+
+    @pytest.mark.parametrize("sieving", [True, False])
+    def test_duplicate_columns_support_above_row_count_certifies(self, sieving):
+        # 3 rows, columns [a, 0, c, a, e, c, -c, -c] and rho -> 0: the optimal
+        # support spreads over the copies, 7 columns > m; the minimum-norm
+        # Newton point certifies (APG alone: about 18,600 inner iterations)
+        rng = np.random.default_rng(1)
+        a, c, e = rng.standard_normal((3, 3))
+        dense = np.column_stack([a, np.zeros(3), c, a, e, c, -c, -c])
+        data = ProblemData(SparseMatrix.from_dense(dense), np.column_stack([a, c, e]) @ rng.standard_normal(3))
+        data = data.with_rho(1e-4 * data.bnorm)
+        cfg = SmopConfig(stoptol=1e-8, sieving=sieving)
+        res = smop_solve(data, L1(), cfg)
+        assert res.converged
+        eps_in = min(cfg.inner.kkt_tol, 0.01 * cfg.stoptol * max(1.0, data.rho))
+        assert eta_l(res.x, data.A, data.b, L1(), res.lambda_star) <= 10 * eps_in
+        assert np.count_nonzero(res.x) > data.A.m
+        assert res.inner_iters_total <= 200
+
+    def test_l1_counter_pin(self):
+        # the Newton step changes no root-finder step: same evaluation count
+        # as APG alone (6, with 507 inner iterations), a tenth of the iterations
+        data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=1))
+        data = data.with_rho(0.1 * data.bnorm)
+        res = smop_solve(data, L1(), SmopConfig(stoptol=1e-8))
+        assert res.converged
+        assert res.n_subproblems == 6
+        assert res.inner_iters_total <= 100
+
+    def test_trace_spans_every_sieve_round(self):
+        # the second evaluation takes several sieve rounds; its trace counts
+        # iterations across them and ends at the evaluation's total
+        data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=2))
+        data = data.with_rho(0.1 * data.bnorm)
+        res = smop_solve(data, L1(), SmopConfig(stoptol=1e-8, inner=InnerConfig(keep_trace=True)))
+        rec = res.evals[1]
+        iters = [row[0] for row in rec.trace]
+        assert all(a < b for a, b in zip(iters, iters[1:]))
+        assert iters[-1] == rec.inner_iters
 
     @pytest.mark.parametrize("sieving", [True, False])
     def test_uncertified_bracket_evaluations_named(self, sieving):

@@ -9,6 +9,7 @@ from smop import (
     SortedL1,
     SparseMatrix,
     SynthSpec,
+    constant_weights,
     eta_l,
     lambda_inf,
     linear_weights,
@@ -83,10 +84,74 @@ class TestSolveReduced:
             solve_reduced(diagonal_data, L1(), 0.4, [5])
 
     def test_max_iters_flags_nonconverged(self, diagonal_data):
+        # sorted-l1 solves by APG alone; an l1 solve of this problem certifies
+        # in one iteration (test_one_iteration_certifies_l1_on_identified_support)
+        res = solve_reduced(
+            diagonal_data, SortedL1(linear_weights(2)), 0.4, [0, 1],
+            cfg=InnerConfig(kkt_tol=1e-14, max_iters=1),
+        )
+        assert not res.converged
+
+    def test_max_iters_flags_nonconverged_l1_wrong_first_support(self):
+        # the first iterate has 51 nonzeros and the solution 9, so the Newton
+        # point on its support fails the certificate
+        data, _ = synth_instance(SynthSpec(m=30, n=80, s=5, sigma=0.05, seed=2))
+        lam = 0.1 * lambda_inf(L1(), data.A, data.b)
+        res = solve_reduced(
+            data, L1(), lam, np.arange(80), cfg=InnerConfig(kkt_tol=1e-14, max_iters=1)
+        )
+        assert not res.converged
+
+    def test_one_iteration_certifies_l1_on_identified_support(self, diagonal_data):
+        # the first APG iterate has the solution's support and signs, so the
+        # Newton step lands on the solution
         res = solve_reduced(
             diagonal_data, L1(), 0.4, [0, 1], cfg=InnerConfig(kkt_tol=1e-14, max_iters=1)
         )
-        assert not res.converged
+        assert res.converged
+        assert res.iters == 1
+        assert eta_l(res.x, diagonal_data.A, diagonal_data.b, L1(), 0.4) <= 1e-14
+        np.testing.assert_allclose(res.x, [0.6, 0.4], atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "gram_limit, dense_limit", [(4096, 4_194_304), (1, 4_194_304), (1, 0)]
+    )
+    def test_newton_step_needs_a_tenth_of_apg_iterations(
+        self, monkeypatch, gram_limit, dense_limit
+    ):
+        # SortedL1 with constant unit weights is the l1 norm solved by APG
+        # alone; the l1 solve must reach the same point in a tenth of the
+        # iterations on every matrix path (gram_limit=1 never forms G)
+        monkeypatch.setattr("smop.inner._GRAM_LIMIT", gram_limit)
+        monkeypatch.setattr("smop.inner._DENSE_LIMIT", dense_limit)
+        data, _ = synth_instance(SynthSpec(m=60, n=400, s=6, sigma=0.02, seed=1))
+        lam = 0.25 * lambda_inf(L1(), data.A, data.b)
+        cfg = InnerConfig(kkt_tol=1e-10)
+        idx = np.arange(400)
+        newton = solve_reduced(data, L1(), lam, idx, cfg=cfg)
+        apg = solve_reduced(data, SortedL1(constant_weights(400)), lam, idx, cfg=cfg)
+        assert newton.converged and apg.converged
+        assert newton.iters <= apg.iters / 10
+        assert abs(newton.phi - apg.phi) <= cfg.kkt_tol
+        assert np.linalg.norm(newton.y - apg.y) <= cfg.kkt_tol
+        assert np.linalg.norm(newton.x - apg.x) <= 10 * cfg.kkt_tol
+
+    def test_singular_support_gram_certifies(self):
+        # columns [u, u, -u, ...]: the solution spreads over the three copies,
+        # so G_JJ on its support is singular; its minimum-norm Newton point
+        # splits the weight evenly and certifies (APG alone: 49 iterations)
+        rng = np.random.default_rng(0)
+        u = rng.standard_normal(30)
+        dense = np.column_stack([u, u, -u, rng.standard_normal((30, 7))])
+        data = ProblemData(SparseMatrix.from_dense(dense), rng.standard_normal(30) + 2 * u)
+        lam = 0.1 * lambda_inf(L1(), data.A, data.b)
+        cfg = InnerConfig(kkt_tol=1e-10)
+        res = solve_reduced(data, L1(), lam, np.arange(10), cfg=cfg)
+        assert res.converged
+        assert np.count_nonzero(res.x[:3]) == 3
+        assert eta_l(res.x, data.A, data.b, L1(), lam) <= 1e-10
+        apg = solve_reduced(data, SortedL1(constant_weights(10)), lam, np.arange(10), cfg=cfg)
+        assert 5 * res.iters <= apg.iters
 
     @pytest.mark.parametrize(
         "gram_limit, dense_limit", [(4096, 4_194_304), (1, 4_194_304), (1, 0)]

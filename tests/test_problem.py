@@ -60,6 +60,17 @@ class TestSparseMatrix:
         with pytest.raises(ValueError, match="out of range"):
             SparseMatrix(2, 1, [0, 1], [2], [1.0])
 
+    def test_int32_indices_and_no_wraparound(self):
+        # indices are stored as int32; values past the int32 range must be
+        # rejected before the cast, not wrapped into range by it
+        A = SparseMatrix(3, 2, [0, 2, 3], [0, 2, 1], [1.0, 2.0, 3.0])
+        assert A.take_columns([0, 1]).indices.dtype == np.int32
+        np.testing.assert_array_equal(A.toarray(), [[1.0, 0.0], [0.0, 3.0], [2.0, 0.0]])
+        with pytest.raises(ValueError, match="out of range"):
+            SparseMatrix(2, 1, [0, 1], [2**32], [1.0])
+        with pytest.raises(ValueError, match="nondecreasing"):
+            SparseMatrix(3, 2, [0, 2**32 + 1, 1], [0], [1.0])
+
     def test_rejects_nonincreasing_column_indices(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             SparseMatrix(3, 1, [0, 2], [1, 1], [1.0, 2.0])

@@ -131,6 +131,26 @@ class TestSieveSolve:
         assert np.linalg.norm(res.y - y) <= 1e-12 * np.linalg.norm(y)
         assert res.phi == pytest.approx(np.linalg.norm(y), rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["l1", "slope"])
+    def test_trace_covers_every_round(self, kind):
+        # rows are taken at every round's certificate checks, the first at
+        # each round's first iteration, with iterations counted across rounds
+        data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=2))
+        reg = L1() if kind == "l1" else SortedL1(linear_weights(120))
+        lam = 0.1 * lambda_inf(reg, data.A, data.b)
+        cfg = InnerConfig(kkt_tol=1e-9, keep_trace=True)
+        res, trace = sieve_solve(data, reg, lam, [], inner_cfg=cfg)
+        assert res.converged
+        assert sum(r.inner_iters > 0 for r in trace.rounds) >= 2
+        iters = [row[0] for row in res.trace]
+        assert all(a < b for a, b in zip(iters, iters[1:]))
+        start = 0
+        for rnd in trace.rounds:
+            if rnd.inner_iters:
+                assert start + 1 in iters
+            start += rnd.inner_iters
+        assert iters[-1] == res.iters
+
     def test_threshold_matches_exact_nonzeros_on_exact_case(self, diagonal_data):
         # at x = 0 the residual is prox(A^T b) with exactly representable
         # entries, so the documented zero threshold must pick out the same
