@@ -103,6 +103,50 @@ def _dense_gram(A_I) -> np.ndarray:
     return gram.toarray() if hasattr(gram, "toarray") else np.asarray(gram)
 
 
+def _reduced_operator(data: ProblemData, idx: np.ndarray):
+    """``(A_I, c, G, gram_mv, L)`` for the index set ``idx``: the column
+    submatrix, ``c = A_I^T b``, the dense Gram matrix (None above
+    ``_GRAM_LIMIT``), the Gram product and the step bound L.
+
+    The operator of the last index set is kept on ``data``: every direct phi
+    evaluation reuses the set [n], and for a handful of columns building the
+    operator costs more than the solve. A different set drops the kept one
+    before the new one is built, so no two are held at once.
+    """
+    k = idx.size
+    dense, gram = data.A.m * k <= _DENSE_LIMIT, k <= _GRAM_LIMIT
+    key = (idx.tobytes(), dense, gram)
+    kept = data.__dict__.get("_reduced_operator")
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    del kept
+    data.__dict__.pop("_reduced_operator", None)
+    if k != np.unique(idx).size:
+        raise ValueError("index set must not contain duplicates")
+    if idx.min() < 0 or idx.max() >= data.A.n:
+        raise ValueError("index set out of range")
+
+    A_I = data.A.take_columns_dense(idx) if dense else data.A.take_columns(idx)
+    c = A_I.T @ data.b
+    if gram:
+        G = _dense_gram(A_I)
+        gram_mv = lambda z: G @ z
+        diag = np.diag(G)
+    else:
+        G = None
+        gram_mv = lambda z: A_I.T @ (A_I @ z)
+        diag = np.asarray((A_I * A_I).sum(axis=0)).ravel()
+
+    L = _power_iteration_bound(gram_mv, k)
+    # the power start can lie in the null space of G (columns [u, -u]); the
+    # largest diagonal entry bounds lambda_max below and the trace above it
+    if L < diag.max():
+        L = float(diag.sum())
+    op = (A_I, c, G, gram_mv, max(L, 1e-12))
+    data.__dict__["_reduced_operator"] = (key, op)
+    return op
+
+
 def _zero_result(data: ProblemData) -> InnerSolveResult:
     """The solve over an empty index set: ``x = 0``, ``y = b``, no products.
 
@@ -141,35 +185,11 @@ def solve_reduced(
     idx = np.asarray(index_set, dtype=np.int64)
     if idx.size == 0:
         return _zero_result(data)
-    if idx.size != np.unique(idx).size:
-        raise ValueError("index set must not contain duplicates")
-    if idx.min() < 0 or idx.max() >= data.A.n:
-        raise ValueError("index set out of range")
-
+    A_I, c, G, gram_mv, L = _reduced_operator(data, idx)
     reg_r = reg.restrict(idx.size)
     b = data.b
     k = idx.size
     bb = float(b @ b)
-    if data.A.m * k <= _DENSE_LIMIT:
-        A_I = data.A.take_columns_dense(idx)
-    else:
-        A_I = data.A.take_columns(idx)
-    c = A_I.T @ b
-    if k <= _GRAM_LIMIT:
-        G = _dense_gram(A_I)
-        gram_mv = lambda z: G @ z
-        diag = np.diag(G)
-    else:
-        G = None
-        gram_mv = lambda z: A_I.T @ (A_I @ z)
-        diag = np.asarray((A_I * A_I).sum(axis=0)).ravel()
-
-    L = _power_iteration_bound(gram_mv, k)
-    # the power start can lie in the null space of G (columns [u, -u]); the
-    # largest diagonal entry bounds lambda_max below and the trace above it
-    if L < diag.max():
-        L = float(diag.sum())
-    L = max(L, 1e-12)
 
     def smooth(z, Gz):
         return 0.5 * float(z @ Gz) - float(c @ z) + 0.5 * bb
