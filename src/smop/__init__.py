@@ -5,7 +5,7 @@ Solves ``min p(x)  s.t.  ||A x - b|| <= rho`` for sparsity-promoting gauges
 the companion regularized problem, with adaptive sieving around each
 regularized solve. Three root finders are provided: a safeguarded secant
 method ("smop"), plain bisection ("bmop") and a generalized-derivative
-Newton hybrid for l1 ("nmop").
+Newton hybrid ("nmop").
 """
 
 from .driver import (
@@ -21,7 +21,8 @@ from .driver import (
     solve_path,
     write_iterates_csv,
 )
-from .inner import InnerConfig, InnerSolveResult, eta_l, phi_eval, residual_R, solve_reduced
+from .inner import (InnerConfig, InnerSolveResult, eta_l, phi_derivative, phi_eval, residual_R,
+                    solve_reduced)
 from .problem import (
     LibsvmFormatError,
     ProblemData,
@@ -50,7 +51,6 @@ from .rootfind import (
     eta,
     eval_beta_fn,
     eval_constructed_fn,
-    hs_derivative_l1,
     hybrid_secant_solve,
     newton_hybrid_solve,
     q_order_estimate,
@@ -77,6 +77,7 @@ __all__ = [
     "InnerConfig",
     "InnerSolveResult",
     "eta_l",
+    "phi_derivative",
     "phi_eval",
     "residual_R",
     "solve_reduced",
@@ -102,7 +103,6 @@ __all__ = [
     "bracket_init",
     "eval_beta_fn",
     "eval_constructed_fn",
-    "hs_derivative_l1",
     "hybrid_secant_solve",
     "newton_hybrid_solve",
     "q_order_estimate",

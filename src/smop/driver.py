@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .inner import InnerConfig, phi_eval
+from .inner import InnerConfig, phi_derivative, phi_eval
 from .problem import ProblemData
 from .regularizers import Regularizer, lambda_inf
 from .rootfind import (
@@ -188,15 +188,12 @@ def smop_solve(
     if data.rho is None:
         raise ValueError("data.rho must be set")
     rho = data.rho
-    if cfg.method == "nmop" and reg.kind != "l1":
-        raise ValueError("NMOP supports l1 only")
     t0 = time.perf_counter()
     lam_top = lambda_inf(reg, data.A, data.b)
     eff_tol = min(cfg.inner.kkt_tol, 0.01 * cfg.stoptol * max(1.0, rho))
     inner_cfg = replace(cfg.inner, kkt_tol=eff_tol)
     sieve_cfg = cfg.sieve if cfg.sieving else None
     oracle = _PhiOracle(data, reg, inner_cfg, sieve_cfg, x_warm=warm_x)
-    root_cfg = replace(cfg.root, stoptol=cfg.stoptol)
 
     lo, hi = warm_bracket if warm_bracket is not None else (None, None)
     try:
@@ -214,11 +211,13 @@ def smop_solve(
         ) from exc
 
     if cfg.method == "smop":
-        lam_star, x_star, state = hybrid_secant_solve(oracle, rho, lo, hi, root_cfg)
+        lam_star, x_star, state = hybrid_secant_solve(oracle, rho, lo, hi, cfg.stoptol, cfg.root)
     elif cfg.method == "bmop":
-        lam_star, x_star, state = bisection_solve(oracle, rho, lo, hi, root_cfg)
+        lam_star, x_star, state = bisection_solve(oracle, rho, lo, hi, cfg.stoptol, cfg.root)
     else:
-        lam_star, x_star, state = newton_hybrid_solve(oracle, rho, lo, hi, root_cfg, data.A)
+        dphi = lambda x, lam, p: phi_derivative(data.A, reg, x, lam, p)
+        lam_star, x_star, state = newton_hybrid_solve(oracle, dphi, rho, lo, hi, cfg.stoptol,
+                                                      cfg.root)
 
     final = oracle.cache[lam_star]
     evals = list(oracle.cache.values())

@@ -7,12 +7,13 @@ is certified by two unit-step quantities at the candidate: the inexactness
 certificate ``||z - xh + grad(xh) - grad(z)||`` (xh the polished point) and
 the proximal residual at xh itself; both must fall below the tolerance.
 
-For the l1 penalty each certificate check that fails also tries a Newton
-step on the identified support: with J the support of xh and s its signs,
-``G_JJ z_J = c_J - lam*s`` is solved by one Cholesky factorization (by
-minimum-norm least squares when ``G_JJ`` is singular) and the same
-certificate, at the same tolerance, is run on z. APG stops when it passes and
-otherwise continues unchanged; a failed pattern (J, s) is not solved again.
+On a fixed pattern of a polyhedral gauge the solution is ``x_J = P z`` with
+``(P^T G_JJ P) z = P^T c_J - lam*w``: ``Regularizer.piece`` gives the
+pattern and ``piece_solve`` the solve. For the l1 penalty each certificate
+check that fails also tries this Newton step on the piece through xh, and
+the same certificate, at the same tolerance, is run on its point. APG stops
+when it passes and otherwise continues unchanged; a failed pattern is not
+solved again. ``phi_derivative`` uses the same solve for phi's derivative.
 
 ``phi_eval`` evaluates phi(lam) = ||A x(lam) - b|| by a full-dimension solve,
 optionally through the adaptive sieving loop.
@@ -147,6 +148,46 @@ def _reduced_operator(data: ProblemData, idx: np.ndarray):
     return op
 
 
+def piece_solve(G_JJ, s, starts, rhs, m: int) -> np.ndarray:
+    """``x_J = P z`` where ``(P^T G_JJ P) z = rhs`` and column i of ``P`` holds
+    the signs ``s`` on the rows of cluster i, ``starts[i]`` to the next start.
+
+    One Cholesky factorization when there are at most ``m`` clusters; the
+    minimum-norm least-squares solution when the matrix is singular or there
+    are more clusters. With singleton clusters ``P = diag(s)``, so
+    ``G_JJ x_J = s * rhs`` is solved directly.
+    """
+    merge = starts.size < s.size
+    if merge:
+        M = np.add.reduceat(s[:, None] * G_JJ * s, starts, axis=0)
+        M = np.add.reduceat(M, starts, axis=1)
+    else:
+        M, rhs = G_JJ, s * rhs
+    try:
+        z = cho_solve(cho_factor(M), rhs) if starts.size <= m else None
+    except np.linalg.LinAlgError:
+        z = None
+    if z is None:
+        z = np.linalg.lstsq(M, rhs, rcond=None)[0]
+    return s * np.repeat(z, np.diff(starts, append=s.size)) if merge else z
+
+
+def phi_derivative(A, reg: Regularizer, x, lam: float, phi: float) -> float:
+    """Generalized derivative ``lam * ||h||^2 / phi`` of phi at ``lam``.
+
+    ``h = A_J P (P^T G_JJ P)^{-1} w`` on the piece ``(J, s, starts, w)`` through
+    ``x``, as ``P^T A_J^T (b - A x) = lam w`` there; positive below lambda_inf.
+    """
+    if phi <= 0:
+        raise ValueError("phi must be positive")
+    J, s, starts, w = reg.piece(x)
+    if J.size == 0:
+        raise ValueError("derivative undefined at zero support")
+    A_J = A.take_columns(J)
+    h = A_J @ piece_solve(_dense_gram(A_J), s, starts, w, A.m)
+    return float(lam * (h @ h) / phi)
+
+
 def _zero_result(data: ProblemData) -> InnerSolveResult:
     """The solve over an empty index set: ``x = 0``, ``y = b``, no products.
 
@@ -212,34 +253,26 @@ def solve_reduced(
     last_key = None
 
     def newton_point(xh):
-        """Solution of ``G_JJ z_J = c_J - lam*s`` for the support J and signs s
-        of ``xh``, or None.
+        """``P z`` on the piece ``(J, s, starts, w)`` through ``xh``, or None.
 
-        Each pattern is solved at most once, by Cholesky when ``|J| <= m``.
-        A singular ``G_JJ``, or a pattern longer than m that has held since the
-        previous check (duplicate and negated columns make such supports
-        optimal), gets the minimum-norm least-squares solution instead.
+        Each pattern is solved at most once. A pattern with more clusters than
+        rows is solved only once it has held since the previous check
+        (duplicate and negated columns make such supports optimal).
         """
         nonlocal last_key
-        J = np.flatnonzero(xh)
-        s = np.sign(xh[J])
-        key = (J.tobytes(), s.tobytes())
+        J, s, starts, w = reg_r.piece(xh)
+        key = (J.tobytes(), s.tobytes(), starts.tobytes())
         stable, last_key = key == last_key, key
-        if J.size == 0 or key in failed or (J.size > data.A.m and not stable):
+        if J.size == 0 or key in failed or (starts.size > data.A.m and not stable):
             return None
         failed.add(key)  # a pattern that certifies ends the solve
         G_JJ = G[np.ix_(J, J)] if G is not None else _dense_gram(A_I[:, J])
-        rhs = c[J] - lam * s
-        try:
-            z_J = cho_solve(cho_factor(G_JJ), rhs) if J.size <= data.A.m else None
-        except np.linalg.LinAlgError:
-            z_J = None
-        if z_J is None:
-            z_J = np.linalg.lstsq(G_JJ, rhs, rcond=None)[0]
-        if not np.all(np.isfinite(z_J)):
+        rhs = np.add.reduceat(s * c[J], starts) - lam * w
+        x_J = piece_solve(G_JJ, s, starts, rhs, data.A.m)
+        if not np.all(np.isfinite(x_J)):
             return None
         zn = np.zeros(k)
-        zn[J] = z_J
+        zn[J] = x_J
         return zn
 
     tol = cfg.kkt_tol

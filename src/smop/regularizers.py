@@ -30,6 +30,12 @@ class Regularizer:
         """Penalty applied to a coordinate subset of the given size."""
         raise NotImplementedError
 
+    def piece(self, x):
+        """Pattern ``(J, s, starts, w)`` of the piece through ``x``: the support
+        ``J`` grouped into clusters of equal ``|x|``, the signs ``s = sign(x[J])``,
+        each cluster's offset in ``J`` and each cluster's total weight."""
+        raise NotImplementedError
+
 
 class L1(Regularizer):
     """Plain l1 norm."""
@@ -51,6 +57,11 @@ class L1(Regularizer):
 
     def restrict(self, size: int) -> "L1":
         return self
+
+    def piece(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        J = np.flatnonzero(x)
+        return J, np.sign(x[J]), np.arange(J.size), np.ones(J.size)
 
     def __repr__(self):
         return "L1()"
@@ -113,6 +124,14 @@ class SortedL1(Regularizer):
         if not 1 <= size <= self.n:
             raise ValueError("restriction size out of range")
         return SortedL1(self.weights[:size])
+
+    def piece(self, x):
+        x = self._check(x)
+        ax = np.abs(x)
+        # rank order, ties in index order as in prox; runs of equal |x| cluster
+        J = np.argsort(-ax, kind="stable")[: np.count_nonzero(x)]
+        starts = np.flatnonzero(np.diff(ax[J], prepend=-1.0))
+        return J, np.sign(x[J]), starts, np.add.reduceat(self.weights[: J.size], starts)
 
     def __repr__(self):
         return f"SortedL1(n={self.n})"

@@ -9,7 +9,7 @@ Three solvers share one safeguarded skeleton for the equation
 * ``bisection_solve`` is the plain bisection baseline: the same skeleton
   with no proposal, so every step bisects the current bracket;
 * ``newton_hybrid_solve`` replaces the secant proposal with a Newton step
-  using the generalized derivative of phi available for the l1 penalty.
+  using a generalized derivative of phi supplied by the caller.
 
 ``bracket_init`` supplies the bracket for cold and warm starts alike. It
 walks the upper end up from its guess by doubling (capped at ``lam_inf``)
@@ -27,11 +27,9 @@ validate it.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 
 class BracketError(ValueError):
@@ -44,15 +42,12 @@ class DegenerateSecantError(ArithmeticError):
 
 @dataclass
 class RootConfig:
-    stoptol: float = 1e-6     # on eta = |phi - rho| / max(1, rho)
     mu: float = 0.5           # sufficient-decrease factor, in (0, 1)
     max_outer: int = 200
 
     def __post_init__(self):
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu must lie in (0, 1)")
-        if self.stoptol < 0:
-            raise ValueError("stoptol must be nonnegative")
 
 
 @dataclass
@@ -157,58 +152,9 @@ def q_order_estimate(errors) -> float:
     return float(slope)
 
 
-def hs_derivative_l1(x, A, lam: float, phi: float) -> float:
-    """Generalized derivative of phi at lam for the l1 penalty.
-
-    With J the support of x and s its sign pattern, the derivative element is
-    ``lam * ||h||^2 / phi`` where ``h = A_J (A_J^T A_J)^{-1} s``; it is
-    strictly positive below the zero-solution threshold.
-    """
-    if phi <= 0:
-        raise ValueError("phi must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    J = np.flatnonzero(x)
-    if J.size == 0:
-        raise ValueError("derivative undefined at zero support")
-    A_J = A.take_columns(J)
-    gram = A_J.T @ A_J
-    G = gram.toarray() if hasattr(gram, "toarray") else np.asarray(gram)
-    s = np.sign(x[J])
-    try:
-        w = cho_solve(cho_factor(G), s)
-    except np.linalg.LinAlgError:
-        ridge = 1e-10 * max(np.trace(G), 1.0)
-        warnings.warn("rank-deficient support columns; ridge-regularized derivative")
-        w = np.linalg.solve(G + ridge * np.eye(G.shape[0]), s)
-    h = A_J @ w
-    return float(lam * (h @ h) / phi)
-
-
 def eta(phi_tilde: float, rho: float) -> float:
     """Relative constraint residual ``|phi - rho| / max(1, rho)``."""
     return abs(phi_tilde - rho) / max(1.0, rho)
-
-
-def _validate_bracket(phi, rho, lam_lo, lam_hi, stoptol):
-    """Evaluate the bracket ends; early-return a root hit at either end.
-
-    Returns ``(p_lo, x_lo, p_hi, x_hi, hit)`` where ``hit`` is a solved
-    ``(lam, x, phi)`` triple or None.
-    """
-    if not 0 < lam_lo < lam_hi:
-        raise BracketError("need 0 < lam_lo < lam_hi")
-    p_hi, x_hi = phi(lam_hi)
-    if eta(p_hi, rho) <= stoptol:
-        return None, None, None, None, (lam_hi, x_hi, p_hi)
-    p_lo, x_lo = phi(lam_lo)
-    if eta(p_lo, rho) <= stoptol:
-        return None, None, None, None, (lam_lo, x_lo, p_lo)
-    if not p_lo < rho < p_hi:
-        raise BracketError(
-            f"phi({lam_lo:.6g})={p_lo:.6g}, phi({lam_hi:.6g})={p_hi:.6g} "
-            f"do not bracket rho={rho:.6g}"
-        )
-    return p_lo, x_lo, p_hi, x_hi, None
 
 
 def _finish(state, lam, x, phi_val, rho, step):
@@ -217,83 +163,79 @@ def _finish(state, lam, x, phi_val, rho, step):
     return lam, x, state
 
 
-def _safeguarded_solve(phi, rho, lam_m1, lam_0, cfg, proposal, step_name):
+def _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, cfg, proposal, step_name):
     """Shared skeleton of the secant and Newton hybrids and of bisection.
 
-    ``proposal(hist, x_last)`` returns a trial lambda from the accepted
-    iterate history (list of (lam, phi) pairs) or None to force bisection.
-    Every evaluation updates the bracket by the sign of ``phi - rho``; trial
-    points are only evaluated inside the *initial* interval, and an accepted
-    trial must either be among the first two since the last bisection or
-    shrink the residual by ``mu`` relative to three iterates back. A run that
-    does not converge returns the evaluated point, bracket ends included,
-    with the smallest ``|phi - rho|``.
+    A run stops at the first evaluation with ``eta <= stoptol``, bracket ends
+    included. ``proposal(hist, x_last)`` returns a trial lambda from the
+    accepted iterate history (list of (lam, phi) pairs) or None to force
+    bisection. Every evaluation updates the bracket by the sign of
+    ``phi - rho``; trial points are only evaluated inside the *initial*
+    interval, and an accepted trial must either be among the first two since
+    the last bisection or shrink the residual by ``mu`` relative to three
+    iterates back; a rejected one is followed by a bisection. A run that does
+    not converge returns the evaluated point, bracket ends included, with the
+    smallest ``|phi - rho|``.
     """
-    p_lo, x_lo, p_hi, x_hi, hit = _validate_bracket(phi, rho, lam_m1, lam_0, cfg.stoptol)
+    if stoptol < 0:
+        raise ValueError("stoptol must be nonnegative")
+    if not 0 < lam_m1 < lam_0:
+        raise BracketError("need 0 < lam_lo < lam_hi")
+    cfg = cfg or RootConfig()
     state = RootState(lo=lam_m1, hi=lam_0)
-    if hit is not None:
-        return _finish(state, hit[0], hit[1], hit[2], rho, "init")
+    p_hi, x_hi = phi(lam_0)
+    if eta(p_hi, rho) <= stoptol:
+        return _finish(state, lam_0, x_hi, p_hi, rho, "init")
+    p_lo, x_lo = phi(lam_m1)
+    if eta(p_lo, rho) <= stoptol:
+        return _finish(state, lam_m1, x_lo, p_lo, rho, "init")
+    if not p_lo < rho < p_hi:
+        raise BracketError(
+            f"phi({lam_m1:.6g})={p_lo:.6g}, phi({lam_0:.6g})={p_hi:.6g} "
+            f"do not bracket rho={rho:.6g}"
+        )
     state.record(lam_m1, p_lo, eta(p_lo, rho), "init")
     state.record(lam_0, p_hi, eta(p_hi, rho), "init")
     hist = [(lam_m1, p_lo), (lam_0, p_hi)]
     x_last = x_hi
-    best = (abs(p_hi - rho), lam_0, x_hi, p_hi)
-    if abs(p_lo - rho) < best[0]:
-        best = (abs(p_lo - rho), lam_m1, x_lo, p_lo)
-
-    def update_bracket(lam, p):
-        if p > rho:
-            state.hi = min(state.hi, lam)
-        else:
-            state.lo = max(state.lo, lam)
-
-    def track_best(lam, p, x):
-        nonlocal best
-        if abs(p - rho) < best[0]:
-            best = (abs(p - rho), lam, x, p)
+    seen = [(lam_0, x_hi, p_hi), (lam_m1, x_lo, p_lo)]  # every evaluated point, in order
 
     for _ in range(cfg.max_outer):
-        lam_hat = proposal(hist, x_last)
-        take_bisection = True
-        if lam_hat is not None and lam_m1 <= lam_hat <= lam_0:
-            p_hat, x_hat = phi(lam_hat)
+        lam = proposal(hist, x_last)
+        step = step_name if lam is not None and lam_m1 <= lam <= lam_0 else None
+        while True:
+            if step is None:
+                step, lam = "bisection", 0.5 * (state.lo + state.hi)
+            p, x = phi(lam)
             state.n_evals += 1
-            state.safeguard_i += 1
-            if eta(p_hat, rho) <= cfg.stoptol:
-                return _finish(state, lam_hat, x_hat, p_hat, rho, step_name)
-            update_bracket(lam_hat, p_hat)
-            track_best(lam_hat, p_hat, x_hat)
-            decrease_ok = (
-                state.safeguard_i < 3
-                or abs(p_hat - rho) <= cfg.mu * abs(hist[-3][1] - rho)
-            )
-            if decrease_ok:
-                hist.append((lam_hat, p_hat))
-                x_last = x_hat
-                state.record(lam_hat, p_hat, eta(p_hat, rho), step_name)
-                take_bisection = False
-        if take_bisection:
-            lam_b = 0.5 * (state.lo + state.hi)
-            p_b, x_b = phi(lam_b)
-            state.n_evals += 1
-            state.safeguard_i = 0
-            if eta(p_b, rho) <= cfg.stoptol:
-                return _finish(state, lam_b, x_b, p_b, rho, "bisection")
-            update_bracket(lam_b, p_b)
-            track_best(lam_b, p_b, x_b)
-            hist.append((lam_b, p_b))
-            x_last = x_b
-            state.record(lam_b, p_b, eta(p_b, rho), "bisection")
+            state.safeguard_i = 0 if step == "bisection" else state.safeguard_i + 1
+            if eta(p, rho) <= stoptol:
+                return _finish(state, lam, x, p, rho, step)
+            if p > rho:
+                state.hi = min(state.hi, lam)
+            else:
+                state.lo = max(state.lo, lam)
+            seen.append((lam, x, p))
+            if (step == "bisection" or state.safeguard_i < 3
+                    or abs(p - rho) <= cfg.mu * abs(hist[-3][1] - rho)):
+                break
+            step = None  # the rejected trial tightened the bracket; bisect it
+        hist.append((lam, p))
+        x_last = x
+        state.record(lam, p, eta(p, rho), step)
 
     state.converged = False
-    return best[1], best[2], state
+    lam, x, _ = min(seen, key=lambda e: abs(e[2] - rho))
+    return lam, x, state
 
 
-def hybrid_secant_solve(phi, rho: float, lam_m1: float, lam_0: float, cfg: RootConfig):
+def hybrid_secant_solve(phi, rho: float, lam_m1: float, lam_0: float, stoptol: float,
+                        cfg: RootConfig | None = None):
     """Globally convergent safeguarded secant method for ``phi(lam) = rho``.
 
     ``phi`` maps a penalty strength to ``(phi_value, x)``. Requires
-    ``phi(lam_m1) < rho < phi(lam_0)``; returns ``(lam, x, RootState)``.
+    ``phi(lam_m1) < rho < phi(lam_0)``; returns ``(lam, x, RootState)`` at the
+    first point with ``eta = |phi - rho| / max(1, rho) <= stoptol``.
     """
 
     def proposal(hist, _x_last):
@@ -303,33 +245,36 @@ def hybrid_secant_solve(phi, rho: float, lam_m1: float, lam_0: float, cfg: RootC
         except DegenerateSecantError:
             return None
 
-    return _safeguarded_solve(phi, rho, lam_m1, lam_0, cfg, proposal, "secant")
+    return _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, cfg, proposal, "secant")
 
 
-def newton_hybrid_solve(phi, rho: float, lam_m1: float, lam_0: float, cfg: RootConfig, A):
-    """Safeguarded semismooth-Newton variant (l1 only).
+def newton_hybrid_solve(phi, dphi, rho: float, lam_m1: float, lam_0: float, stoptol: float,
+                        cfg: RootConfig | None = None):
+    """Safeguarded semismooth-Newton variant.
 
-    The trial point is ``lam_k - (phi(lam_k) - rho) / v`` with ``v`` the
-    generalized derivative from :func:`hs_derivative_l1` at the last accepted
-    iterate; derivative failures fall back to bisection.
+    The trial point is ``lam_k - (phi(lam_k) - rho) / v`` with
+    ``v = dphi(x, lam_k, phi(lam_k))`` the generalized derivative at the last
+    accepted iterate; derivative failures fall back to bisection.
     """
 
     def proposal(hist, x_last):
         lam_k, p_k = hist[-1]
         try:
-            v = hs_derivative_l1(x_last, A, lam_k, p_k)
+            v = dphi(x_last, lam_k, p_k)
         except (ValueError, np.linalg.LinAlgError):
             return None
         if v <= 0 or not math.isfinite(v):
             return None
         return lam_k - (p_k - rho) / v
 
-    return _safeguarded_solve(phi, rho, lam_m1, lam_0, cfg, proposal, "newton")
+    return _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, cfg, proposal, "newton")
 
 
-def bisection_solve(phi, rho: float, lam_lo: float, lam_hi: float, cfg: RootConfig):
+def bisection_solve(phi, rho: float, lam_lo: float, lam_hi: float, stoptol: float,
+                    cfg: RootConfig | None = None):
     """Plain bisection baseline: the safeguarded skeleton with no proposal."""
-    return _safeguarded_solve(phi, rho, lam_lo, lam_hi, cfg, lambda _h, _x: None, "bisection")
+    return _safeguarded_solve(phi, rho, lam_lo, lam_hi, stoptol, cfg, lambda _h, _x: None,
+                              "bisection")
 
 
 def bracket_init(phi, rho: float, lam_inf: float, lo=None, hi=None):
@@ -359,7 +304,10 @@ def bracket_init(phi, rho: float, lam_inf: float, lo=None, hi=None):
     lam = lo if lo is not None and lo < hi else hi * max(0.1, 0.5 * rho / p)
     while below is None:
         if lam < floor:
-            raise BracketError("rho too small for numeric range")
+            raise BracketError(
+                f"rho={rho:.6g} too small: phi({hi:.3g})={p:.6g} near the lam floor; no "
+                "level below the least-squares residual min ||A x - b|| is reachable"
+            )
         p, _ = phi(lam)
         if p < rho:
             below = lam

@@ -16,10 +16,10 @@ from smop import (
     SortedL1,
     SparseMatrix,
     SynthSpec,
-    hs_derivative_l1,
     InnerConfig,
     lambda_inf,
     linear_weights,
+    phi_derivative,
     phi_eval,
     q_order_estimate,
     secant_solve,
@@ -229,7 +229,7 @@ def test_criterion_7_property_suites(suite, suite_runs_1e8):
     for res, data_rho in zip(suite_runs_1e8["smop"], suite):
         for ev in res.evals:
             if ev.x is not None and np.any(ev.x != 0):
-                v = hs_derivative_l1(ev.x, data_rho.A, ev.lam, ev.phi)
+                v = phi_derivative(data_rho.A, L1(), ev.x, ev.lam, ev.phi)
                 assert v > 0
                 n_checked += 1
 

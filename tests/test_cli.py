@@ -38,13 +38,16 @@ class TestSolve:
             assert code == 1
             assert "require 0 < rho < ||b||" in err
 
-    def test_nmop_slope_rejected(self, capsys):
-        code, _, err = run(
+    def test_nmop_slope_solves(self, capsys):
+        code, out, _ = run(
             capsys, "solve", "--synth", "m=4,n=8,s=2,seed=7",
             "--reg", "slope", "--c", "0.3", "--method", "nmop",
         )
-        assert code == 1
-        assert "NMOP supports l1 only" in err
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["method"] == "nmop"
+        assert doc["converged"] is True
+        assert doc["eta"] <= 1e-6
 
     def test_missing_data_source(self, capsys):
         code, _, err = run(capsys, "solve", "--c", "0.3")

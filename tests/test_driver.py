@@ -1,5 +1,5 @@
+import re
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -60,10 +60,16 @@ class TestSmopSolve:
         with pytest.raises(ValueError, match="rho"):
             smop_solve(data, L1(), SmopConfig())
 
-    def test_nmop_rejects_slope(self, diagonal_data):
-        cfg = SmopConfig(method="nmop")
-        with pytest.raises(ValueError, match="l1 only"):
-            smop_solve(diagonal_data, SortedL1(linear_weights(2)), cfg)
+    def test_nmop_on_sorted_l1_matches_smop(self):
+        # the derivative on the sorted-l1 cluster piece drives Newton steps
+        data, _ = synth_instance(SynthSpec(m=60, n=300, s=8, sigma=0.02, seed=40))
+        data = data.with_rho(0.15 * data.bnorm)
+        reg = SortedL1(linear_weights(300))
+        res_n = smop_solve(data, reg, SmopConfig(stoptol=1e-8, method="nmop"))
+        res_s = smop_solve(data, reg, SmopConfig(stoptol=1e-8, method="smop"))
+        assert res_n.converged and res_n.eta <= 1e-8
+        assert any(rec.step == "newton" for rec in res_n.root_state.history)
+        assert abs(res_n.lambda_star - res_s.lambda_star) <= 1e-7 * res_s.lambda_star
 
     def test_solve_count_matches_eval_records(self, diagonal_data):
         res = smop_solve(diagonal_data, L1(), SmopConfig(stoptol=1e-8))
@@ -307,6 +313,20 @@ class TestEdgeInstances:
         with pytest.raises(BracketError, match="too small"):
             smop_solve(data, L1(), SmopConfig(stoptol=1e-8))
 
+    @pytest.mark.parametrize("reg", [L1(), SortedL1(linear_weights(3))], ids=["l1", "slope"])
+    def test_infeasible_level_names_least_squares_residual(self, reg):
+        # rho at half the least-squares residual (0.81 ||b||): no lam reaches it
+        rng = np.random.default_rng(0)
+        dense = rng.standard_normal((10, 3))
+        b = rng.standard_normal(10)
+        r_ls = np.linalg.norm(b - dense @ np.linalg.lstsq(dense, b, rcond=None)[0])
+        data = ProblemData(SparseMatrix.from_dense(dense), b, rho=0.5 * r_ls)
+        with pytest.raises(BracketError, match="below the least-squares residual") as exc:
+            smop_solve(data, reg, SmopConfig(stoptol=1e-8))
+        # the message gives phi at the lam floor, which is that residual
+        phi_floor = float(re.search(r"\)=(\S+) near the lam floor", str(exc.value)).group(1))
+        assert phi_floor == pytest.approx(r_ls, rel=1e-5)
+
     @pytest.mark.parametrize("method", ["smop", "bmop", "nmop"])
     def test_opposite_columns_end_in_time(self, method):
         # columns [u, -u] once drove the Lipschitz estimate to ~0 and the
@@ -318,9 +338,7 @@ class TestEdgeInstances:
         data = ProblemData(SparseMatrix.from_dense(np.column_stack([u, -u])), b,
                            rho=0.5 * (r_min + np.linalg.norm(b)))
         t0 = time.perf_counter()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # nmop's ridge fallback warns
-            res = smop_solve(data, L1(), SmopConfig(stoptol=1e-8, method=method))
+        res = smop_solve(data, L1(), SmopConfig(stoptol=1e-8, method=method))
         assert time.perf_counter() - t0 < 10.0
         assert np.all(np.isfinite(res.x))
         if res.converged:
@@ -336,7 +354,7 @@ class TestEdgeInstances:
 
     def test_nmop_with_duplicated_columns(self):
         # duplicated columns make the support Gram singular; the derivative
-        # falls back to a ridge solve and the safeguard keeps convergence
+        # takes the least-squares solution and the safeguard keeps convergence
         rng = np.random.default_rng(32)
         base = rng.standard_normal((40, 60))
         base[:, 1] = base[:, 0]
@@ -345,8 +363,6 @@ class TestEdgeInstances:
         x_true[[0, 1, 7, 23]] = [1.0, 1.0, -1.2, 0.8]
         b = base @ x_true
         data = ProblemData(SparseMatrix.from_dense(base), b, rho=0.1 * np.linalg.norm(b))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # ridge fallback may warn
-            res = smop_solve(data, L1(), SmopConfig(stoptol=1e-7, method="nmop"))
+        res = smop_solve(data, L1(), SmopConfig(stoptol=1e-7, method="nmop"))
         assert res.converged
         assert res.eta <= 1e-7

@@ -8,7 +8,6 @@ end certified, with ``converged=False``, or with a ``ValueError`` (which
 ``--hypothesis-show-statistics`` to see how the outcomes are spread.
 """
 
-import warnings
 from datetime import timedelta
 
 import numpy as np
@@ -47,15 +46,12 @@ def test_adversarial_l1_designs_end_cleanly(case):
     try:
         data = ProblemData(SparseMatrix.from_dense(dense), b)
         data = data.with_rho(frac * data.bnorm)
-        with warnings.catch_warnings():
-            # nmop warns when its derivative meets rank-deficient columns
-            warnings.simplefilter("ignore", UserWarning)
-            res = smop_solve(data, L1(), cfg)
+        res = smop_solve(data, L1(), cfg)
     except ValueError as exc:
         # a rho below the least-squares residual has no root: the lower bracket
-        # end runs off the numeric range
+        # end runs down to the lam floor
         event(f"{type(exc).__name__}: {str(exc)[:40]}")
-        assert "rho too small for numeric range" in str(exc) or "did not certify" in str(exc)
+        assert "below the least-squares residual" in str(exc) or "did not certify" in str(exc)
         return
     event(f"converged={res.converged}")
     assert np.all(np.isfinite(res.x))

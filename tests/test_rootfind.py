@@ -6,14 +6,16 @@ from smop import (
     DegenerateSecantError,
     L1,
     RootConfig,
+    SmopConfig,
+    SortedL1,
     SparseMatrix,
     bisection_solve,
     bracket_init,
     eval_beta_fn,
     eval_constructed_fn,
-    hs_derivative_l1,
     hybrid_secant_solve,
     newton_hybrid_solve,
+    phi_derivative,
     q_order_estimate,
     secant_solve,
     secant_step,
@@ -40,6 +42,11 @@ def scalar_phi(lam):
     """phi of the 1x1 identity instance with b = 1."""
     lam = float(lam)
     return min(lam, 1.0), np.array([max(1.0 - lam, 0.0)])
+
+
+def l1_dphi(A):
+    """Generalized derivative of phi for the l1 penalty on the design ``A``."""
+    return lambda x, lam, p: phi_derivative(A, L1(), x, lam, p)
 
 
 def diagonal_phi(lam):
@@ -157,35 +164,30 @@ class TestQOrder:
 
 class TestHybridSecant:
     def test_scalar_instance(self):
-        cfg = RootConfig(stoptol=1e-12)
-        lam, x, state = hybrid_secant_solve(scalar_phi, 0.3, 0.095, 0.95, cfg)
+        lam, x, state = hybrid_secant_solve(scalar_phi, 0.3, 0.095, 0.95, 1e-12)
         assert state.converged
         assert lam == pytest.approx(0.3, abs=1e-10)
         np.testing.assert_allclose(x, [0.7], atol=1e-10)
 
     def test_diagonal_instance(self):
-        cfg = RootConfig(stoptol=1e-12)
-        lam, x, state = hybrid_secant_solve(diagonal_phi, 0.5, 0.19, 1.9, cfg)
+        lam, x, state = hybrid_secant_solve(diagonal_phi, 0.5, 0.19, 1.9, 1e-12)
         assert lam == pytest.approx(1.0 / np.sqrt(5.0), abs=1e-10)
 
     def test_boundary_rho_equals_phi_at_upper_point(self):
-        cfg = RootConfig(stoptol=1e-10)
-        lam, x, state = hybrid_secant_solve(scalar_phi, 0.95, 0.095, 0.95, cfg)
+        lam, x, state = hybrid_secant_solve(scalar_phi, 0.95, 0.095, 0.95, 1e-10)
         assert lam == 0.95
         assert state.converged
 
     def test_invalid_bracket(self):
-        cfg = RootConfig(stoptol=1e-10)
         with pytest.raises(BracketError):
-            hybrid_secant_solve(scalar_phi, 0.05, 0.095, 0.95, cfg)
+            hybrid_secant_solve(scalar_phi, 0.05, 0.095, 0.95, 1e-10)
         with pytest.raises(BracketError):
-            hybrid_secant_solve(scalar_phi, 0.3, 0.95, 0.095, cfg)
+            hybrid_secant_solve(scalar_phi, 0.3, 0.95, 0.095, 1e-10)
 
     def test_bracket_preserved_and_never_widens(self):
         rho = eval_constructed_fn(0.37)
         phi = lambda lam: (eval_constructed_fn(lam), np.array([lam]))
-        cfg = RootConfig(stoptol=1e-13)
-        lam, _, state = hybrid_secant_solve(phi, rho, 1e-3, 1.0, cfg)
+        lam, _, state = hybrid_secant_solve(phi, rho, 1e-3, 1.0, 1e-13)
         assert state.converged
         lo, hi = 1e-3, 1.0
         for rec in state.history[2:]:
@@ -198,8 +200,8 @@ class TestHybridSecant:
         # over any 3 accepted iterates: bracket halves or residual shrinks by mu
         rho = eval_constructed_fn(0.11)
         phi = lambda lam: (eval_constructed_fn(lam), np.array([lam]))
-        cfg = RootConfig(stoptol=1e-13, mu=0.5)
-        _, _, state = hybrid_secant_solve(phi, rho, 1e-4, 1.0, cfg)
+        cfg = RootConfig(mu=0.5)
+        _, _, state = hybrid_secant_solve(phi, rho, 1e-4, 1.0, 1e-13, cfg)
         recs = state.history[1:]  # from lam_0 on
         widths = [r.hi - r.lo for r in recs]
         resid = [abs(r.phi - rho) for r in recs]
@@ -209,8 +211,8 @@ class TestHybridSecant:
             assert ok_width or ok_resid
 
     def test_max_outer_flags_nonconvergence(self):
-        cfg = RootConfig(stoptol=1e-14, max_outer=2)
-        lam, x, state = hybrid_secant_solve(diagonal_phi, 0.5, 0.19, 1.9, cfg)
+        cfg = RootConfig(max_outer=2)
+        lam, x, state = hybrid_secant_solve(diagonal_phi, 0.5, 0.19, 1.9, 1e-14, cfg)
         assert not state.converged
 
     def test_rejected_proposal_falls_back_to_bisection(self):
@@ -218,8 +220,8 @@ class TestHybridSecant:
         # the rejected trial still tightens the bracket, then a midpoint step
         # resets the safeguard counter
         phi = lambda lam: (float(lam) ** 9, np.array([lam]))
-        cfg = RootConfig(stoptol=1e-12, mu=0.5)
-        lam, _, state = hybrid_secant_solve(phi, 0.5 ** 9, 0.05, 1.0, cfg)
+        cfg = RootConfig(mu=0.5)
+        lam, _, state = hybrid_secant_solve(phi, 0.5 ** 9, 0.05, 1.0, 1e-12, cfg)
         assert state.converged
         assert lam == pytest.approx(0.5, abs=1e-9)
         rejections = state.n_evals - (len(state.history) - 2)
@@ -268,7 +270,7 @@ class TestHybridFuzz:
 
     def test_converges_to_independent_root(self):
         rng = np.random.default_rng(99)
-        cfg = RootConfig(stoptol=1e-11)
+        cfg = SmopConfig(stoptol=1e-11)
         for trial in range(30):
             value, invert = self._random_pw_affine(rng)
             lo, hi = 0.01, float(rng.uniform(1.5, 3.0))
@@ -276,7 +278,7 @@ class TestHybridFuzz:
             rho = float(rng.uniform(p_lo + 1e-3, p_hi - 1e-3))
             lam_true = invert(rho)
             phi = lambda lam: (value(lam), np.array([lam]))
-            lam, _, state = hybrid_secant_solve(phi, rho, lo, hi, cfg)
+            lam, _, state = hybrid_secant_solve(phi, rho, lo, hi, cfg.stoptol, cfg.root)
             assert state.converged, trial
             # eta <= stoptol translates to a lambda error through the local slope
             assert abs(value(lam) - rho) <= cfg.stoptol * max(1.0, rho)
@@ -288,14 +290,12 @@ class TestHybridFuzz:
 
 class TestBisection:
     def test_scalar_instance(self):
-        cfg = RootConfig(stoptol=1e-6)
-        lam, x, state = bisection_solve(scalar_phi, 0.3, 0.01, 0.99, cfg)
+        lam, x, state = bisection_solve(scalar_phi, 0.3, 0.01, 0.99, 1e-6)
         assert state.converged
         assert lam == pytest.approx(0.3, abs=1e-6)
 
     def test_width_halves_each_iteration(self):
-        cfg = RootConfig(stoptol=1e-9)
-        _, _, state = bisection_solve(scalar_phi, 0.3, 0.01, 0.99, cfg)
+        _, _, state = bisection_solve(scalar_phi, 0.3, 0.01, 0.99, 1e-9)
         # the terminal record is written at the root, before any bracket update
         steps = [r for r in state.history if r.step == "bisection"][:-1]
         width0 = 0.99 - 0.01
@@ -303,76 +303,109 @@ class TestBisection:
             assert rec.hi - rec.lo <= width0 * 0.5 ** i + 1e-15
 
     def test_iteration_count_matches_contract(self):
-        cfg = RootConfig(stoptol=1e-6, max_outer=500)
-        _, _, state = bisection_solve(scalar_phi, 0.3, 0.01, 0.99, cfg)
+        cfg = RootConfig(max_outer=500)
+        _, _, state = bisection_solve(scalar_phi, 0.3, 0.01, 0.99, 1e-6, cfg)
         # eta tolerance on an identity phi: about log2(width / stoptol) rounds
         expected = np.log2((0.99 - 0.01) / 1e-6)
         assert state.n_evals <= expected + 2
 
     def test_unconverged_returns_closest_evaluated_point(self):
         # the one bisection step lands at 0.64; the lower end 0.29 is closer
-        cfg = RootConfig(stoptol=1e-14, max_outer=1)
-        lam, x, state = bisection_solve(scalar_phi, 0.3, 0.29, 0.99, cfg)
+        cfg = RootConfig(max_outer=1)
+        lam, x, state = bisection_solve(scalar_phi, 0.3, 0.29, 0.99, 1e-14, cfg)
         assert not state.converged
         assert lam == 0.29
         np.testing.assert_array_equal(x, [0.71])
 
     def test_invalid_bracket(self):
         with pytest.raises(BracketError):
-            bisection_solve(scalar_phi, 0.3, 0.4, 0.99, RootConfig())
+            bisection_solve(scalar_phi, 0.3, 0.4, 0.99, 1e-6, RootConfig())
 
 
 class TestHsDerivative:
+    """The generalized (HS) derivative of phi from ``phi_derivative``."""
+
     def test_scalar(self, scalar_data):
-        v = hs_derivative_l1(np.array([0.7]), scalar_data.A, 0.3, 0.3)
+        v = phi_derivative(scalar_data.A, L1(), np.array([0.7]), 0.3, 0.3)
         assert v == pytest.approx(1.0)
 
     def test_diagonal(self, diagonal_data):
         # phi(lam) = lam*sqrt(5)/2 on (0,1]: derivative sqrt(5)/2
         phi = 0.4 * np.sqrt(5) / 2
-        v = hs_derivative_l1(np.array([0.6, 0.4]), diagonal_data.A, 0.4, phi)
+        v = phi_derivative(diagonal_data.A, L1(), np.array([0.6, 0.4]), 0.4, phi)
         assert v == pytest.approx(np.sqrt(5) / 2)
 
     def test_zero_support(self, scalar_data):
         with pytest.raises(ValueError, match="zero support"):
-            hs_derivative_l1(np.zeros(1), scalar_data.A, 0.3, 0.3)
+            phi_derivative(scalar_data.A, L1(), np.zeros(1), 0.3, 0.3)
 
     def test_rank_deficient_uses_ridge(self):
-        A = SparseMatrix.from_dense([[1.0, 1.0], [2.0, 2.0]])  # duplicate columns
-        with pytest.warns(UserWarning, match="rank-deficient"):
-            v = hs_derivative_l1(np.array([0.5, 0.5]), A, 0.3, 0.7)
+        # duplicate columns: the support Gram is singular, least squares solves it
+        A = SparseMatrix.from_dense([[1.0, 1.0], [2.0, 2.0]])
+        v = phi_derivative(A, L1(), np.array([0.5, 0.5]), 0.3, 0.7)
         assert np.isfinite(v) and v > 0
 
+    @staticmethod
+    def _finite_difference(data, reg, lam0):
+        """Derivative and central difference of phi across a point where the
+        pattern is stable: the independent slope oracle."""
+        from smop import InnerConfig, phi_eval
+
+        cfg = InnerConfig(kkt_tol=1e-12)
+        res = phi_eval(data, reg, lam0, cfg=cfg)
+        v = phi_derivative(data.A, reg, res.x, lam0, res.phi)
+        h = 1e-6 * lam0
+        fd = (
+            phi_eval(data, reg, lam0 + h, x0=res.x, cfg=cfg).phi
+            - phi_eval(data, reg, lam0 - h, x0=res.x, cfg=cfg).phi
+        ) / (2 * h)
+        return v, fd, res.x
+
     def test_matches_finite_differences(self):
-        # independent slope oracle: central difference of phi across a point
-        # where the support is stable
-        from smop import InnerConfig, SynthSpec, lambda_inf, phi_eval, synth_instance
+        from smop import SynthSpec, lambda_inf, synth_instance
 
         data, _ = synth_instance(SynthSpec(m=100, n=600, s=10, sigma=0.01, seed=55))
         lam0 = 0.25 * lambda_inf(L1(), data.A, data.b)
-        cfg = InnerConfig(kkt_tol=1e-12)
-        res = phi_eval(data, L1(), lam0, cfg=cfg)
-        v = hs_derivative_l1(res.x, data.A, lam0, res.phi)
-        h = 1e-6 * lam0
-        fd = (
-            phi_eval(data, L1(), lam0 + h, x0=res.x, cfg=cfg).phi
-            - phi_eval(data, L1(), lam0 - h, x0=res.x, cfg=cfg).phi
-        ) / (2 * h)
+        v, fd, _ = self._finite_difference(data, L1(), lam0)
         assert v == pytest.approx(fd, rel=1e-5)
+
+    def test_sorted_l1_matches_finite_differences(self):
+        from smop import SynthSpec, lambda_inf, linear_weights, synth_instance
+
+        data, _ = synth_instance(SynthSpec(m=100, n=600, s=10, sigma=0.01, seed=3))
+        reg = SortedL1(linear_weights(600))
+        lam0 = 0.25 * lambda_inf(reg, data.A, data.b)
+        v, fd, x = self._finite_difference(data, reg, lam0)
+        # a tied cluster: the merged piece, not the l1 support, gives the slope
+        J, _, starts, _ = reg.piece(x)
+        assert (J.size, starts.size) == (11, 10)
+        assert v == pytest.approx(fd, rel=1e-5)
+
+    def test_sorted_l1_tied_cluster_closed_form(self):
+        # A = I, b = (1, 1), weights (1, 0.5): x = (1 - 0.75 lam)(1, 1) for
+        # small lam, so phi = 0.75 lam sqrt(2), slope 1.5 / sqrt(2); one cluster
+        # of weight 1.5 gives h = 0.75 (1, 1)
+        A = SparseMatrix.from_dense(np.eye(2))
+        reg = SortedL1([1.0, 0.5])
+        lam = 0.4
+        x = np.full(2, 1.0 - 0.75 * lam)
+        phi = 0.75 * lam * np.sqrt(2.0)
+        assert reg.piece(x)[2].size == 1
+        v = phi_derivative(A, reg, x, lam, phi)
+        assert v == pytest.approx(1.5 / np.sqrt(2.0))
 
 
 class TestNewtonHybrid:
     def test_scalar_one_newton_step(self, scalar_data):
-        cfg = RootConfig(stoptol=1e-12)
-        lam, x, state = newton_hybrid_solve(scalar_phi, 0.3, 0.095, 0.95, cfg, scalar_data.A)
+        lam, x, state = newton_hybrid_solve(scalar_phi, l1_dphi(scalar_data.A), 0.3, 0.095, 0.95, 1e-12)
         assert state.converged
         assert lam == pytest.approx(0.3, abs=1e-12)
         newton_steps = [r for r in state.history if r.step == "newton"]
         assert len(newton_steps) == 1  # exact on the affine branch
 
     def test_diagonal(self, diagonal_data):
-        cfg = RootConfig(stoptol=1e-12)
-        lam, x, state = newton_hybrid_solve(diagonal_phi, 0.5, 0.19, 0.9, cfg, diagonal_data.A)
+        lam, x, state = newton_hybrid_solve(diagonal_phi, l1_dphi(diagonal_data.A), 0.5, 0.19, 0.9,
+                                              1e-12)
         assert lam == pytest.approx(1.0 / np.sqrt(5.0), abs=1e-10)
         # from inside (0, 1) where phi is affine, one Newton step suffices
         newton_steps = [r for r in state.history if r.step == "newton"]
@@ -381,8 +414,7 @@ class TestNewtonHybrid:
     def test_zero_support_falls_back_to_bisection(self, scalar_data):
         # upper end at lam >= lam_inf has x = 0: first proposal must bisect
         phi = lambda lam: scalar_phi(lam)
-        cfg = RootConfig(stoptol=1e-12)
-        lam, _, state = newton_hybrid_solve(phi, 0.3, 0.095, 1.0, cfg, scalar_data.A)
+        lam, _, state = newton_hybrid_solve(phi, l1_dphi(scalar_data.A), 0.3, 0.095, 1.0, 1e-12)
         assert state.converged
         assert state.history[2].step == "bisection"
 
