@@ -24,11 +24,13 @@ from .driver import (
     solve_path,
     write_iterates_csv,
 )
+from .inner import InnerConfig
 from .problem import LibsvmFormatError, ProblemData, SynthSpec, libsvm_read, synth_instance
 from .regularizers import make_regularizer
 from .sieving import MIN_GROWTH, SieveConfig
 from .rootfind import (
     BracketError,
+    RootConfig,
     eval_beta_fn,
     eval_constructed_fn,
     secant_solve,
@@ -90,14 +92,13 @@ def _resolve_rho(args, data: ProblemData) -> float:
 
 
 def _build_config(args) -> SmopConfig:
-    cfg = SmopConfig(stoptol=args.stoptol, method=args.method, sieving=not args.no_sieve)
-    cfg.root.mu = args.mu
-    cfg.root.max_outer = args.max_outer
-    if args.kmax is not None:
-        cfg.sieve.k_max = args.kmax
-    if getattr(args, "inner_trace", None):
-        cfg.inner.keep_trace = True
-    return cfg
+    # every option goes through its config's constructor, so its checks run
+    return SmopConfig(
+        stoptol=args.stoptol, method=args.method, sieving=not args.no_sieve,
+        root=RootConfig(mu=args.mu, max_outer=args.max_outer),
+        sieve=SieveConfig() if args.kmax is None else SieveConfig(k_max=args.kmax),
+        inner=InnerConfig(keep_trace=bool(getattr(args, "inner_trace", None))),
+    )
 
 
 def _add_common(p: argparse.ArgumentParser):

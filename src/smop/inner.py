@@ -9,11 +9,11 @@ the proximal residual at xh itself; both must fall below the tolerance.
 
 On a fixed pattern of a polyhedral gauge the solution is ``x_J = P z`` with
 ``(P^T G_JJ P) z = P^T c_J - lam*w``: ``Regularizer.piece`` gives the
-pattern and ``piece_solve`` the solve. For the l1 penalty each certificate
-check that fails also tries this Newton step on the piece through xh, and
-the same certificate, at the same tolerance, is run on its point. APG stops
-when it passes and otherwise continues unchanged; a failed pattern is not
-solved again. ``phi_derivative`` uses the same solve for phi's derivative.
+pattern and ``piece_solve`` the solve. Each certificate check that fails
+also tries this Newton step on the piece through xh, and the same
+certificate, at the same tolerance, is run on its point. APG stops when it
+passes and otherwise continues unchanged; a failed pattern is not solved
+again. ``phi_derivative`` uses the same solve for phi's derivative.
 
 ``phi_eval`` evaluates phi(lam) = ||A x(lam) - b|| by a full-dimension solve,
 optionally through the adaptive sieving loop.
@@ -154,22 +154,17 @@ def piece_solve(G_JJ, s, starts, rhs, m: int) -> np.ndarray:
 
     One Cholesky factorization when there are at most ``m`` clusters; the
     minimum-norm least-squares solution when the matrix is singular or there
-    are more clusters. With singleton clusters ``P = diag(s)``, so
-    ``G_JJ x_J = s * rhs`` is solved directly.
+    are more clusters.
     """
-    merge = starts.size < s.size
-    if merge:
-        M = np.add.reduceat(s[:, None] * G_JJ * s, starts, axis=0)
-        M = np.add.reduceat(M, starts, axis=1)
-    else:
-        M, rhs = G_JJ, s * rhs
+    M = np.add.reduceat(s[:, None] * G_JJ * s, starts, axis=0)
+    M = np.add.reduceat(M, starts, axis=1)
     try:
         z = cho_solve(cho_factor(M), rhs) if starts.size <= m else None
     except np.linalg.LinAlgError:
         z = None
     if z is None:
         z = np.linalg.lstsq(M, rhs, rcond=None)[0]
-    return s * np.repeat(z, np.diff(starts, append=s.size)) if merge else z
+    return s * np.repeat(z, np.diff(starts, append=s.size))
 
 
 def phi_derivative(A, reg: Regularizer, x, lam: float, phi: float) -> float:
@@ -276,7 +271,6 @@ def solve_reduced(
         return zn
 
     tol = cfg.kkt_tol
-    newton = reg.kind == "l1"
     inv_L = 1.0 / L
     step_t = lam * inv_L
     trace = []
@@ -302,7 +296,7 @@ def solve_reduced(
         # on a fixed cadence; the trace rides along and changes no iterate
         if iters % 3 == 1:
             xh, Gxh, cert, r_norm = certify(z_new, Gz_new)
-            zn = newton_point(xh) if newton and max(cert, r_norm) > tol else None
+            zn = newton_point(xh) if max(cert, r_norm) > tol else None
             if zn is not None:
                 Gzn = gram_mv(zn)
                 n_cert = certify(zn, Gzn)

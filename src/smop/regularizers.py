@@ -15,8 +15,6 @@ from scipy.optimize import isotonic_regression
 class Regularizer:
     """Interface shared by the penalty implementations."""
 
-    kind: str
-
     def value(self, x) -> float:
         raise NotImplementedError
 
@@ -39,8 +37,6 @@ class Regularizer:
 
 class L1(Regularizer):
     """Plain l1 norm."""
-
-    kind = "l1"
 
     def value(self, x) -> float:
         return float(np.sum(np.abs(x)))
@@ -72,8 +68,6 @@ class SortedL1(Regularizer):
 
     Weights must be nonincreasing and nonnegative with ``w[0] > 0``.
     """
-
-    kind = "slope"
 
     def __init__(self, weights):
         w = np.asarray(weights, dtype=np.float64)

@@ -48,6 +48,8 @@ class RootConfig:
     def __post_init__(self):
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu must lie in (0, 1)")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be at least 1")
 
 
 @dataclass
@@ -167,9 +169,9 @@ def _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, cfg, proposal, step_nam
     """Shared skeleton of the secant and Newton hybrids and of bisection.
 
     A run stops at the first evaluation with ``eta <= stoptol``, bracket ends
-    included. ``proposal(hist, x_last)`` returns a trial lambda from the
-    accepted iterate history (list of (lam, phi) pairs) or None to force
-    bisection. Every evaluation updates the bracket by the sign of
+    included. ``proposal(history, x_last)`` returns a trial lambda from the
+    accepted iterates (``state.history``, a list of ``IterRecord``) or None to
+    force bisection. Every evaluation updates the bracket by the sign of
     ``phi - rho``; trial points are only evaluated inside the *initial*
     interval, and an accepted trial must either be among the first two since
     the last bisection or shrink the residual by ``mu`` relative to three
@@ -196,12 +198,11 @@ def _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, cfg, proposal, step_nam
         )
     state.record(lam_m1, p_lo, eta(p_lo, rho), "init")
     state.record(lam_0, p_hi, eta(p_hi, rho), "init")
-    hist = [(lam_m1, p_lo), (lam_0, p_hi)]
     x_last = x_hi
     seen = [(lam_0, x_hi, p_hi), (lam_m1, x_lo, p_lo)]  # every evaluated point, in order
 
     for _ in range(cfg.max_outer):
-        lam = proposal(hist, x_last)
+        lam = proposal(state.history, x_last)
         step = step_name if lam is not None and lam_m1 <= lam <= lam_0 else None
         while True:
             if step is None:
@@ -217,10 +218,9 @@ def _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, cfg, proposal, step_nam
                 state.lo = max(state.lo, lam)
             seen.append((lam, x, p))
             if (step == "bisection" or state.safeguard_i < 3
-                    or abs(p - rho) <= cfg.mu * abs(hist[-3][1] - rho)):
+                    or abs(p - rho) <= cfg.mu * abs(state.history[-3].phi - rho)):
                 break
             step = None  # the rejected trial tightened the bracket; bisect it
-        hist.append((lam, p))
         x_last = x
         state.record(lam, p, eta(p, rho), step)
 
@@ -238,10 +238,10 @@ def hybrid_secant_solve(phi, rho: float, lam_m1: float, lam_0: float, stoptol: f
     first point with ``eta = |phi - rho| / max(1, rho) <= stoptol``.
     """
 
-    def proposal(hist, _x_last):
-        (l_km1, p_km1), (l_k, p_k) = hist[-2], hist[-1]
+    def proposal(history, _x_last):
+        prev, last = history[-2], history[-1]
         try:
-            return secant_step(l_k, l_km1, p_k - rho, p_km1 - rho)
+            return secant_step(last.lam, prev.lam, last.phi - rho, prev.phi - rho)
         except DegenerateSecantError:
             return None
 
@@ -257,8 +257,8 @@ def newton_hybrid_solve(phi, dphi, rho: float, lam_m1: float, lam_0: float, stop
     accepted iterate; derivative failures fall back to bisection.
     """
 
-    def proposal(hist, x_last):
-        lam_k, p_k = hist[-1]
+    def proposal(history, x_last):
+        lam_k, p_k = history[-1].lam, history[-1].phi
         try:
             v = dphi(x_last, lam_k, p_k)
         except (ValueError, np.linalg.LinAlgError):

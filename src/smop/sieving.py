@@ -69,8 +69,8 @@ class SieveTrace:
 def select_top_k(residual, candidates, k: int) -> np.ndarray:
     """The k candidate indices with largest ``|residual|``, ties to the smaller index."""
     candidates = np.sort(np.asarray(candidates, dtype=np.int64))
-    if k > candidates.size:
-        raise ValueError("k exceeds the candidate count")
+    if not 0 <= k <= candidates.size:
+        raise ValueError("k must lie between 0 and the candidate count")
     mags = np.abs(np.asarray(residual)[candidates])
     order = np.argsort(-mags, kind="stable")  # stable: ties keep ascending index
     return np.sort(candidates[order[:k]])

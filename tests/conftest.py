@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smop import ProblemData, SparseMatrix
+from smop import L1, ProblemData, SparseMatrix
 
 
 @pytest.fixture
@@ -16,3 +16,18 @@ def diagonal_data():
     phi(lam) = lam * sqrt(5)/2 (verified by scalar calculus per coordinate)."""
     A = SparseMatrix.from_dense([[1.0, 0.0], [0.0, 2.0]])
     return ProblemData(A, np.array([1.0, 1.0]), rho=0.5)
+
+
+class _ApgOnlyL1(L1):
+    """The l1 norm with an empty solution piece: ``solve_reduced`` finds no
+    Newton point, so it solves by APG alone."""
+
+    def piece(self, x):
+        J = np.empty(0, dtype=np.int64)
+        return J, np.empty(0), J, np.empty(0)
+
+
+@pytest.fixture
+def apg_only_l1():
+    """l1 solved without the Newton step, the reference it is measured against."""
+    return _ApgOnlyL1()

@@ -162,6 +162,21 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["eta"] <= 1e-7
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--mu", "-3", "--max-outer", "0"], "mu must lie in (0, 1)"),
+        (["--mu", "1.5"], "mu must lie in (0, 1)"),
+        (["--max-outer", "0"], "max_outer must be at least 1"),
+        (["--kmax", "-5"], "k_max must be at least 1"),
+        (["--kmax", "0"], "k_max must be at least 1"),
+    ], ids=["mu-negative", "mu-above-one", "max-outer-zero", "kmax-negative", "kmax-zero"])
+    def test_solver_knob_flags_checked(self, capsys, flags, message):
+        code, out, err = run(
+            capsys, "solve", "--synth", "m=4,n=8,s=2,seed=7", "--c", "0.3", *flags
+        )
+        assert code == 1
+        assert out == ""
+        assert f"error: {message}" in err
+
     def test_nonconvergence_exits_two(self, capsys):
         code, out, _ = run(
             capsys, "solve", "--synth", "m=10,n=30,s=3,seed=5", "--c", "0.3",

@@ -110,16 +110,16 @@ class TestSmopSolve:
         assert on.lambda_star == pytest.approx(off.lambda_star, abs=1e-9)
 
     @pytest.mark.parametrize("sieving", [True, False])
-    def test_uncertified_final_evaluation_not_converged(self, sieving):
+    def test_uncertified_final_evaluation_not_converged(self, apg_only_l1, sieving):
         # capped inner iterations (and sieve rounds) still bracket and let the
         # root finder stop, but the solve at lambda* misses its KKT tolerance;
-        # sorted-l1 solves by APG alone (an l1 solve certifies under these caps,
-        # see the next test)
+        # APG alone (the l1 solve with the Newton step certifies under these
+        # caps, see the next test)
         data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=0))
         data = data.with_rho(0.1 * data.bnorm)
-        reg = SortedL1(linear_weights(120))
+        reg = apg_only_l1
         cfg = SmopConfig(stoptol=1e-8, sieving=sieving, sieve=SieveConfig(max_rounds=2),
-                         inner=InnerConfig(max_iters=50))
+                         inner=InnerConfig(max_iters=20))
         res = smop_solve(data, reg, cfg)
         assert res.root_state.converged
         final = next(e for e in res.evals if e.lam == res.lambda_star)
@@ -157,20 +157,23 @@ class TestSmopSolve:
         assert res.inner_iters_total <= 2000
 
     @pytest.mark.parametrize("sieving", [True, False])
-    def test_duplicate_columns_support_above_row_count_certifies(self, sieving):
+    @pytest.mark.parametrize("kind", ["l1", "slope"])
+    def test_duplicate_columns_support_above_row_count_certifies(self, kind, sieving):
         # 3 rows, columns [a, 0, c, a, e, c, -c, -c] and rho -> 0: the optimal
         # support spreads over the copies, 7 columns > m; the minimum-norm
-        # Newton point certifies (APG alone: about 18,600 inner iterations)
+        # Newton point certifies (APG alone: about 18,600 inner iterations
+        # for l1 and 19,250 for sorted-l1)
         rng = np.random.default_rng(1)
         a, c, e = rng.standard_normal((3, 3))
         dense = np.column_stack([a, np.zeros(3), c, a, e, c, -c, -c])
         data = ProblemData(SparseMatrix.from_dense(dense), np.column_stack([a, c, e]) @ rng.standard_normal(3))
         data = data.with_rho(1e-4 * data.bnorm)
+        reg = L1() if kind == "l1" else SortedL1(linear_weights(8))
         cfg = SmopConfig(stoptol=1e-8, sieving=sieving)
-        res = smop_solve(data, L1(), cfg)
+        res = smop_solve(data, reg, cfg)
         assert res.converged
         eps_in = min(cfg.inner.kkt_tol, 0.01 * cfg.stoptol * max(1.0, data.rho))
-        assert eta_l(res.x, data.A, data.b, L1(), res.lambda_star) <= 10 * eps_in
+        assert eta_l(res.x, data.A, data.b, reg, res.lambda_star) <= 10 * eps_in
         assert np.count_nonzero(res.x) > data.A.m
         assert res.inner_iters_total <= 200
 

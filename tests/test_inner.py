@@ -9,7 +9,6 @@ from smop import (
     SortedL1,
     SparseMatrix,
     SynthSpec,
-    constant_weights,
     eta_l,
     lambda_inf,
     linear_weights,
@@ -84,8 +83,10 @@ class TestSolveReduced:
             solve_reduced(diagonal_data, L1(), 0.4, [5])
 
     def test_max_iters_flags_nonconverged(self, diagonal_data):
-        # sorted-l1 solves by APG alone; an l1 solve of this problem certifies
-        # in one iteration (test_one_iteration_certifies_l1_on_identified_support)
+        # the first sorted-l1 iterate ties both coordinates in one cluster and
+        # the solution (0.6, 0.5) has two, so the Newton point on its pattern
+        # fails the certificate; an l1 solve of this problem certifies in one
+        # iteration (test_one_iteration_certifies_l1_on_identified_support)
         res = solve_reduced(
             diagonal_data, SortedL1(linear_weights(2)), 0.4, [0, 1],
             cfg=InnerConfig(kkt_tol=1e-14, max_iters=1),
@@ -117,10 +118,9 @@ class TestSolveReduced:
         "gram_limit, dense_limit", [(4096, 4_194_304), (1, 4_194_304), (1, 0)]
     )
     def test_newton_step_needs_a_tenth_of_apg_iterations(
-        self, monkeypatch, gram_limit, dense_limit
+        self, monkeypatch, apg_only_l1, gram_limit, dense_limit
     ):
-        # SortedL1 with constant unit weights is the l1 norm solved by APG
-        # alone; the l1 solve must reach the same point in a tenth of the
+        # the l1 solve must reach the point of APG alone in a tenth of the
         # iterations on every matrix path (gram_limit=1 never forms G)
         monkeypatch.setattr("smop.inner._GRAM_LIMIT", gram_limit)
         monkeypatch.setattr("smop.inner._DENSE_LIMIT", dense_limit)
@@ -129,14 +129,14 @@ class TestSolveReduced:
         cfg = InnerConfig(kkt_tol=1e-10)
         idx = np.arange(400)
         newton = solve_reduced(data, L1(), lam, idx, cfg=cfg)
-        apg = solve_reduced(data, SortedL1(constant_weights(400)), lam, idx, cfg=cfg)
+        apg = solve_reduced(data, apg_only_l1, lam, idx, cfg=cfg)
         assert newton.converged and apg.converged
         assert newton.iters <= apg.iters / 10
         assert abs(newton.phi - apg.phi) <= cfg.kkt_tol
         assert np.linalg.norm(newton.y - apg.y) <= cfg.kkt_tol
         assert np.linalg.norm(newton.x - apg.x) <= 10 * cfg.kkt_tol
 
-    def test_singular_support_gram_certifies(self):
+    def test_singular_support_gram_certifies(self, apg_only_l1):
         # columns [u, u, -u, ...]: the solution spreads over the three copies,
         # so G_JJ on its support is singular; its minimum-norm Newton point
         # splits the weight evenly and certifies (APG alone: 49 iterations)
@@ -150,7 +150,7 @@ class TestSolveReduced:
         assert res.converged
         assert np.count_nonzero(res.x[:3]) == 3
         assert eta_l(res.x, data.A, data.b, L1(), lam) <= 1e-10
-        apg = solve_reduced(data, SortedL1(constant_weights(10)), lam, np.arange(10), cfg=cfg)
+        apg = solve_reduced(data, apg_only_l1, lam, np.arange(10), cfg=cfg)
         assert 5 * res.iters <= apg.iters
 
     @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
-"""Property tests over small adversarial l1 designs.
+"""Property tests over small adversarial designs, for l1 and sorted-l1.
 
 Designs repeat, negate and zero-pad a few random columns, so Gram matrices on
-a support are singular and l1 solutions are not unique; ``rho`` sits near 0
+a support are singular and solutions are not unique; ``rho`` sits near 0
 (possibly below the least-squares residual) or near ``||b||``. Every case must
 end certified, with ``converged=False``, or with a ``ValueError`` (which
 ``BracketError`` is) that says what went wrong, within the deadline. Run with
@@ -12,13 +12,16 @@ from datetime import timedelta
 
 import numpy as np
 from hypothesis import event, given, settings
+import pytest
 from hypothesis import strategies as st
 
-from smop import L1, ProblemData, SmopConfig, SparseMatrix, eta_l, smop_solve
+from smop import (
+    L1, ProblemData, SmopConfig, SortedL1, SparseMatrix, eta_l, linear_weights, smop_solve,
+)
 
 
 @st.composite
-def adversarial_l1_cases(draw):
+def adversarial_cases(draw):
     m = draw(st.integers(2, 10))
     p = draw(st.integers(1, 4))  # independent base columns
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -38,15 +41,17 @@ def adversarial_l1_cases(draw):
     return dense, b, frac, method, draw(st.booleans())
 
 
+@pytest.mark.parametrize("kind", ["l1", "slope"])
 @settings(max_examples=60, deadline=timedelta(seconds=5), derandomize=True, database=None)
-@given(adversarial_l1_cases())
-def test_adversarial_l1_designs_end_cleanly(case):
+@given(case=adversarial_cases())
+def test_adversarial_designs_end_cleanly(kind, case):
     dense, b, frac, method, sieving = case
     cfg = SmopConfig(stoptol=1e-8, method=method, sieving=sieving)
+    reg = L1() if kind == "l1" else SortedL1(linear_weights(dense.shape[1]))
     try:
         data = ProblemData(SparseMatrix.from_dense(dense), b)
         data = data.with_rho(frac * data.bnorm)
-        res = smop_solve(data, L1(), cfg)
+        res = smop_solve(data, reg, cfg)
     except ValueError as exc:
         # a rho below the least-squares residual has no root: the lower bracket
         # end runs down to the lam floor
@@ -58,4 +63,4 @@ def test_adversarial_l1_designs_end_cleanly(case):
     if res.converged:
         assert abs(res.phi - data.rho) <= cfg.stoptol * max(1.0, data.rho)
         eps_in = min(cfg.inner.kkt_tol, 0.01 * cfg.stoptol * max(1.0, data.rho))
-        assert eta_l(res.x, data.A, data.b, L1(), res.lambda_star) <= 10 * eps_in
+        assert eta_l(res.x, data.A, data.b, reg, res.lambda_star) <= 10 * eps_in

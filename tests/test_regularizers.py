@@ -251,7 +251,7 @@ class TestConstruction:
         assert isinstance(L1().restrict(5), L1)
 
     def test_make_regularizer(self):
-        assert make_regularizer("l1", 4).kind == "l1"
+        assert isinstance(make_regularizer("l1", 4), L1)
         slope = make_regularizer("slope", 4, "linear")
         np.testing.assert_allclose(slope.weights, linear_weights(4))
         with pytest.raises(ValueError):

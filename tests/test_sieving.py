@@ -41,6 +41,11 @@ class TestSelectTopK:
         with pytest.raises(ValueError):
             select_top_k(np.ones(3), [0, 1], 3)
 
+    def test_k_negative(self):
+        # a negative k would slice all but |k| candidates
+        with pytest.raises(ValueError, match="between 0 and the candidate count"):
+            select_top_k(np.ones(3), [0, 1], -1)
+
 
 class TestSieveSolve:
     def test_superset_start_single_round(self, diagonal_data):
