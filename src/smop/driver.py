@@ -157,7 +157,6 @@ class _PhiOracle:
                 cfg=self.inner_cfg,
                 sieve_cfg=self.sieve_cfg,
             )
-            self.x_warm = res.x
             rec = self.cache[lam] = EvalRecord(
                 index=len(self.cache) + 1,
                 lam=lam,
@@ -176,13 +175,13 @@ def smop_solve(
     data: ProblemData,
     reg: Regularizer,
     cfg: SmopConfig | None = None,
-    warm_bracket=None,
-    warm_x=None,
+    warm: SmopResult | None = None,
 ) -> SmopResult:
     """Solve ``min p(x) s.t. ||A x - b|| <= rho`` by level-set root finding.
 
-    ``warm_bracket`` is an optional ``(lo, hi)`` guess that ``bracket_init``
-    grows into a sign-changing bracket; ``warm_x`` seeds the first solve.
+    ``warm`` is the result of a solve on the same data at a nearby ``rho``.
+    Its ``x`` seeds the first evaluation, and ``bracket_init`` grows the guess
+    ``(warm.bracket[0], 1.5 * warm.lambda_star)`` into a sign-changing bracket.
     """
     cfg = cfg or SmopConfig()
     if data.rho is None:
@@ -193,9 +192,10 @@ def smop_solve(
     eff_tol = min(cfg.inner.kkt_tol, 0.01 * cfg.stoptol * max(1.0, rho))
     inner_cfg = replace(cfg.inner, kkt_tol=eff_tol)
     sieve_cfg = cfg.sieve if cfg.sieving else None
-    oracle = _PhiOracle(data, reg, inner_cfg, sieve_cfg, x_warm=warm_x)
+    oracle = _PhiOracle(data, reg, inner_cfg, sieve_cfg,
+                        x_warm=None if warm is None else warm.x)
 
-    lo, hi = warm_bracket if warm_bracket is not None else (None, None)
+    lo, hi = (None, None) if warm is None else (warm.bracket[0], 1.5 * warm.lambda_star)
     try:
         lo, hi = bracket_init(oracle, rho, lam_top, lo, hi)
     except BracketError as exc:
@@ -318,29 +318,17 @@ def solve_path(
 ) -> PathResult:
     """Solve the constrained problem along a decreasing rho schedule.
 
-    Each step seeds its bracket and sieving support from the previous
-    solution; a failed step is recorded and the path continues from the last
-    successful one.
+    Each step is warm-started from the last converged step (see
+    :func:`smop_solve`); a failed step is recorded and the path continues
+    from the last successful one.
     """
     cfg = cfg or SmopConfig()
-    rhos = spec.rhos(data.bnorm)
-    lam_top = lambda_inf(reg, data.A, data.b)
     steps = []
     failures = 0
     prev = None
-    lam_lo_glob = None
-    for rho_i in rhos:
-        data_i = data.with_rho(float(rho_i))
+    for rho_i in spec.rhos(data.bnorm):
         try:
-            if prev is None:
-                res = smop_solve(data_i, reg, cfg)
-                lam_lo_glob = res.bracket[0]
-            else:
-                wb = (
-                    max(lam_lo_glob, 0.5 * prev.lambda_star),
-                    min(lam_top, 1.5 * prev.lambda_star),
-                )
-                res = smop_solve(data_i, reg, cfg, warm_bracket=wb, warm_x=prev.x)
+            res = smop_solve(data.with_rho(float(rho_i)), reg, cfg, warm=prev)
         except BracketError as exc:
             log.warning("path step rho=%.6g failed: %s", rho_i, exc)
             failures += 1

@@ -45,6 +45,8 @@ class InnerConfig:
     def __post_init__(self):
         if self.kkt_tol <= 0:
             raise ValueError("kkt_tol must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
@@ -104,6 +106,11 @@ def _dense_gram(A_I) -> np.ndarray:
     return gram.toarray() if hasattr(gram, "toarray") else np.asarray(gram)
 
 
+def _gather(A, idx: np.ndarray):
+    """Columns ``idx`` of ``A``: dense up to ``_DENSE_LIMIT`` entries, else sparse."""
+    return A.take_columns_dense(idx) if A.m * idx.size <= _DENSE_LIMIT else A.take_columns(idx)
+
+
 def _reduced_operator(data: ProblemData, idx: np.ndarray):
     """``(A_I, c, G, gram_mv, L)`` for the index set ``idx``: the column
     submatrix, ``c = A_I^T b``, the dense Gram matrix (None above
@@ -115,8 +122,8 @@ def _reduced_operator(data: ProblemData, idx: np.ndarray):
     before the new one is built, so no two are held at once.
     """
     k = idx.size
-    dense, gram = data.A.m * k <= _DENSE_LIMIT, k <= _GRAM_LIMIT
-    key = (idx.tobytes(), dense, gram)
+    # the limits pick the operator's matrix paths; a changed limit rebuilds it
+    key = (idx.tobytes(), _DENSE_LIMIT, _GRAM_LIMIT)
     kept = data.__dict__.get("_reduced_operator")
     if kept is not None and kept[0] == key:
         return kept[1]
@@ -127,9 +134,9 @@ def _reduced_operator(data: ProblemData, idx: np.ndarray):
     if idx.min() < 0 or idx.max() >= data.A.n:
         raise ValueError("index set out of range")
 
-    A_I = data.A.take_columns_dense(idx) if dense else data.A.take_columns(idx)
+    A_I = _gather(data.A, idx)
     c = A_I.T @ data.b
-    if gram:
+    if k <= _GRAM_LIMIT:
         G = _dense_gram(A_I)
         gram_mv = lambda z: G @ z
         diag = np.diag(G)
@@ -178,7 +185,7 @@ def phi_derivative(A, reg: Regularizer, x, lam: float, phi: float) -> float:
     J, s, starts, w = reg.piece(x)
     if J.size == 0:
         raise ValueError("derivative undefined at zero support")
-    A_J = A.take_columns(J)
+    A_J = _gather(A, J)
     h = A_J @ piece_solve(_dense_gram(A_J), s, starts, w, A.m)
     return float(lam * (h @ h) / phi)
 
@@ -315,7 +322,7 @@ def solve_reduced(
         y = z_new + ((t - 1.0) / t_next) * (z_new - z)
         z, Gz, F_z, t = z_new, Gz_new, F_new, t_next
 
-    if xh is None or not converged:
+    if not converged:
         xh = reg_r.prox(z - (Gz - c), lam)
         Gxh = gram_mv(xh)
     x_full = np.zeros(data.A.n)

@@ -187,6 +187,22 @@ class TestSmopSolve:
         assert res.n_subproblems == 6
         assert res.inner_iters_total <= 100
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("kind", ["l1", "slope"])
+    def test_warm_result_seeds_nearby_level(self, kind, seed):
+        # the result at a 5% higher level warm-starts the solve: same root,
+        # no more phi evaluations than a cold start
+        data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=seed))
+        reg = L1() if kind == "l1" else SortedL1(linear_weights(400))
+        cfg = SmopConfig(stoptol=1e-8)
+        prev = smop_solve(data.with_rho(1.05 * 0.1 * data.bnorm), reg, cfg)
+        data = data.with_rho(0.1 * data.bnorm)
+        cold = smop_solve(data, reg, cfg)
+        warm = smop_solve(data, reg, cfg, warm=prev)
+        assert cold.converged and warm.converged
+        assert warm.lambda_star == pytest.approx(cold.lambda_star, rel=1e-6)
+        assert warm.n_subproblems <= cold.n_subproblems
+
     def test_trace_spans_every_sieve_round(self):
         # the second evaluation takes several sieve rounds; its trace counts
         # iterations across them and ends at the evaluation's total

@@ -183,6 +183,9 @@ class TestSieveSolve:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             InnerConfig(kkt_tol=0.0)  # the sieve's residual tolerance
+        for max_iters in (0, -3):
+            with pytest.raises(ValueError, match="max_iters must be at least 1"):
+                InnerConfig(max_iters=max_iters)
         with pytest.raises(ValueError):
             SieveConfig(k_max=0)
         with pytest.raises(ValueError):
