@@ -21,8 +21,7 @@ from .driver import (
     solve_path,
     write_iterates_csv,
 )
-from .inner import (InnerConfig, InnerSolveResult, eta_l, phi_derivative, phi_eval, residual_R,
-                    solve_reduced)
+from .inner import InnerConfig, InnerSolveResult, eta_l, phi_derivative, residual_R, solve_reduced
 from .problem import (
     LibsvmFormatError,
     ProblemData,
@@ -57,7 +56,7 @@ from .rootfind import (
     secant_solve,
     secant_step,
 )
-from .sieving import SieveConfig, SieveTrace, select_top_k, sieve_solve
+from .sieving import SieveConfig, SieveTrace, phi_eval, select_top_k, sieve_solve
 
 __version__ = "0.1.0"
 
@@ -78,7 +77,6 @@ __all__ = [
     "InnerSolveResult",
     "eta_l",
     "phi_derivative",
-    "phi_eval",
     "residual_R",
     "solve_reduced",
     "LibsvmFormatError",
@@ -110,6 +108,7 @@ __all__ = [
     "secant_step",
     "SieveConfig",
     "SieveTrace",
+    "phi_eval",
     "select_top_k",
     "sieve_solve",
 ]

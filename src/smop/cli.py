@@ -93,10 +93,12 @@ def _resolve_rho(args, data: ProblemData) -> float:
 
 def _build_config(args) -> SmopConfig:
     # every option goes through its config's constructor, so its checks run
+    if args.no_sieve and args.kmax is not None:
+        raise ValueError("--kmax sets the sieve and cannot be used with --no-sieve")
+    sieve = SieveConfig() if args.kmax is None else SieveConfig(k_max=args.kmax)
     return SmopConfig(
-        stoptol=args.stoptol, method=args.method, sieving=not args.no_sieve,
+        stoptol=args.stoptol, method=args.method, sieve=None if args.no_sieve else sieve,
         root=RootConfig(mu=args.mu, max_outer=args.max_outer),
-        sieve=SieveConfig() if args.kmax is None else SieveConfig(k_max=args.kmax),
         inner=InnerConfig(keep_trace=bool(getattr(args, "inner_trace", None))),
     )
 
@@ -118,8 +120,9 @@ def _add_common(p: argparse.ArgumentParser):
                    help="cap on the coordinates one sieve round adds (default "
                         f"{SieveConfig.k_max}); a round adds at most "
                         f"min(kmax, max(|I|, {MIN_GROWTH})), so the index set I "
-                        "at most doubles per round")
-    p.add_argument("--no-sieve", action="store_true")
+                        "at most doubles per round; not with --no-sieve")
+    p.add_argument("--no-sieve", action="store_true",
+                   help="solve each regularized problem over all coordinates")
     p.add_argument("--out", help="write the result JSON here instead of stdout")
 
 
@@ -186,20 +189,14 @@ def _rootdemo_rows(name: str):
         beta = float(name.split(":", 1)[1])
         iters = secant_solve(lambda x: eval_beta_fn(x, beta), 0.01, 0.005, 0.0, 8)
         return {"x": [sci(v) for v in iters]}
-    if name == "constructed":
-        iters = secant_solve(eval_constructed_fn, 0.545, 0.5, 0.0, 8)
-        return {
-            "x": [sci(v) for v in iters],
-            "f": [sci(eval_constructed_fn(v)) for v in iters],
-        }
-    raise ValueError(f"unknown demo {name!r}")
+    iters = secant_solve(eval_constructed_fn, 0.545, 0.5, 0.0, 8)  # "constructed"
+    return {
+        "x": [sci(v) for v in iters],
+        "f": [sci(eval_constructed_fn(v)) for v in iters],
+    }
 
 
 def cmd_rootdemo(args) -> int:
-    known_beta = {"beta:1.1", "beta:1.5", "beta:2.1"}
-    if args.demo not in known_beta and args.demo != "constructed":
-        print(f"error: unknown demo {args.demo!r}", file=sys.stderr)
-        return 1
     rows = _rootdemo_rows(args.demo)
     header = "Iter  " + "  ".join(f"{k + 1:>8d}" for k in range(8))
     print(header)
@@ -295,7 +292,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_path)
 
     p = sub.add_parser("rootdemo", help="scalar secant iterate tables")
-    p.add_argument("demo", help="beta:1.1 | beta:1.5 | beta:2.1 | constructed")
+    p.add_argument("demo", choices=list(_DEMO_TABLES))
     p.add_argument("--check", action="store_true",
                    help="compare against the embedded expected table")
     p.set_defaults(func=cmd_rootdemo)

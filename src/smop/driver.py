@@ -3,7 +3,7 @@
 ``smop_solve`` finds ``lam*`` with ``phi(lam*) = rho`` by the chosen root
 finder ("smop" secant hybrid, "bmop" bisection, "nmop" Newton hybrid) and
 returns the matching solution of the regularized problem. Every phi
-evaluation is a regularized solve; with sieving enabled the first solve
+evaluation is a regularized solve; with sieving on, the first solve
 starts from the empty index set and every later one is seeded with the
 support of the previous solution, which keeps the subproblems small along
 the root-finding trajectory and along rho paths.
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .inner import InnerConfig, phi_derivative, phi_eval
+from .inner import InnerConfig, phi_derivative
 from .problem import ProblemData
 from .regularizers import Regularizer, lambda_inf
 from .rootfind import (
@@ -31,28 +31,27 @@ from .rootfind import (
     hybrid_secant_solve,
     newton_hybrid_solve,
 )
-from .sieving import SieveConfig
+from .sieving import SieveConfig, phi_eval
 
 log = logging.getLogger("smop")
 
 METHODS = ("smop", "bmop", "nmop")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SmopConfig:
     stoptol: float = 1e-6
     method: str = "smop"
-    sieving: bool = True
     root: RootConfig = field(default_factory=RootConfig)
-    sieve: SieveConfig = field(default_factory=SieveConfig)
+    sieve: SieveConfig | None = field(default_factory=SieveConfig)  # None: direct solves
     inner: InnerConfig = field(default_factory=InnerConfig)
     keep_solutions: bool = False   # retain x per evaluation (diagnostics)
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if self.stoptol <= 0:
-            raise ValueError("stoptol must be positive")
+        if not 0.0 < self.stoptol < np.inf:
+            raise ValueError("stoptol must be positive and finite")
 
 
 @dataclass
@@ -64,7 +63,7 @@ class EvalRecord:
     support: int
     converged: bool          # the evaluation's solve certified its KKT residual
     x: np.ndarray | None = None   # kept with SmopConfig.keep_solutions
-    trace: list | None = None     # kept with InnerConfig.keep_trace
+    trace: list = field(default_factory=list)  # empty without InnerConfig.keep_trace
 
 
 @dataclass
@@ -165,7 +164,7 @@ class _PhiOracle:
                 support=int(np.count_nonzero(res.x)),
                 converged=res.converged,
                 x=res.x,
-                trace=res.trace if self.inner_cfg.keep_trace else None,
+                trace=res.trace,
             )
             log.debug("phi(%0.6g) = %0.6g, support %d", lam, rec.phi, rec.support)
         return rec.phi, rec.x
@@ -191,8 +190,7 @@ def smop_solve(
     lam_top = lambda_inf(reg, data.A, data.b)
     eff_tol = min(cfg.inner.kkt_tol, 0.01 * cfg.stoptol * max(1.0, rho))
     inner_cfg = replace(cfg.inner, kkt_tol=eff_tol)
-    sieve_cfg = cfg.sieve if cfg.sieving else None
-    oracle = _PhiOracle(data, reg, inner_cfg, sieve_cfg,
+    oracle = _PhiOracle(data, reg, inner_cfg, cfg.sieve,
                         x_warm=None if warm is None else warm.x)
 
     lo, hi = (None, None) if warm is None else (warm.bracket[0], 1.5 * warm.lambda_star)

@@ -14,9 +14,6 @@ also tries this Newton step on the piece through xh, and the same
 certificate, at the same tolerance, is run on its point. APG stops when it
 passes and otherwise continues unchanged; a failed pattern is not solved
 again. ``phi_derivative`` uses the same solve for phi's derivative.
-
-``phi_eval`` evaluates phi(lam) = ||A x(lam) - b|| by a full-dimension solve,
-optionally through the adaptive sieving loop.
 """
 
 from __future__ import annotations
@@ -36,15 +33,15 @@ _GRAM_LIMIT = 4096
 _DENSE_LIMIT = 4_194_304
 
 
-@dataclass
+@dataclass(frozen=True)
 class InnerConfig:
     kkt_tol: float = 1e-8
     max_iters: int = 20000
     keep_trace: bool = False  # record (iter, objective, eta_l) at each certificate check
 
     def __post_init__(self):
-        if self.kkt_tol <= 0:
-            raise ValueError("kkt_tol must be positive")
+        if not 0.0 < self.kkt_tol < np.inf:
+            raise ValueError("kkt_tol must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -118,12 +115,12 @@ def _reduced_operator(data: ProblemData, idx: np.ndarray):
 
     The operator of the last index set is kept on ``data``: every direct phi
     evaluation reuses the set [n], and for a handful of columns building the
-    operator costs more than the solve. A different set drops the kept one
+    operator costs more than the solve. It is keyed on the index set alone
+    (the module limits are constants). A different set drops the kept one
     before the new one is built, so no two are held at once.
     """
     k = idx.size
-    # the limits pick the operator's matrix paths; a changed limit rebuilds it
-    key = (idx.tobytes(), _DENSE_LIMIT, _GRAM_LIMIT)
+    key = idx.tobytes()
     kept = data.__dict__.get("_reduced_operator")
     if kept is not None and kept[0] == key:
         return kept[1]
@@ -163,8 +160,10 @@ def piece_solve(G_JJ, s, starts, rhs, m: int) -> np.ndarray:
     minimum-norm least-squares solution when the matrix is singular or there
     are more clusters.
     """
-    M = np.add.reduceat(s[:, None] * G_JJ * s, starts, axis=0)
-    M = np.add.reduceat(M, starts, axis=1)
+    M = s[:, None] * G_JJ * s
+    if starts.size < s.size:  # a one-entry cluster sum is the entry itself
+        M = np.add.reduceat(M, starts, axis=0)
+        M = np.add.reduceat(M, starts, axis=1)
     try:
         z = cho_solve(cho_factor(M), rhs) if starts.size <= m else None
     except np.linalg.LinAlgError:
@@ -282,7 +281,6 @@ def solve_reduced(
     step_t = lam * inv_L
     trace = []
     converged = False
-    xh = Gxh = None
     iters = 0
 
     for iters in range(1, cfg.max_iters + 1):
@@ -323,50 +321,20 @@ def solve_reduced(
         z, Gz, F_z, t = z_new, Gz_new, F_new, t_next
 
     if not converged:
-        xh = reg_r.prox(z - (Gz - c), lam)
-        Gxh = gram_mv(xh)
+        xh, _, _, r_norm = certify(z, Gz)
     x_full = np.zeros(data.A.n)
     x_full[idx] = xh
     y_full = b - A_I @ xh
     phi = float(np.sqrt(y_full @ y_full))
-    # KKT residual of the reduced problem at the polished point
-    red_num = float(np.linalg.norm(xh - reg_r.prox(xh - (Gxh - c), lam)))
-    eta_red = red_num / (1.0 + float(np.linalg.norm(xh)) + phi)
     return InnerSolveResult(
         x=x_full,
         y=y_full,
         phi=phi,
-        eta_l=eta_red,
+        # KKT residual of the reduced problem at the polished point
+        eta_l=r_norm / (1.0 + float(np.linalg.norm(xh)) + phi),
         iters=iters,
-        objective=0.5 * phi * phi + lam * reg.value(x_full),
+        objective=0.5 * phi * phi + lam * reg_r.value(xh),
         converged=converged,
         trace=trace,
     )
 
-
-def phi_eval(
-    data: ProblemData,
-    reg: Regularizer,
-    lam: float,
-    x0=None,
-    cfg: InnerConfig | None = None,
-    sieve_cfg=None,
-) -> InnerSolveResult:
-    """Evaluate phi(lam) by a full-dimension solve.
-
-    With ``sieve_cfg`` set, the solve goes through the adaptive sieving loop
-    seeded with the support of the warm start; otherwise a direct solve over
-    all coordinates is performed. The returned ``eta_l`` is measured at full
-    dimension.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    cfg = cfg or InnerConfig()
-    if sieve_cfg is not None:
-        from .sieving import sieve_solve  # local import: sieving builds on this module
-
-        seed = np.flatnonzero(x0) if x0 is not None else np.empty(0, dtype=np.int64)
-        result, _ = sieve_solve(data, reg, lam, seed, sieve_cfg, x0=x0, inner_cfg=cfg)
-        return result
-    # the reduced certificate over all of [n] is already the full-dimension one
-    return solve_reduced(data, reg, lam, np.arange(data.A.n), x0=x0, cfg=cfg)

@@ -40,7 +40,7 @@ class DegenerateSecantError(ArithmeticError):
     """Equal function values make the secant step undefined."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RootConfig:
     mu: float = 0.5           # sufficient-decrease factor, in (0, 1)
     max_outer: int = 200

@@ -16,16 +16,18 @@ The residual ``y = b - A_I x_I`` that the reduced solve returns is reused:
 the round's gradient is ``-A^T y`` and the final ``y``/``phi`` are the last
 round's, so a sieve round forms no full product ``A x``. The ``A^T`` product
 over all n columns stays; it is the certificate.
+
+``phi_eval`` evaluates phi(lam) = ||A x(lam) - b||: through this loop, or by
+one direct solve over all coordinates when no sieve configuration is given.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .inner import InnerConfig, residual_R, solve_reduced, _zero_result
+from .inner import InnerConfig, InnerSolveResult, residual_R, solve_reduced, _zero_result
 from .problem import ProblemData
 from .regularizers import Regularizer
 
@@ -33,7 +35,7 @@ from .regularizers import Regularizer
 MIN_GROWTH = 20
 
 
-@dataclass
+@dataclass(frozen=True)
 class SieveConfig:
     k_max: int = 500         # cap on coordinates added per round
     max_rounds: int = 100
@@ -57,13 +59,6 @@ class SieveRound:
 @dataclass
 class SieveTrace:
     rounds: list[SieveRound] = field(default_factory=list)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["round", "size_I", "r_norm", "size_J", "added", "inner_iters"])
-            for s, r in enumerate(self.rounds):
-                w.writerow([s, r.size_I, r.r_norm, r.size_J, r.added, r.inner_iters])
 
 
 def select_top_k(residual, candidates, k: int) -> np.ndarray:
@@ -150,7 +145,30 @@ def sieve_solve(
 
     den = 1.0 + float(np.linalg.norm(x)) + result.phi
     final = replace(
-        result, eta_l=float(np.linalg.norm(R)) / den, iters=total_iters,
+        result, eta_l=r_norm / den, iters=total_iters,
         converged=converged, trace=rows,
     )
     return final, trace
+
+
+def phi_eval(
+    data: ProblemData,
+    reg: Regularizer,
+    lam: float,
+    x0=None,
+    cfg: InnerConfig | None = None,
+    sieve_cfg: SieveConfig | None = None,
+) -> InnerSolveResult:
+    """Evaluate phi(lam) by a full-dimension solve.
+
+    With ``sieve_cfg`` set, the solve goes through :func:`sieve_solve` seeded
+    with the support of the warm start; with None, one direct solve runs over
+    all coordinates. The returned ``eta_l`` is measured at full dimension.
+    """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    if sieve_cfg is None:
+        # the reduced certificate over all of [n] is already the full-dimension one
+        return solve_reduced(data, reg, lam, np.arange(data.A.n), x0=x0, cfg=cfg)
+    seed = np.flatnonzero(x0) if x0 is not None else np.empty(0, dtype=np.int64)
+    return sieve_solve(data, reg, lam, seed, sieve_cfg, x0=x0, inner_cfg=cfg)[0]

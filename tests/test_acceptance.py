@@ -109,7 +109,7 @@ def test_criterion_3_closed_forms(scalar_data, diagonal_data):
     ]
     # sieving is pure overhead at n in {1, 2}; phi' >= 1 on both instances,
     # so eta <= 1e-8 pins lambda to 1e-8
-    cfg = lambda method: SmopConfig(stoptol=1e-8, method=method, sieving=False)
+    cfg = lambda method: SmopConfig(stoptol=1e-8, method=method, sieve=None)
     smop_solve(scalar_data, L1(), cfg("bmop"))  # warm up
     worst_ms = 0.0
     for data, lam_expect, name in targets:

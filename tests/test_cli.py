@@ -168,7 +168,10 @@ class TestSolve:
         (["--max-outer", "0"], "max_outer must be at least 1"),
         (["--kmax", "-5"], "k_max must be at least 1"),
         (["--kmax", "0"], "k_max must be at least 1"),
-    ], ids=["mu-negative", "mu-above-one", "max-outer-zero", "kmax-negative", "kmax-zero"])
+        (["--stoptol", "nan"], "stoptol must be positive and finite"),
+        (["--kmax", "5", "--no-sieve"], "--kmax sets the sieve and cannot be used with --no-sieve"),
+    ], ids=["mu-negative", "mu-above-one", "max-outer-zero", "kmax-negative", "kmax-zero",
+            "stoptol-nan", "kmax-no-sieve"])
     def test_solver_knob_flags_checked(self, capsys, flags, message):
         code, out, err = run(
             capsys, "solve", "--synth", "m=4,n=8,s=2,seed=7", "--c", "0.3", *flags

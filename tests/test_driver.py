@@ -10,6 +10,7 @@ from smop import (
     L1,
     PathSpec,
     ProblemData,
+    RootConfig,
     SieveConfig,
     SmopConfig,
     SortedL1,
@@ -105,8 +106,8 @@ class TestSmopSolve:
         assert reg.polar(u) <= res_s.lambda_star * (1 + 1e-6)
 
     def test_sieving_off_matches_on(self, diagonal_data):
-        on = smop_solve(diagonal_data, L1(), SmopConfig(stoptol=1e-9, sieving=True))
-        off = smop_solve(diagonal_data, L1(), SmopConfig(stoptol=1e-9, sieving=False))
+        on = smop_solve(diagonal_data, L1(), SmopConfig(stoptol=1e-9))
+        off = smop_solve(diagonal_data, L1(), SmopConfig(stoptol=1e-9, sieve=None))
         assert on.lambda_star == pytest.approx(off.lambda_star, abs=1e-9)
 
     @pytest.mark.parametrize("sieving", [True, False])
@@ -118,7 +119,7 @@ class TestSmopSolve:
         data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=0))
         data = data.with_rho(0.1 * data.bnorm)
         reg = apg_only_l1
-        cfg = SmopConfig(stoptol=1e-8, sieving=sieving, sieve=SieveConfig(max_rounds=2),
+        cfg = SmopConfig(stoptol=1e-8, sieve=SieveConfig(max_rounds=2) if sieving else None,
                          inner=InnerConfig(max_iters=20))
         res = smop_solve(data, reg, cfg)
         assert res.root_state.converged
@@ -133,7 +134,7 @@ class TestSmopSolve:
         # the identified support certifies the evaluation at lambda*
         data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=0))
         data = data.with_rho(0.1 * data.bnorm)
-        cfg = SmopConfig(stoptol=1e-8, sieving=sieving, sieve=SieveConfig(max_rounds=2),
+        cfg = SmopConfig(stoptol=1e-8, sieve=SieveConfig(max_rounds=2) if sieving else None,
                          inner=InnerConfig(max_iters=20))
         res = smop_solve(data, L1(), cfg)
         final = next(e for e in res.evals if e.lam == res.lambda_star)
@@ -149,7 +150,7 @@ class TestSmopSolve:
         # iterations here
         data, _ = synth_instance(SynthSpec(m=20, n=200, s=5, sigma=0.01, seed=3))
         data = data.with_rho(0.01 * data.bnorm)
-        cfg = SmopConfig(stoptol=1e-8, sieving=sieving)
+        cfg = SmopConfig(stoptol=1e-8, sieve=SieveConfig() if sieving else None)
         res = smop_solve(data, L1(), cfg)
         assert res.converged
         eps_in = min(cfg.inner.kkt_tol, 0.01 * cfg.stoptol * max(1.0, data.rho))
@@ -169,7 +170,7 @@ class TestSmopSolve:
         data = ProblemData(SparseMatrix.from_dense(dense), np.column_stack([a, c, e]) @ rng.standard_normal(3))
         data = data.with_rho(1e-4 * data.bnorm)
         reg = L1() if kind == "l1" else SortedL1(linear_weights(8))
-        cfg = SmopConfig(stoptol=1e-8, sieving=sieving)
+        cfg = SmopConfig(stoptol=1e-8, sieve=SieveConfig() if sieving else None)
         res = smop_solve(data, reg, cfg)
         assert res.converged
         eps_in = min(cfg.inner.kkt_tol, 0.01 * cfg.stoptol * max(1.0, data.rho))
@@ -224,7 +225,7 @@ class TestSmopSolve:
         if sieving:
             cfg = SmopConfig(stoptol=1e-8, sieve=SieveConfig(max_rounds=1))
         else:
-            cfg = SmopConfig(stoptol=1e-8, sieving=False, inner=InnerConfig(max_iters=1))
+            cfg = SmopConfig(stoptol=1e-8, sieve=None, inner=InnerConfig(max_iters=1))
         with pytest.raises(BracketError, match="did not certify their KKT residual") as exc:
             smop_solve(data, L1(), cfg)
         assert "InnerConfig.max_iters or SieveConfig.max_rounds" in str(exc.value)
@@ -240,6 +241,16 @@ class TestSmopSolve:
         assert traced.inner_iters_total == plain.inner_iters_total
         np.testing.assert_array_equal(traced.x, plain.x)
         assert any(e.trace for e in traced.evals)
+
+    def test_configs_are_frozen(self):
+        # a field set after construction would skip its check: mu = 1.5
+        # loosens the sufficient-decrease safeguard
+        cfg = SmopConfig()
+        for owner, name, value in [(cfg, "stoptol", 1e-3), (cfg.root, "mu", 1.5),
+                                   (cfg.sieve, "k_max", 0), (cfg.inner, "kkt_tol", 1.0)]:
+            with pytest.raises(AttributeError):
+                setattr(owner, name, value)
+        assert cfg == SmopConfig()
 
     def test_keep_solutions(self, diagonal_data):
         res = smop_solve(diagonal_data, L1(), SmopConfig(keep_solutions=True))
@@ -287,8 +298,7 @@ class TestSolvePath:
 
     def test_failed_step_recorded_and_path_continues(self):
         data, _ = synth_instance(SynthSpec(m=40, n=150, s=5, sigma=0.02, seed=24))
-        cfg = SmopConfig(stoptol=1e-12)
-        cfg.root.max_outer = 1
+        cfg = SmopConfig(stoptol=1e-12, root=RootConfig(max_outer=1))
         path = solve_path(data, L1(), PathSpec(base_c=0.2, count=3), cfg)
         assert path.failures == len(path.steps) == 3
 

@@ -114,6 +114,20 @@ class TestSolveReduced:
         assert eta_l(res.x, diagonal_data.A, diagonal_data.b, L1(), 0.4) <= 1e-14
         np.testing.assert_allclose(res.x, [0.6, 0.4], atol=1e-15)
 
+    @pytest.mark.parametrize("max_iters", [1, 2, 7, 20000])
+    @pytest.mark.parametrize("kind", ["l1", "slope"])
+    def test_returned_certificate_is_full_eta_l(self, kind, max_iters):
+        # over all columns the reduced certificate is the full-dimension one,
+        # whether the solve ended at a passed check or ran out of iterations
+        data, _ = synth_instance(SynthSpec(40, 120, 8, 0.01, 3))
+        reg = L1() if kind == "l1" else SortedL1(linear_weights(120))
+        lam = 0.2 * lambda_inf(reg, data.A, data.b)
+        res = solve_reduced(data, reg, lam, np.arange(120), cfg=InnerConfig(max_iters=max_iters))
+        assert res.converged == (max_iters == 20000)
+        assert res.eta_l == pytest.approx(
+            eta_l(res.x, data.A, data.b, reg, lam), rel=1e-6, abs=1e-13
+        )
+
     @pytest.mark.parametrize(
         "gram_limit, dense_limit", [(4096, 4_194_304), (1, 4_194_304), (1, 0)]
     )

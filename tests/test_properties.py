@@ -16,7 +16,8 @@ import pytest
 from hypothesis import strategies as st
 
 from smop import (
-    L1, ProblemData, SmopConfig, SortedL1, SparseMatrix, eta_l, linear_weights, smop_solve,
+    L1, ProblemData, SieveConfig, SmopConfig, SortedL1, SparseMatrix, eta_l, linear_weights,
+    smop_solve,
 )
 
 
@@ -46,7 +47,8 @@ def adversarial_cases(draw):
 @given(case=adversarial_cases())
 def test_adversarial_designs_end_cleanly(kind, case):
     dense, b, frac, method, sieving = case
-    cfg = SmopConfig(stoptol=1e-8, method=method, sieving=sieving)
+    cfg = SmopConfig(stoptol=1e-8, method=method,
+                     sieve=SieveConfig() if sieving else None)
     reg = L1() if kind == "l1" else SortedL1(linear_weights(dense.shape[1]))
     try:
         data = ProblemData(SparseMatrix.from_dense(dense), b)
