@@ -221,8 +221,8 @@ def solve_reduced(
     authoritative certificate for the assembled point. Returns a result whose
     ``x`` is a full-length vector supported on the index set.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0.0 < lam < np.inf:
+        raise ValueError("lam must be positive and finite")
     cfg = cfg or InnerConfig()
     idx = np.asarray(index_set, dtype=np.int64)
     if idx.size == 0:

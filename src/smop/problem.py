@@ -3,14 +3,96 @@
 A problem instance is ``min p(x)  s.t.  ||A x - b|| <= rho`` with a sparse
 design matrix ``A`` (column-compressed: solvers slice columns by index set),
 a dense response ``b`` and a noise-level parameter ``rho`` in ``(0, ||b||)``.
+
+``SparseMatrix.rmatvec`` splits a large ``A^T y`` over the usable cores: the
+columns are cut into contiguous blocks of about equal nonzero count, one per
+CPU the process may run on, and each block's product runs on a shared worker
+thread (the caller computes the first). It splits only when every block holds
+at least ``_MIN_BLOCK_NNZ`` nonzeros, and never with one usable CPU; there is
+no option. Each output entry is the same dot product in the same order, so the
+result is bit-identical to the single product. ``matvec`` stays serial: column
+blocks would add partial sums in a new order, and no solve calls it.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
+
+# fewest nonzeros per column block of a split A^T y: below it, handing a block
+# to a thread costs more than it saves (break-even measured on 2 cores)
+_MIN_BLOCK_NNZ = 250_000
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _thread_pool() -> ThreadPoolExecutor:
+    """The shared pool of block-product workers, created on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                max_workers=max(_usable_cpus() - 1, 1), thread_name_prefix="smop-rmatvec"
+            )
+        return _pool
+
+
+def _drop_pool() -> None:
+    # a forked child inherits the pool but not its threads: it builds its own
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _column_blocks(csc: sp.csc_array) -> tuple:
+    """``(start, stop, block)`` per column block of a split ``A^T``, or ``()``.
+
+    Cut points balance the nonzeros; ``block`` is the CSR form of columns
+    ``start:stop`` of ``A^T`` and shares the CSC data and indices.
+    """
+    indptr = csc.indptr
+    nnz = int(indptr[-1])
+    k = min(_usable_cpus(), nnz // max(_MIN_BLOCK_NNZ, 1))
+    while k > 1:
+        cuts = np.searchsorted(indptr, np.arange(1, k) * (nnz / k))
+        cols = np.concatenate(([0], cuts, [csc.shape[1]]))
+        if np.all(np.diff(indptr[cols]) >= _MIN_BLOCK_NNZ):
+            break
+        k -= 1
+    if k <= 1:
+        return ()
+    blocks = []
+    for c0, c1 in zip(cols[:-1].tolist(), cols[1:].tolist()):
+        p0, p1 = indptr[c0], indptr[c1]
+        # the arrays are set after construction: the (data, indices, indptr)
+        # constructor copies a view much smaller than the array it views
+        block = sp.csr_array((c1 - c0, csc.shape[0]))
+        block.indptr = indptr[c0:c1 + 1] - p0
+        block.indices = csc.indices[p0:p1]
+        block.data = csc.data[p0:p1]
+        blocks.append((c0, c1, block))
+    return tuple(blocks)
+
+
+def _block_product(out, block, y) -> None:
+    out[...] = block @ y
 
 
 class LibsvmFormatError(ValueError):
@@ -59,6 +141,7 @@ class SparseMatrix:
         self._m = int(m)
         self._n = int(n)
         self._csc = sp.csc_array((data, indices, indptr), shape=(m, n))
+        self._blocks = _column_blocks(self._csc)
 
     @property
     def m(self):
@@ -98,7 +181,19 @@ class SparseMatrix:
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self._m,):
             raise ValueError(f"rmatvec expects a vector of length {self._m}")
-        return self._csc.T @ y
+        if not self._blocks:
+            return self._csc.T @ y
+        out = np.empty(self._n)
+        pool = _thread_pool()
+        pending = [
+            pool.submit(_block_product, out[c0:c1], block, y)
+            for c0, c1, block in self._blocks[1:]
+        ]
+        c0, c1, block = self._blocks[0]
+        _block_product(out[c0:c1], block, y)
+        for f in pending:
+            f.result()
+        return out
 
     def take_columns(self, idx) -> sp.csc_array:
         """Column submatrix as a scipy CSC array (m x len(idx))."""

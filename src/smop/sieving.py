@@ -97,6 +97,8 @@ def sieve_solve(
         result's ``iters`` and ``trace`` cover every round; trace iterations
         are counted from the start of the first round.
     """
+    if not 0.0 < lam < np.inf:
+        raise ValueError("lam must be positive and finite")
     cfg = cfg or SieveConfig()
     inner_cfg = inner_cfg or InnerConfig()
     n = data.A.n
@@ -164,9 +166,8 @@ def phi_eval(
     With ``sieve_cfg`` set, the solve goes through :func:`sieve_solve` seeded
     with the support of the warm start; with None, one direct solve runs over
     all coordinates. The returned ``eta_l`` is measured at full dimension.
+    Both solves reject a ``lam`` that is not positive and finite.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
     if sieve_cfg is None:
         # the reduced certificate over all of [n] is already the full-dimension one
         return solve_reduced(data, reg, lam, np.arange(data.A.n), x0=x0, cfg=cfg)

@@ -1,15 +1,28 @@
+import multiprocessing
+import subprocess
+import sys
+import textwrap
+import threading
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from smop import (
+    L1,
     LibsvmFormatError,
     ProblemData,
+    SmopConfig,
+    SortedL1,
     SparseMatrix,
     SynthSpec,
     libsvm_read,
     libsvm_write,
+    linear_weights,
+    smop_solve,
     synth_instance,
 )
+from smop import problem
 
 
 class TestSparseMatrix:
@@ -86,6 +99,167 @@ class TestSparseMatrix:
         A = SparseMatrix.from_dense(dense)
         sub = A.take_columns([0, 2]).toarray()
         np.testing.assert_array_equal(sub, dense[:, [0, 2]])
+
+
+def _split_small(monkeypatch, cpus=4):
+    """Matrices built afterwards split ``A^T y`` into ``cpus`` blocks, whatever the host."""
+    monkeypatch.setattr(problem, "_MIN_BLOCK_NNZ", 0)
+    monkeypatch.setattr(problem, "_usable_cpus", lambda: cpus)
+
+
+def _serial_and_blocked(monkeypatch, mat):
+    """The same matrix built unsplit and split into 4 blocks."""
+    serial = SparseMatrix.from_scipy(mat)
+    _split_small(monkeypatch)
+    blocked = SparseMatrix.from_scipy(mat)
+    assert not serial._blocks and len(blocked._blocks) == 4
+    return serial, blocked
+
+
+def _child_rmatvec(A, y, expected):
+    # exits nonzero on a wrong product; hangs if the inherited pool is used
+    sys.exit(0 if np.array_equal(A.rmatvec(y), expected) else 3)
+
+
+class TestBlockedRmatvec:
+    def test_matches_serial_bitwise(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        one_column = sp.csc_array(
+            (rng.standard_normal(50), (np.arange(50), np.full(50, 7))), shape=(50, 20)
+        )
+        cases = {
+            "empty columns": sp.random_array((30, 200), density=0.02, format="csc", rng=rng),
+            "all in one column": one_column,
+            "fewer columns than blocks": sp.random_array((40, 3), density=0.9, format="csc", rng=rng),
+            "one column": sp.random_array((25, 1), density=0.8, format="csc", rng=rng),
+            "dense": sp.csc_array(rng.standard_normal((17, 300))),
+        }
+        for name, mat in cases.items():
+            monkeypatch.undo()
+            serial, blocked = _serial_and_blocked(monkeypatch, mat)
+            for _ in range(3):
+                y = rng.standard_normal(mat.shape[0])
+                assert np.array_equal(serial.rmatvec(y), blocked.rmatvec(y)), name
+        assert np.any(np.diff(cases["empty columns"].indptr) == 0)
+
+    def test_blocks_share_the_csc_arrays(self, monkeypatch):
+        _split_small(monkeypatch)
+        A = SparseMatrix.from_dense(np.random.default_rng(4).standard_normal((30, 90)))
+        csc = A._csc
+        for c0, c1, block in A._blocks:
+            assert np.shares_memory(block.data, csc.data)
+            assert np.shares_memory(block.indices, csc.indices)
+            assert block.shape == (c1 - c0, A.m)
+        starts = [c0 for c0, _, _ in A._blocks]
+        stops = [c1 for _, c1, _ in A._blocks]
+        assert starts[0] == 0 and stops[-1] == A.n and starts[1:] == stops[:-1]
+
+    def test_splits_only_above_the_block_minimum(self, monkeypatch):
+        dense = np.random.default_rng(5).standard_normal((10, 40))  # 400 nonzeros
+        monkeypatch.setattr(problem, "_usable_cpus", lambda: 4)
+        for minimum, blocks in [(100, 4), (101, 3), (134, 2), (201, 0)]:
+            monkeypatch.setattr(problem, "_MIN_BLOCK_NNZ", minimum)
+            A = SparseMatrix.from_dense(dense)
+            assert len(A._blocks) == blocks, minimum
+            assert all(blk.nnz >= minimum for _, _, blk in A._blocks)
+        # one heavy column: no cut gives every block the minimum
+        monkeypatch.setattr(problem, "_MIN_BLOCK_NNZ", 1)
+        heavy = sp.csc_array((np.ones(10), (np.arange(10), np.zeros(10, int))), shape=(10, 5))
+        assert not SparseMatrix.from_scipy(heavy)._blocks
+
+    def test_one_usable_cpu_stays_serial(self, monkeypatch):
+        _split_small(monkeypatch, cpus=1)
+        assert not SparseMatrix.from_dense(np.ones((5, 8)))._blocks
+
+    @pytest.mark.parametrize("penalty", ["l1", "sorted-l1"])
+    def test_solve_identical_to_serial(self, monkeypatch, penalty):
+        data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=11))
+        data = data.with_rho(0.1 * data.bnorm)
+        serial, blocked = _serial_and_blocked(monkeypatch, data.A._csc)
+        reg = L1() if penalty == "l1" else SortedL1(linear_weights(400))
+        cfg = SmopConfig(stoptol=1e-8)
+        res_s = smop_solve(ProblemData(serial, data.b, data.rho), reg, cfg)
+        res_b = smop_solve(ProblemData(blocked, data.b, data.rho), reg, cfg)
+        assert res_s.converged and res_b.converged
+        assert res_b.lambda_star == res_s.lambda_star
+        assert res_b.n_subproblems == res_s.n_subproblems
+        assert res_b.inner_iters_total == res_s.inner_iters_total
+        assert np.array_equal(res_b.x, res_s.x)
+
+    def test_concurrent_callers_share_one_pool(self, monkeypatch):
+        _split_small(monkeypatch)
+        created = []
+
+        class CountingPool(problem.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(problem, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(problem, "_pool", None)
+        rng = np.random.default_rng(7)
+        A = SparseMatrix.from_dense(rng.standard_normal((30, 200)))
+        ys = rng.standard_normal((8, 30))
+        expected = [A._csc.T @ y for y in ys]
+        wrong = []
+
+        def caller(i):
+            for _ in range(25):
+                if not np.array_equal(A.rmatvec(ys[i]), expected[i]):
+                    wrong.append(i)
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong and len(created) == 1
+        created[0].shutdown()
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_builds_its_own_pool(self, monkeypatch):
+        # two blocks on a fresh pool: its one worker is idle after the product,
+        # so an inherited pool would queue the child's block and start no thread
+        _split_small(monkeypatch, cpus=2)
+        monkeypatch.setattr(problem, "_pool", None)
+        rng = np.random.default_rng(6)
+        A = SparseMatrix.from_dense(rng.standard_normal((20, 60)))
+        y = rng.standard_normal(20)
+        expected = A.rmatvec(y)  # starts the parent's pool
+        assert len(A._blocks) == 2
+        child = multiprocessing.get_context("fork").Process(
+            target=_child_rmatvec, args=(A, y, expected)
+        )
+        child.start()
+        child.join(timeout=30)
+        try:
+            assert child.exitcode == 0, "child hung or computed a wrong product"
+        finally:
+            if child.exitcode is None:
+                child.kill()
+                child.join()
+
+    def test_process_exits_with_idle_pool(self):
+        code = textwrap.dedent("""
+            import numpy as np
+            from smop import SparseMatrix, problem
+            problem._MIN_BLOCK_NNZ = 0
+            problem._usable_cpus = lambda: 4
+            A = SparseMatrix.from_dense(np.ones((4, 12)))
+            assert len(A._blocks) == 4
+            print(A.rmatvec(np.ones(4)).sum())
+        """)
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "48.0"
 
 
 class TestProblemData:

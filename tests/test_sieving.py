@@ -10,6 +10,7 @@ from smop import (
     SynthSpec,
     lambda_inf,
     linear_weights,
+    phi_eval,
     select_top_k,
     sieve_solve,
     solve_reduced,
@@ -183,3 +184,18 @@ class TestSieveSolve:
             SieveConfig(k_max=0)
         with pytest.raises(ValueError):
             SieveConfig(max_rounds=0)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("solve", ["solve_reduced", "sieve_solve", "phi_eval", "phi_eval-direct"])
+def test_lam_must_be_positive_and_finite(solve, lam):
+    # nan ran 20,000 iterations in solve_reduced; inf returned x = 0 as certified
+    data, _ = synth_instance(SynthSpec(m=40, n=120, s=5, seed=0))
+    calls = {
+        "solve_reduced": lambda: solve_reduced(data, L1(), lam, np.arange(120)),
+        "sieve_solve": lambda: sieve_solve(data, L1(), lam, [], SieveConfig()),
+        "phi_eval": lambda: phi_eval(data, L1(), lam, sieve_cfg=SieveConfig()),
+        "phi_eval-direct": lambda: phi_eval(data, L1(), lam),
+    }
+    with pytest.raises(ValueError, match="lam must be positive and finite"):
+        calls[solve]()
