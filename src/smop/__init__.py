@@ -19,7 +19,6 @@ from .driver import (
     nnz,
     smop_solve,
     solve_path,
-    write_iterates_csv,
 )
 from .inner import InnerConfig, InnerSolveResult, eta_l, phi_derivative, residual_R, solve_reduced
 from .problem import (
@@ -56,7 +55,7 @@ from .rootfind import (
     secant_solve,
     secant_step,
 )
-from .sieving import SieveConfig, SieveTrace, phi_eval, select_top_k, sieve_solve
+from .sieving import SieveConfig, SieveRound, SieveTrace, phi_eval, select_top_k, sieve_solve
 
 __version__ = "0.1.0"
 
@@ -72,7 +71,6 @@ __all__ = [
     "nnz",
     "smop_solve",
     "solve_path",
-    "write_iterates_csv",
     "InnerConfig",
     "InnerSolveResult",
     "eta_l",
@@ -107,6 +105,7 @@ __all__ = [
     "secant_solve",
     "secant_step",
     "SieveConfig",
+    "SieveRound",
     "SieveTrace",
     "phi_eval",
     "select_top_k",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (tolerance reached), 2 on non-convergence, 1 on
 usage or data errors. Set the environment variable ``SMOP_LOG`` to
-``debug``/``info``/``warning`` to control log verbosity.
+``debug``/``info``/``warning`` to control log verbosity. ``smop solve
+--trace-jsonl PATH`` writes ``SmopResult.events()``, one JSON object per line.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from .driver import (
     SmopConfig,
     smop_solve,
     solve_path,
-    write_iterates_csv,
 )
-from .inner import InnerConfig
 from .problem import LibsvmFormatError, ProblemData, SynthSpec, libsvm_read, synth_instance
 from .regularizers import make_regularizer
 from .sieving import MIN_GROWTH, SieveConfig
@@ -99,7 +98,6 @@ def _build_config(args) -> SmopConfig:
     return SmopConfig(
         stoptol=args.stoptol, method=args.method, sieve=None if args.no_sieve else sieve,
         root=RootConfig(mu=args.mu, max_outer=args.max_outer),
-        inner=InnerConfig(keep_trace=bool(getattr(args, "inner_trace", None))),
     )
 
 
@@ -141,15 +139,9 @@ def cmd_solve(args) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    if args.iters_csv:
-        write_iterates_csv(args.iters_csv, result)
-    if args.inner_trace:
-        rec = next((e for e in result.evals if e.lam == result.lambda_star), None)
-        with open(args.inner_trace, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iter", "objective", "eta_l"])
-            if rec is not None and rec.trace:
-                w.writerows(rec.trace)
+    if args.trace_jsonl:
+        with open(args.trace_jsonl, "w") as fh:
+            fh.writelines(json.dumps(event) + "\n" for event in result.events())
     return 0 if result.converged else 2
 
 
@@ -279,10 +271,12 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one constrained problem")
     _add_common(p)
-    p.add_argument("--iters-csv", help="per-outer-iteration CSV log")
-    p.add_argument("--inner-trace",
-                   help="CSV of the final inner solve, one row per certificate "
-                        "check (every third iteration) of every sieve round")
+    p.add_argument("--trace-jsonl", metavar="PATH",
+                   help="write the solve's trace, one JSON object per line: an "
+                        "'eval' event per phi evaluation (bracket and rejected "
+                        "trial points included), each followed by a 'round' event "
+                        "per sieve round, then an 'iterate' event per accepted "
+                        "root-finding iterate; tracing changes no iterate")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("path", help="solve a decreasing-rho solution path")

@@ -7,14 +7,17 @@ evaluation is a regularized solve; with sieving on, the first solve
 starts from the empty index set and every later one is seeded with the
 support of the previous solution, which keeps the subproblems small along
 the root-finding trajectory and along rho paths.
+
+Each evaluation is kept as an :class:`EvalRecord` with its sieve rounds, and
+``SmopResult.events()`` lists evaluations, rounds and root-finding iterates as
+one event stream; keeping them changes no iterate.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from .rootfind import (
     hybrid_secant_solve,
     newton_hybrid_solve,
 )
-from .sieving import SieveConfig, phi_eval
+from .sieving import SieveConfig, SieveRound, phi_eval
 
 log = logging.getLogger("smop")
 
@@ -59,11 +62,12 @@ class EvalRecord:
     index: int
     lam: float
     phi: float
+    eta_l: float             # full-dimension relative KKT residual at the evaluation's x
     inner_iters: int
     support: int
     converged: bool          # the evaluation's solve certified its KKT residual
     x: np.ndarray | None = None   # kept with SmopConfig.keep_solutions
-    trace: list = field(default_factory=list)  # empty without InnerConfig.keep_trace
+    rounds: list[SieveRound] = field(default_factory=list)  # empty for a direct solve
 
 
 @dataclass
@@ -71,6 +75,7 @@ class SmopResult:
     lambda_star: float
     x: np.ndarray
     phi: float
+    rho: float
     eta: float
     n_subproblems: int
     inner_iters_total: int
@@ -99,6 +104,23 @@ class SmopResult:
             "solution_indices": [int(i) for i in idx],
             "solution_values": [float(v) for v in self.x[idx]],
         }
+
+    def events(self):
+        """The solve's trace as JSON-ready dicts: per evaluation an ``eval`` event
+        and then a ``round`` event per sieve round, then an ``iterate`` event per
+        accepted root-finding iterate, each naming its ``EvalRecord.index``."""
+        for rec in self.evals:
+            yield {"event": "eval", "eval": rec.index, "lam": rec.lam, "phi": rec.phi,
+                   "eta": eta(rec.phi, self.rho), "eta_l": rec.eta_l,
+                   "inner_iters": rec.inner_iters, "support": rec.support,
+                   "converged": rec.converged}
+            for i, rnd in enumerate(rec.rounds, 1):
+                yield {"event": "round", "eval": rec.index, "round": i, **asdict(rnd)}
+        # each iterate's lam is the exact key the oracle cached its evaluation under
+        index = {rec.lam: rec.index for rec in self.evals}
+        for it in self.root_state.history:
+            yield {"event": "iterate", "k": it.k, "eval": index[it.lam], "step": it.step,
+                   "lo": it.lo, "hi": it.hi}
 
 
 def nnz(x) -> int:
@@ -148,7 +170,7 @@ class _PhiOracle:
     def __call__(self, lam):
         rec = self.cache.get(lam)
         if rec is None:
-            res = phi_eval(
+            res, trace = phi_eval(
                 self.data,
                 self.reg,
                 lam,
@@ -160,11 +182,12 @@ class _PhiOracle:
                 index=len(self.cache) + 1,
                 lam=lam,
                 phi=res.phi,
+                eta_l=res.eta_l,
                 inner_iters=res.iters,
                 support=int(np.count_nonzero(res.x)),
                 converged=res.converged,
                 x=res.x,
-                trace=res.trace,
+                rounds=trace.rounds,
             )
             log.debug("phi(%0.6g) = %0.6g, support %d", lam, rec.phi, rec.support)
         return rec.phi, rec.x
@@ -230,6 +253,7 @@ def smop_solve(
         lambda_star=lam_star,
         x=x_star,
         phi=final.phi,
+        rho=rho,
         eta=eta(final.phi, rho),
         n_subproblems=len(evals),
         inner_iters_total=sum(rec.inner_iters for rec in evals),
@@ -246,20 +270,6 @@ def smop_solve(
         cfg.method, lam_star, result.eta, result.n_subproblems, wall_ms,
     )
     return result
-
-
-def write_iterates_csv(path, result: SmopResult) -> None:
-    """Per-outer-iteration log joined with inner-solve statistics."""
-    by_lam = {rec.lam: rec for rec in result.evals}
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "lambda", "phi", "eta", "step", "inner_iters", "support"])
-        for rec in result.root_state.history:
-            ev = by_lam.get(rec.lam)
-            w.writerow([
-                rec.k, rec.lam, rec.phi, rec.eta, rec.step,
-                ev.inner_iters if ev else "", ev.support if ev else "",
-            ])
 
 
 @dataclass

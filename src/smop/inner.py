@@ -14,11 +14,14 @@ also tries this Newton step on the piece through xh, and the same
 certificate, at the same tolerance, is run on its point. APG stops when it
 passes and otherwise continues unchanged; a failed pattern is not solved
 again. ``phi_derivative`` uses the same solve for phi's derivative.
+
+A solve's result carries its iteration count and the certificate at its
+point; the per-round log of an evaluation is the sieve's ``SieveRound`` list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -37,7 +40,6 @@ _DENSE_LIMIT = 4_194_304
 class InnerConfig:
     kkt_tol: float = 1e-8
     max_iters: int = 20000
-    keep_trace: bool = False  # record (iter, objective, eta_l) at each certificate check
 
     def __post_init__(self):
         if not 0.0 < self.kkt_tol < np.inf:
@@ -55,7 +57,6 @@ class InnerSolveResult:
     iters: int
     objective: float         # 0.5*||A x - b||^2 + lam * p(x)
     converged: bool
-    trace: list = field(default_factory=list, repr=False)
 
 
 def residual_R(x, grad, reg: Regularizer, lam: float) -> np.ndarray:
@@ -243,12 +244,12 @@ def solve_reduced(
     F_z = smooth(z, Gz) + lam * reg_r.value(z)
 
     def certify(zc, Gzc):
-        """Polished point of ``zc``, its Gram product and both certificate norms."""
+        """Polished point of ``zc`` and both certificate norms."""
         xh = reg_r.prox(zc - (Gzc - c), lam)
         Gxh = gram_mv(xh)
         cert_vec = zc - xh + (Gxh - Gzc)
         r_hat = xh - reg_r.prox(xh - (Gxh - c), lam)
-        return xh, Gxh, float(np.sqrt(cert_vec @ cert_vec)), float(np.sqrt(r_hat @ r_hat))
+        return xh, float(np.sqrt(cert_vec @ cert_vec)), float(np.sqrt(r_hat @ r_hat))
 
     failed = set()
     last_key = None
@@ -279,7 +280,6 @@ def solve_reduced(
     tol = cfg.kkt_tol
     inv_L = 1.0 / L
     step_t = lam * inv_L
-    trace = []
     converged = False
     iters = 0
 
@@ -298,20 +298,14 @@ def solve_reduced(
             t = 1.0
 
         # the certificate evaluation costs two extra Gram products, so run it
-        # on a fixed cadence; the trace rides along and changes no iterate
+        # on a fixed cadence
         if iters % 3 == 1:
-            xh, Gxh, cert, r_norm = certify(z_new, Gz_new)
+            xh, cert, r_norm = certify(z_new, Gz_new)
             zn = newton_point(xh) if max(cert, r_norm) > tol else None
             if zn is not None:
-                Gzn = gram_mv(zn)
-                n_cert = certify(zn, Gzn)
-                if max(n_cert[2:]) <= tol:
-                    xh, Gxh, cert, r_norm = n_cert
-                    F_new = smooth(zn, Gzn) + lam * reg_r.value(zn)
-            if cfg.keep_trace:
-                res_sq = max(float(xh @ Gxh) - 2.0 * float(c @ xh) + bb, 0.0)
-                den = 1.0 + float(np.sqrt(xh @ xh)) + np.sqrt(res_sq)
-                trace.append((iters, F_new, r_norm / den))
+                n_cert = certify(zn, gram_mv(zn))
+                if max(n_cert[1:]) <= tol:
+                    xh, cert, r_norm = n_cert
             if max(cert, r_norm) <= tol:
                 converged = True
                 break
@@ -321,7 +315,7 @@ def solve_reduced(
         z, Gz, F_z, t = z_new, Gz_new, F_new, t_next
 
     if not converged:
-        xh, _, _, r_norm = certify(z, Gz)
+        xh, _, r_norm = certify(z, Gz)
     x_full = np.zeros(data.A.n)
     x_full[idx] = xh
     y_full = b - A_I @ xh
@@ -335,6 +329,5 @@ def solve_reduced(
         iters=iters,
         objective=0.5 * phi * phi + lam * reg_r.value(xh),
         converged=converged,
-        trace=trace,
     )
 

@@ -49,6 +49,9 @@ class SieveConfig:
 
 @dataclass
 class SieveRound:
+    """One round: the reduced solve on ``size_I`` coordinates, the full residual
+    norm at its point, ``size_J`` off-set candidates (0 once converged or when
+    re-tightening), how many were ``added``, and the solve's APG iterations."""
     size_I: int
     r_norm: float
     size_J: int
@@ -93,9 +96,10 @@ def sieve_solve(
     -------
     (InnerSolveResult, SieveTrace)
         Full-dimension result with ``||R(x)|| <= inner_cfg.kkt_tol`` (an
-        unnormalized tolerance here) on success, and the per-round log. The
-        result's ``iters`` and ``trace`` cover every round; trace iterations
-        are counted from the start of the first round.
+        unnormalized tolerance here) on success, and the per-round log: one
+        :class:`SieveRound` per reduced solve, so the rounds' ``inner_iters``
+        sum to the result's ``iters``. The result's ``eta_l`` is the last
+        round's full-dimension residual, normalized as in ``inner.eta_l``.
     """
     if not 0.0 < lam < np.inf:
         raise ValueError("lam must be positive and finite")
@@ -113,7 +117,6 @@ def sieve_solve(
     trace = SieveTrace()
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     total_iters = 0
-    rows = []  # certificate-check rows of every round, iterations counted across rounds
     converged = False
 
     for _ in range(cfg.max_rounds):
@@ -123,7 +126,6 @@ def sieve_solve(
             )
         else:
             result = _zero_result(data)
-        rows.extend((total_iters + it, obj, eta) for it, obj, eta in result.trace)
         total_iters += result.iters
         x = result.x
         grad = -data.A.rmatvec(result.y)
@@ -146,10 +148,7 @@ def sieve_solve(
         I = np.union1d(I, add)
 
     den = 1.0 + float(np.linalg.norm(x)) + result.phi
-    final = replace(
-        result, eta_l=r_norm / den, iters=total_iters,
-        converged=converged, trace=rows,
-    )
+    final = replace(result, eta_l=r_norm / den, iters=total_iters, converged=converged)
     return final, trace
 
 
@@ -160,16 +159,17 @@ def phi_eval(
     x0=None,
     cfg: InnerConfig | None = None,
     sieve_cfg: SieveConfig | None = None,
-) -> InnerSolveResult:
+) -> tuple[InnerSolveResult, SieveTrace]:
     """Evaluate phi(lam) by a full-dimension solve.
 
     With ``sieve_cfg`` set, the solve goes through :func:`sieve_solve` seeded
-    with the support of the warm start; with None, one direct solve runs over
-    all coordinates. The returned ``eta_l`` is measured at full dimension.
+    with the support of the warm start, and its round log is returned with
+    the result; with None, one direct solve runs over all coordinates and the
+    log has no rounds. The result's ``eta_l`` is measured at full dimension.
     Both solves reject a ``lam`` that is not positive and finite.
     """
     if sieve_cfg is None:
         # the reduced certificate over all of [n] is already the full-dimension one
-        return solve_reduced(data, reg, lam, np.arange(data.A.n), x0=x0, cfg=cfg)
+        return solve_reduced(data, reg, lam, np.arange(data.A.n), x0=x0, cfg=cfg), SieveTrace()
     seed = np.flatnonzero(x0) if x0 is not None else np.empty(0, dtype=np.int64)
-    return sieve_solve(data, reg, lam, seed, sieve_cfg, x0=x0, inner_cfg=cfg)[0]
+    return sieve_solve(data, reg, lam, seed, sieve_cfg, x0=x0, inner_cfg=cfg)

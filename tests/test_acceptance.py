@@ -201,12 +201,12 @@ def test_criterion_7_property_suites(suite, suite_runs_1e8):
         for reg in (L1(), SortedL1(linear_weights(300))):
             lam_top = lambda_inf(reg, data.A, data.b)
             cfg = InnerConfig(kkt_tol=1e-9)
-            phis = [phi_eval(data, reg, f * lam_top, cfg=cfg).phi
+            phis = [phi_eval(data, reg, f * lam_top, cfg=cfg)[0].phi
                     for f in np.linspace(0.1, 1.0, 10)]
             assert np.all(np.diff(phis) >= -10 * 1e-9)
             assert np.all(np.diff(phis) > 0)
             # at and above lambda_inf the zero vector solves the problem
-            res = phi_eval(data, reg, 1.01 * lam_top, cfg=cfg)
+            res, _ = phi_eval(data, reg, 1.01 * lam_top, cfg=cfg)
             assert np.linalg.norm(res.x) == 0.0
             assert res.phi == data.bnorm
 

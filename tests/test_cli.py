@@ -102,30 +102,45 @@ class TestSolve:
 
     def test_output_files(self, capsys, tmp_path):
         out_json = tmp_path / "res.json"
-        iters_csv = tmp_path / "iters.csv"
-        trace_csv = tmp_path / "trace.csv"
+        trace = tmp_path / "trace.jsonl"
         code, out, _ = run(
             capsys, "solve", "--synth", "m=10,n=30,s=3,seed=5", "--c", "0.3",
-            "--out", str(out_json), "--iters-csv", str(iters_csv),
-            "--inner-trace", str(trace_csv),
+            "--out", str(out_json), "--trace-jsonl", str(trace),
         )
         assert code == 0
         doc = json.loads(out_json.read_text())
         assert doc["converged"] is True
-        header = iters_csv.read_text().splitlines()[0]
-        assert header == "k,lambda,phi,eta,step,inner_iters,support"
-        assert trace_csv.read_text().splitlines()[0] == "iter,objective,eta_l"
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        evals = [e for e in events if e["event"] == "eval"]
+        assert [e["eval"] for e in evals] == list(range(1, doc["n_subproblems"] + 1))
+        assert sum(e["inner_iters"] for e in evals) == doc["inner_iters_total"]
+        assert {e["event"] for e in events} == {"eval", "round", "iterate"}
+        assert set(evals[0]) == {"event", "eval", "lam", "phi", "eta", "eta_l",
+                                 "inner_iters", "support", "converged"}
+        rnd = next(e for e in events if e["event"] == "round")
+        assert set(rnd) == {"event", "eval", "round", "size_I", "r_norm", "size_J",
+                            "added", "inner_iters"}
+        assert set(events[-1]) == {"event", "k", "eval", "step", "lo", "hi"}
+        assert events[-1]["eval"] == next(e["eval"] for e in evals
+                                          if e["lam"] == doc["lambda_star"])
 
-    def test_inner_trace_changes_no_output(self, capsys, tmp_path):
+    def test_trace_jsonl_changes_no_output(self, capsys, tmp_path):
+        # the result file is the same byte for byte, apart from the wall time
         argv = ["solve", "--synth", "m=40,n=120,s=8,sigma=0.01,seed=0", "--c", "0.1",
                 "--stoptol", "1e-8"]
-        code1, out1, _ = run(capsys, *argv)
-        code2, out2, _ = run(capsys, *argv, "--inner-trace", str(tmp_path / "trace.csv"))
+        plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"
+        code1, _, _ = run(capsys, *argv, "--out", str(plain))
+        code2, _, _ = run(capsys, *argv, "--out", str(traced),
+                          "--trace-jsonl", str(tmp_path / "trace.jsonl"))
         assert code1 == code2 == 0
-        d1, d2 = json.loads(out1), json.loads(out2)
-        d1.pop("wall_ms"), d2.pop("wall_ms")
-        assert d1 == d2
-        assert len((tmp_path / "trace.csv").read_text().splitlines()) > 1
+
+        def without_wall(path):
+            return [line for line in path.read_bytes().splitlines()
+                    if not line.lstrip().startswith(b'"wall_ms"')]
+
+        assert without_wall(plain) == without_wall(traced)
+        assert len(plain.read_bytes().splitlines()) == len(without_wall(plain)) + 1
+        assert len((tmp_path / "trace.jsonl").read_text().splitlines()) > 1
 
     def test_no_sieve_flag(self, capsys):
         code, out, _ = run(

@@ -205,15 +205,15 @@ class TestSmopSolve:
         assert warm.n_subproblems <= cold.n_subproblems
 
     def test_trace_spans_every_sieve_round(self):
-        # the second evaluation takes several sieve rounds; its trace counts
-        # iterations across them and ends at the evaluation's total
+        # the second evaluation takes several sieve rounds; its record keeps
+        # every one of them, and their iterations sum to the evaluation's
         data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=2))
         data = data.with_rho(0.1 * data.bnorm)
-        res = smop_solve(data, L1(), SmopConfig(stoptol=1e-8, inner=InnerConfig(keep_trace=True)))
+        res = smop_solve(data, L1(), SmopConfig(stoptol=1e-8))
         rec = res.evals[1]
-        iters = [row[0] for row in rec.trace]
-        assert all(a < b for a, b in zip(iters, iters[1:]))
-        assert iters[-1] == rec.inner_iters
+        assert len(rec.rounds) >= 2
+        assert sum(r.inner_iters for r in rec.rounds) == rec.inner_iters
+        assert rec.rounds[-1].size_J == 0
 
     @pytest.mark.parametrize("sieving", [True, False])
     def test_uncertified_bracket_evaluations_named(self, sieving):
@@ -230,17 +230,6 @@ class TestSmopSolve:
             smop_solve(data, L1(), cfg)
         assert "InnerConfig.max_iters or SieveConfig.max_rounds" in str(exc.value)
         assert isinstance(exc.value.__cause__, BracketError)
-
-    def test_keep_trace_changes_no_iterate(self):
-        data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=0))
-        data = data.with_rho(0.1 * data.bnorm)
-        plain = smop_solve(data, L1(), SmopConfig(stoptol=1e-8))
-        cfg = SmopConfig(stoptol=1e-8, inner=InnerConfig(keep_trace=True))
-        traced = smop_solve(data, L1(), cfg)
-        assert traced.lambda_star == plain.lambda_star
-        assert traced.inner_iters_total == plain.inner_iters_total
-        np.testing.assert_array_equal(traced.x, plain.x)
-        assert any(e.trace for e in traced.evals)
 
     def test_configs_are_frozen(self):
         # a field set after construction would skip its check: mu = 1.5
@@ -263,6 +252,69 @@ class TestSmopSolve:
         x = np.zeros(doc["n"])
         x[doc["solution_indices"]] = doc["solution_values"]
         np.testing.assert_array_equal(x, res.x)
+
+
+def _events_solve(kind, sieve):
+    data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=2))
+    reg = L1() if kind == "l1" else SortedL1(linear_weights(120))
+    cfg = SmopConfig(stoptol=1e-8, sieve=SieveConfig() if sieve else None, keep_solutions=True)
+    res = smop_solve(data.with_rho(0.1 * data.bnorm), reg, cfg)
+    return data, reg, res, list(res.events())
+
+
+@pytest.mark.parametrize("kind", ["l1", "slope"])
+@pytest.mark.parametrize("sieve", [True, False])
+class TestEvents:
+    def test_eval_events_cover_every_evaluation_in_order(self, kind, sieve):
+        _, _, res, events = _events_solve(kind, sieve)
+        evals = [e for e in events if e["event"] == "eval"]
+        assert [e["eval"] for e in evals] == list(range(1, res.n_subproblems + 1))
+        # bracket-search points that are not bracket ends get events too
+        assert {e["lam"] for e in evals} - {it.lam for it in res.root_state.history}
+        for e, rec in zip(evals, res.evals):
+            assert (e["lam"], e["phi"], e["eta_l"], e["inner_iters"], e["support"],
+                    e["converged"]) == (rec.lam, rec.phi, rec.eta_l, rec.inner_iters,
+                                        rec.support, rec.converged)
+            assert e["eta"] == eta(rec.phi, res.rho)
+        kinds = [e["event"] for e in events]
+        assert kinds[0] == "eval"
+        assert set(kinds[kinds.index("iterate"):]) == {"iterate"}
+
+    def test_rounds_follow_their_evaluation(self, kind, sieve):
+        _, _, res, events = _events_solve(kind, sieve)
+        rounds = {}
+        current = None
+        for e in events:
+            if e["event"] == "eval":
+                current = e
+                rounds[e["eval"]] = []
+            elif e["event"] == "round":
+                assert e["eval"] == current["eval"]
+                assert e["round"] == len(rounds[e["eval"]]) + 1
+                rounds[e["eval"]].append(e)
+        if not sieve:
+            assert not any(rounds.values())
+            return
+        for rec in res.evals:
+            own = rounds[rec.index]
+            assert own and sum(r["inner_iters"] for r in own) == rec.inner_iters
+            if rec.converged:
+                assert own[-1]["size_J"] == 0
+
+    def test_iterates_name_the_evaluation_of_their_lam(self, kind, sieve):
+        _, _, res, events = _events_solve(kind, sieve)
+        by_index = {rec.index: rec for rec in res.evals}
+        iterates = [e for e in events if e["event"] == "iterate"]
+        assert len(iterates) == len(res.root_state.history)
+        for e, it in zip(iterates, res.root_state.history):
+            assert (e["k"], e["step"], e["lo"], e["hi"]) == (it.k, it.step, it.lo, it.hi)
+            assert by_index[e["eval"]].lam == it.lam
+
+    def test_eta_l_is_the_full_kkt_residual(self, kind, sieve):
+        data, reg, res, _ = _events_solve(kind, sieve)
+        for rec in res.evals:
+            want = eta_l(rec.x, data.A, data.b, reg, rec.lam)
+            assert rec.eta_l == pytest.approx(want, rel=1e-6, abs=1e-14)
 
 
 class TestSolvePath:

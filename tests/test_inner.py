@@ -187,30 +187,51 @@ class TestSolveReduced:
         assert eta_l(res.x, data.A, data.b, L1(), 0.1) <= 1e-8
 
     def test_monotone_objective_trace(self):
+        # APG values each iterate it compares through the penalty; an objective
+        # above the last accepted one must be followed at once by the restart's
+        # value, and that value must be no higher
+        class RecordingL1(L1):
+            def __init__(self):
+                self.points = []
+
+            def value(self, x):
+                self.points.append(np.array(x, dtype=np.float64))
+                return super().value(x)
+
         data, _ = synth_instance(SynthSpec(m=30, n=80, s=5, sigma=0.05, seed=2))
         lam = 0.3 * lambda_inf(L1(), data.A, data.b)
-        res = solve_reduced(
-            data, L1(), lam, np.arange(80),
-            cfg=InnerConfig(kkt_tol=1e-10, keep_trace=True),
-        )
-        objs = [row[1] for row in res.trace]
-        assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
+        reg = RecordingL1()
+        res = solve_reduced(data, reg, lam, np.arange(80), cfg=InnerConfig(kkt_tol=1e-10))
+        assert res.converged
+        # the last call values the returned point for res.objective
+        np.testing.assert_array_equal(reg.points[-1], res.x)
+        objs = [0.5 * float(np.sum((data.A.matvec(z) - data.b) ** 2)) + lam * L1().value(z)
+                for z in reg.points[:-1]]
+        tol = 1e-12 * max(objs)
+        accepted, i, restarts = objs[0], 1, 0
+        while i < len(objs):
+            if objs[i] > accepted + tol:
+                assert i + 1 < len(objs) and objs[i + 1] <= accepted + tol
+                accepted, i, restarts = objs[i + 1], i + 2, restarts + 1
+            else:
+                accepted, i = objs[i], i + 1
+        assert restarts >= 1
 
 
 class TestPhiEval:
     def test_zero_above_threshold(self, diagonal_data):
         lam_top = lambda_inf(L1(), diagonal_data.A, diagonal_data.b)  # = 2
-        res = phi_eval(diagonal_data, L1(), 1.01 * lam_top)
+        res, _ = phi_eval(diagonal_data, L1(), 1.01 * lam_top)
         np.testing.assert_array_equal(res.x, np.zeros(2))
         assert res.phi == diagonal_data.bnorm
         assert np.linalg.norm(res.x) <= 1e-12
 
     def test_scalar(self, scalar_data):
-        res = phi_eval(scalar_data, L1(), 0.3)
+        res, _ = phi_eval(scalar_data, L1(), 0.3)
         assert res.phi == pytest.approx(0.3, abs=1e-9)
 
     def test_diagonal(self, diagonal_data):
-        res = phi_eval(diagonal_data, L1(), 0.4)
+        res, _ = phi_eval(diagonal_data, L1(), 0.4)
         assert res.phi == pytest.approx(0.4472135954999579, abs=1e-9)
 
     def test_rejects_nonpositive_lam(self, scalar_data):
@@ -221,8 +242,8 @@ class TestPhiEval:
         data, _ = synth_instance(SynthSpec(m=40, n=120, s=6, sigma=0.02, seed=3))
         lam = 0.25 * lambda_inf(L1(), data.A, data.b)
         cfg = InnerConfig(kkt_tol=1e-10)
-        direct = phi_eval(data, L1(), lam, cfg=cfg)
-        sieved = phi_eval(data, L1(), lam, cfg=cfg, sieve_cfg=SieveConfig())
+        direct, _ = phi_eval(data, L1(), lam, cfg=cfg)
+        sieved, _ = phi_eval(data, L1(), lam, cfg=cfg, sieve_cfg=SieveConfig())
         assert sieved.phi == pytest.approx(direct.phi, abs=1e-8)
         assert sieved.eta_l <= 1e-9
 
@@ -241,7 +262,7 @@ class TestSolverInvariants:
                 lam_top = lambda_inf(reg, data.A, data.b)
                 grid = np.linspace(0.1, 1.0, 10) * lam_top
                 cfg = InnerConfig(kkt_tol=eps_in)
-                phis = [phi_eval(data, reg, lam, cfg=cfg).phi for lam in grid]
+                phis = [phi_eval(data, reg, lam, cfg=cfg)[0].phi for lam in grid]
                 diffs = np.diff(phis)
                 assert np.all(diffs >= -10 * eps_in)
                 # strictly increasing within solver tolerance on (0, lam_inf]
@@ -251,7 +272,7 @@ class TestSolverInvariants:
         for data in _random_instances([4]):
             for reg in (L1(), SortedL1(linear_weights(data.A.n))):
                 lam = 0.3 * lambda_inf(reg, data.A, data.b)
-                res = phi_eval(data, reg, lam, cfg=InnerConfig(kkt_tol=1e-10))
+                res, _ = phi_eval(data, reg, lam, cfg=InnerConfig(kkt_tol=1e-10))
                 u = data.A.rmatvec(res.y)
                 assert reg.polar(u) <= lam * (1 + 1e-6)
                 gap = abs(res.x @ u - lam * reg.value(res.x))
@@ -263,15 +284,15 @@ class TestSolverInvariants:
         for data in _random_instances([5]):
             lam = 0.3 * lambda_inf(L1(), data.A, data.b)
             cfg = InnerConfig(kkt_tol=eps_in)
-            r1 = phi_eval(data, L1(), lam, cfg=cfg)
-            r2 = phi_eval(data, L1(), lam, x0=rng.standard_normal(data.A.n), cfg=cfg)
+            r1, _ = phi_eval(data, L1(), lam, cfg=cfg)
+            r2, _ = phi_eval(data, L1(), lam, x0=rng.standard_normal(data.A.n), cfg=cfg)
             assert np.linalg.norm(r1.y - r2.y) <= 100 * eps_in
 
     def test_full_dim_eta_after_sieve(self):
         eps_in = 1e-9
         for data in _random_instances([6]):
             lam = 0.3 * lambda_inf(L1(), data.A, data.b)
-            res = phi_eval(
+            res, _ = phi_eval(
                 data, L1(), lam, cfg=InnerConfig(kkt_tol=eps_in),
                 sieve_cfg=SieveConfig(),
             )
@@ -279,6 +300,6 @@ class TestSolverInvariants:
             assert recomputed <= 10 * eps_in
 
     def test_phi_recomputed_from_x(self, diagonal_data):
-        res = phi_eval(diagonal_data, L1(), 0.4)
+        res, _ = phi_eval(diagonal_data, L1(), 0.4)
         phi_direct = np.linalg.norm(diagonal_data.b - diagonal_data.A.matvec(res.x))
         assert abs(res.phi - phi_direct) <= 1e-12

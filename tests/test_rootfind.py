@@ -352,12 +352,12 @@ class TestHsDerivative:
         from smop import InnerConfig, phi_eval
 
         cfg = InnerConfig(kkt_tol=1e-12)
-        res = phi_eval(data, reg, lam0, cfg=cfg)
+        res, _ = phi_eval(data, reg, lam0, cfg=cfg)
         v = phi_derivative(data.A, reg, res.x, lam0, res.phi)
         h = 1e-6 * lam0
         fd = (
-            phi_eval(data, reg, lam0 + h, x0=res.x, cfg=cfg).phi
-            - phi_eval(data, reg, lam0 - h, x0=res.x, cfg=cfg).phi
+            phi_eval(data, reg, lam0 + h, x0=res.x, cfg=cfg)[0].phi
+            - phi_eval(data, reg, lam0 - h, x0=res.x, cfg=cfg)[0].phi
         ) / (2 * h)
         return v, fd, res.x
 
@@ -438,7 +438,7 @@ def synthetic_phi():
     cfg = InnerConfig(kkt_tol=1e-10)
 
     def phi(lam):
-        res = phi_eval(data, L1(), lam, cfg=cfg)
+        res, _ = phi_eval(data, L1(), lam, cfg=cfg)
         return res.phi, res.x
 
     return phi, lambda_inf(L1(), data.A, data.b), data.bnorm

@@ -139,23 +139,22 @@ class TestSieveSolve:
 
     @pytest.mark.parametrize("kind", ["l1", "slope"])
     def test_trace_covers_every_round(self, kind):
-        # rows are taken at every round's certificate checks, the first at
-        # each round's first iteration, with iterations counted across rounds
+        # one logged round per reduced solve: the set grows by each round's
+        # additions, the rounds' iterations sum to the result's, and the
+        # converged round has no candidates left
         data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=2))
         reg = L1() if kind == "l1" else SortedL1(linear_weights(120))
         lam = 0.1 * lambda_inf(reg, data.A, data.b)
-        cfg = InnerConfig(kkt_tol=1e-9, keep_trace=True)
-        res, trace = sieve_solve(data, reg, lam, [], inner_cfg=cfg)
+        res, trace = sieve_solve(data, reg, lam, [], inner_cfg=InnerConfig(kkt_tol=1e-9))
         assert res.converged
-        assert sum(r.inner_iters > 0 for r in trace.rounds) >= 2
-        iters = [row[0] for row in res.trace]
-        assert all(a < b for a, b in zip(iters, iters[1:]))
-        start = 0
-        for rnd in trace.rounds:
-            if rnd.inner_iters:
-                assert start + 1 in iters
-            start += rnd.inner_iters
-        assert iters[-1] == res.iters
+        rounds = trace.rounds
+        assert sum(r.inner_iters > 0 for r in rounds) >= 2
+        assert sum(r.inner_iters for r in rounds) == res.iters
+        assert rounds[0].size_I == 0
+        for prev, nxt in zip(rounds, rounds[1:]):
+            assert nxt.size_I == prev.size_I + prev.added
+        assert rounds[-1].size_J == rounds[-1].added == 0
+        assert rounds[-1].r_norm <= 1e-9
 
     def test_threshold_matches_exact_nonzeros_on_exact_case(self, diagonal_data):
         # at x = 0 the residual is prox(A^T b) with exactly representable
