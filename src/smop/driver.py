@@ -77,6 +77,7 @@ class SmopResult:
     phi: float
     rho: float
     eta: float
+    kkt: float               # full-dimension relative KKT residual at x (EvalRecord.eta_l)
     n_subproblems: int
     inner_iters_total: int
     wall_ms: float
@@ -95,6 +96,7 @@ class SmopResult:
             "lambda_star": float(self.lambda_star),
             "phi": float(self.phi),
             "eta": float(self.eta),
+            "kkt": float(self.kkt),
             "nnz": int(self.nnz),
             "n_subproblems": int(self.n_subproblems),
             "inner_iters_total": int(self.inner_iters_total),
@@ -192,6 +194,15 @@ class _PhiOracle:
             log.debug("phi(%0.6g) = %0.6g, support %d", lam, rec.phi, rec.support)
         return rec.phi, rec.x
 
+    def derivative(self, x, lam, phi):
+        """``phi_derivative`` at the evaluated ``lam``. Only a certified
+        evaluation gives one: an uncertified ``x`` may sit on the wrong piece,
+        so its derivative raises ``ValueError`` and the caller falls back."""
+        rec = self.cache.get(lam)
+        if rec is None or not rec.converged:
+            raise ValueError(f"no certified evaluation at lam={lam:.6g}")
+        return phi_derivative(self.data.A, self.reg, x, lam, phi)
+
 
 def smop_solve(
     data: ProblemData,
@@ -218,7 +229,8 @@ def smop_solve(
 
     lo, hi = (None, None) if warm is None else (warm.bracket[0], 1.5 * warm.lambda_star)
     try:
-        lo, hi = bracket_init(oracle, rho, lam_top, lo, hi)
+        lo, hi = bracket_init(oracle, rho, lam_top, lo, hi, bnorm=data.bnorm,
+                              dphi=oracle.derivative)
     except BracketError as exc:
         # an evaluation that stopped short of its KKT tolerance can misplace
         # the sign of phi - rho; name that cause rather than the bracket's
@@ -236,9 +248,8 @@ def smop_solve(
     elif cfg.method == "bmop":
         lam_star, x_star, state = bisection_solve(oracle, rho, lo, hi, cfg.stoptol, cfg.root)
     else:
-        dphi = lambda x, lam, p: phi_derivative(data.A, reg, x, lam, p)
-        lam_star, x_star, state = newton_hybrid_solve(oracle, dphi, rho, lo, hi, cfg.stoptol,
-                                                      cfg.root)
+        lam_star, x_star, state = newton_hybrid_solve(oracle, oracle.derivative, rho, lo, hi,
+                                                      cfg.stoptol, cfg.root)
 
     final = oracle.cache[lam_star]
     evals = list(oracle.cache.values())
@@ -255,6 +266,7 @@ def smop_solve(
         phi=final.phi,
         rho=rho,
         eta=eta(final.phi, rho),
+        kkt=final.eta_l,
         n_subproblems=len(evals),
         inner_iters_total=sum(rec.inner_iters for rec in evals),
         wall_ms=wall_ms,

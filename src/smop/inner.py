@@ -21,6 +21,7 @@ point; the per-round log of an evaluation is the sieve's ``SieveRound`` list.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,6 +297,9 @@ def solve_reduced(
             Gz_new = gram_mv(z_new)
             F_new = smooth(z_new, Gz_new) + lam * reg_r.value(z_new)
             t = 1.0
+        if not math.isfinite(F_new):
+            # overflow: stop uncertified at the last finite iterate
+            break
 
         # the certificate evaluation costs two extra Gram products, so run it
         # on a fixed cadence

@@ -11,13 +11,26 @@ Three solvers share one safeguarded skeleton for the equation
 * ``newton_hybrid_solve`` replaces the secant proposal with a Newton step
   using a generalized derivative of phi supplied by the caller.
 
-``bracket_init`` supplies the bracket for cold and warm starts alike. It
-walks the upper end up from its guess by doubling (capped at ``lam_inf``)
-and the lower end down by ``lam *= max(0.1, 0.5 * rho / phi(lam))``. Where
-phi is proportional to lam that step lands at half the root, safely below
-it but not far; it never shrinks ``lam`` by more than a decade. Every
-evaluated point tightens the bracket, so no evaluation lies strictly inside
-the bracket it returns.
+``bracket_init`` supplies the bracket for cold and warm starts alike. A cold
+search starts from the exact point ``(lam_inf, ||b||)``, where ``x = 0`` is
+optimal, without a solve; a warm one walks the upper end up from its guess by
+doubling (capped at ``lam_inf``). The lower end steps down to the root of the
+piece through the last evaluation: on a fixed pattern of a polyhedral gauge
+``phi^2`` is affine in ``lam^2``, so with ``v`` the generalized derivative
+of phi at ``lam``
+
+    lam' = sqrt(lam^2 - (phi^2 - rho^2) * lam / (phi * v))
+
+is exact on the piece (Newton on ``phi^2`` as a function of ``lam^2``).
+Where no derivative is at hand (empty pattern, uncertified evaluation, no
+``dphi``), where ``lam'`` leaves ``(max(floor, 0.1 * lam), lam)``, or where
+a second piece root in a row has not shrunk ``phi - rho`` tenfold, the step
+falls back to ``lam *= max(0.1, 0.5 * rho / phi(lam))``: where phi is
+proportional to lam that lands at half the root. No step shrinks ``lam`` by
+more than a decade: on a degenerate design a far jump can land where the
+warm start of its evaluation is poor, and that evaluation then runs to its
+iteration cap. Every evaluated point tightens the
+bracket, so no evaluation lies strictly inside the bracket it returns.
 
 The module also provides the plain (unsafeguarded) secant iteration together
 with two scalar test functions and a convergence-order estimator used to
@@ -277,22 +290,27 @@ def bisection_solve(phi, rho: float, lam_lo: float, lam_hi: float, stoptol: floa
                               "bisection")
 
 
-def bracket_init(phi, rho: float, lam_inf: float, lo=None, hi=None):
+def bracket_init(phi, rho: float, lam_inf: float, lo=None, hi=None, *, bnorm=None,
+                 dphi=None):
     """Grow a guess into the tightest sign-changing bracket ``(lo, hi)`` seen.
 
-    The upper end starts at ``hi`` (cold: ``0.95 * lam_inf``) and doubles,
-    capped at ``lam_inf``, until ``phi(hi) > rho``; a point passed on the way
-    with ``phi < rho`` is the lower end. Otherwise the lower end starts at
-    ``lo`` (if given and below ``hi``) or one step below ``hi`` and steps down
-    by ``lam *= max(0.1, 0.5 * rho / phi(lam))`` until ``phi(lam) < rho``;
-    each point passed on the way becomes the upper end.
+    The upper end starts at ``hi`` (cold: ``lam_inf``) and doubles, capped at
+    ``lam_inf``, until ``phi(hi) > rho``; a point passed on the way with
+    ``phi < rho`` is the lower end. ``bnorm`` is ``phi(lam_inf) = ||b||``:
+    given, the point ``lam_inf`` is never evaluated. Otherwise the lower end
+    starts at ``lo`` (if given and below ``hi``) or one step below ``hi`` and
+    steps down until ``phi(lam) < rho``; each point passed on the way becomes
+    the upper end. A step is the root of the piece through the last point
+    when ``dphi(x, lam, phi)``, phi's derivative there, gives a usable one
+    (see the module docstring), else ``lam *= max(0.1, 0.5 * rho / phi(lam))``.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    hi = 0.95 * lam_inf if hi is None else min(hi, lam_inf)
+    hi = lam_inf if hi is None else min(hi, lam_inf)
     below = None
     while True:
-        p, _ = phi(hi)
+        # x = 0 at lam_inf: no pattern, so no piece root from there
+        p, x = (bnorm, None) if hi >= lam_inf and bnorm is not None else phi(hi)
         if p > rho:
             break
         if p < rho:
@@ -301,17 +319,38 @@ def bracket_init(phi, rho: float, lam_inf: float, lo=None, hi=None):
             raise BracketError("require 0 < rho < ||b||")
         hi = min(2.0 * hi, lam_inf)
     floor = 1e-12 * hi
-    lam = lo if lo is not None and lo < hi else hi * max(0.1, 0.5 * rho / p)
+    gap = None  # phi - rho where the last piece-root step started
+
+    def step_down(lam, p, x):
+        """The root of the piece through ``(lam, p, x)`` if it lies in
+        ``(max(floor, 0.1 * lam), lam)`` and, after a piece-root step,
+        ``phi - rho`` shrank tenfold; else ``lam * max(0.1, 0.5 * rho / p)``."""
+        nonlocal gap
+        new = 0.0
+        if dphi is not None and x is not None and (gap is None or p - rho <= 0.1 * gap):
+            try:
+                v = dphi(x, lam, p)
+            except (ValueError, np.linalg.LinAlgError):
+                v = 0.0
+            if 0.0 < v < math.inf:
+                new = math.sqrt(max(lam * lam - (p * p - rho * rho) * lam / (p * v), 0.0))
+        if max(floor, 0.1 * lam) < new < lam:
+            gap = p - rho
+            return new
+        gap = None
+        return lam * max(0.1, 0.5 * rho / p)
+
+    lam = lo if lo is not None and lo < hi else step_down(hi, p, x)
     while below is None:
         if lam < floor:
             raise BracketError(
                 f"rho={rho:.6g} too small: phi({hi:.3g})={p:.6g} near the lam floor; no "
                 "level below the least-squares residual min ||A x - b|| is reachable"
             )
-        p, _ = phi(lam)
+        p, x = phi(lam)
         if p < rho:
             below = lam
         else:
             hi = lam
-            lam *= max(0.1, 0.5 * rho / p)
+            lam = step_down(lam, p, x)
     return below, hi

@@ -100,6 +100,22 @@ class TestSolve:
         eta = abs(phi - doc["rho"]) / max(1.0, doc["rho"])
         assert abs(eta - doc["eta"]) <= 1e-12
 
+    def test_json_carries_kkt(self, capsys):
+        # the full-dimension KKT residual of the returned x, rebuilt from the
+        # printed solution and lambda_star
+        from smop import L1, SynthSpec, eta_l, synth_instance
+
+        code, out, _ = run(
+            capsys, "solve", "--synth", "m=20,n=60,s=4,sigma=0.01,seed=3", "--c", "0.2"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        data, _ = synth_instance(SynthSpec(m=20, n=60, s=4, sigma=0.01, seed=3))
+        x = np.zeros(doc["n"])
+        x[doc["solution_indices"]] = doc["solution_values"]
+        want = eta_l(x, data.A, data.b, L1(), doc["lambda_star"])
+        assert doc["kkt"] == pytest.approx(want, rel=1e-6, abs=1e-14)
+
     def test_output_files(self, capsys, tmp_path):
         out_json = tmp_path / "res.json"
         trace = tmp_path / "trace.jsonl"

@@ -16,10 +16,13 @@ from smop import (
     SortedL1,
     SparseMatrix,
     SynthSpec,
+    bracket_init,
     eta,
     eta_l,
+    lambda_inf,
     linear_weights,
     nnz,
+    phi_derivative,
     smop_solve,
     solve_path,
     synth_instance,
@@ -179,20 +182,23 @@ class TestSmopSolve:
         assert res.inner_iters_total <= 200
 
     def test_l1_counter_pin(self):
-        # the Newton step changes no root-finder step: same evaluation count
-        # as APG alone (6, with 507 inner iterations), a tenth of the iterations
+        # the Newton step changes no root-finder step (APG alone: 6
+        # evaluations, 507 inner iterations); the piece-root step-down of the
+        # bracket search takes the count from 6 to 4
         data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=1))
         data = data.with_rho(0.1 * data.bnorm)
         res = smop_solve(data, L1(), SmopConfig(stoptol=1e-8))
         assert res.converged
-        assert res.n_subproblems == 6
+        assert res.n_subproblems == 4
         assert res.inner_iters_total <= 100
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("kind", ["l1", "slope"])
     def test_warm_result_seeds_nearby_level(self, kind, seed):
         # the result at a 5% higher level warm-starts the solve: same root,
-        # no more phi evaluations than a cold start
+        # no more phi evaluations than a cold start took before the
+        # piece-root step-down (6 on all four), which brings the cold start
+        # itself to 2-4 (warm: 3-5)
         data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=seed))
         reg = L1() if kind == "l1" else SortedL1(linear_weights(400))
         cfg = SmopConfig(stoptol=1e-8)
@@ -202,15 +208,17 @@ class TestSmopSolve:
         warm = smop_solve(data, reg, cfg, warm=prev)
         assert cold.converged and warm.converged
         assert warm.lambda_star == pytest.approx(cold.lambda_star, rel=1e-6)
-        assert warm.n_subproblems <= cold.n_subproblems
+        assert warm.n_subproblems <= 6
+        assert cold.n_subproblems <= 4
 
     def test_trace_spans_every_sieve_round(self):
-        # the second evaluation takes several sieve rounds; its record keeps
-        # every one of them, and their iterations sum to the evaluation's
+        # the first evaluation grows its set from empty over several sieve
+        # rounds; its record keeps every one of them, and their iterations
+        # sum to the evaluation's
         data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=2))
         data = data.with_rho(0.1 * data.bnorm)
         res = smop_solve(data, L1(), SmopConfig(stoptol=1e-8))
-        rec = res.evals[1]
+        rec = res.evals[0]
         assert len(rec.rounds) >= 2
         assert sum(r.inner_iters for r in rec.rounds) == rec.inner_iters
         assert rec.rounds[-1].size_J == 0
@@ -317,6 +325,85 @@ class TestEvents:
             assert rec.eta_l == pytest.approx(want, rel=1e-6, abs=1e-14)
 
 
+@pytest.mark.parametrize("kind", ["l1", "slope"])
+@pytest.mark.parametrize("sieve", [True, False])
+def test_result_kkt_is_the_full_kkt_residual(kind, sieve):
+    data, reg, res, _ = _events_solve(kind, sieve)
+    assert res.kkt == next(rec.eta_l for rec in res.evals if rec.lam == res.lambda_star)
+    want = eta_l(res.x, data.A, data.b, reg, res.lambda_star)
+    assert res.kkt == pytest.approx(want, rel=1e-6, abs=1e-14)
+    assert res.to_doc()["kkt"] == res.kkt
+
+
+class TestPieceRootBracket:
+    """The cold bracket search starts at ``(lambda_inf, ||b||)`` and steps down
+    to the piece root through the derivative of a certified evaluation."""
+
+    @pytest.mark.parametrize("c, top", [(0.1, False), (0.3, True), (0.999, True)])
+    def test_cold_search_starts_from_lambda_inf_unevaluated(self, c, top, monkeypatch):
+        # every phi_eval call is an evaluation of the result, and 0.95 lambda_inf
+        # is not one of them; where the first step lands below the root, the
+        # upper end stays at lambda_inf and the root finder evaluates it
+        import smop.driver as driver
+
+        calls = []
+        orig = driver.phi_eval
+        monkeypatch.setattr(driver, "phi_eval",
+                            lambda *a, **k: calls.append(a[2]) or orig(*a, **k))
+        data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=1))
+        data = data.with_rho(c * data.bnorm)
+        lam_top = lambda_inf(L1(), data.A, data.b)
+        res = smop_solve(data, L1(), SmopConfig(stoptol=1e-8))
+        assert res.converged
+        assert calls == [rec.lam for rec in res.evals]
+        assert calls[0] == lam_top * max(0.1, 0.5 * data.rho / data.bnorm)
+        assert 0.95 * lam_top not in calls
+        assert (res.bracket[1] == lam_top) == (lam_top in calls) == top
+
+    @pytest.mark.parametrize("kind", ["l1", "slope"])
+    def test_nmop_unchanged_by_the_certified_gate(self, kind, monkeypatch):
+        # with every evaluation certified, the gated derivative is phi_derivative
+        import smop.driver as driver
+
+        data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=2))
+        data = data.with_rho(0.1 * data.bnorm)
+        reg = L1() if kind == "l1" else SortedL1(linear_weights(400))
+        cfg = SmopConfig(stoptol=1e-10, method="nmop")
+        gated = smop_solve(data, reg, cfg)
+        assert all(rec.converged for rec in gated.evals)
+        monkeypatch.setattr(driver._PhiOracle, "derivative",
+                            lambda self, x, lam, p: phi_derivative(data.A, reg, x, lam, p))
+        plain = smop_solve(data, reg, cfg)
+        assert [(it.lam, it.step) for it in gated.root_state.history] == \
+            [(it.lam, it.step) for it in plain.root_state.history]
+        assert [rec.lam for rec in gated.evals] == [rec.lam for rec in plain.evals]
+        np.testing.assert_array_equal(gated.x, plain.x)
+
+    def test_uncertified_evaluation_gives_no_derivative(self):
+        # one APG iteration certifies nothing: the derivative is refused, and
+        # the bracket search takes the plain step lam * max(0.1, 0.5 rho / phi)
+        from smop.driver import _PhiOracle
+
+        data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=0))
+        lam_top = lambda_inf(L1(), data.A, data.b)
+        lam = 0.3 * lam_top
+        oracle = _PhiOracle(data, L1(), InnerConfig(max_iters=1), None)
+        p, x = oracle(lam)
+        assert not oracle.cache[lam].converged
+        with pytest.raises(ValueError, match="no certified evaluation"):
+            oracle.derivative(x, lam, p)
+        rho = 0.5 * p
+        try:
+            bracket_init(oracle, rho, lam_top, hi=lam, dphi=oracle.derivative)
+        except BracketError:
+            pass  # uncertified evaluations may never cross rho
+        assert list(oracle.cache)[1] == lam * 0.25
+        # certified, the same point gives phi_derivative's value
+        certified = _PhiOracle(data, L1(), InnerConfig(), None)
+        p, x = certified(lam)
+        assert certified.derivative(x, lam, p) == phi_derivative(data.A, L1(), x, lam, p)
+
+
 class TestSolvePath:
     def test_single_step_reduces_to_solve(self, scalar_data):
         spec = PathSpec(base_c=0.3, count=1, multipliers=(1.0,))
@@ -349,7 +436,9 @@ class TestSolvePath:
             solve_path(scalar_data, L1(), PathSpec(base_c=0.9, count=3), SmopConfig())
 
     def test_failed_step_recorded_and_path_continues(self):
-        data, _ = synth_instance(SynthSpec(m=40, n=150, s=5, sigma=0.02, seed=24))
+        # one secant step cannot reach stoptol=1e-12 here (on seed 24 the
+        # bracket search's piece root reaches it in one of the three steps)
+        data, _ = synth_instance(SynthSpec(m=40, n=150, s=5, sigma=0.02, seed=25))
         cfg = SmopConfig(stoptol=1e-12, root=RootConfig(max_outer=1))
         path = solve_path(data, L1(), PathSpec(base_c=0.2, count=3), cfg)
         assert path.failures == len(path.steps) == 3
@@ -379,8 +468,11 @@ class TestSolvePath:
         assert path.failures == 0
         lams = [s.result.lambda_star for s in path.steps]
         assert all(b <= a + 1e-8 for a, b in zip(lams, lams[1:]))
+        # the cold first step took 5 evaluations before the piece-root
+        # step-down; the warm steps must stay below that
         warm = [s.result.n_subproblems for s in path.steps[1:]]
-        assert np.mean(warm) < path.steps[0].result.n_subproblems
+        assert np.mean(warm) < 5
+        assert path.steps[0].result.n_subproblems == 2
 
 
 class TestEdgeInstances:
@@ -425,6 +517,37 @@ class TestEdgeInstances:
         if res.converged:
             assert res.eta <= 1e-8
             assert eta_l(res.x, data.A, data.b, L1(), res.lambda_star) <= 1e-8
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_scale_ends_uncertified(self, monkeypatch):
+        # a design on the scale 1e150 overflows the APG objective; an
+        # evaluation stops there, uncertified, instead of running to
+        # max_iters (without the guard: 13 evaluations of 20,000 iterations)
+        import smop.driver as driver
+
+        iters = []
+        orig = driver.phi_eval
+
+        def counted(*args, **kwargs):
+            out = orig(*args, **kwargs)
+            iters.append(out[0].iters)
+            return out
+
+        monkeypatch.setattr(driver, "phi_eval", counted)
+        rng = np.random.default_rng(0)
+        dense = rng.standard_normal((20, 60)) * 1e150
+        b = rng.standard_normal(20) * 1e150
+        data = ProblemData(SparseMatrix.from_dense(dense), b)
+        data = data.with_rho(0.1 * data.bnorm)
+        t0 = time.perf_counter()
+        try:
+            converged = smop_solve(data, L1(), SmopConfig(stoptol=1e-8, sieve=None)).converged
+        except BracketError as exc:
+            assert "did not certify" in str(exc)
+            converged = False
+        assert time.perf_counter() - t0 < 10.0
+        assert not converged
+        assert sum(iters) <= 2 * InnerConfig().max_iters
 
     def test_rho_barely_below_bnorm(self):
         data, _ = synth_instance(SynthSpec(m=30, n=90, s=4, sigma=0.01, seed=31))

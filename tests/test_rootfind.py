@@ -444,12 +444,23 @@ def synthetic_phi():
     return phi, lambda_inf(L1(), data.A, data.b), data.bnorm
 
 
+def synthetic_dphi():
+    """The l1 derivative of phi on the instance of :func:`synthetic_phi`."""
+    from smop import SynthSpec, synth_instance
+
+    data, _ = synth_instance(SynthSpec(m=40, n=120, s=5, sigma=0.01, seed=3))
+    return l1_dphi(data.A)
+
+
 class TestBracketInit:
     def test_scalar_example(self):
-        # phi(0.95) = 0.95 > 0.3, so one step of 0.95 * 0.5 * 0.3 / 0.95
-        lo, hi = bracket_init(scalar_phi, 0.3, 1.0)
-        assert hi == pytest.approx(0.95)
+        # the cold search starts from phi(lam_inf) = ||b|| = 1 > 0.3 without
+        # evaluating it, so one step of 1 * 0.5 * 0.3 / 1
+        phi = recording(scalar_phi)
+        lo, hi = bracket_init(phi, 0.3, 1.0, bnorm=1.0)
+        assert hi == 1.0
         assert lo == pytest.approx(0.15)
+        assert phi.lams == [pytest.approx(0.15)]
 
     @staticmethod
     def _assert_tightest(phi, rho, lo, hi, lams):
@@ -529,3 +540,108 @@ class TestBracketInit:
     def test_rho_too_small(self):
         with pytest.raises(BracketError, match="too small"):
             bracket_init(scalar_phi, 1e-14, 1.0)
+
+
+def explicit_piece_root(data, reg, x, rho):
+    """Positive root of ``||y0 + lam h|| = rho`` on the piece through ``x``:
+    ``x_J(lam) = P (x0 - lam u)`` with ``M x0 = P^T A_J^T b``, ``M u = w`` and
+    ``M = P^T A_J^T A_J P``, each solved on its own."""
+    J, s, starts, w = reg.piece(x)
+    P = np.zeros((J.size, starts.size))
+    for i, (a, e) in enumerate(zip(starts, np.append(starts[1:], J.size))):
+        P[a:e, i] = s[a:e]
+    AJP = data.A.take_columns_dense(J) @ P
+    M = AJP.T @ AJP
+    y0 = data.b - AJP @ np.linalg.solve(M, AJP.T @ data.b)
+    h = AJP @ np.linalg.solve(M, w)
+    qa, qb, qc = h @ h, 2.0 * (y0 @ h), y0 @ y0 - rho * rho
+    return (-qb + np.sqrt(qb * qb - 4.0 * qa * qc)) / (2.0 * qa), starts.size < J.size
+
+
+def _raise(exc):
+    def dphi(x, lam, p):
+        raise exc("no derivative")
+    return dphi
+
+
+class TestPieceRootStep:
+    """The step-down of ``bracket_init`` to the root of the piece."""
+
+    @pytest.mark.parametrize("kind", ["l1", "slope"])
+    def test_step_is_the_explicit_piece_root(self, kind):
+        from smop import InnerConfig, SynthSpec, lambda_inf, linear_weights, phi_eval, synth_instance
+
+        if kind == "l1":
+            data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=1))
+            reg, frac = L1(), 0.3
+        else:  # a tied cluster at 0.25 lambda_inf (TestHsDerivative)
+            data, _ = synth_instance(SynthSpec(m=100, n=600, s=10, sigma=0.01, seed=3))
+            reg, frac = SortedL1(linear_weights(600)), 0.25
+        cfg = InnerConfig(kkt_tol=1e-12)
+
+        def base(lam):
+            res, _ = phi_eval(data, reg, lam, cfg=cfg)
+            return res.phi, res.x
+
+        lam_inf = lambda_inf(reg, data.A, data.b)
+        lam0 = frac * lam_inf
+        p0, x0 = base(lam0)
+        rho = 0.7 * p0
+        want, clustered = explicit_piece_root(data, reg, x0, rho)
+        assert clustered == (kind == "slope")
+        phi = recording(base)
+        bracket_init(phi, rho, lam_inf, hi=lam0,
+                     dphi=lambda x, lam, p: phi_derivative(data.A, reg, x, lam, p))
+        assert phi.lams[0] == lam0
+        assert phi.lams[1] == pytest.approx(want, rel=1e-12)
+
+    def test_exact_derivative_steps_onto_the_root(self):
+        # phi = lam below 1: v = 1 and the step lands on rho = 0.3 at once
+        phi = recording(scalar_phi)
+        bracket_init(phi, 0.3, 1.0, hi=0.8, dphi=lambda x, lam, p: 1.0)
+        assert phi.lams[1] == pytest.approx(0.3, rel=1e-15)
+
+    @pytest.mark.parametrize("dphi", [
+        _raise(ValueError), _raise(np.linalg.LinAlgError),
+        lambda x, lam, p: 0.0, lambda x, lam, p: -1.0,
+        lambda x, lam, p: float("nan"), lambda x, lam, p: float("inf"),
+        lambda x, lam, p: 1e-3,  # a root below zero
+        lambda x, lam, p: 0.86,  # a root near 0.02, more than a decade down
+    ], ids=["value-error", "linalg-error", "zero", "negative", "nan", "inf", "below-zero",
+            "below-decade"])
+    def test_falls_back_without_a_usable_derivative(self, dphi):
+        # the plain step 0.8 * max(0.1, 0.5 * 0.3 / 0.8) = 0.15
+        phi = recording(scalar_phi)
+        lo, hi = bracket_init(phi, 0.3, 1.0, hi=0.8, dphi=dphi)
+        assert phi.lams == [0.8, pytest.approx(0.15)]
+        assert (lo, hi) == (pytest.approx(0.15), 0.8)
+
+    def test_empty_pattern_falls_back(self):
+        # x = 0 at lambda_inf has no piece: the first step is the plain one
+        base, lam_inf, bnorm = synthetic_phi()
+        p_top, x_top = base(lam_inf)
+        assert not x_top.any()
+        phi = recording(base)
+        rho = 0.1 * bnorm
+        bracket_init(phi, rho, lam_inf, dphi=synthetic_dphi())
+        assert phi.lams[:2] == [lam_inf, lam_inf * max(0.1, 0.5 * rho / p_top)]
+
+    def test_stalled_piece_roots_fall_back(self):
+        # v = 10 overstates the slope: the step only reaches 0.765 and shrinks
+        # phi - rho from 0.5 to 0.465, not tenfold, so the next step is plain
+        phi = recording(scalar_phi)
+        bracket_init(phi, 0.3, 1.0, hi=0.8, dphi=lambda x, lam, p: 10.0)
+        step = np.sqrt(0.64 - 0.55 * 0.8 / 8.0)
+        assert phi.lams == [0.8, pytest.approx(step), pytest.approx(0.5 * 0.3)]
+
+    @pytest.mark.parametrize("c", [0.05, 0.1, 0.3, 0.9])
+    def test_cold_search_never_evaluates_lambda_inf(self, c):
+        # with bnorm given, (lambda_inf, ||b||) is known: neither it nor
+        # 0.95 lambda_inf is evaluated, and the bracket stays the tightest
+        base, lam_inf, bnorm = synthetic_phi()
+        phi = recording(base)
+        rho = c * bnorm
+        lo, hi = bracket_init(phi, rho, lam_inf, bnorm=bnorm, dphi=synthetic_dphi())
+        assert phi.lams[0] == lam_inf * max(0.1, 0.5 * c)
+        assert max(phi.lams) < 0.95 * lam_inf
+        TestBracketInit._assert_tightest(base, rho, lo, hi, phi.lams)
