@@ -24,13 +24,14 @@ of phi at ``lam``
 is exact on the piece (Newton on ``phi^2`` as a function of ``lam^2``).
 Where no derivative is at hand (empty pattern, uncertified evaluation, no
 ``dphi``), where ``lam'`` leaves ``(max(floor, 0.1 * lam), lam)``, or where
-a second piece root in a row has not shrunk ``phi - rho`` tenfold, the step
-falls back to ``lam *= max(0.1, 0.5 * rho / phi(lam))``: where phi is
-proportional to lam that lands at half the root. No step shrinks ``lam`` by
-more than a decade: on a degenerate design a far jump can land where the
-warm start of its evaluation is poor, and that evaluation then runs to its
-iteration cap. Every evaluated point tightens the
-bracket, so no evaluation lies strictly inside the bracket it returns.
+it moves ``lam`` by no more than roundoff (a piece root that landed above
+``rho`` by roundoff would only find itself again), the step falls back to
+``lam *= max(0.1, 0.5 * rho / phi(lam))``: where phi is proportional to lam
+that lands at half the root. No step shrinks ``lam`` by more than a decade:
+on a degenerate design a far jump can land where the warm start of its
+evaluation is poor, and that evaluation then runs to its iteration cap.
+Every evaluated point tightens the bracket, so no evaluation lies strictly
+inside the bracket it returns.
 
 The module also provides the plain (unsafeguarded) secant iteration together
 with two scalar test functions and a convergence-order estimator used to
@@ -43,6 +44,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+# a piece root that moves lam by no more than this share of it is roundoff:
+# from a point already at the root, steps of 10-12 eps were seen
+_ROUNDOFF = 64.0 * np.finfo(np.float64).eps
 
 
 class BracketError(ValueError):
@@ -319,25 +325,21 @@ def bracket_init(phi, rho: float, lam_inf: float, lo=None, hi=None, *, bnorm=Non
             raise BracketError("require 0 < rho < ||b||")
         hi = min(2.0 * hi, lam_inf)
     floor = 1e-12 * hi
-    gap = None  # phi - rho where the last piece-root step started
 
     def step_down(lam, p, x):
         """The root of the piece through ``(lam, p, x)`` if it lies in
-        ``(max(floor, 0.1 * lam), lam)`` and, after a piece-root step,
-        ``phi - rho`` shrank tenfold; else ``lam * max(0.1, 0.5 * rho / p)``."""
-        nonlocal gap
+        ``(max(floor, 0.1 * lam), lam)`` and moves ``lam`` by more than
+        roundoff; else ``lam * max(0.1, 0.5 * rho / p)``."""
         new = 0.0
-        if dphi is not None and x is not None and (gap is None or p - rho <= 0.1 * gap):
+        if dphi is not None and x is not None:
             try:
                 v = dphi(x, lam, p)
             except (ValueError, np.linalg.LinAlgError):
                 v = 0.0
             if 0.0 < v < math.inf:
                 new = math.sqrt(max(lam * lam - (p * p - rho * rho) * lam / (p * v), 0.0))
-        if max(floor, 0.1 * lam) < new < lam:
-            gap = p - rho
+        if max(floor, 0.1 * lam) < new < (1.0 - _ROUNDOFF) * lam:
             return new
-        gap = None
         return lam * max(0.1, 0.5 * rho / p)
 
     lam = lo if lo is not None and lo < hi else step_down(hi, p, x)

@@ -195,10 +195,11 @@ class TestSmopSolve:
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("kind", ["l1", "slope"])
     def test_warm_result_seeds_nearby_level(self, kind, seed):
-        # the result at a 5% higher level warm-starts the solve: same root,
-        # no more phi evaluations than a cold start took before the
-        # piece-root step-down (6 on all four), which brings the cold start
-        # itself to 2-4 (warm: 3-5)
+        # the result at a 5% higher level warm-starts the solve to the same
+        # root. It no longer saves evaluations: warm <= cold fails on three of
+        # the four. The cold search steps from (lambda_inf, ||b||) to the
+        # piece root, while the warm one first evaluates both of its guesses
+        # (ROADMAP item 1). Both counts are pinned, so that a change shows.
         data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=seed))
         reg = L1() if kind == "l1" else SortedL1(linear_weights(400))
         cfg = SmopConfig(stoptol=1e-8)
@@ -208,8 +209,8 @@ class TestSmopSolve:
         warm = smop_solve(data, reg, cfg, warm=prev)
         assert cold.converged and warm.converged
         assert warm.lambda_star == pytest.approx(cold.lambda_star, rel=1e-6)
-        assert warm.n_subproblems <= 6
-        assert cold.n_subproblems <= 4
+        want = {("l1", 1): (4, 4), ("l1", 2): (2, 4), ("slope", 1): (2, 5), ("slope", 2): (4, 5)}
+        assert (cold.n_subproblems, warm.n_subproblems) == want[kind, seed]
 
     def test_trace_spans_every_sieve_round(self):
         # the first evaluation grows its set from empty over several sieve

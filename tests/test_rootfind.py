@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -626,13 +628,18 @@ class TestPieceRootStep:
         bracket_init(phi, rho, lam_inf, dphi=synthetic_dphi())
         assert phi.lams[:2] == [lam_inf, lam_inf * max(0.1, 0.5 * rho / p_top)]
 
-    def test_stalled_piece_roots_fall_back(self):
-        # v = 10 overstates the slope: the step only reaches 0.765 and shrinks
-        # phi - rho from 0.5 to 0.465, not tenfold, so the next step is plain
+    def test_roundoff_piece_root_falls_back(self):
+        # phi = lam one ulp above rho = 0.3: the exact piece root 0.3 moves lam
+        # by roundoff, so the step is the plain one, 0.5 * 0.3 = 0.15
+        hi = math.nextafter(0.3, 1.0)
         phi = recording(scalar_phi)
-        bracket_init(phi, 0.3, 1.0, hi=0.8, dphi=lambda x, lam, p: 10.0)
-        step = np.sqrt(0.64 - 0.55 * 0.8 / 8.0)
-        assert phi.lams == [0.8, pytest.approx(step), pytest.approx(0.5 * 0.3)]
+        bracket_init(phi, 0.3, 1.0, hi=hi, dphi=lambda x, lam, p: 1.0)
+        assert phi.lams == [hi, pytest.approx(0.15)]
+        # a gap of 1e-12 is no roundoff: the piece root is taken
+        hi = 0.3 * (1.0 + 1e-12)
+        phi = recording(scalar_phi)
+        bracket_init(phi, 0.3, 1.0, hi=hi, dphi=lambda x, lam, p: 1.0)
+        assert phi.lams[1] == pytest.approx(0.3, rel=1e-15)
 
     @pytest.mark.parametrize("c", [0.05, 0.1, 0.3, 0.9])
     def test_cold_search_never_evaluates_lambda_inf(self, c):
