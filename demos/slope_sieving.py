@@ -10,8 +10,6 @@ vanishes, which is what makes level-set solves cheap in high dimension.
 import numpy as np
 
 from smop import (
-    InnerConfig,
-    SieveConfig,
     SmopConfig,
     SortedL1,
     SynthSpec,
@@ -32,13 +30,12 @@ print("polar of (3, -1)                         :", reg2.polar(np.array([3.0, -1
 ###############################################################################
 # One regularized solve through the sieving loop, starting from the empty
 # index set: watch the working set grow until the full residual is below the
-# inner solver's tolerance kkt_tol.
+# tolerance tol.
 data, _ = synth_instance(SynthSpec(m=120, n=1000, s=12, sigma=0.02, seed=11))
 reg = SortedL1(linear_weights(1000))
 lam = 0.3 * lambda_inf(reg, data.A, data.b)
-res, trace = sieve_solve(data, reg, lam, [], SieveConfig(k_max=50),
-                         inner_cfg=InnerConfig(kkt_tol=1e-8))
-print(f"\nsieve rounds at lam = {lam:.5f} (kkt_tol = 1e-8):")
+res, trace = sieve_solve(data, reg, lam, [], tol=1e-8)
+print(f"\nsieve rounds at lam = {lam:.5f} (tol = 1e-8):")
 print(f"{'round':>5s} {'|I|':>5s} {'||R||':>10s} {'|J|':>5s} {'added':>5s} {'fista':>6s}")
 for s, r in enumerate(trace.rounds):
     print(f"{s:>5d} {r.size_I:>5d} {r.r_norm:>10.2e} {r.size_J:>5d} "

@@ -20,7 +20,7 @@ from .driver import (
     smop_solve,
     solve_path,
 )
-from .inner import InnerConfig, InnerSolveResult, eta_l, phi_derivative, residual_R, solve_reduced
+from .inner import InnerSolveResult, eta_l, phi_derivative, residual_R, solve_reduced
 from .problem import (
     LibsvmFormatError,
     ProblemData,
@@ -55,7 +55,7 @@ from .rootfind import (
     secant_solve,
     secant_step,
 )
-from .sieving import SieveConfig, SieveRound, SieveTrace, phi_eval, select_top_k, sieve_solve
+from .sieving import SieveRound, SieveTrace, phi_eval, select_top_k, sieve_solve
 
 __version__ = "0.1.0"
 
@@ -71,7 +71,6 @@ __all__ = [
     "nnz",
     "smop_solve",
     "solve_path",
-    "InnerConfig",
     "InnerSolveResult",
     "eta_l",
     "phi_derivative",
@@ -104,7 +103,6 @@ __all__ = [
     "q_order_estimate",
     "secant_solve",
     "secant_step",
-    "SieveConfig",
     "SieveRound",
     "SieveTrace",
     "phi_eval",

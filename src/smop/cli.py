@@ -26,7 +26,6 @@ from .driver import (
 )
 from .problem import LibsvmFormatError, ProblemData, SynthSpec, libsvm_read, synth_instance
 from .regularizers import make_regularizer
-from .sieving import MIN_GROWTH, SieveConfig
 from .rootfind import (
     BracketError,
     RootConfig,
@@ -92,11 +91,8 @@ def _resolve_rho(args, data: ProblemData) -> float:
 
 def _build_config(args) -> SmopConfig:
     # every option goes through its config's constructor, so its checks run
-    if args.no_sieve and args.kmax is not None:
-        raise ValueError("--kmax sets the sieve and cannot be used with --no-sieve")
-    sieve = SieveConfig() if args.kmax is None else SieveConfig(k_max=args.kmax)
     return SmopConfig(
-        stoptol=args.stoptol, method=args.method, sieve=None if args.no_sieve else sieve,
+        stoptol=args.stoptol, method=args.method, sieve=not args.no_sieve,
         root=RootConfig(mu=args.mu, max_outer=args.max_outer),
     )
 
@@ -114,11 +110,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--stoptol", type=float, default=1e-6)
     p.add_argument("--mu", type=float, default=0.5)
     p.add_argument("--max-outer", type=int, default=200)
-    p.add_argument("--kmax", type=int, default=None,
-                   help="cap on the coordinates one sieve round adds (default "
-                        f"{SieveConfig.k_max}); a round adds at most "
-                        f"min(kmax, max(|I|, {MIN_GROWTH})), so the index set I "
-                        "at most doubles per round; not with --no-sieve")
     p.add_argument("--no-sieve", action="store_true",
                    help="solve each regularized problem over all coordinates")
     p.add_argument("--out", help="write the result JSON here instead of stdout")

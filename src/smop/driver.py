@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .inner import InnerConfig, phi_derivative
+from .inner import KKT_TOL, phi_derivative
 from .problem import ProblemData
 from .regularizers import Regularizer, lambda_inf
 from .rootfind import (
@@ -34,7 +34,7 @@ from .rootfind import (
     hybrid_secant_solve,
     newton_hybrid_solve,
 )
-from .sieving import SieveConfig, SieveRound, phi_eval
+from .sieving import SieveRound, phi_eval
 
 log = logging.getLogger("smop")
 
@@ -46,15 +46,15 @@ class SmopConfig:
     stoptol: float = 1e-6
     method: str = "smop"
     root: RootConfig = field(default_factory=RootConfig)
-    sieve: SieveConfig | None = field(default_factory=SieveConfig)  # None: direct solves
-    inner: InnerConfig = field(default_factory=InnerConfig)
-    keep_solutions: bool = False   # retain x per evaluation (diagnostics)
+    sieve: bool = True       # False: each evaluation is one direct solve
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         if not 0.0 < self.stoptol < np.inf:
             raise ValueError("stoptol must be positive and finite")
+        if not isinstance(self.sieve, bool):
+            raise ValueError("sieve must be True or False")
 
 
 @dataclass
@@ -66,7 +66,6 @@ class EvalRecord:
     inner_iters: int
     support: int
     converged: bool          # the evaluation's solve certified its KKT residual
-    x: np.ndarray | None = None   # kept with SmopConfig.keep_solutions
     rounds: list[SieveRound] = field(default_factory=list)  # empty for a direct solve
 
 
@@ -138,16 +137,18 @@ class _PhiOracle:
     """Caching, warm-starting phi evaluator shared by the solvers.
 
     ``cache`` maps each evaluated ``lam`` to its :class:`EvalRecord`, in
-    evaluation order.
+    evaluation order, and ``xs`` to its solution, the warm starts of later
+    evaluations. Each evaluation solves to ``tol``, sieved if ``sieve``.
     """
 
-    def __init__(self, data, reg, inner_cfg, sieve_cfg, x_warm=None):
+    def __init__(self, data, reg, tol, sieve, x_warm=None):
         self.data = data
         self.reg = reg
-        self.inner_cfg = inner_cfg
-        self.sieve_cfg = sieve_cfg
+        self.tol = tol
+        self.sieve = sieve
         self.x_warm = x_warm
         self.cache: dict[float, EvalRecord] = {}
+        self.xs: dict[float, np.ndarray] = {}
 
     def _warm_start(self, lam):
         """Interpolate the two nearest cached solutions around ``lam``.
@@ -164,9 +165,9 @@ class _PhiOracle:
                 above = l0
         if below is not None and above is not None:
             w = (lam - below) / (above - below)
-            return (1.0 - w) * self.cache[below].x + w * self.cache[above].x
+            return (1.0 - w) * self.xs[below] + w * self.xs[above]
         if below is not None or above is not None:
-            return self.cache[below if below is not None else above].x
+            return self.xs[below if below is not None else above]
         return self.x_warm
 
     def __call__(self, lam):
@@ -177,8 +178,8 @@ class _PhiOracle:
                 self.reg,
                 lam,
                 x0=self._warm_start(lam),
-                cfg=self.inner_cfg,
-                sieve_cfg=self.sieve_cfg,
+                tol=self.tol,
+                sieve=self.sieve,
             )
             rec = self.cache[lam] = EvalRecord(
                 index=len(self.cache) + 1,
@@ -188,11 +189,11 @@ class _PhiOracle:
                 inner_iters=res.iters,
                 support=int(np.count_nonzero(res.x)),
                 converged=res.converged,
-                x=res.x,
                 rounds=trace.rounds,
             )
+            self.xs[lam] = res.x
             log.debug("phi(%0.6g) = %0.6g, support %d", lam, rec.phi, rec.support)
-        return rec.phi, rec.x
+        return rec.phi, self.xs[lam]
 
     def derivative(self, x, lam, phi):
         """``phi_derivative`` at the evaluated ``lam``. Only a certified
@@ -222,10 +223,8 @@ def smop_solve(
     rho = data.rho
     t0 = time.perf_counter()
     lam_top = lambda_inf(reg, data.A, data.b)
-    eff_tol = min(cfg.inner.kkt_tol, 0.01 * cfg.stoptol * max(1.0, rho))
-    inner_cfg = replace(cfg.inner, kkt_tol=eff_tol)
-    oracle = _PhiOracle(data, reg, inner_cfg, cfg.sieve,
-                        x_warm=None if warm is None else warm.x)
+    tol = min(KKT_TOL, 0.01 * cfg.stoptol * max(1.0, rho))
+    oracle = _PhiOracle(data, reg, tol, cfg.sieve, x_warm=None if warm is None else warm.x)
 
     lo, hi = (None, None) if warm is None else (warm.bracket[0], 1.5 * warm.lambda_star)
     try:
@@ -239,8 +238,7 @@ def smop_solve(
             raise
         raise BracketError(
             f"{uncertified} of {len(oracle.cache)} phi evaluations in the bracket "
-            "search did not certify their KKT residual; raise InnerConfig.max_iters "
-            f"or SieveConfig.max_rounds ({exc})"
+            f"search did not certify their KKT residual ({exc})"
         ) from exc
 
     if cfg.method == "smop":
@@ -253,9 +251,6 @@ def smop_solve(
 
     final = oracle.cache[lam_star]
     evals = list(oracle.cache.values())
-    if not cfg.keep_solutions:
-        for rec in evals:
-            rec.x = None
     if not final.converged:
         log.warning("the phi evaluation at lambda*=%.8g did not certify its KKT residual",
                     lam_star)

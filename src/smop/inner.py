@@ -15,8 +15,11 @@ certificate, at the same tolerance, is run on its point. APG stops when it
 passes and otherwise continues unchanged; a failed pattern is not solved
 again. ``phi_derivative`` uses the same solve for phi's derivative.
 
-A solve's result carries its iteration count and the certificate at its
-point; the per-round log of an evaluation is the sieve's ``SieveRound`` list.
+A solve certifies to ``tol`` (default ``KKT_TOL``) and otherwise stops
+uncertified: after ``MAX_ITERS`` APG iterations, or at once when its
+objective or its certificate is no longer finite. Its result carries its
+iteration count and the certificate at its point; the per-round log of an
+evaluation is the sieve's ``SieveRound`` list.
 """
 
 from __future__ import annotations
@@ -35,18 +38,9 @@ _GRAM_LIMIT = 4096
 # reduced matrices up to this entry count are gathered densely (BLAS products
 # beat scipy sparse dispatch overhead at desk scale)
 _DENSE_LIMIT = 4_194_304
-
-
-@dataclass(frozen=True)
-class InnerConfig:
-    kkt_tol: float = 1e-8
-    max_iters: int = 20000
-
-    def __post_init__(self):
-        if not 0.0 < self.kkt_tol < np.inf:
-            raise ValueError("kkt_tol must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+# default certificate tolerance of a solve, and the APG iteration cap
+KKT_TOL = 1e-8
+MAX_ITERS = 20000
 
 
 @dataclass
@@ -214,7 +208,7 @@ def solve_reduced(
     lam: float,
     index_set,
     x0=None,
-    cfg: InnerConfig | None = None,
+    tol: float = KKT_TOL,
 ) -> InnerSolveResult:
     """Solve the regularized problem restricted to ``index_set``.
 
@@ -225,7 +219,8 @@ def solve_reduced(
     """
     if not 0.0 < lam < np.inf:
         raise ValueError("lam must be positive and finite")
-    cfg = cfg or InnerConfig()
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     idx = np.asarray(index_set, dtype=np.int64)
     if idx.size == 0:
         return _zero_result(data)
@@ -278,13 +273,12 @@ def solve_reduced(
         zn[J] = x_J
         return zn
 
-    tol = cfg.kkt_tol
     inv_L = 1.0 / L
     step_t = lam * inv_L
     converged = False
     iters = 0
 
-    for iters in range(1, cfg.max_iters + 1):
+    for iters in range(1, MAX_ITERS + 1):
         g_y = gram_mv(y) - c
         z_new = reg_r.prox(y - g_y * inv_L, step_t)
         Gz_new = gram_mv(z_new)
@@ -305,6 +299,9 @@ def solve_reduced(
         # on a fixed cadence
         if iters % 3 == 1:
             xh, cert, r_norm = certify(z_new, Gz_new)
+            if not math.isfinite(cert + r_norm):
+                # the certificate overflowed: stop uncertified
+                break
             zn = newton_point(xh) if max(cert, r_norm) > tol else None
             if zn is not None:
                 n_cert = certify(zn, gram_mv(zn))

@@ -309,14 +309,23 @@ def bracket_init(phi, rho: float, lam_inf: float, lo=None, hi=None, *, bnorm=Non
     the upper end. A step is the root of the piece through the last point
     when ``dphi(x, lam, phi)``, phi's derivative there, gives a usable one
     (see the module docstring), else ``lam *= max(0.1, 0.5 * rho / phi(lam))``.
+    A ``phi`` that is not finite ends the search at once with a ``BracketError``.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
+
+    def evaluate(lam):
+        p, x = phi(lam)
+        if not math.isfinite(p):
+            # nan compares as neither above nor below rho
+            raise BracketError(f"phi({lam:.3g})={p} is not finite")
+        return p, x
+
     hi = lam_inf if hi is None else min(hi, lam_inf)
     below = None
     while True:
         # x = 0 at lam_inf: no pattern, so no piece root from there
-        p, x = (bnorm, None) if hi >= lam_inf and bnorm is not None else phi(hi)
+        p, x = (bnorm, None) if hi >= lam_inf and bnorm is not None else evaluate(hi)
         if p > rho:
             break
         if p < rho:
@@ -349,7 +358,7 @@ def bracket_init(phi, rho: float, lam_inf: float, lo=None, hi=None, *, bnorm=Non
                 f"rho={rho:.6g} too small: phi({hi:.3g})={p:.6g} near the lam floor; no "
                 "level below the least-squares residual min ||A x - b|| is reachable"
             )
-        p, x = phi(lam)
+        p, x = evaluate(lam)
         if p < rho:
             below = lam
         else:

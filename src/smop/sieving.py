@@ -2,15 +2,16 @@
 
 Each round solves the problem restricted to the current index set I, measures
 the full-dimension proximal residual R at the assembled point, and, while
-``||R||`` exceeds the inner solver's ``kkt_tol``, grows the set with the
-largest off-set residual entries.
-A round adds at most ``min(k_max, max(|I|, MIN_GROWTH))`` entries, so the set
-starts at up to ``MIN_GROWTH`` coordinates and then at most doubles per round:
-the reduced problems stay near the size of the support the solve needs, and
-reaching a support of size s takes ``O(log s)`` rounds. Rounds where no
-off-set entry exceeds the zero threshold re-solve the current set at a
-tighter tolerance, which drives the full residual down since an exact reduced
-solve with an empty candidate set already solves the full problem.
+``||R||`` exceeds the tolerance ``tol``, grows the set with the largest
+off-set residual entries.
+A round adds at most ``min(MAX_GROWTH, max(|I|, MIN_GROWTH))`` entries, so
+the set starts at up to ``MIN_GROWTH`` coordinates and then at most doubles
+per round: the reduced problems stay near the size of the support the solve
+needs, and reaching a support of size s takes ``O(log s)`` rounds. Rounds
+where no off-set entry exceeds the zero threshold re-solve the current set at
+a tighter tolerance, which drives the full residual down since an exact
+reduced solve with an empty candidate set already solves the full problem.
+A solve that has not certified after ``MAX_ROUNDS`` rounds stops uncertified.
 
 The residual ``y = b - A_I x_I`` that the reduced solve returns is reused:
 the round's gradient is ``-A^T y`` and the final ``y``/``phi`` are the last
@@ -18,7 +19,7 @@ round's, so a sieve round forms no full product ``A x``. The ``A^T`` product
 over all n columns stays; it is the certificate.
 
 ``phi_eval`` evaluates phi(lam) = ||A x(lam) - b||: through this loop, or by
-one direct solve over all coordinates when no sieve configuration is given.
+one direct solve over all coordinates with ``sieve=False``.
 """
 
 from __future__ import annotations
@@ -27,24 +28,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .inner import InnerConfig, InnerSolveResult, residual_R, solve_reduced, _zero_result
+from .inner import KKT_TOL, InnerSolveResult, residual_R, solve_reduced
 from .problem import ProblemData
 from .regularizers import Regularizer
 
-# a round may add this many coordinates even when I is smaller
+# a round may add this many coordinates even when I is smaller, and never
+# more than MAX_GROWTH; a solve runs at most MAX_ROUNDS rounds
 MIN_GROWTH = 20
-
-
-@dataclass(frozen=True)
-class SieveConfig:
-    k_max: int = 500         # cap on coordinates added per round
-    max_rounds: int = 100
-
-    def __post_init__(self):
-        if self.k_max < 1:
-            raise ValueError("k_max must be at least 1")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
+MAX_GROWTH = 500
+MAX_ROUNDS = 100
 
 
 @dataclass
@@ -79,9 +71,8 @@ def sieve_solve(
     reg: Regularizer,
     lam: float,
     initial_set,
-    cfg: SieveConfig | None = None,
     x0=None,
-    inner_cfg: InnerConfig | None = None,
+    tol: float = KKT_TOL,
 ):
     """Solve the lam-regularized problem through reduced subproblems.
 
@@ -95,43 +86,37 @@ def sieve_solve(
     Returns
     -------
     (InnerSolveResult, SieveTrace)
-        Full-dimension result with ``||R(x)|| <= inner_cfg.kkt_tol`` (an
-        unnormalized tolerance here) on success, and the per-round log: one
+        Full-dimension result with ``||R(x)|| <= tol`` (an unnormalized
+        tolerance here) on success, and the per-round log: one
         :class:`SieveRound` per reduced solve, so the rounds' ``inner_iters``
         sum to the result's ``iters``. The result's ``eta_l`` is the last
         round's full-dimension residual, normalized as in ``inner.eta_l``.
     """
     if not 0.0 < lam < np.inf:
         raise ValueError("lam must be positive and finite")
-    cfg = cfg or SieveConfig()
-    inner_cfg = inner_cfg or InnerConfig()
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     n = data.A.n
     I = np.unique(np.asarray(initial_set, dtype=np.int64))
     if I.size and (I.min() < 0 or I.max() >= n):
         raise ValueError("initial index set out of range")
 
     # treat roundoff-sized residual entries as zero when building J
-    eps = inner_cfg.kkt_tol
-    zero_thresh = max(1e-12, 1e-3 * eps)
-    round_tol = max(eps, 1e-15)
+    zero_thresh = max(1e-12, 1e-3 * tol)
+    round_tol = max(tol, 1e-15)
     trace = SieveTrace()
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     total_iters = 0
     converged = False
 
-    for _ in range(cfg.max_rounds):
-        if I.size:
-            result = solve_reduced(
-                data, reg, lam, I, x0=x, cfg=replace(inner_cfg, kkt_tol=round_tol)
-            )
-        else:
-            result = _zero_result(data)
+    for _ in range(MAX_ROUNDS):
+        result = solve_reduced(data, reg, lam, I, x0=x, tol=round_tol)
         total_iters += result.iters
         x = result.x
         grad = -data.A.rmatvec(result.y)
         R = residual_R(x, grad, reg, lam)
         r_norm = float(np.linalg.norm(R))
-        if r_norm <= eps:
+        if r_norm <= tol:
             trace.rounds.append(SieveRound(I.size, r_norm, 0, 0, result.iters))
             converged = True
             break
@@ -143,7 +128,7 @@ def sieve_solve(
             trace.rounds.append(SieveRound(I.size, r_norm, 0, 0, result.iters))
             round_tol *= 0.1
             continue
-        add = select_top_k(R, J, min(J.size, cfg.k_max, max(I.size, MIN_GROWTH)))
+        add = select_top_k(R, J, min(J.size, MAX_GROWTH, max(I.size, MIN_GROWTH)))
         trace.rounds.append(SieveRound(I.size, r_norm, J.size, add.size, result.iters))
         I = np.union1d(I, add)
 
@@ -157,19 +142,19 @@ def phi_eval(
     reg: Regularizer,
     lam: float,
     x0=None,
-    cfg: InnerConfig | None = None,
-    sieve_cfg: SieveConfig | None = None,
+    tol: float = KKT_TOL,
+    sieve: bool = True,
 ) -> tuple[InnerSolveResult, SieveTrace]:
     """Evaluate phi(lam) by a full-dimension solve.
 
-    With ``sieve_cfg`` set, the solve goes through :func:`sieve_solve` seeded
-    with the support of the warm start, and its round log is returned with
-    the result; with None, one direct solve runs over all coordinates and the
-    log has no rounds. The result's ``eta_l`` is measured at full dimension.
-    Both solves reject a ``lam`` that is not positive and finite.
+    With ``sieve``, the solve goes through :func:`sieve_solve` seeded with
+    the support of the warm start, and its round log is returned with the
+    result; without, one direct solve runs over all coordinates and the log
+    has no rounds. The result's ``eta_l`` is measured at full dimension.
+    Both solves reject a ``lam`` or ``tol`` that is not positive and finite.
     """
-    if sieve_cfg is None:
+    if not sieve:
         # the reduced certificate over all of [n] is already the full-dimension one
-        return solve_reduced(data, reg, lam, np.arange(data.A.n), x0=x0, cfg=cfg), SieveTrace()
+        return solve_reduced(data, reg, lam, np.arange(data.A.n), x0=x0, tol=tol), SieveTrace()
     seed = np.flatnonzero(x0) if x0 is not None else np.empty(0, dtype=np.int64)
-    return sieve_solve(data, reg, lam, seed, sieve_cfg, x0=x0, inner_cfg=cfg)
+    return sieve_solve(data, reg, lam, seed, x0=x0, tol=tol)

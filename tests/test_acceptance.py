@@ -11,12 +11,10 @@ import pytest
 from smop import (
     L1,
     ProblemData,
-    SieveConfig,
     SmopConfig,
     SortedL1,
     SparseMatrix,
     SynthSpec,
-    InnerConfig,
     lambda_inf,
     linear_weights,
     phi_derivative,
@@ -32,6 +30,7 @@ from smop import (
 )
 from smop.cli import sci
 
+from test_driver import evaluation_solutions
 from test_regularizers import oracle_prox_sorted
 
 TABLE_BETA = {
@@ -64,12 +63,18 @@ def suite():
 
 @pytest.fixture(scope="module")
 def suite_runs_1e8(suite):
-    """SMOP, BMOP and NMOP runs at stoptol 1e-8 over the suite."""
-    runs = {}
+    """SMOP, BMOP and NMOP runs at stoptol 1e-8 over the suite, and per SMOP
+    run the ``x`` of each evaluation, keyed by its ``lam``."""
+    runs, smop_xs = {}, []
     for method in ("smop", "bmop", "nmop"):
-        cfg = SmopConfig(stoptol=1e-8, method=method, keep_solutions=True)
-        runs[method] = [smop_solve(data, L1(), cfg) for data in suite]
-    return runs
+        cfg = SmopConfig(stoptol=1e-8, method=method)
+        runs[method] = []
+        for data in suite:
+            with evaluation_solutions() as xs:
+                runs[method].append(smop_solve(data, L1(), cfg))
+            if method == "smop":
+                smop_xs.append(xs)
+    return runs, smop_xs
 
 
 def test_criterion_1_table_one():
@@ -109,7 +114,7 @@ def test_criterion_3_closed_forms(scalar_data, diagonal_data):
     ]
     # sieving is pure overhead at n in {1, 2}; phi' >= 1 on both instances,
     # so eta <= 1e-8 pins lambda to 1e-8
-    cfg = lambda method: SmopConfig(stoptol=1e-8, method=method, sieve=None)
+    cfg = lambda method: SmopConfig(stoptol=1e-8, method=method, sieve=False)
     smop_solve(scalar_data, L1(), cfg("bmop"))  # warm up
     worst_ms = 0.0
     for data, lam_expect, name in targets:
@@ -132,7 +137,8 @@ def test_criterion_4_cross_method_oracle(suite):
     worst_gap = 0.0
     reg = L1()
     for data in suite:
-        res_s = smop_solve(data, reg, SmopConfig(stoptol=1e-6, keep_solutions=True))
+        with evaluation_solutions() as xs:
+            res_s = smop_solve(data, reg, SmopConfig(stoptol=1e-6))
         res_b = smop_solve(data, reg, SmopConfig(stoptol=1e-10, method="bmop"))
         rel = abs(res_s.lambda_star - res_b.lambda_star) / res_b.lambda_star
         worst_rel = max(worst_rel, rel)
@@ -140,11 +146,12 @@ def test_criterion_4_cross_method_oracle(suite):
         assert rel <= 1e-5
         assert res_s.eta <= 1e-6
         for ev in res_s.evals:  # gauge KKT at every accepted solve
-            y = data.b - data.A.matvec(ev.x)
+            x = xs[ev.lam]
+            y = data.b - data.A.matvec(x)
             u = data.A.rmatvec(y)
             polar_excess = reg.polar(u) / ev.lam - 1.0
-            gap = abs(ev.x @ u - ev.lam * reg.value(ev.x))
-            gap_rel = gap / (1.0 + ev.lam * reg.value(ev.x))
+            gap = abs(x @ u - ev.lam * reg.value(x))
+            gap_rel = gap / (1.0 + ev.lam * reg.value(x))
             worst_polar = max(worst_polar, polar_excess)
             worst_gap = max(worst_gap, gap_rel)
             assert polar_excess <= 1e-6
@@ -164,14 +171,14 @@ def test_criterion_5_sieving_equivalence():
         data, _ = synth_instance(SynthSpec(m=80, n=400, s=10, sigma=0.02, seed=seed))
         reg = L1() if seed % 2 == 0 else SortedL1(linear_weights(400))
         lam = 0.3 * lambda_inf(reg, data.A, data.b)
-        res, trace = sieve_solve(data, reg, lam, [], inner_cfg=InnerConfig(kkt_tol=eps))
+        res, trace = sieve_solve(data, reg, lam, [], tol=eps)
         assert res.converged
         grad = data.A.rmatvec(data.A.matvec(res.x) - data.b)
         R = res.x - reg.prox(res.x - grad, lam)
         assert np.linalg.norm(R) <= eps
         sizes = [r.size_I for r in trace.rounds]
         assert all(b >= a for a, b in zip(sizes, sizes[1:]))
-        full = solve_reduced(data, reg, lam, np.arange(400), cfg=InnerConfig(kkt_tol=eps))
+        full = solve_reduced(data, reg, lam, np.arange(400), tol=eps)
         rel = abs(res.objective - full.objective) / (1.0 + abs(full.objective))
         worst_rel = max(worst_rel, rel)
         assert rel <= 1e-6
@@ -182,7 +189,7 @@ def test_criterion_5_sieving_equivalence():
 
 
 def test_criterion_6_efficiency(suite_runs_1e8):
-    evals = {m: [r.n_subproblems for r in runs] for m, runs in suite_runs_1e8.items()}
+    evals = {m: [r.n_subproblems for r in runs] for m, runs in suite_runs_1e8[0].items()}
     med_s = float(np.median(evals["smop"]))
     med_b = float(np.median(evals["bmop"]))
     med_n = float(np.median(evals["nmop"]))
@@ -200,13 +207,12 @@ def test_criterion_7_property_suites(suite, suite_runs_1e8):
         data, _ = synth_instance(SynthSpec(m=60, n=300, s=8, sigma=0.02, seed=seed))
         for reg in (L1(), SortedL1(linear_weights(300))):
             lam_top = lambda_inf(reg, data.A, data.b)
-            cfg = InnerConfig(kkt_tol=1e-9)
-            phis = [phi_eval(data, reg, f * lam_top, cfg=cfg)[0].phi
+            phis = [phi_eval(data, reg, f * lam_top, tol=1e-9, sieve=False)[0].phi
                     for f in np.linspace(0.1, 1.0, 10)]
             assert np.all(np.diff(phis) >= -10 * 1e-9)
             assert np.all(np.diff(phis) > 0)
             # at and above lambda_inf the zero vector solves the problem
-            res, _ = phi_eval(data, reg, 1.01 * lam_top, cfg=cfg)
+            res, _ = phi_eval(data, reg, 1.01 * lam_top, tol=1e-9, sieve=False)
             assert np.linalg.norm(res.x) == 0.0
             assert res.phi == data.bnorm
 
@@ -226,10 +232,11 @@ def test_criterion_7_property_suites(suite, suite_runs_1e8):
 
     # generalized derivative strictly positive at every accepted solve
     n_checked = 0
-    for res, data_rho in zip(suite_runs_1e8["smop"], suite):
+    runs, smop_xs = suite_runs_1e8
+    for res, xs, data_rho in zip(runs["smop"], smop_xs, suite):
         for ev in res.evals:
-            if ev.x is not None and np.any(ev.x != 0):
-                v = phi_derivative(data_rho.A, L1(), ev.x, ev.lam, ev.phi)
+            if np.any(xs[ev.lam] != 0):
+                v = phi_derivative(data_rho.A, L1(), xs[ev.lam], ev.lam, ev.phi)
                 assert v > 0
                 n_checked += 1
 

@@ -188,7 +188,7 @@ class TestSolve:
     def test_solver_knob_flags(self, capsys):
         code, out, _ = run(
             capsys, "solve", "--synth", "m=10,n=30,s=3,seed=5", "--c", "0.3",
-            "--mu", "0.3", "--max-outer", "50", "--kmax", "4", "--stoptol", "1e-7",
+            "--mu", "0.3", "--max-outer", "50", "--stoptol", "1e-7",
         )
         assert code == 0
         assert json.loads(out)["eta"] <= 1e-7
@@ -197,12 +197,9 @@ class TestSolve:
         (["--mu", "-3", "--max-outer", "0"], "mu must lie in (0, 1)"),
         (["--mu", "1.5"], "mu must lie in (0, 1)"),
         (["--max-outer", "0"], "max_outer must be at least 1"),
-        (["--kmax", "-5"], "k_max must be at least 1"),
-        (["--kmax", "0"], "k_max must be at least 1"),
         (["--stoptol", "nan"], "stoptol must be positive and finite"),
-        (["--kmax", "5", "--no-sieve"], "--kmax sets the sieve and cannot be used with --no-sieve"),
-    ], ids=["mu-negative", "mu-above-one", "max-outer-zero", "kmax-negative", "kmax-zero",
-            "stoptol-nan", "kmax-no-sieve"])
+        (["--kmax", "5"], "unrecognized arguments: --kmax 5"),  # the cap is a constant
+    ], ids=["mu-negative", "mu-above-one", "max-outer-zero", "stoptol-nan", "kmax-removed"])
     def test_solver_knob_flags_checked(self, capsys, flags, message):
         code, out, err = run(
             capsys, "solve", "--synth", "m=4,n=8,s=2,seed=7", "--c", "0.3", *flags

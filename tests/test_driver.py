@@ -1,17 +1,17 @@
+import contextlib
 import re
 import time
 
 import numpy as np
 import pytest
 
+import smop.driver as driver
 from smop import (
     BracketError,
-    InnerConfig,
     L1,
     PathSpec,
     ProblemData,
     RootConfig,
-    SieveConfig,
     SmopConfig,
     SortedL1,
     SparseMatrix,
@@ -27,6 +27,24 @@ from smop import (
     solve_path,
     synth_instance,
 )
+from smop.inner import KKT_TOL
+from smop.sieving import MAX_ROUNDS
+
+
+@contextlib.contextmanager
+def evaluation_solutions():
+    """Within the block, the ``x`` of each phi evaluation, keyed by its ``lam``."""
+    xs = {}
+    orig = driver.phi_eval
+
+    def keeping(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        xs[args[2]] = out[0].x
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(driver, "phi_eval", keeping)
+        yield xs
 
 
 class TestMetrics:
@@ -94,7 +112,7 @@ class TestSmopSolve:
         data = data.with_rho(0.2 * data.bnorm)
         cfg = SmopConfig(stoptol=1e-7)
         res = smop_solve(data, L1(), cfg)
-        eps_in = min(cfg.inner.kkt_tol, 0.01 * cfg.stoptol * max(1.0, data.rho))
+        eps_in = min(KKT_TOL, 0.01 * cfg.stoptol * max(1.0, data.rho))
         assert eta_l(res.x, data.A, data.b, L1(), res.lambda_star) <= 10 * eps_in
 
     def test_sorted_l1_end_to_end(self):
@@ -110,11 +128,12 @@ class TestSmopSolve:
 
     def test_sieving_off_matches_on(self, diagonal_data):
         on = smop_solve(diagonal_data, L1(), SmopConfig(stoptol=1e-9))
-        off = smop_solve(diagonal_data, L1(), SmopConfig(stoptol=1e-9, sieve=None))
+        off = smop_solve(diagonal_data, L1(), SmopConfig(stoptol=1e-9, sieve=False))
         assert on.lambda_star == pytest.approx(off.lambda_star, abs=1e-9)
 
     @pytest.mark.parametrize("sieving", [True, False])
-    def test_uncertified_final_evaluation_not_converged(self, apg_only_l1, sieving):
+    def test_uncertified_final_evaluation_not_converged(self, monkeypatch, apg_only_l1,
+                                                        sieving):
         # capped inner iterations (and sieve rounds) still bracket and let the
         # root finder stop, but the solve at lambda* misses its KKT tolerance;
         # APG alone (the l1 solve with the Newton step certifies under these
@@ -122,9 +141,10 @@ class TestSmopSolve:
         data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=0))
         data = data.with_rho(0.1 * data.bnorm)
         reg = apg_only_l1
-        cfg = SmopConfig(stoptol=1e-8, sieve=SieveConfig(max_rounds=2) if sieving else None,
-                         inner=InnerConfig(max_iters=20))
-        res = smop_solve(data, reg, cfg)
+        with monkeypatch.context() as mp:
+            mp.setattr("smop.sieving.MAX_ROUNDS", 2)
+            mp.setattr("smop.inner.MAX_ITERS", 20)
+            res = smop_solve(data, reg, SmopConfig(stoptol=1e-8, sieve=sieving))
         assert res.root_state.converged
         final = next(e for e in res.evals if e.lam == res.lambda_star)
         assert not final.converged
@@ -132,18 +152,19 @@ class TestSmopSolve:
         assert all(e.converged for e in smop_solve(data, reg, SmopConfig(stoptol=1e-8)).evals)
 
     @pytest.mark.parametrize("sieving", [True, False])
-    def test_l1_certifies_under_small_caps(self, sieving):
+    def test_l1_certifies_under_small_caps(self, monkeypatch, sieving):
         # 20 APG iterations per solve and two sieve rounds: the Newton step on
         # the identified support certifies the evaluation at lambda*
+        monkeypatch.setattr("smop.sieving.MAX_ROUNDS", 2)
+        monkeypatch.setattr("smop.inner.MAX_ITERS", 20)
         data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=0))
         data = data.with_rho(0.1 * data.bnorm)
-        cfg = SmopConfig(stoptol=1e-8, sieve=SieveConfig(max_rounds=2) if sieving else None,
-                         inner=InnerConfig(max_iters=20))
+        cfg = SmopConfig(stoptol=1e-8, sieve=sieving)
         res = smop_solve(data, L1(), cfg)
         final = next(e for e in res.evals if e.lam == res.lambda_star)
         assert final.converged
         assert res.converged
-        eps_in = min(cfg.inner.kkt_tol, 0.01 * cfg.stoptol * max(1.0, data.rho))
+        eps_in = min(KKT_TOL, 0.01 * cfg.stoptol * max(1.0, data.rho))
         assert eta_l(res.x, data.A, data.b, L1(), res.lambda_star) <= 10 * eps_in
 
     @pytest.mark.parametrize("sieving", [True, False])
@@ -153,10 +174,10 @@ class TestSmopSolve:
         # iterations here
         data, _ = synth_instance(SynthSpec(m=20, n=200, s=5, sigma=0.01, seed=3))
         data = data.with_rho(0.01 * data.bnorm)
-        cfg = SmopConfig(stoptol=1e-8, sieve=SieveConfig() if sieving else None)
+        cfg = SmopConfig(stoptol=1e-8, sieve=sieving)
         res = smop_solve(data, L1(), cfg)
         assert res.converged
-        eps_in = min(cfg.inner.kkt_tol, 0.01 * cfg.stoptol * max(1.0, data.rho))
+        eps_in = min(KKT_TOL, 0.01 * cfg.stoptol * max(1.0, data.rho))
         assert eta_l(res.x, data.A, data.b, L1(), res.lambda_star) <= 10 * eps_in
         assert res.inner_iters_total <= 2000
 
@@ -173,10 +194,10 @@ class TestSmopSolve:
         data = ProblemData(SparseMatrix.from_dense(dense), np.column_stack([a, c, e]) @ rng.standard_normal(3))
         data = data.with_rho(1e-4 * data.bnorm)
         reg = L1() if kind == "l1" else SortedL1(linear_weights(8))
-        cfg = SmopConfig(stoptol=1e-8, sieve=SieveConfig() if sieving else None)
+        cfg = SmopConfig(stoptol=1e-8, sieve=sieving)
         res = smop_solve(data, reg, cfg)
         assert res.converged
-        eps_in = min(cfg.inner.kkt_tol, 0.01 * cfg.stoptol * max(1.0, data.rho))
+        eps_in = min(KKT_TOL, 0.01 * cfg.stoptol * max(1.0, data.rho))
         assert eta_l(res.x, data.A, data.b, reg, res.lambda_star) <= 10 * eps_in
         assert np.count_nonzero(res.x) > data.A.m
         assert res.inner_iters_total <= 200
@@ -225,19 +246,21 @@ class TestSmopSolve:
         assert rec.rounds[-1].size_J == 0
 
     @pytest.mark.parametrize("sieving", [True, False])
-    def test_uncertified_bracket_evaluations_named(self, sieving):
+    def test_uncertified_bracket_evaluations_named(self, monkeypatch, sieving):
         # one sieve round (x = 0) or one APG iteration leaves phi near ||b||,
         # so the lower bracket end runs off the numeric range; the error must
         # name the uncertified evaluations, not only the range
         data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=0))
         data = data.with_rho(0.1 * data.bnorm)
         if sieving:
-            cfg = SmopConfig(stoptol=1e-8, sieve=SieveConfig(max_rounds=1))
+            monkeypatch.setattr("smop.sieving.MAX_ROUNDS", 1)
         else:
-            cfg = SmopConfig(stoptol=1e-8, sieve=None, inner=InnerConfig(max_iters=1))
+            monkeypatch.setattr("smop.inner.MAX_ITERS", 1)
+        cfg = SmopConfig(stoptol=1e-8, sieve=sieving)
         with pytest.raises(BracketError, match="did not certify their KKT residual") as exc:
             smop_solve(data, L1(), cfg)
-        assert "InnerConfig.max_iters or SieveConfig.max_rounds" in str(exc.value)
+        assert re.match(r"\d+ of \d+ phi evaluations in the bracket search", str(exc.value))
+        assert str(exc.value.__cause__) in str(exc.value)
         assert isinstance(exc.value.__cause__, BracketError)
 
     def test_configs_are_frozen(self):
@@ -245,15 +268,16 @@ class TestSmopSolve:
         # loosens the sufficient-decrease safeguard
         cfg = SmopConfig()
         for owner, name, value in [(cfg, "stoptol", 1e-3), (cfg.root, "mu", 1.5),
-                                   (cfg.sieve, "k_max", 0), (cfg.inner, "kkt_tol", 1.0)]:
+                                   (cfg, "sieve", None)]:
             with pytest.raises(AttributeError):
                 setattr(owner, name, value)
         assert cfg == SmopConfig()
 
-    def test_keep_solutions(self, diagonal_data):
-        res = smop_solve(diagonal_data, L1(), SmopConfig(keep_solutions=True))
-        assert all(e.x is not None for e in res.evals)
-        assert all(e.x is None for e in smop_solve(diagonal_data, L1()).evals)
+    @pytest.mark.parametrize("sieve", [None, 0, 1, "False"])
+    def test_sieve_must_be_a_bool(self, sieve):
+        # sieve=None once asked for direct solves; it must not pass as a flag
+        with pytest.raises(ValueError, match="sieve must be True or False"):
+            SmopConfig(sieve=sieve)
 
     def test_to_doc_roundtrip(self, diagonal_data):
         res = smop_solve(diagonal_data, L1(), SmopConfig(stoptol=1e-9))
@@ -266,7 +290,7 @@ class TestSmopSolve:
 def _events_solve(kind, sieve):
     data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=2))
     reg = L1() if kind == "l1" else SortedL1(linear_weights(120))
-    cfg = SmopConfig(stoptol=1e-8, sieve=SieveConfig() if sieve else None, keep_solutions=True)
+    cfg = SmopConfig(stoptol=1e-8, sieve=sieve)
     res = smop_solve(data.with_rho(0.1 * data.bnorm), reg, cfg)
     return data, reg, res, list(res.events())
 
@@ -320,9 +344,10 @@ class TestEvents:
             assert by_index[e["eval"]].lam == it.lam
 
     def test_eta_l_is_the_full_kkt_residual(self, kind, sieve):
-        data, reg, res, _ = _events_solve(kind, sieve)
+        with evaluation_solutions() as xs:
+            data, reg, res, _ = _events_solve(kind, sieve)
         for rec in res.evals:
-            want = eta_l(rec.x, data.A, data.b, reg, rec.lam)
+            want = eta_l(xs[rec.lam], data.A, data.b, reg, rec.lam)
             assert rec.eta_l == pytest.approx(want, rel=1e-6, abs=1e-14)
 
 
@@ -380,7 +405,7 @@ class TestPieceRootBracket:
         assert [rec.lam for rec in gated.evals] == [rec.lam for rec in plain.evals]
         np.testing.assert_array_equal(gated.x, plain.x)
 
-    def test_uncertified_evaluation_gives_no_derivative(self):
+    def test_uncertified_evaluation_gives_no_derivative(self, monkeypatch):
         # one APG iteration certifies nothing: the derivative is refused, and
         # the bracket search takes the plain step lam * max(0.1, 0.5 rho / phi)
         from smop.driver import _PhiOracle
@@ -388,7 +413,8 @@ class TestPieceRootBracket:
         data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=0))
         lam_top = lambda_inf(L1(), data.A, data.b)
         lam = 0.3 * lam_top
-        oracle = _PhiOracle(data, L1(), InnerConfig(max_iters=1), None)
+        monkeypatch.setattr("smop.inner.MAX_ITERS", 1)
+        oracle = _PhiOracle(data, L1(), KKT_TOL, False)
         p, x = oracle(lam)
         assert not oracle.cache[lam].converged
         with pytest.raises(ValueError, match="no certified evaluation"):
@@ -400,7 +426,8 @@ class TestPieceRootBracket:
             pass  # uncertified evaluations may never cross rho
         assert list(oracle.cache)[1] == lam * 0.25
         # certified, the same point gives phi_derivative's value
-        certified = _PhiOracle(data, L1(), InnerConfig(), None)
+        monkeypatch.undo()
+        certified = _PhiOracle(data, L1(), KKT_TOL, False)
         p, x = certified(lam)
         assert certified.derivative(x, lam, p) == phi_derivative(data.A, L1(), x, lam, p)
 
@@ -521,11 +548,10 @@ class TestEdgeInstances:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_scale_ends_uncertified(self, monkeypatch):
-        # a design on the scale 1e150 overflows the APG objective; an
-        # evaluation stops there, uncertified, instead of running to
-        # max_iters (without the guard: 13 evaluations of 20,000 iterations)
-        import smop.driver as driver
-
+        # a design on the scale 1e150 overflows the APG certificate; the first
+        # evaluation stops there, uncertified, with phi = nan, and the bracket
+        # search ends at it, sieved or direct (without the guards: 13
+        # evaluations of 20,000 iterations, then 12 walking to the lam floor)
         iters = []
         orig = driver.phi_eval
 
@@ -540,15 +566,15 @@ class TestEdgeInstances:
         b = rng.standard_normal(20) * 1e150
         data = ProblemData(SparseMatrix.from_dense(dense), b)
         data = data.with_rho(0.1 * data.bnorm)
-        t0 = time.perf_counter()
-        try:
-            converged = smop_solve(data, L1(), SmopConfig(stoptol=1e-8, sieve=None)).converged
-        except BracketError as exc:
-            assert "did not certify" in str(exc)
-            converged = False
-        assert time.perf_counter() - t0 < 10.0
-        assert not converged
-        assert sum(iters) <= 2 * InnerConfig().max_iters
+        for sieve in (False, True):
+            iters.clear()
+            t0 = time.perf_counter()
+            with pytest.raises(BracketError, match="did not certify") as exc:
+                smop_solve(data, L1(), SmopConfig(stoptol=1e-8, sieve=sieve))
+            assert "is not finite" in str(exc.value)
+            assert time.perf_counter() - t0 < 10.0
+            assert len(iters) == 1
+            assert iters[0] <= MAX_ROUNDS
 
     def test_rho_barely_below_bnorm(self):
         data, _ = synth_instance(SynthSpec(m=30, n=90, s=4, sigma=0.01, seed=31))

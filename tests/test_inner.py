@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from smop import (
-    InnerConfig,
     L1,
     ProblemData,
-    SieveConfig,
     SortedL1,
     SparseMatrix,
     SynthSpec,
@@ -82,33 +80,32 @@ class TestSolveReduced:
         with pytest.raises(ValueError):
             solve_reduced(diagonal_data, L1(), 0.4, [5])
 
-    def test_max_iters_flags_nonconverged(self, diagonal_data):
+    def test_max_iters_flags_nonconverged(self, monkeypatch, diagonal_data):
         # the first sorted-l1 iterate ties both coordinates in one cluster and
         # the solution (0.6, 0.5) has two, so the Newton point on its pattern
         # fails the certificate; an l1 solve of this problem certifies in one
         # iteration (test_one_iteration_certifies_l1_on_identified_support)
+        monkeypatch.setattr("smop.inner.MAX_ITERS", 1)
         res = solve_reduced(
-            diagonal_data, SortedL1(linear_weights(2)), 0.4, [0, 1],
-            cfg=InnerConfig(kkt_tol=1e-14, max_iters=1),
+            diagonal_data, SortedL1(linear_weights(2)), 0.4, [0, 1], tol=1e-14
         )
         assert not res.converged
 
-    def test_max_iters_flags_nonconverged_l1_wrong_first_support(self):
+    def test_max_iters_flags_nonconverged_l1_wrong_first_support(self, monkeypatch):
         # the first iterate has 51 nonzeros and the solution 9, so the Newton
         # point on its support fails the certificate
+        monkeypatch.setattr("smop.inner.MAX_ITERS", 1)
         data, _ = synth_instance(SynthSpec(m=30, n=80, s=5, sigma=0.05, seed=2))
         lam = 0.1 * lambda_inf(L1(), data.A, data.b)
-        res = solve_reduced(
-            data, L1(), lam, np.arange(80), cfg=InnerConfig(kkt_tol=1e-14, max_iters=1)
-        )
+        res = solve_reduced(data, L1(), lam, np.arange(80), tol=1e-14)
         assert not res.converged
 
-    def test_one_iteration_certifies_l1_on_identified_support(self, diagonal_data):
+    def test_one_iteration_certifies_l1_on_identified_support(self, monkeypatch,
+                                                              diagonal_data):
         # the first APG iterate has the solution's support and signs, so the
         # Newton step lands on the solution
-        res = solve_reduced(
-            diagonal_data, L1(), 0.4, [0, 1], cfg=InnerConfig(kkt_tol=1e-14, max_iters=1)
-        )
+        monkeypatch.setattr("smop.inner.MAX_ITERS", 1)
+        res = solve_reduced(diagonal_data, L1(), 0.4, [0, 1], tol=1e-14)
         assert res.converged
         assert res.iters == 1
         assert eta_l(res.x, diagonal_data.A, diagonal_data.b, L1(), 0.4) <= 1e-14
@@ -116,13 +113,14 @@ class TestSolveReduced:
 
     @pytest.mark.parametrize("max_iters", [1, 2, 7, 20000])
     @pytest.mark.parametrize("kind", ["l1", "slope"])
-    def test_returned_certificate_is_full_eta_l(self, kind, max_iters):
+    def test_returned_certificate_is_full_eta_l(self, monkeypatch, kind, max_iters):
         # over all columns the reduced certificate is the full-dimension one,
         # whether the solve ended at a passed check or ran out of iterations
+        monkeypatch.setattr("smop.inner.MAX_ITERS", max_iters)
         data, _ = synth_instance(SynthSpec(40, 120, 8, 0.01, 3))
         reg = L1() if kind == "l1" else SortedL1(linear_weights(120))
         lam = 0.2 * lambda_inf(reg, data.A, data.b)
-        res = solve_reduced(data, reg, lam, np.arange(120), cfg=InnerConfig(max_iters=max_iters))
+        res = solve_reduced(data, reg, lam, np.arange(120))
         assert res.converged == (max_iters == 20000)
         assert res.eta_l == pytest.approx(
             eta_l(res.x, data.A, data.b, reg, lam), rel=1e-6, abs=1e-13
@@ -140,15 +138,15 @@ class TestSolveReduced:
         monkeypatch.setattr("smop.inner._DENSE_LIMIT", dense_limit)
         data, _ = synth_instance(SynthSpec(m=60, n=400, s=6, sigma=0.02, seed=1))
         lam = 0.25 * lambda_inf(L1(), data.A, data.b)
-        cfg = InnerConfig(kkt_tol=1e-10)
+        tol = 1e-10
         idx = np.arange(400)
-        newton = solve_reduced(data, L1(), lam, idx, cfg=cfg)
-        apg = solve_reduced(data, apg_only_l1, lam, idx, cfg=cfg)
+        newton = solve_reduced(data, L1(), lam, idx, tol=tol)
+        apg = solve_reduced(data, apg_only_l1, lam, idx, tol=tol)
         assert newton.converged and apg.converged
         assert newton.iters <= apg.iters / 10
-        assert abs(newton.phi - apg.phi) <= cfg.kkt_tol
-        assert np.linalg.norm(newton.y - apg.y) <= cfg.kkt_tol
-        assert np.linalg.norm(newton.x - apg.x) <= 10 * cfg.kkt_tol
+        assert abs(newton.phi - apg.phi) <= tol
+        assert np.linalg.norm(newton.y - apg.y) <= tol
+        assert np.linalg.norm(newton.x - apg.x) <= 10 * tol
 
     def test_singular_support_gram_certifies(self, apg_only_l1):
         # columns [u, u, -u, ...]: the solution spreads over the three copies,
@@ -159,12 +157,11 @@ class TestSolveReduced:
         dense = np.column_stack([u, u, -u, rng.standard_normal((30, 7))])
         data = ProblemData(SparseMatrix.from_dense(dense), rng.standard_normal(30) + 2 * u)
         lam = 0.1 * lambda_inf(L1(), data.A, data.b)
-        cfg = InnerConfig(kkt_tol=1e-10)
-        res = solve_reduced(data, L1(), lam, np.arange(10), cfg=cfg)
+        res = solve_reduced(data, L1(), lam, np.arange(10), tol=1e-10)
         assert res.converged
         assert np.count_nonzero(res.x[:3]) == 3
         assert eta_l(res.x, data.A, data.b, L1(), lam) <= 1e-10
-        apg = solve_reduced(data, apg_only_l1, lam, np.arange(10), cfg=cfg)
+        apg = solve_reduced(data, apg_only_l1, lam, np.arange(10), tol=1e-10)
         assert 5 * res.iters <= apg.iters
 
     @pytest.mark.parametrize(
@@ -201,7 +198,7 @@ class TestSolveReduced:
         data, _ = synth_instance(SynthSpec(m=30, n=80, s=5, sigma=0.05, seed=2))
         lam = 0.3 * lambda_inf(L1(), data.A, data.b)
         reg = RecordingL1()
-        res = solve_reduced(data, reg, lam, np.arange(80), cfg=InnerConfig(kkt_tol=1e-10))
+        res = solve_reduced(data, reg, lam, np.arange(80), tol=1e-10)
         assert res.converged
         # the last call values the returned point for res.objective
         np.testing.assert_array_equal(reg.points[-1], res.x)
@@ -221,29 +218,28 @@ class TestSolveReduced:
 class TestPhiEval:
     def test_zero_above_threshold(self, diagonal_data):
         lam_top = lambda_inf(L1(), diagonal_data.A, diagonal_data.b)  # = 2
-        res, _ = phi_eval(diagonal_data, L1(), 1.01 * lam_top)
+        res, _ = phi_eval(diagonal_data, L1(), 1.01 * lam_top, sieve=False)
         np.testing.assert_array_equal(res.x, np.zeros(2))
         assert res.phi == diagonal_data.bnorm
         assert np.linalg.norm(res.x) <= 1e-12
 
     def test_scalar(self, scalar_data):
-        res, _ = phi_eval(scalar_data, L1(), 0.3)
+        res, _ = phi_eval(scalar_data, L1(), 0.3, sieve=False)
         assert res.phi == pytest.approx(0.3, abs=1e-9)
 
     def test_diagonal(self, diagonal_data):
-        res, _ = phi_eval(diagonal_data, L1(), 0.4)
+        res, _ = phi_eval(diagonal_data, L1(), 0.4, sieve=False)
         assert res.phi == pytest.approx(0.4472135954999579, abs=1e-9)
 
     def test_rejects_nonpositive_lam(self, scalar_data):
         with pytest.raises(ValueError):
-            phi_eval(scalar_data, L1(), 0.0)
+            phi_eval(scalar_data, L1(), 0.0, sieve=False)
 
     def test_sieved_equals_direct(self):
         data, _ = synth_instance(SynthSpec(m=40, n=120, s=6, sigma=0.02, seed=3))
         lam = 0.25 * lambda_inf(L1(), data.A, data.b)
-        cfg = InnerConfig(kkt_tol=1e-10)
-        direct, _ = phi_eval(data, L1(), lam, cfg=cfg)
-        sieved, _ = phi_eval(data, L1(), lam, cfg=cfg, sieve_cfg=SieveConfig())
+        direct, _ = phi_eval(data, L1(), lam, tol=1e-10, sieve=False)
+        sieved, _ = phi_eval(data, L1(), lam, tol=1e-10)
         assert sieved.phi == pytest.approx(direct.phi, abs=1e-8)
         assert sieved.eta_l <= 1e-9
 
@@ -261,8 +257,8 @@ class TestSolverInvariants:
             for reg in (L1(), SortedL1(linear_weights(data.A.n))):
                 lam_top = lambda_inf(reg, data.A, data.b)
                 grid = np.linspace(0.1, 1.0, 10) * lam_top
-                cfg = InnerConfig(kkt_tol=eps_in)
-                phis = [phi_eval(data, reg, lam, cfg=cfg)[0].phi for lam in grid]
+                phis = [phi_eval(data, reg, lam, tol=eps_in, sieve=False)[0].phi
+                        for lam in grid]
                 diffs = np.diff(phis)
                 assert np.all(diffs >= -10 * eps_in)
                 # strictly increasing within solver tolerance on (0, lam_inf]
@@ -272,7 +268,7 @@ class TestSolverInvariants:
         for data in _random_instances([4]):
             for reg in (L1(), SortedL1(linear_weights(data.A.n))):
                 lam = 0.3 * lambda_inf(reg, data.A, data.b)
-                res, _ = phi_eval(data, reg, lam, cfg=InnerConfig(kkt_tol=1e-10))
+                res, _ = phi_eval(data, reg, lam, tol=1e-10, sieve=False)
                 u = data.A.rmatvec(res.y)
                 assert reg.polar(u) <= lam * (1 + 1e-6)
                 gap = abs(res.x @ u - lam * reg.value(res.x))
@@ -283,23 +279,20 @@ class TestSolverInvariants:
         rng = np.random.default_rng(11)
         for data in _random_instances([5]):
             lam = 0.3 * lambda_inf(L1(), data.A, data.b)
-            cfg = InnerConfig(kkt_tol=eps_in)
-            r1, _ = phi_eval(data, L1(), lam, cfg=cfg)
-            r2, _ = phi_eval(data, L1(), lam, x0=rng.standard_normal(data.A.n), cfg=cfg)
+            r1, _ = phi_eval(data, L1(), lam, tol=eps_in, sieve=False)
+            r2, _ = phi_eval(data, L1(), lam, x0=rng.standard_normal(data.A.n), tol=eps_in,
+                             sieve=False)
             assert np.linalg.norm(r1.y - r2.y) <= 100 * eps_in
 
     def test_full_dim_eta_after_sieve(self):
         eps_in = 1e-9
         for data in _random_instances([6]):
             lam = 0.3 * lambda_inf(L1(), data.A, data.b)
-            res, _ = phi_eval(
-                data, L1(), lam, cfg=InnerConfig(kkt_tol=eps_in),
-                sieve_cfg=SieveConfig(),
-            )
+            res, _ = phi_eval(data, L1(), lam, tol=eps_in)
             recomputed = eta_l(res.x, data.A, data.b, L1(), lam)
             assert recomputed <= 10 * eps_in
 
     def test_phi_recomputed_from_x(self, diagonal_data):
-        res, _ = phi_eval(diagonal_data, L1(), 0.4)
+        res, _ = phi_eval(diagonal_data, L1(), 0.4, sieve=False)
         phi_direct = np.linalg.norm(diagonal_data.b - diagonal_data.A.matvec(res.x))
         assert abs(res.phi - phi_direct) <= 1e-12

@@ -351,15 +351,14 @@ class TestHsDerivative:
     def _finite_difference(data, reg, lam0):
         """Derivative and central difference of phi across a point where the
         pattern is stable: the independent slope oracle."""
-        from smop import InnerConfig, phi_eval
+        from smop import phi_eval
 
-        cfg = InnerConfig(kkt_tol=1e-12)
-        res, _ = phi_eval(data, reg, lam0, cfg=cfg)
+        res, _ = phi_eval(data, reg, lam0, tol=1e-12, sieve=False)
         v = phi_derivative(data.A, reg, res.x, lam0, res.phi)
         h = 1e-6 * lam0
         fd = (
-            phi_eval(data, reg, lam0 + h, x0=res.x, cfg=cfg)[0].phi
-            - phi_eval(data, reg, lam0 - h, x0=res.x, cfg=cfg)[0].phi
+            phi_eval(data, reg, lam0 + h, x0=res.x, tol=1e-12, sieve=False)[0].phi
+            - phi_eval(data, reg, lam0 - h, x0=res.x, tol=1e-12, sieve=False)[0].phi
         ) / (2 * h)
         return v, fd, res.x
 
@@ -434,13 +433,12 @@ def recording(phi):
 
 def synthetic_phi():
     """phi of a small synthetic l1 instance, with its lambda_inf and ||b||."""
-    from smop import InnerConfig, SynthSpec, lambda_inf, phi_eval, synth_instance
+    from smop import SynthSpec, lambda_inf, phi_eval, synth_instance
 
     data, _ = synth_instance(SynthSpec(m=40, n=120, s=5, sigma=0.01, seed=3))
-    cfg = InnerConfig(kkt_tol=1e-10)
 
     def phi(lam):
-        res, _ = phi_eval(data, L1(), lam, cfg=cfg)
+        res, _ = phi_eval(data, L1(), lam, tol=1e-10, sieve=False)
         return res.phi, res.x
 
     return phi, lambda_inf(L1(), data.A, data.b), data.bnorm
@@ -571,7 +569,7 @@ class TestPieceRootStep:
 
     @pytest.mark.parametrize("kind", ["l1", "slope"])
     def test_step_is_the_explicit_piece_root(self, kind):
-        from smop import InnerConfig, SynthSpec, lambda_inf, linear_weights, phi_eval, synth_instance
+        from smop import SynthSpec, lambda_inf, linear_weights, phi_eval, synth_instance
 
         if kind == "l1":
             data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=1))
@@ -579,10 +577,8 @@ class TestPieceRootStep:
         else:  # a tied cluster at 0.25 lambda_inf (TestHsDerivative)
             data, _ = synth_instance(SynthSpec(m=100, n=600, s=10, sigma=0.01, seed=3))
             reg, frac = SortedL1(linear_weights(600)), 0.25
-        cfg = InnerConfig(kkt_tol=1e-12)
-
         def base(lam):
-            res, _ = phi_eval(data, reg, lam, cfg=cfg)
+            res, _ = phi_eval(data, reg, lam, tol=1e-12, sieve=False)
             return res.phi, res.x
 
         lam_inf = lambda_inf(reg, data.A, data.b)

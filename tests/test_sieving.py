@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from smop import (
-    InnerConfig,
     L1,
-    SieveConfig,
     SortedL1,
     SparseMatrix,
     SynthSpec,
@@ -18,8 +16,8 @@ from smop import (
 )
 from smop.sieving import MIN_GROWTH
 
-# inner tolerance, and so the sieve's full-residual tolerance, of most cases
-TIGHT = InnerConfig(kkt_tol=1e-9)
+# the sieve's full-residual tolerance, and so its reduced solves', of most cases
+TIGHT = 1e-9
 
 
 class TestSelectTopK:
@@ -50,30 +48,31 @@ class TestSelectTopK:
 
 class TestSieveSolve:
     def test_superset_start_single_round(self, diagonal_data):
-        res, trace = sieve_solve(diagonal_data, L1(), 0.4, [0, 1], inner_cfg=TIGHT)
+        res, trace = sieve_solve(diagonal_data, L1(), 0.4, [0, 1], tol=TIGHT)
         assert res.converged
         np.testing.assert_allclose(res.x, [0.6, 0.4], atol=1e-8)
         assert len(trace.rounds) == 1
 
     def test_zero_accepted_above_threshold(self, diagonal_data):
         lam_top = lambda_inf(L1(), diagonal_data.A, diagonal_data.b)
-        res, trace = sieve_solve(diagonal_data, L1(), lam_top * 1.01, [], inner_cfg=TIGHT)
+        res, trace = sieve_solve(diagonal_data, L1(), lam_top * 1.01, [], tol=TIGHT)
         assert res.converged
         np.testing.assert_array_equal(res.x, np.zeros(2))
         assert trace.rounds[0].size_I == 0
         assert res.iters == 0
 
-    def test_growth_is_monotone_and_terminates(self):
+    def test_growth_is_monotone_and_terminates(self, monkeypatch):
+        monkeypatch.setattr("smop.sieving.MAX_GROWTH", 5)
         data, _ = synth_instance(SynthSpec(m=50, n=200, s=8, sigma=0.02, seed=12))
         lam = 0.2 * lambda_inf(L1(), data.A, data.b)
-        res, trace = sieve_solve(data, L1(), lam, [], SieveConfig(k_max=5), inner_cfg=TIGHT)
+        res, trace = sieve_solve(data, L1(), lam, [], tol=TIGHT)
         assert res.converged
         sizes = [r.size_I for r in trace.rounds]
         assert all(b >= a for a, b in zip(sizes, sizes[1:]))
         # authoritative full-dimension residual certificate
         grad = data.A.rmatvec(data.A.matvec(res.x) - data.b)
         R = res.x - L1().prox(res.x - grad, lam)
-        assert np.linalg.norm(R) <= TIGHT.kkt_tol
+        assert np.linalg.norm(R) <= TIGHT
 
     @pytest.mark.parametrize("kind", ["l1", "slope"])
     def test_matches_full_dimension_solve(self, kind):
@@ -81,21 +80,23 @@ class TestSieveSolve:
         reg = L1() if kind == "l1" else SortedL1(linear_weights(250))
         lam = 0.3 * lambda_inf(reg, data.A, data.b)
         eps = 1e-9
-        res, _ = sieve_solve(data, reg, lam, [], inner_cfg=InnerConfig(kkt_tol=eps))
-        full = solve_reduced(data, reg, lam, np.arange(250), cfg=InnerConfig(kkt_tol=eps))
+        res, _ = sieve_solve(data, reg, lam, [], tol=eps)
+        full = solve_reduced(data, reg, lam, np.arange(250), tol=eps)
         assert res.objective == pytest.approx(full.objective, rel=1e-6, abs=1e-9)
 
-    def test_kmax_limits_growth_per_round(self):
+    def test_kmax_limits_growth_per_round(self, monkeypatch):
+        monkeypatch.setattr("smop.sieving.MAX_GROWTH", 3)
         data, _ = synth_instance(SynthSpec(m=40, n=150, s=10, sigma=0.0, seed=14))
         lam = 0.1 * lambda_inf(L1(), data.A, data.b)
-        _, trace = sieve_solve(data, L1(), lam, [], SieveConfig(k_max=3))
+        _, trace = sieve_solve(data, L1(), lam, [])
         assert all(r.added <= 3 for r in trace.rounds)
 
     @pytest.mark.parametrize("k_max", [30, 500])
-    def test_growth_at_most_doubles(self, k_max):
+    def test_growth_at_most_doubles(self, monkeypatch, k_max):
+        monkeypatch.setattr("smop.sieving.MAX_GROWTH", k_max)
         data, _ = synth_instance(SynthSpec(m=80, n=600, s=40, sigma=0.01, seed=15))
         lam = 0.02 * lambda_inf(L1(), data.A, data.b)
-        res, trace = sieve_solve(data, L1(), lam, [], SieveConfig(k_max=k_max), inner_cfg=TIGHT)
+        res, trace = sieve_solve(data, L1(), lam, [], tol=TIGHT)
         assert res.converged
         assert all(r.added <= min(k_max, max(r.size_I, MIN_GROWTH)) for r in trace.rounds)
         # the support outgrows MIN_GROWTH and the bound above it is met
@@ -118,20 +119,19 @@ class TestSieveSolve:
         monkeypatch.setattr(SparseMatrix, "matvec", counting)
         monkeypatch.setattr("smop.inner._DENSE_LIMIT", dense_limit)
         initial = [] if start == "empty" else np.flatnonzero(x_true)
-        res, trace = sieve_solve(data, L1(), lam, initial, inner_cfg=TIGHT)
+        res, trace = sieve_solve(data, L1(), lam, initial, tol=TIGHT)
         assert res.converged
         assert len(trace.rounds) > 1
         assert calls == []
 
     @pytest.mark.parametrize("kind", ["l1", "slope"])
     @pytest.mark.parametrize("max_rounds", [100, 2])
-    def test_returned_residual_matches_fresh_product(self, kind, max_rounds):
+    def test_returned_residual_matches_fresh_product(self, monkeypatch, kind, max_rounds):
+        monkeypatch.setattr("smop.sieving.MAX_ROUNDS", max_rounds)
         data, _ = synth_instance(SynthSpec(m=60, n=250, s=10, sigma=0.05, seed=13))
         reg = L1() if kind == "l1" else SortedL1(linear_weights(250))
         lam = 0.1 * lambda_inf(reg, data.A, data.b)
-        res, _ = sieve_solve(
-            data, reg, lam, [], SieveConfig(max_rounds=max_rounds), inner_cfg=TIGHT
-        )
+        res, _ = sieve_solve(data, reg, lam, [], tol=TIGHT)
         assert res.converged == (max_rounds == 100)
         y = data.b - data.A.matvec(res.x)
         assert np.linalg.norm(res.y - y) <= 1e-12 * np.linalg.norm(y)
@@ -145,7 +145,7 @@ class TestSieveSolve:
         data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=2))
         reg = L1() if kind == "l1" else SortedL1(linear_weights(120))
         lam = 0.1 * lambda_inf(reg, data.A, data.b)
-        res, trace = sieve_solve(data, reg, lam, [], inner_cfg=InnerConfig(kkt_tol=1e-9))
+        res, trace = sieve_solve(data, reg, lam, [], tol=1e-9)
         assert res.converged
         rounds = trace.rounds
         assert sum(r.inner_iters > 0 for r in rounds) >= 2
@@ -170,19 +170,21 @@ class TestSieveSolve:
 
     def test_invalid_initial_set(self, diagonal_data):
         with pytest.raises(ValueError):
-            sieve_solve(diagonal_data, L1(), 0.4, [7], SieveConfig())
+            sieve_solve(diagonal_data, L1(), 0.4, [7])
 
-    def test_config_validation(self):
-        for kkt_tol in (0.0, np.nan, np.inf):  # the sieve's residual tolerance
-            with pytest.raises(ValueError, match="kkt_tol must be positive and finite"):
-                InnerConfig(kkt_tol=kkt_tol)
-        for max_iters in (0, -3):
-            with pytest.raises(ValueError, match="max_iters must be at least 1"):
-                InnerConfig(max_iters=max_iters)
-        with pytest.raises(ValueError):
-            SieveConfig(k_max=0)
-        with pytest.raises(ValueError):
-            SieveConfig(max_rounds=0)
+    def test_config_validation(self, diagonal_data):
+        # the tolerance is the one setting of a solve; each entry point checks it
+        calls = {
+            "solve_reduced": lambda tol: solve_reduced(diagonal_data, L1(), 0.4, [0, 1], tol=tol),
+            "sieve_solve": lambda tol: sieve_solve(diagonal_data, L1(), 0.4, [], tol=tol),
+            "phi_eval": lambda tol: phi_eval(diagonal_data, L1(), 0.4, tol=tol),
+            "phi_eval-direct": lambda tol: phi_eval(diagonal_data, L1(), 0.4, tol=tol,
+                                                    sieve=False),
+        }
+        for call in calls.values():
+            for tol in (0.0, -1.0, np.nan, np.inf):
+                with pytest.raises(ValueError, match="tol must be positive and finite"):
+                    call(tol)
 
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf, 0.0, -1.0])
@@ -192,9 +194,9 @@ def test_lam_must_be_positive_and_finite(solve, lam):
     data, _ = synth_instance(SynthSpec(m=40, n=120, s=5, seed=0))
     calls = {
         "solve_reduced": lambda: solve_reduced(data, L1(), lam, np.arange(120)),
-        "sieve_solve": lambda: sieve_solve(data, L1(), lam, [], SieveConfig()),
-        "phi_eval": lambda: phi_eval(data, L1(), lam, sieve_cfg=SieveConfig()),
-        "phi_eval-direct": lambda: phi_eval(data, L1(), lam),
+        "sieve_solve": lambda: sieve_solve(data, L1(), lam, []),
+        "phi_eval": lambda: phi_eval(data, L1(), lam),
+        "phi_eval-direct": lambda: phi_eval(data, L1(), lam, sieve=False),
     }
     with pytest.raises(ValueError, match="lam must be positive and finite"):
         calls[solve]()
