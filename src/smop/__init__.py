@@ -42,7 +42,6 @@ from .regularizers import (
 from .rootfind import (
     BracketError,
     DegenerateSecantError,
-    RootConfig,
     RootState,
     bisection_solve,
     bracket_init,
@@ -92,7 +91,6 @@ __all__ = [
     "make_regularizer",
     "BracketError",
     "DegenerateSecantError",
-    "RootConfig",
     "RootState",
     "bisection_solve",
     "bracket_init",

@@ -28,7 +28,6 @@ from .problem import LibsvmFormatError, ProblemData, SynthSpec, libsvm_read, syn
 from .regularizers import make_regularizer
 from .rootfind import (
     BracketError,
-    RootConfig,
     eval_beta_fn,
     eval_constructed_fn,
     secant_solve,
@@ -90,11 +89,19 @@ def _resolve_rho(args, data: ProblemData) -> float:
 
 
 def _build_config(args) -> SmopConfig:
-    # every option goes through its config's constructor, so its checks run
-    return SmopConfig(
-        stoptol=args.stoptol, method=args.method, sieve=not args.no_sieve,
-        root=RootConfig(mu=args.mu, max_outer=args.max_outer),
-    )
+    # every option goes through SmopConfig's constructor, so its checks run
+    return SmopConfig(stoptol=args.stoptol, method=args.method, mu=args.mu,
+                      sieve=not args.no_sieve)
+
+
+def _write_json(doc, out):
+    """Write ``doc`` as indented JSON to the file ``out``, or to stdout."""
+    text = json.dumps(doc, sort_keys=True, indent=2)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -108,8 +115,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--rho", type=float, default=None, help="constraint level")
     p.add_argument("--method", choices=METHODS, default="smop")
     p.add_argument("--stoptol", type=float, default=1e-6)
-    p.add_argument("--mu", type=float, default=0.5)
-    p.add_argument("--max-outer", type=int, default=200)
+    p.add_argument("--mu", type=float, default=0.5,
+                   help="secant safeguard factor, in (0, 1)")
     p.add_argument("--no-sieve", action="store_true",
                    help="solve each regularized problem over all coordinates")
     p.add_argument("--out", help="write the result JSON here instead of stdout")
@@ -122,14 +129,7 @@ def cmd_solve(args) -> int:
     reg = make_regularizer(args.reg, data.A.n, args.gamma)
     cfg = _build_config(args)
     result = smop_solve(data, reg, cfg)
-    doc = result.to_doc()
-    doc["rho"] = float(rho)
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_json(result.to_doc(), args.out)
     if args.trace_jsonl:
         with open(args.trace_jsonl, "w") as fh:
             fh.writelines(json.dumps(event) + "\n" for event in result.events())
@@ -144,26 +144,14 @@ def cmd_path(args) -> int:
     cfg = _build_config(args)
     spec = PathSpec(base_c=args.c, count=args.steps)
     path = solve_path(data, reg, spec, cfg)
-    docs = []
-    for step in path.steps:
-        doc = step.result.to_doc()
-        doc["rho"] = step.rho
-        docs.append(doc)
-    out = {"steps": docs, "summary": path.summary()}
-    text = json.dumps(out, sort_keys=True, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    docs = [step.result.to_doc() for step in path.steps]
+    _write_json({"steps": docs, "summary": path.summary()}, args.out)
     if args.csv:
+        fields = ["rho", "lambda_star", "eta", "nnz", "n_subproblems", "wall_ms"]
         with open(args.csv, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["rho", "lambda_star", "eta", "nnz", "n_subproblems", "wall_ms"])
-            for step in path.steps:
-                r = step.result
-                w.writerow([step.rho, r.lambda_star, r.eta, r.nnz,
-                            r.n_subproblems, r.wall_ms])
+            w.writerow(fields)
+            w.writerows([doc[k] for k in fields] for doc in docs)
     return 0 if path.failures == 0 else 2
 
 
@@ -206,35 +194,31 @@ def cmd_bench(args) -> int:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
     base = _parse_synth(args.synth) if args.synth else SynthSpec(m=100, n=800, s=10)
+    fields = ["rho", "lambda_star", "eta", "nnz", "n_subproblems", "inner_iters_total",
+              "wall_ms", "converged"]
     rows = []
     all_ok = True
     for seed in range(args.seeds):
         spec = SynthSpec(m=base.m, n=base.n, s=base.s, sigma=base.sigma, seed=base.seed + seed)
         data, _ = synth_instance(spec)
+        reg = make_regularizer(args.reg, data.A.n, args.gamma)
         for method in methods:
             cfg = SmopConfig(stoptol=args.stoptol, method=method)
             if args.path:
-                path = solve_path(data, make_regularizer(args.reg, data.A.n, args.gamma),
-                                  PathSpec(base_c=args.c, count=args.path), cfg)
-                for step in path.steps:
-                    r = step.result
-                    rows.append([spec.seed, method, step.rho, r.lambda_star, r.eta,
-                                 r.nnz, r.n_subproblems, r.inner_iters_total,
-                                 r.wall_ms, r.converged])
+                path = solve_path(data, reg, PathSpec(base_c=args.c, count=args.path), cfg)
+                results = [step.result for step in path.steps]
                 all_ok = all_ok and path.failures == 0
             else:
-                rho = args.c * data.bnorm
-                r = smop_solve(data.with_rho(rho), make_regularizer(args.reg, data.A.n, args.gamma), cfg)
-                rows.append([spec.seed, method, rho, r.lambda_star, r.eta, r.nnz,
-                             r.n_subproblems, r.inner_iters_total, r.wall_ms,
-                             r.converged])
-                all_ok = all_ok and r.converged
+                results = [smop_solve(data.with_rho(args.c * data.bnorm), reg, cfg)]
+                all_ok = all_ok and results[0].converged
+            for r in results:
+                doc = r.to_doc()
+                rows.append([spec.seed, method] + [doc[k] for k in fields])
     os.makedirs(args.out_dir, exist_ok=True)
     runs_path = os.path.join(args.out_dir, "runs.csv")
     with open(runs_path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["seed", "method", "rho", "lambda_star", "eta", "nnz",
-                    "n_subproblems", "inner_iters_total", "wall_ms", "converged"])
+        w.writerow(["seed", "method"] + fields)
         w.writerows(rows)
     with open(os.path.join(args.out_dir, "summary.csv"), "w", newline="") as fh:
         w = csv.writer(fh)

@@ -6,7 +6,9 @@ returns the matching solution of the regularized problem. Every phi
 evaluation is a regularized solve; with sieving on, the first solve
 starts from the empty index set and every later one is seeded with the
 support of the previous solution, which keeps the subproblems small along
-the root-finding trajectory and along rho paths.
+the root-finding trajectory and along rho paths. ``SmopConfig`` holds all a
+user sets: ``stoptol``, the ``method``, the secant safeguard ``mu`` and
+whether evaluations are sieved; the caps are module constants.
 
 Each evaluation is kept as an :class:`EvalRecord` with its sieve rounds, and
 ``SmopResult.events()`` lists evaluations, rounds and root-finding iterates as
@@ -26,7 +28,6 @@ from .problem import ProblemData
 from .regularizers import Regularizer, lambda_inf
 from .rootfind import (
     BracketError,
-    RootConfig,
     RootState,
     bisection_solve,
     bracket_init,
@@ -45,7 +46,7 @@ METHODS = ("smop", "bmop", "nmop")
 class SmopConfig:
     stoptol: float = 1e-6
     method: str = "smop"
-    root: RootConfig = field(default_factory=RootConfig)
+    mu: float = 0.5          # the secant safeguard's sufficient-decrease factor
     sieve: bool = True       # False: each evaluation is one direct solve
 
     def __post_init__(self):
@@ -53,6 +54,8 @@ class SmopConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if not 0.0 < self.stoptol < np.inf:
             raise ValueError("stoptol must be positive and finite")
+        if not 0.0 < self.mu < 1.0:
+            raise ValueError("mu must lie in (0, 1)")
         if not isinstance(self.sieve, bool):
             raise ValueError("sieve must be True or False")
 
@@ -94,6 +97,7 @@ class SmopResult:
             "method": self.method,
             "lambda_star": float(self.lambda_star),
             "phi": float(self.phi),
+            "rho": float(self.rho),
             "eta": float(self.eta),
             "kkt": float(self.kkt),
             "nnz": int(self.nnz),
@@ -242,12 +246,12 @@ def smop_solve(
         ) from exc
 
     if cfg.method == "smop":
-        lam_star, x_star, state = hybrid_secant_solve(oracle, rho, lo, hi, cfg.stoptol, cfg.root)
+        lam_star, x_star, state = hybrid_secant_solve(oracle, rho, lo, hi, cfg.stoptol, cfg.mu)
     elif cfg.method == "bmop":
-        lam_star, x_star, state = bisection_solve(oracle, rho, lo, hi, cfg.stoptol, cfg.root)
+        lam_star, x_star, state = bisection_solve(oracle, rho, lo, hi, cfg.stoptol)
     else:
         lam_star, x_star, state = newton_hybrid_solve(oracle, oracle.derivative, rho, lo, hi,
-                                                      cfg.stoptol, cfg.root)
+                                                      cfg.stoptol, cfg.mu)
 
     final = oracle.cache[lam_star]
     evals = list(oracle.cache.values())

@@ -155,10 +155,6 @@ class SparseMatrix:
     def shape(self):
         return (self._m, self._n)
 
-    @property
-    def nnz_stored(self):
-        return int(self._csc.nnz)
-
     @classmethod
     def from_scipy(cls, mat) -> "SparseMatrix":
         csc = sp.csc_array(mat)

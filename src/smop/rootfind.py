@@ -5,11 +5,15 @@ Three solvers share one safeguarded skeleton for the equation
 
 * ``hybrid_secant_solve`` proposes secant steps and falls back to bisection
   when a proposal leaves the initial bracket or fails a sufficient-decrease
-  test against the residual three accepted iterates ago;
+  test against the residual three accepted iterates ago; ``mu`` in (0, 1),
+  the method's one free parameter, is that test's factor;
 * ``bisection_solve`` is the plain bisection baseline: the same skeleton
   with no proposal, so every step bisects the current bracket;
 * ``newton_hybrid_solve`` replaces the secant proposal with a Newton step
   using a generalized derivative of phi supplied by the caller.
+
+A run that has not reached ``stoptol`` after ``MAX_OUTER`` proposals stops
+unconverged.
 
 ``bracket_init`` supplies the bracket for cold and warm starts alike. A cold
 search starts from the exact point ``(lam_inf, ||b||)``, where ``x = 0`` is
@@ -46,6 +50,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# the skeleton proposes at most this many trial points, far more than a
+# solve takes; it bounds the run on a phi that defeats the safeguard
+MAX_OUTER = 200
 # a piece root that moves lam by no more than this share of it is roundoff:
 # from a point already at the root, steps of 10-12 eps were seen
 _ROUNDOFF = 64.0 * np.finfo(np.float64).eps
@@ -59,24 +66,11 @@ class DegenerateSecantError(ArithmeticError):
     """Equal function values make the secant step undefined."""
 
 
-@dataclass(frozen=True)
-class RootConfig:
-    mu: float = 0.5           # sufficient-decrease factor, in (0, 1)
-    max_outer: int = 200
-
-    def __post_init__(self):
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError("mu must lie in (0, 1)")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
-
-
 @dataclass
 class IterRecord:
     k: int
     lam: float
     phi: float
-    eta: float
     step: str                 # "init" | "secant" | "newton" | "bisection"
     lo: float
     hi: float
@@ -84,19 +78,16 @@ class IterRecord:
 
 @dataclass
 class RootState:
-    """Bracket, accepted-iterate history and safeguard counter of one run."""
+    """Bracket and accepted-iterate history of one run."""
 
     lo: float
     hi: float
     history: list[IterRecord] = field(default_factory=list)
-    safeguard_i: int = 0
     converged: bool = False
     n_evals: int = 0
 
-    def record(self, lam, phi, eta, step):
-        self.history.append(
-            IterRecord(len(self.history), lam, phi, eta, step, self.lo, self.hi)
-        )
+    def record(self, lam, phi, step):
+        self.history.append(IterRecord(len(self.history), lam, phi, step, self.lo, self.hi))
 
 
 def secant_step(lam_k: float, lam_km1: float, f_k: float, f_km1: float) -> float:
@@ -178,13 +169,13 @@ def eta(phi_tilde: float, rho: float) -> float:
     return abs(phi_tilde - rho) / max(1.0, rho)
 
 
-def _finish(state, lam, x, phi_val, rho, step):
+def _finish(state, lam, x, phi_val, step):
     state.converged = True
-    state.record(lam, phi_val, eta(phi_val, rho), step)
+    state.record(lam, phi_val, step)
     return lam, x, state
 
 
-def _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, cfg, proposal, step_name):
+def _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, step_name):
     """Shared skeleton of the secant and Newton hybrids and of bisection.
 
     A run stops at the first evaluation with ``eta <= stoptol``, bracket ends
@@ -200,27 +191,29 @@ def _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, cfg, proposal, step_nam
     """
     if stoptol < 0:
         raise ValueError("stoptol must be nonnegative")
+    if not 0.0 < mu < 1.0:
+        raise ValueError("mu must lie in (0, 1)")
     if not 0 < lam_m1 < lam_0:
         raise BracketError("need 0 < lam_lo < lam_hi")
-    cfg = cfg or RootConfig()
     state = RootState(lo=lam_m1, hi=lam_0)
     p_hi, x_hi = phi(lam_0)
     if eta(p_hi, rho) <= stoptol:
-        return _finish(state, lam_0, x_hi, p_hi, rho, "init")
+        return _finish(state, lam_0, x_hi, p_hi, "init")
     p_lo, x_lo = phi(lam_m1)
     if eta(p_lo, rho) <= stoptol:
-        return _finish(state, lam_m1, x_lo, p_lo, rho, "init")
+        return _finish(state, lam_m1, x_lo, p_lo, "init")
     if not p_lo < rho < p_hi:
         raise BracketError(
             f"phi({lam_m1:.6g})={p_lo:.6g}, phi({lam_0:.6g})={p_hi:.6g} "
             f"do not bracket rho={rho:.6g}"
         )
-    state.record(lam_m1, p_lo, eta(p_lo, rho), "init")
-    state.record(lam_0, p_hi, eta(p_hi, rho), "init")
+    state.record(lam_m1, p_lo, "init")
+    state.record(lam_0, p_hi, "init")
     x_last = x_hi
     seen = [(lam_0, x_hi, p_hi), (lam_m1, x_lo, p_lo)]  # every evaluated point, in order
+    since_bisection = 0  # evaluated trials since the last bisection
 
-    for _ in range(cfg.max_outer):
+    for _ in range(MAX_OUTER):
         lam = proposal(state.history, x_last)
         step = step_name if lam is not None and lam_m1 <= lam <= lam_0 else None
         while True:
@@ -228,20 +221,20 @@ def _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, cfg, proposal, step_nam
                 step, lam = "bisection", 0.5 * (state.lo + state.hi)
             p, x = phi(lam)
             state.n_evals += 1
-            state.safeguard_i = 0 if step == "bisection" else state.safeguard_i + 1
+            since_bisection = 0 if step == "bisection" else since_bisection + 1
             if eta(p, rho) <= stoptol:
-                return _finish(state, lam, x, p, rho, step)
+                return _finish(state, lam, x, p, step)
             if p > rho:
                 state.hi = min(state.hi, lam)
             else:
                 state.lo = max(state.lo, lam)
             seen.append((lam, x, p))
-            if (step == "bisection" or state.safeguard_i < 3
-                    or abs(p - rho) <= cfg.mu * abs(state.history[-3].phi - rho)):
+            if (step == "bisection" or since_bisection < 3
+                    or abs(p - rho) <= mu * abs(state.history[-3].phi - rho)):
                 break
             step = None  # the rejected trial tightened the bracket; bisect it
         x_last = x
-        state.record(lam, p, eta(p, rho), step)
+        state.record(lam, p, step)
 
     state.converged = False
     lam, x, _ = min(seen, key=lambda e: abs(e[2] - rho))
@@ -249,12 +242,13 @@ def _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, cfg, proposal, step_nam
 
 
 def hybrid_secant_solve(phi, rho: float, lam_m1: float, lam_0: float, stoptol: float,
-                        cfg: RootConfig | None = None):
+                        mu: float = 0.5):
     """Globally convergent safeguarded secant method for ``phi(lam) = rho``.
 
     ``phi`` maps a penalty strength to ``(phi_value, x)``. Requires
     ``phi(lam_m1) < rho < phi(lam_0)``; returns ``(lam, x, RootState)`` at the
-    first point with ``eta = |phi - rho| / max(1, rho) <= stoptol``.
+    first point with ``eta = |phi - rho| / max(1, rho) <= stoptol``. ``mu``, in
+    (0, 1), is the sufficient-decrease factor of the safeguard.
     """
 
     def proposal(history, _x_last):
@@ -264,11 +258,11 @@ def hybrid_secant_solve(phi, rho: float, lam_m1: float, lam_0: float, stoptol: f
         except DegenerateSecantError:
             return None
 
-    return _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, cfg, proposal, "secant")
+    return _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, "secant")
 
 
 def newton_hybrid_solve(phi, dphi, rho: float, lam_m1: float, lam_0: float, stoptol: float,
-                        cfg: RootConfig | None = None):
+                        mu: float = 0.5):
     """Safeguarded semismooth-Newton variant.
 
     The trial point is ``lam_k - (phi(lam_k) - rho) / v`` with
@@ -286,13 +280,13 @@ def newton_hybrid_solve(phi, dphi, rho: float, lam_m1: float, lam_0: float, stop
             return None
         return lam_k - (p_k - rho) / v
 
-    return _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, cfg, proposal, "newton")
+    return _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, "newton")
 
 
-def bisection_solve(phi, rho: float, lam_lo: float, lam_hi: float, stoptol: float,
-                    cfg: RootConfig | None = None):
+def bisection_solve(phi, rho: float, lam_lo: float, lam_hi: float, stoptol: float):
     """Plain bisection baseline: the safeguarded skeleton with no proposal."""
-    return _safeguarded_solve(phi, rho, lam_lo, lam_hi, stoptol, cfg, lambda _h, _x: None,
+    # every step bisects, so the safeguard factor is never read
+    return _safeguarded_solve(phi, rho, lam_lo, lam_hi, stoptol, 0.5, lambda _h, _x: None,
                               "bisection")
 
 

@@ -11,7 +11,10 @@ needs, and reaching a support of size s takes ``O(log s)`` rounds. Rounds
 where no off-set entry exceeds the zero threshold re-solve the current set at
 a tighter tolerance, which drives the full residual down since an exact
 reduced solve with an empty candidate set already solves the full problem.
-A solve that has not certified after ``MAX_ROUNDS`` rounds stops uncertified.
+A solve that has not certified after ``MAX_ROUNDS`` rounds stops uncertified,
+and so does one whose reduced solve returns a phi that is not finite: that
+round forms no ``A^T y``. A non-finite full residual alone does not stop it,
+since at ``x = 0`` it can overflow while ``phi = ||b||`` is finite.
 
 The residual ``y = b - A_I x_I`` that the reduced solve returns is reused:
 the round's gradient is ``-A^T y`` and the final ``y``/``phi`` are the last
@@ -113,6 +116,11 @@ def sieve_solve(
         result = solve_reduced(data, reg, lam, I, x0=x, tol=round_tol)
         total_iters += result.iters
         x = result.x
+        if not np.isfinite(result.phi):
+            # the reduced solve overflowed, and later rounds would stop at the same overflow
+            r_norm = np.nan
+            trace.rounds.append(SieveRound(I.size, r_norm, 0, 0, result.iters))
+            break
         grad = -data.A.rmatvec(result.y)
         R = residual_R(x, grad, reg, lam)
         r_norm = float(np.linalg.norm(R))

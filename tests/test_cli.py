@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import smop
 from smop import ProblemData, SparseMatrix, libsvm_write
 from smop.cli import main, sci
 
@@ -188,18 +193,18 @@ class TestSolve:
     def test_solver_knob_flags(self, capsys):
         code, out, _ = run(
             capsys, "solve", "--synth", "m=10,n=30,s=3,seed=5", "--c", "0.3",
-            "--mu", "0.3", "--max-outer", "50", "--stoptol", "1e-7",
+            "--mu", "0.3", "--stoptol", "1e-7",
         )
         assert code == 0
         assert json.loads(out)["eta"] <= 1e-7
 
     @pytest.mark.parametrize("flags, message", [
-        (["--mu", "-3", "--max-outer", "0"], "mu must lie in (0, 1)"),
+        (["--mu", "-3"], "mu must lie in (0, 1)"),
         (["--mu", "1.5"], "mu must lie in (0, 1)"),
-        (["--max-outer", "0"], "max_outer must be at least 1"),
+        (["--max-outer", "5"], "unrecognized arguments: --max-outer 5"),  # a constant
         (["--stoptol", "nan"], "stoptol must be positive and finite"),
         (["--kmax", "5"], "unrecognized arguments: --kmax 5"),  # the cap is a constant
-    ], ids=["mu-negative", "mu-above-one", "max-outer-zero", "stoptol-nan", "kmax-removed"])
+    ], ids=["mu-negative", "mu-above-one", "max-outer-removed", "stoptol-nan", "kmax-removed"])
     def test_solver_knob_flags_checked(self, capsys, flags, message):
         code, out, err = run(
             capsys, "solve", "--synth", "m=4,n=8,s=2,seed=7", "--c", "0.3", *flags
@@ -208,10 +213,11 @@ class TestSolve:
         assert out == ""
         assert f"error: {message}" in err
 
-    def test_nonconvergence_exits_two(self, capsys):
+    def test_nonconvergence_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(smop.rootfind, "MAX_OUTER", 1)
         code, out, _ = run(
             capsys, "solve", "--synth", "m=10,n=30,s=3,seed=5", "--c", "0.3",
-            "--stoptol", "1e-13", "--max-outer", "1",
+            "--stoptol", "1e-13",
         )
         assert code == 2
         assert json.loads(out)["converged"] is False
@@ -303,3 +309,30 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestConsoleScript:
+    """The ``smop`` command that ``pyproject.toml`` installs, run in its own process."""
+
+    @staticmethod
+    def _run(*argv):
+        tomllib = pytest.importorskip("tomllib")
+        root = pathlib.Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["smop"]
+        module, func = target.split(":")
+        paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        code = f"from {module} import {func}; {func}()"
+        return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_rootdemo_check_exits_zero(self):
+        proc = self._run("rootdemo", "beta:1.5", "--check")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("check passed\n")
+
+    def test_usage_error_exits_one(self):
+        proc = self._run("solve", "--bogus")
+        assert proc.returncode == 1
+        assert "unrecognized arguments: --bogus" in proc.stderr

@@ -5,13 +5,13 @@ import time
 import numpy as np
 import pytest
 
+import smop
 import smop.driver as driver
 from smop import (
     BracketError,
     L1,
     PathSpec,
     ProblemData,
-    RootConfig,
     SmopConfig,
     SortedL1,
     SparseMatrix,
@@ -267,11 +267,15 @@ class TestSmopSolve:
         # a field set after construction would skip its check: mu = 1.5
         # loosens the sufficient-decrease safeguard
         cfg = SmopConfig()
-        for owner, name, value in [(cfg, "stoptol", 1e-3), (cfg.root, "mu", 1.5),
-                                   (cfg, "sieve", None)]:
+        for name, value in [("stoptol", 1e-3), ("mu", 1.5), ("sieve", None)]:
             with pytest.raises(AttributeError):
-                setattr(owner, name, value)
+                setattr(cfg, name, value)
         assert cfg == SmopConfig()
+
+    @pytest.mark.parametrize("mu", [0.0, 1.0, -1.0, float("nan")])
+    def test_mu_must_lie_in_open_unit_interval(self, mu):
+        with pytest.raises(ValueError, match=r"mu must lie in \(0, 1\)"):
+            SmopConfig(mu=mu)
 
     @pytest.mark.parametrize("sieve", [None, 0, 1, "False"])
     def test_sieve_must_be_a_bool(self, sieve):
@@ -463,11 +467,12 @@ class TestSolvePath:
         with pytest.raises(ValueError, match="rho_i"):
             solve_path(scalar_data, L1(), PathSpec(base_c=0.9, count=3), SmopConfig())
 
-    def test_failed_step_recorded_and_path_continues(self):
+    def test_failed_step_recorded_and_path_continues(self, monkeypatch):
         # one secant step cannot reach stoptol=1e-12 here (on seed 24 the
         # bracket search's piece root reaches it in one of the three steps)
+        monkeypatch.setattr(smop.rootfind, "MAX_OUTER", 1)
         data, _ = synth_instance(SynthSpec(m=40, n=150, s=5, sigma=0.02, seed=25))
-        cfg = SmopConfig(stoptol=1e-12, root=RootConfig(max_outer=1))
+        cfg = SmopConfig(stoptol=1e-12)
         path = solve_path(data, L1(), PathSpec(base_c=0.2, count=3), cfg)
         assert path.failures == len(path.steps) == 3
 
@@ -551,13 +556,16 @@ class TestEdgeInstances:
         # a design on the scale 1e150 overflows the APG certificate; the first
         # evaluation stops there, uncertified, with phi = nan, and the bracket
         # search ends at it, sieved or direct (without the guards: 13
-        # evaluations of 20,000 iterations, then 12 walking to the lam floor)
-        iters = []
+        # evaluations of 20,000 iterations, then 12 walking to the lam floor).
+        # The sieve stops at the first round whose reduced phi is not finite
+        # (without that stop: all 100 rounds, 99 of them one iteration each)
+        iters, rounds = [], []
         orig = driver.phi_eval
 
         def counted(*args, **kwargs):
             out = orig(*args, **kwargs)
             iters.append(out[0].iters)
+            rounds.append(len(out[1].rounds))
             return out
 
         monkeypatch.setattr(driver, "phi_eval", counted)
@@ -568,6 +576,7 @@ class TestEdgeInstances:
         data = data.with_rho(0.1 * data.bnorm)
         for sieve in (False, True):
             iters.clear()
+            rounds.clear()
             t0 = time.perf_counter()
             with pytest.raises(BracketError, match="did not certify") as exc:
                 smop_solve(data, L1(), SmopConfig(stoptol=1e-8, sieve=sieve))
@@ -575,6 +584,8 @@ class TestEdgeInstances:
             assert time.perf_counter() - t0 < 10.0
             assert len(iters) == 1
             assert iters[0] <= MAX_ROUNDS
+            if sieve:
+                assert rounds[0] <= 2 and iters[0] <= 1
 
     def test_rho_barely_below_bnorm(self):
         data, _ = synth_instance(SynthSpec(m=30, n=90, s=4, sigma=0.01, seed=31))

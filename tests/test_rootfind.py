@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import smop
 from smop import (
     BracketError,
     DegenerateSecantError,
     L1,
-    RootConfig,
     SmopConfig,
     SortedL1,
     SparseMatrix,
@@ -202,19 +202,19 @@ class TestHybridSecant:
         # over any 3 accepted iterates: bracket halves or residual shrinks by mu
         rho = eval_constructed_fn(0.11)
         phi = lambda lam: (eval_constructed_fn(lam), np.array([lam]))
-        cfg = RootConfig(mu=0.5)
-        _, _, state = hybrid_secant_solve(phi, rho, 1e-4, 1.0, 1e-13, cfg)
+        mu = 0.5
+        _, _, state = hybrid_secant_solve(phi, rho, 1e-4, 1.0, 1e-13, mu)
         recs = state.history[1:]  # from lam_0 on
         widths = [r.hi - r.lo for r in recs]
         resid = [abs(r.phi - rho) for r in recs]
         for k in range(len(recs) - 3):
             ok_width = widths[k + 3] <= 0.5 * widths[k] + 1e-15
-            ok_resid = resid[k + 3] <= cfg.mu * resid[k] + 1e-15
+            ok_resid = resid[k + 3] <= mu * resid[k] + 1e-15
             assert ok_width or ok_resid
 
-    def test_max_outer_flags_nonconvergence(self):
-        cfg = RootConfig(max_outer=2)
-        lam, x, state = hybrid_secant_solve(diagonal_phi, 0.5, 0.19, 1.9, 1e-14, cfg)
+    def test_max_outer_flags_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(smop.rootfind, "MAX_OUTER", 2)
+        lam, x, state = hybrid_secant_solve(diagonal_phi, 0.5, 0.19, 1.9, 1e-14)
         assert not state.converged
 
     def test_rejected_proposal_falls_back_to_bisection(self):
@@ -222,14 +222,26 @@ class TestHybridSecant:
         # the rejected trial still tightens the bracket, then a midpoint step
         # resets the safeguard counter
         phi = lambda lam: (float(lam) ** 9, np.array([lam]))
-        cfg = RootConfig(mu=0.5)
-        lam, _, state = hybrid_secant_solve(phi, 0.5 ** 9, 0.05, 1.0, 1e-12, cfg)
+        mu = 0.5
+        lam, _, state = hybrid_secant_solve(phi, 0.5 ** 9, 0.05, 1.0, 1e-12, mu)
         assert state.converged
         assert lam == pytest.approx(0.5, abs=1e-9)
         rejections = state.n_evals - (len(state.history) - 2)
         assert rejections >= 1
         for rec in state.history[2:]:
             assert rec.lo < rec.hi
+
+    @pytest.mark.parametrize("mu", [0.0, 1.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("method", ["secant", "newton"])
+    def test_mu_must_lie_in_open_unit_interval(self, method, mu):
+        lams = []
+        phi = lambda lam: lams.append(lam) or scalar_phi(lam)
+        with pytest.raises(ValueError, match=r"mu must lie in \(0, 1\)"):
+            if method == "secant":
+                hybrid_secant_solve(phi, 0.3, 0.01, 0.99, 1e-6, mu)
+            else:
+                newton_hybrid_solve(phi, lambda x, lam, p: 1.0, 0.3, 0.01, 0.99, 1e-6, mu)
+        assert lams == []  # rejected before any evaluation
 
 
 class TestHybridFuzz:
@@ -280,7 +292,7 @@ class TestHybridFuzz:
             rho = float(rng.uniform(p_lo + 1e-3, p_hi - 1e-3))
             lam_true = invert(rho)
             phi = lambda lam: (value(lam), np.array([lam]))
-            lam, _, state = hybrid_secant_solve(phi, rho, lo, hi, cfg.stoptol, cfg.root)
+            lam, _, state = hybrid_secant_solve(phi, rho, lo, hi, cfg.stoptol, cfg.mu)
             assert state.converged, trial
             # eta <= stoptol translates to a lambda error through the local slope
             assert abs(value(lam) - rho) <= cfg.stoptol * max(1.0, rho)
@@ -304,24 +316,24 @@ class TestBisection:
         for i, rec in enumerate(steps, start=1):
             assert rec.hi - rec.lo <= width0 * 0.5 ** i + 1e-15
 
-    def test_iteration_count_matches_contract(self):
-        cfg = RootConfig(max_outer=500)
-        _, _, state = bisection_solve(scalar_phi, 0.3, 0.01, 0.99, 1e-6, cfg)
+    def test_iteration_count_matches_contract(self, monkeypatch):
+        monkeypatch.setattr(smop.rootfind, "MAX_OUTER", 500)
+        _, _, state = bisection_solve(scalar_phi, 0.3, 0.01, 0.99, 1e-6)
         # eta tolerance on an identity phi: about log2(width / stoptol) rounds
         expected = np.log2((0.99 - 0.01) / 1e-6)
         assert state.n_evals <= expected + 2
 
-    def test_unconverged_returns_closest_evaluated_point(self):
+    def test_unconverged_returns_closest_evaluated_point(self, monkeypatch):
         # the one bisection step lands at 0.64; the lower end 0.29 is closer
-        cfg = RootConfig(max_outer=1)
-        lam, x, state = bisection_solve(scalar_phi, 0.3, 0.29, 0.99, 1e-14, cfg)
+        monkeypatch.setattr(smop.rootfind, "MAX_OUTER", 1)
+        lam, x, state = bisection_solve(scalar_phi, 0.3, 0.29, 0.99, 1e-14)
         assert not state.converged
         assert lam == 0.29
         np.testing.assert_array_equal(x, [0.71])
 
     def test_invalid_bracket(self):
         with pytest.raises(BracketError):
-            bisection_solve(scalar_phi, 0.3, 0.4, 0.99, 1e-6, RootConfig())
+            bisection_solve(scalar_phi, 0.3, 0.4, 0.99, 1e-6)
 
 
 class TestHsDerivative:
