@@ -226,7 +226,7 @@ def smop_solve(
         raise ValueError("data.rho must be set")
     rho = data.rho
     t0 = time.perf_counter()
-    lam_top = lambda_inf(reg, data.A, data.b)
+    lam_top = lambda_inf(reg, data.A, data.b, data.Atb)
     tol = min(KKT_TOL, 0.01 * cfg.stoptol * max(1.0, rho))
     oracle = _PhiOracle(data, reg, tol, cfg.sieve, x_warm=None if warm is None else warm.x)
 

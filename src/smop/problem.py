@@ -1,17 +1,36 @@
-"""Problem data: validated CSC matrices, LIBSVM text I/O, synthetic instances.
+"""Problem data: validated design matrices, LIBSVM text I/O, synthetic instances.
 
-A problem instance is ``min p(x)  s.t.  ||A x - b|| <= rho`` with a sparse
-design matrix ``A`` (column-compressed: solvers slice columns by index set),
-a dense response ``b`` and a noise-level parameter ``rho`` in ``(0, ||b||)``.
+A problem instance is ``min p(x)  s.t.  ||A x - b|| <= rho`` with a design
+matrix ``A``, a dense response ``b`` and a noise-level parameter ``rho`` in
+``(0, ||b||)``.
+
+``SparseMatrix`` stores ``A`` in one of two layouts, chosen from the matrix
+alone (never from the machine), with no option:
+
+* **dense**: ``T = A^T`` as one C-ordered ``(n, m)`` array, a private
+  read-only copy. Every product is a BLAS product on ``T`` and a column
+  gather is a row gather of ``T``. A design takes it when it has at least
+  ``_MIN_DENSE_ENTRIES`` entries and ``T`` takes no more bytes than the CSC
+  data and index arrays would (with int32 indices: at least 2/3 fill).
+* **CSC** otherwise: the solvers slice columns by index set, and a sparse
+  design (LIBSVM files) stays compact.
 
 ``SparseMatrix.rmatvec`` splits a large ``A^T y`` over the usable cores: the
-columns are cut into contiguous blocks of about equal nonzero count, one per
-CPU the process may run on, and each block's product runs on a shared worker
-thread (the caller computes the first). It splits only when every block holds
-at least ``_MIN_BLOCK_NNZ`` nonzeros, and never with one usable CPU; there is
-no option. Each output entry is the same dot product in the same order, so the
-result is bit-identical to the single product. ``matvec`` stays serial: column
-blocks would add partial sums in a new order, and no solve calls it.
+output is cut into contiguous blocks of about equal stored-entry count (CSC:
+column blocks of ``A``; dense: row blocks of ``T``, cut at multiples of 4
+rows), one per CPU the process may run on, and each block's product runs on
+a shared worker thread (the caller computes the first). It splits only when
+every block holds at least ``_MIN_BLOCK_NNZ`` stored entries, and never with
+one usable CPU.
+
+Scope of bit-identity: each output entry is the same dot product in the same
+order whether split or not (CSC: scipy's row loop; dense: BLAS ``gemv``,
+whose kernel takes rows four at a time, hence the cuts), so for a fixed BLAS
+thread count a split product is bit-identical to the single one, and a solve
+does not depend on the usable CPU count. A multithreaded BLAS splits a large
+dense product itself at rows of its own choosing, so there the last bits can
+depend on the BLAS thread count. The two layouts agree to roundoff, not
+bitwise. ``matvec`` stays serial: no solve calls it.
 """
 
 from __future__ import annotations
@@ -20,13 +39,18 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-# fewest nonzeros per column block of a split A^T y: below it, handing a block
-# to a thread costs more than it saves (break-even measured on 2 cores)
+# fewest nonzeros per block of a split A^T y: below it, handing a block to a
+# thread costs more than it saves (break-even measured on 2 cores)
 _MIN_BLOCK_NNZ = 250_000
+# fewest entries m*n of a design stored dense; smaller dense designs keep CSC
+# (see ROADMAP item 2 for why). Its own constant: patching the block minimum
+# must not change a layout.
+_MIN_DENSE_ENTRIES = 2 * _MIN_BLOCK_NNZ
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -61,6 +85,21 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
+def _index_dtype(m: int, n: int, nnz: int):
+    """int32 when every CSC index and pointer fits (sparse products run faster
+    on it), else int64."""
+    return np.int32 if max(m, n, nnz) <= np.iinfo(np.int32).max else np.int64
+
+
+def _dense_layout(m: int, n: int, nnz: int) -> bool:
+    """Whether an ``m x n`` design with ``nnz`` nonzeros is stored dense: it is
+    large enough, and its 8 bytes per entry take no more than the CSC data and
+    index arrays' bytes per nonzero."""
+    entries = m * n
+    per_nonzero = 8 + np.dtype(_index_dtype(m, n, nnz)).itemsize
+    return entries >= _MIN_DENSE_ENTRIES and 8 * entries <= per_nonzero * nnz
+
+
 def _column_blocks(csc: sp.csc_array) -> tuple:
     """``(start, stop, block)`` per column block of a split ``A^T``, or ``()``.
 
@@ -91,6 +130,28 @@ def _column_blocks(csc: sp.csc_array) -> tuple:
     return tuple(blocks)
 
 
+def _row_blocks(T: np.ndarray) -> tuple:
+    """``(start, stop, block)`` per row block of a split ``T @ y``, or ``()``.
+
+    ``block`` is the view ``T[start:stop]``. Cuts are multiples of 4 rows and
+    every block has at least 4: BLAS's gemv takes rows four at a time and the
+    last ``n % 4`` by a tail kernel that sums in another order, and numpy
+    hands a one-row product to ``dot``.
+    """
+    n, m = T.shape
+    k = min(_usable_cpus(), n * m // max(_MIN_BLOCK_NNZ, 1))
+    while k > 1:
+        rows = 4 * (np.arange(k + 1) * n // (4 * k))
+        rows[-1] = n
+        sizes = np.diff(rows)
+        if np.all(sizes >= 4) and np.all(sizes * m >= _MIN_BLOCK_NNZ):
+            break
+        k -= 1
+    if k <= 1:
+        return ()
+    return tuple((r0, r1, T[r0:r1]) for r0, r1 in zip(rows[:-1].tolist(), rows[1:].tolist()))
+
+
 def _block_product(out, block, y) -> None:
     out[...] = block @ y
 
@@ -100,12 +161,19 @@ class LibsvmFormatError(ValueError):
 
 
 class SparseMatrix:
-    """Immutable column-compressed matrix with validated structure.
+    """Immutable design matrix with validated structure, in one of two layouts.
 
-    Invariants enforced at construction: row indices lie in ``[0, m)`` and are
-    strictly increasing within each column; stored values are finite and
-    nonzero. Index arrays are stored as int32 when every index fits (the
-    sparse products run faster on them), else as int64.
+    Large designs with at least 2/3 nonzeros (see the module docstring for
+    the exact rule) are stored dense, as ``T = A^T`` in a private read-only
+    C-ordered array; all others column-compressed. ``from_dense`` and
+    ``from_scipy`` choose the same layout for the same matrix. Every method
+    returns the same values in both layouts: gathers and ``toarray``
+    exactly, products to roundoff.
+
+    Invariants of the CSC layout, enforced at construction: row indices lie
+    in ``[0, m)`` and are strictly increasing within each column; stored
+    values are finite and nonzero. Index arrays are int32 when every index
+    fits, else int64. A dense layout holds finite values.
     """
 
     def __init__(self, m, n, indptr, indices, data):
@@ -124,7 +192,7 @@ class SparseMatrix:
             raise ValueError("row index out of range [0, m)")
         # every pointer now lies in [0, nnz] and every index in [0, m), so the
         # cast cannot wrap
-        idx_dtype = np.int32 if max(m, n, indices.size) <= np.iinfo(np.int32).max else np.int64
+        idx_dtype = _index_dtype(m, n, indices.size)
         indptr = indptr.astype(idx_dtype, copy=False)
         indices = indices.astype(idx_dtype, copy=False)
         if indices.size:
@@ -140,8 +208,21 @@ class SparseMatrix:
                 raise ValueError("row indices must be strictly increasing per column")
         self._m = int(m)
         self._n = int(n)
-        self._csc = sp.csc_array((data, indices, indptr), shape=(m, n))
-        self._blocks = _column_blocks(self._csc)
+        csc = sp.csc_array((data, indices, indptr), shape=(m, n))
+        if _dense_layout(self._m, self._n, indices.size):
+            self._set_dense(csc.T.toarray())
+        else:
+            self._csc = csc
+            self._T = None
+            self._blocks = _column_blocks(csc)
+
+    def _set_dense(self, T: np.ndarray) -> None:
+        """Store the dense layout ``T = A^T``, a C-ordered ``(n, m)`` array
+        no caller holds."""
+        T.flags.writeable = False
+        self._csc = None
+        self._T = T
+        self._blocks = _row_blocks(T)
 
     @property
     def m(self):
@@ -165,12 +246,30 @@ class SparseMatrix:
 
     @classmethod
     def from_dense(cls, arr) -> "SparseMatrix":
-        return cls.from_scipy(sp.csc_array(np.asarray(arr, dtype=np.float64)))
+        """The matrix of a 2-D array of finite values. A design stored dense
+        is copied, never converted through CSC; later writes to ``arr``
+        change nothing here."""
+        arr = np.asarray(arr, dtype=np.float64)
+        if arr.ndim != 2:
+            raise ValueError(f"a matrix must be 2-D, got {arr.ndim}-D input")
+        m, n = arr.shape
+        # below the size minimum no fill is counted; the CSC constructor
+        # rejects NaN and inf
+        if m * n < _MIN_DENSE_ENTRIES or not _dense_layout(m, n, int(np.count_nonzero(arr))):
+            return cls.from_scipy(sp.csc_array(arr))
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("stored values must be finite and nonzero")
+        A = cls.__new__(cls)
+        A._m, A._n = m, n
+        A._set_dense(np.array(arr.T, order="C"))
+        return A
 
     def matvec(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self._n,):
             raise ValueError(f"matvec expects a vector of length {self._n}")
+        if self._T is not None:
+            return self._T.T @ x
         return self._csc @ x
 
     def rmatvec(self, y) -> np.ndarray:
@@ -178,7 +277,7 @@ class SparseMatrix:
         if y.shape != (self._m,):
             raise ValueError(f"rmatvec expects a vector of length {self._m}")
         if not self._blocks:
-            return self._csc.T @ y
+            return self._T @ y if self._T is not None else self._csc.T @ y
         out = np.empty(self._n)
         pool = _thread_pool()
         pending = [
@@ -194,12 +293,16 @@ class SparseMatrix:
     def take_columns(self, idx) -> sp.csc_array:
         """Column submatrix as a scipy CSC array (m x len(idx))."""
         idx = np.asarray(idx, dtype=np.int64)
+        if self._T is not None:
+            return sp.csc_array(self._T[idx].T)
         return self._csc[:, idx]
 
     def take_columns_dense(self, idx) -> np.ndarray:
         """Column submatrix gathered into a dense array; cheaper than sparse
         slicing for the reduced solves this library runs at desk scale."""
         idx = np.asarray(idx, dtype=np.int64)
+        if self._T is not None:
+            return self._T[idx].T
         indptr, indices, data = self._csc.indptr, self._csc.indices, self._csc.data
         out = np.zeros((self._m, idx.size))
         for j, col in enumerate(idx):
@@ -208,6 +311,8 @@ class SparseMatrix:
         return out
 
     def toarray(self) -> np.ndarray:
+        if self._T is not None:
+            return self._T.T.copy()
         return self._csc.toarray()
 
 
@@ -237,6 +342,14 @@ class ProblemData:
 
     def with_rho(self, rho: float) -> "ProblemData":
         return replace(self, rho=float(rho))
+
+    @cached_property
+    def Atb(self) -> np.ndarray:
+        """``A^T b``, read-only and formed once per instance: ``lambda_inf``
+        and the sieve's round from the empty set both read it."""
+        atb = self.A.rmatvec(self.b)
+        atb.flags.writeable = False
+        return atb
 
 
 @dataclass(frozen=True)

@@ -159,12 +159,13 @@ def make_regularizer(kind: str, n: int, schedule: str = "linear") -> Regularizer
     raise ValueError(f"unknown regularizer kind {kind!r}")
 
 
-def lambda_inf(reg: Regularizer, A, b) -> float:
+def lambda_inf(reg: Regularizer, A, b, Atb=None) -> float:
     """Smallest penalty strength at which the zero vector is optimal.
 
-    Equals ``polar(A^T b)``; raises if ``A^T b = 0`` (degenerate instance).
+    Equals ``polar(A^T b)``; pass ``Atb`` when that product is already formed.
+    Raises if ``A^T b = 0`` (degenerate instance).
     """
-    val = reg.polar(A.rmatvec(b))
+    val = reg.polar(A.rmatvec(b) if Atb is None else Atb)
     if val == 0.0:
         raise ValueError("lambda_inf is zero: constrained problem degenerate")
     return val

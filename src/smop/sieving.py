@@ -19,7 +19,9 @@ since at ``x = 0`` it can overflow while ``phi = ||b||`` is finite.
 The residual ``y = b - A_I x_I`` that the reduced solve returns is reused:
 the round's gradient is ``-A^T y`` and the final ``y``/``phi`` are the last
 round's, so a sieve round forms no full product ``A x``. The ``A^T`` product
-over all n columns stays; it is the certificate.
+over all n columns stays; it is the certificate. A round over the empty set
+has ``y = b`` and reads ``ProblemData.Atb``, the product ``lambda_inf`` has
+already formed for the same instance.
 
 ``phi_eval`` evaluates phi(lam) = ||A x(lam) - b||: through this loop, or by
 one direct solve over all coordinates with ``sieve=False``.
@@ -121,7 +123,8 @@ def sieve_solve(
             r_norm = np.nan
             trace.rounds.append(SieveRound(I.size, r_norm, 0, 0, result.iters))
             break
-        grad = -data.A.rmatvec(result.y)
+        # over the empty set y = b, whose A^T b the instance keeps
+        grad = -(data.Atb if I.size == 0 else data.A.rmatvec(result.y))
         R = residual_R(x, grad, reg, lam)
         r_norm = float(np.linalg.norm(R))
         if r_norm <= tol:

@@ -213,6 +213,42 @@ class TestSmopSolve:
         assert res.n_subproblems == 4
         assert res.inner_iters_total <= 100
 
+    @pytest.mark.parametrize("kind", ["l1", "sorted-l1"])
+    def test_empty_round_reads_the_lambda_inf_product(self, monkeypatch, kind):
+        # A^T b is formed once per instance: lambda_inf and the sieve's round
+        # from the empty set share it
+        data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=11))
+        data = data.with_rho(0.1 * data.bnorm)
+        reg = L1() if kind == "l1" else SortedL1(linear_weights(400))
+        calls = []
+        rmatvec = SparseMatrix.rmatvec
+
+        def counting(self, y):
+            calls.append(1)
+            return rmatvec(self, y)
+
+        monkeypatch.setattr(SparseMatrix, "rmatvec", counting)
+        shared = smop_solve(data, reg, SmopConfig(stoptol=1e-8))
+        rounds = [r for rec in shared.evals for r in rec.rounds]
+        assert sum(r.size_I == 0 for r in rounds) == 1
+        # A^T b, then one A^T y per round over a nonempty set
+        assert len(calls) == 1 + sum(r.size_I > 0 for r in rounds)
+        # each read forms the product again: one call more, the same iterates
+        monkeypatch.setattr(ProblemData, "Atb", property(lambda d: d.A.rmatvec(d.b)))
+        n_shared = len(calls)
+        calls.clear()
+        fresh = smop_solve(ProblemData(data.A, data.b, data.rho), reg, SmopConfig(stoptol=1e-8))
+        assert len(calls) == n_shared + 1
+        assert fresh.lambda_star == shared.lambda_star
+        assert fresh.x.tobytes() == shared.x.tobytes()
+
+    def test_kept_product_is_read_only(self):
+        data, _ = synth_instance(SynthSpec(m=20, n=50, s=3, seed=2))
+        assert data.Atb is data.Atb
+        np.testing.assert_array_equal(data.Atb, data.A.rmatvec(data.b))
+        with pytest.raises(ValueError):
+            data.Atb[0] = 1.0
+
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("kind", ["l1", "slope"])
     def test_warm_result_seeds_nearby_level(self, kind, seed):

@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import subprocess
 import sys
@@ -107,6 +108,12 @@ def _split_small(monkeypatch, cpus=4):
     monkeypatch.setattr(problem, "_usable_cpus", lambda: cpus)
 
 
+def _dense_from(monkeypatch, minimum=0):
+    """Matrices built afterwards take the dense layout from ``minimum`` entries
+    on (``math.inf``: never), when dense enough."""
+    monkeypatch.setattr(problem, "_MIN_DENSE_ENTRIES", minimum)
+
+
 def _serial_and_blocked(monkeypatch, mat):
     """The same matrix built unsplit and split into 4 blocks."""
     serial = SparseMatrix.from_scipy(mat)
@@ -119,6 +126,87 @@ def _serial_and_blocked(monkeypatch, mat):
 def _child_rmatvec(A, y, expected):
     # exits nonzero on a wrong product; hangs if the inherited pool is used
     sys.exit(0 if np.array_equal(A.rmatvec(y), expected) else 3)
+
+
+def _solve_identical_to_serial(monkeypatch, penalty, dense):
+    """_usable_cpus 1 and 4 give the same layout and bit-identical solves."""
+    _dense_from(monkeypatch, 0 if dense else math.inf)
+    data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=11))
+    data = data.with_rho(0.1 * data.bnorm)
+    serial, blocked = _serial_and_blocked(monkeypatch, sp.csc_array(data.A.toarray()))
+    assert (serial._T is not None) is (blocked._T is not None) is dense
+    reg = L1() if penalty == "l1" else SortedL1(linear_weights(400))
+    cfg = SmopConfig(stoptol=1e-8)
+    res_s = smop_solve(ProblemData(serial, data.b, data.rho), reg, cfg)
+    res_b = smop_solve(ProblemData(blocked, data.b, data.rho), reg, cfg)
+    assert res_s.converged and res_b.converged
+    assert res_b.lambda_star == res_s.lambda_star
+    assert res_b.n_subproblems == res_s.n_subproblems
+    assert res_b.inner_iters_total == res_s.inner_iters_total
+    assert np.array_equal(res_b.x, res_s.x)
+
+
+def _concurrent_callers_share_one_pool(monkeypatch, dense):
+    _dense_from(monkeypatch, 0 if dense else math.inf)
+    _split_small(monkeypatch)
+    created = []
+
+    class CountingPool(problem.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    monkeypatch.setattr(problem, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(problem, "_pool", None)
+    rng = np.random.default_rng(7)
+    A = SparseMatrix.from_dense(rng.standard_normal((30, 200)))
+    ys = rng.standard_normal((8, 30))
+    assert (A._T is not None) is dense
+    expected = [(A._T if dense else A._csc.T) @ y for y in ys]
+    wrong = []
+
+    def caller(i):
+        for _ in range(25):
+            if not np.array_equal(A.rmatvec(ys[i]), expected[i]):
+                wrong.append(i)
+
+    threads = [threading.Thread(target=caller, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong and len(created) == 1
+    created[0].shutdown()
+
+
+def _forked_child_builds_its_own_pool(monkeypatch, dense):
+    # two blocks on a fresh pool: its one worker is idle after the product,
+    # so an inherited pool would queue the child's block and start no thread
+    _dense_from(monkeypatch, 0 if dense else math.inf)
+    _split_small(monkeypatch, cpus=2)
+    monkeypatch.setattr(problem, "_pool", None)
+    rng = np.random.default_rng(6)
+    A = SparseMatrix.from_dense(rng.standard_normal((20, 60)))
+    y = rng.standard_normal(20)
+    expected = A.rmatvec(y)  # starts the parent's pool
+    assert len(A._blocks) == 2 and (A._T is not None) is dense
+    child = multiprocessing.get_context("fork").Process(
+        target=_child_rmatvec, args=(A, y, expected)
+    )
+    child.start()
+    child.join(timeout=30)
+    try:
+        assert child.exitcode == 0, "child hung or computed a wrong product"
+    finally:
+        if child.exitcode is None:
+            child.kill()
+            child.join()
 
 
 class TestBlockedRmatvec:
@@ -173,77 +261,14 @@ class TestBlockedRmatvec:
 
     @pytest.mark.parametrize("penalty", ["l1", "sorted-l1"])
     def test_solve_identical_to_serial(self, monkeypatch, penalty):
-        data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=11))
-        data = data.with_rho(0.1 * data.bnorm)
-        serial, blocked = _serial_and_blocked(monkeypatch, data.A._csc)
-        reg = L1() if penalty == "l1" else SortedL1(linear_weights(400))
-        cfg = SmopConfig(stoptol=1e-8)
-        res_s = smop_solve(ProblemData(serial, data.b, data.rho), reg, cfg)
-        res_b = smop_solve(ProblemData(blocked, data.b, data.rho), reg, cfg)
-        assert res_s.converged and res_b.converged
-        assert res_b.lambda_star == res_s.lambda_star
-        assert res_b.n_subproblems == res_s.n_subproblems
-        assert res_b.inner_iters_total == res_s.inner_iters_total
-        assert np.array_equal(res_b.x, res_s.x)
+        _solve_identical_to_serial(monkeypatch, penalty, dense=False)
 
     def test_concurrent_callers_share_one_pool(self, monkeypatch):
-        _split_small(monkeypatch)
-        created = []
-
-        class CountingPool(problem.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                created.append(self)
-
-        monkeypatch.setattr(problem, "ThreadPoolExecutor", CountingPool)
-        monkeypatch.setattr(problem, "_pool", None)
-        rng = np.random.default_rng(7)
-        A = SparseMatrix.from_dense(rng.standard_normal((30, 200)))
-        ys = rng.standard_normal((8, 30))
-        expected = [A._csc.T @ y for y in ys]
-        wrong = []
-
-        def caller(i):
-            for _ in range(25):
-                if not np.array_equal(A.rmatvec(ys[i]), expected[i]):
-                    wrong.append(i)
-
-        threads = [threading.Thread(target=caller, args=(i,)) for i in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert not wrong and len(created) == 1
-        created[0].shutdown()
+        _concurrent_callers_share_one_pool(monkeypatch, dense=False)
 
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
     def test_forked_child_builds_its_own_pool(self, monkeypatch):
-        # two blocks on a fresh pool: its one worker is idle after the product,
-        # so an inherited pool would queue the child's block and start no thread
-        _split_small(monkeypatch, cpus=2)
-        monkeypatch.setattr(problem, "_pool", None)
-        rng = np.random.default_rng(6)
-        A = SparseMatrix.from_dense(rng.standard_normal((20, 60)))
-        y = rng.standard_normal(20)
-        expected = A.rmatvec(y)  # starts the parent's pool
-        assert len(A._blocks) == 2
-        child = multiprocessing.get_context("fork").Process(
-            target=_child_rmatvec, args=(A, y, expected)
-        )
-        child.start()
-        child.join(timeout=30)
-        try:
-            assert child.exitcode == 0, "child hung or computed a wrong product"
-        finally:
-            if child.exitcode is None:
-                child.kill()
-                child.join()
+        _forked_child_builds_its_own_pool(monkeypatch, dense=False)
 
     def test_process_exits_with_idle_pool(self):
         code = textwrap.dedent("""
@@ -260,6 +285,155 @@ class TestBlockedRmatvec:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "48.0"
+
+
+def _with_nonzeros(m, n, nnz, seed=0):
+    """An ``m x n`` array with exactly ``nnz`` nonzero entries."""
+    rng = np.random.default_rng(seed)
+    flat = np.zeros(m * n)
+    flat[rng.permutation(m * n)[:nnz]] = rng.uniform(0.5, 1.5, size=nnz)
+    return flat.reshape(m, n)
+
+
+class TestDenseLayout:
+    @pytest.mark.parametrize("m, n, nnz, dense", [
+        (500, 1000, 333_334, True),    # the size minimum, at 2/3 fill
+        (500, 1000, 333_333, False),   # one nonzero short of 2/3
+        (499, 1000, 499_000, False),   # full, below the size minimum
+        (500, 1000, 500_000, True),
+    ])
+    def test_rule_at_its_boundaries(self, m, n, nnz, dense):
+        assert problem._MIN_DENSE_ENTRIES == 500_000
+        arr = _with_nonzeros(m, n, nnz)
+        built = [
+            SparseMatrix.from_dense(arr),
+            SparseMatrix.from_scipy(sp.csc_array(arr)),
+            SparseMatrix.from_scipy(sp.coo_array(arr)),
+        ]
+        for A in built:
+            assert (A._T is not None) is dense
+            assert (A._csc is None) is dense
+            np.testing.assert_array_equal(A.toarray(), arr)
+
+    def test_block_minimum_does_not_move_the_layout(self, monkeypatch):
+        arr = _with_nonzeros(499, 1000, 499_000)
+        for minimum in (0, 1, 10**9):
+            monkeypatch.setattr(problem, "_MIN_BLOCK_NNZ", minimum)
+            assert SparseMatrix.from_dense(arr)._T is None
+
+    def test_matches_csc_layout(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        arr = rng.standard_normal((40, 230))
+        arr[rng.random(arr.shape) < 0.2] = 0.0
+        csc = SparseMatrix.from_dense(arr)
+        _dense_from(monkeypatch)
+        dense = SparseMatrix.from_dense(arr)
+        assert csc._T is None and dense._T is not None
+        idx = [7, 0, 229, 31, 100]
+        np.testing.assert_array_equal(dense.take_columns_dense(idx), csc.take_columns_dense(idx))
+        got, want = dense.take_columns(idx), csc.take_columns(idx)
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert got.shape == want.shape and got.indices.dtype == want.indices.dtype
+        np.testing.assert_array_equal(dense.toarray(), csc.toarray())
+        for _ in range(5):
+            x, y = rng.standard_normal(230), rng.standard_normal(40)
+            np.testing.assert_allclose(dense.matvec(x), csc.matvec(x), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dense.rmatvec(y), csc.rmatvec(y), rtol=0, atol=1e-12)
+
+    # each product stays below the sizes a threaded BLAS splits itself
+    @pytest.mark.parametrize("m, n", [(31, 297), (40, 230), (7, 1001), (300, 97), (12, 9)])
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_blocked_matches_serial_bitwise(self, monkeypatch, m, n, cpus):
+        rng = np.random.default_rng(m * n + cpus)
+        arr = rng.standard_normal((m, n))
+        _dense_from(monkeypatch)
+        serial = SparseMatrix.from_dense(arr)
+        _split_small(monkeypatch, cpus)
+        blocked = SparseMatrix.from_dense(arr)
+        assert not serial._blocks and len(blocked._blocks) > 1
+        rows = [(r0, r1) for r0, r1, _ in blocked._blocks]
+        assert rows[0][0] == 0 and rows[-1][1] == n
+        assert all(r1 - r0 >= 4 and r0 % 4 == 0 for r0, r1 in rows)
+        assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
+        for r0, r1, block in blocked._blocks:
+            assert np.shares_memory(block, blocked._T) and block.shape == (r1 - r0, m)
+        for _ in range(3):
+            y = rng.standard_normal(m)
+            assert np.array_equal(blocked.rmatvec(y), serial.rmatvec(y))
+            assert np.array_equal(serial.rmatvec(y), serial._T @ y)
+
+    @pytest.mark.parametrize("penalty", ["l1", "sorted-l1"])
+    def test_solve_identical_to_serial(self, monkeypatch, penalty):
+        _solve_identical_to_serial(monkeypatch, penalty, dense=True)
+
+    def test_concurrent_callers_share_one_pool(self, monkeypatch):
+        _concurrent_callers_share_one_pool(monkeypatch, dense=True)
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_builds_its_own_pool(self, monkeypatch):
+        _forked_child_builds_its_own_pool(monkeypatch, dense=True)
+
+    def test_too_few_rows_to_split(self, monkeypatch):
+        _dense_from(monkeypatch)
+        _split_small(monkeypatch)
+        assert not SparseMatrix.from_dense(np.ones((50, 7)))._blocks
+        assert len(SparseMatrix.from_dense(np.ones((50, 8)))._blocks) == 2
+
+    @pytest.mark.parametrize("bad", [np.ones(3), np.ones((2, 2, 2)), 5.0])
+    @pytest.mark.parametrize("minimum", [0, math.inf])
+    def test_rejects_input_that_is_not_2d(self, monkeypatch, bad, minimum):
+        _dense_from(monkeypatch, minimum)
+        with pytest.raises(ValueError, match="must be 2-D"):
+            SparseMatrix.from_dense(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("minimum", [0, math.inf])
+    def test_rejects_nonfinite_values(self, monkeypatch, bad, minimum):
+        # the message of the CSC constructor, in both layouts
+        _dense_from(monkeypatch, minimum)
+        arr = np.ones((6, 5))
+        arr[4, 2] = bad
+        with pytest.raises(ValueError, match="stored values must be finite and nonzero"):
+            SparseMatrix.from_dense(arr)
+
+    def test_private_read_only_copy(self, monkeypatch):
+        _dense_from(monkeypatch)
+        rng = np.random.default_rng(9)
+        arr = rng.standard_normal((10, 30))
+        A = SparseMatrix.from_dense(arr)
+        y, x = rng.standard_normal(10), rng.standard_normal(30)
+        before = (A.rmatvec(y), A.matvec(x), A.toarray(), A.take_columns_dense([3, 4]))
+        assert not np.shares_memory(A._T, arr) and not A._T.flags.writeable
+        arr *= -2.0
+        before[2][:] = 0.0
+        before[3][:] = 0.0
+        np.testing.assert_array_equal(A.rmatvec(y), before[0])
+        np.testing.assert_array_equal(A.matvec(x), before[1])
+        np.testing.assert_array_equal(A.toarray(), -0.5 * arr)
+        with pytest.raises(ValueError):
+            A._T[0, 0] = 1.0
+        # one row or one column: the transpose of T is contiguous already
+        for shape in [(1, 40), (40, 1)]:
+            thin = SparseMatrix.from_dense(np.ones(shape))
+            assert thin._T is not None and thin.toarray().flags.writeable
+
+    @pytest.mark.parametrize("penalty", ["l1", "sorted-l1"])
+    def test_solve_matches_csc_layout(self, monkeypatch, penalty):
+        # just above the size minimum: 300 x 2000 is stored dense
+        data, _ = synth_instance(SynthSpec(m=300, n=2000, s=20, sigma=0.01, seed=3))
+        data = data.with_rho(0.1 * data.bnorm)
+        assert data.A._T is not None
+        _dense_from(monkeypatch, math.inf)
+        csc = ProblemData(SparseMatrix.from_dense(data.A.toarray()), data.b, data.rho)
+        assert csc.A._T is None
+        reg = L1() if penalty == "l1" else SortedL1(linear_weights(2000))
+        cfg = SmopConfig(stoptol=1e-8)
+        res_d, res_c = smop_solve(data, reg, cfg), smop_solve(csc, reg, cfg)
+        assert res_d.converged and res_c.converged
+        assert res_d.kkt <= 1e-8 and res_c.kkt <= 1e-8
+        assert abs(res_d.lambda_star - res_c.lambda_star) <= 1e-9 * res_c.lambda_star
+        assert res_d.n_subproblems == res_c.n_subproblems
 
 
 class TestProblemData:
