@@ -86,8 +86,8 @@ class SmopResult:
     nnz: int
     method: str
     converged: bool
-    bracket: tuple
-    root_state: RootState
+    bracket: tuple           # what bracket_init returned; seeds the next path step
+    root_state: RootState    # its lo/hi is the bracket the root finder ended with
     evals: list[EvalRecord]
 
     def to_doc(self) -> dict:

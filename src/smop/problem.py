@@ -4,33 +4,32 @@ A problem instance is ``min p(x)  s.t.  ||A x - b|| <= rho`` with a design
 matrix ``A``, a dense response ``b`` and a noise-level parameter ``rho`` in
 ``(0, ||b||)``.
 
-``SparseMatrix`` stores ``A`` in one of two layouts, chosen from the matrix
-alone (never from the machine), with no option:
+``SparseMatrix`` stores one thing, ``T = A^T``, in a form chosen from the
+matrix alone (never from the machine), with no option:
 
-* **dense**: ``T = A^T`` as one C-ordered ``(n, m)`` array, a private
-  read-only copy. Every product is a BLAS product on ``T`` and a column
-  gather is a row gather of ``T``. A design takes it when it has at least
-  ``_MIN_DENSE_ENTRIES`` entries and ``T`` takes no more bytes than the CSC
-  data and index arrays would (with int32 indices: at least 2/3 fill).
-* **CSC** otherwise: the solvers slice columns by index set, and a sparse
-  design (LIBSVM files) stays compact.
+* **dense**: one C-ordered ``(n, m)`` array, a private read-only copy, when
+  the design has at least ``_MIN_DENSE_ENTRIES`` entries and ``T`` takes no
+  more bytes than the CSC data and index arrays would (with int32 indices:
+  at least 2/3 fill).
+* **CSR** otherwise: the validated CSC arrays of ``A``, which are the CSR
+  arrays of ``A^T``, so a sparse design (LIBSVM files) stays compact.
 
-``SparseMatrix.rmatvec`` splits a large ``A^T y`` over the usable cores: the
-output is cut into contiguous blocks of about equal stored-entry count (CSC:
-column blocks of ``A``; dense: row blocks of ``T``, cut at multiples of 4
-rows), one per CPU the process may run on, and each block's product runs on
-a shared worker thread (the caller computes the first). It splits only when
-every block holds at least ``_MIN_BLOCK_NNZ`` stored entries, and never with
-one usable CPU.
+Every method reads ``T`` the same way in both forms: a product is ``T @ y``
+or ``T.T @ x`` and a column gather is a row gather of ``T``.
 
-Scope of bit-identity: each output entry is the same dot product in the same
-order whether split or not (CSC: scipy's row loop; dense: BLAS ``gemv``,
-whose kernel takes rows four at a time, hence the cuts), so for a fixed BLAS
-thread count a split product is bit-identical to the single one, and a solve
-does not depend on the usable CPU count. A multithreaded BLAS splits a large
-dense product itself at rows of its own choosing, so there the last bits can
-depend on the BLAS thread count. The two layouts agree to roundoff, not
-bitwise. ``matvec`` stays serial: no solve calls it.
+``SparseMatrix.rmatvec`` splits a large dense ``T @ y`` over the usable
+cores: row blocks of ``T`` (``_row_blocks``), one per CPU the process may
+run on, each on a shared worker thread (the caller computes the first). It
+splits only when every block holds at least ``_MIN_BLOCK_NNZ`` entries, and
+never with one usable CPU.
+
+Scope of bit-identity: each output entry is the same BLAS ``gemv`` dot
+product whether split or not, so for a fixed BLAS thread count a split
+product is bit-identical to the single one, and a solve does not depend on
+the usable CPU count. A multithreaded BLAS splits a large product itself at
+rows of its own choosing, so there the last bits can depend on the BLAS
+thread count. The two forms agree to roundoff, not bitwise. ``matvec``
+stays serial: no solve calls it.
 """
 
 from __future__ import annotations
@@ -44,10 +43,10 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-# fewest nonzeros per block of a split A^T y: below it, handing a block to a
+# fewest entries per block of a split A^T y: below it, handing a block to a
 # thread costs more than it saves (break-even measured on 2 cores)
 _MIN_BLOCK_NNZ = 250_000
-# fewest entries m*n of a design stored dense; smaller dense designs keep CSC
+# fewest entries m*n of a design stored dense; smaller dense designs keep CSR
 # (see ROADMAP item 2 for why). Its own constant: patching the block minimum
 # must not change a layout.
 _MIN_DENSE_ENTRIES = 2 * _MIN_BLOCK_NNZ
@@ -100,36 +99,6 @@ def _dense_layout(m: int, n: int, nnz: int) -> bool:
     return entries >= _MIN_DENSE_ENTRIES and 8 * entries <= per_nonzero * nnz
 
 
-def _column_blocks(csc: sp.csc_array) -> tuple:
-    """``(start, stop, block)`` per column block of a split ``A^T``, or ``()``.
-
-    Cut points balance the nonzeros; ``block`` is the CSR form of columns
-    ``start:stop`` of ``A^T`` and shares the CSC data and indices.
-    """
-    indptr = csc.indptr
-    nnz = int(indptr[-1])
-    k = min(_usable_cpus(), nnz // max(_MIN_BLOCK_NNZ, 1))
-    while k > 1:
-        cuts = np.searchsorted(indptr, np.arange(1, k) * (nnz / k))
-        cols = np.concatenate(([0], cuts, [csc.shape[1]]))
-        if np.all(np.diff(indptr[cols]) >= _MIN_BLOCK_NNZ):
-            break
-        k -= 1
-    if k <= 1:
-        return ()
-    blocks = []
-    for c0, c1 in zip(cols[:-1].tolist(), cols[1:].tolist()):
-        p0, p1 = indptr[c0], indptr[c1]
-        # the arrays are set after construction: the (data, indices, indptr)
-        # constructor copies a view much smaller than the array it views
-        block = sp.csr_array((c1 - c0, csc.shape[0]))
-        block.indptr = indptr[c0:c1 + 1] - p0
-        block.indices = csc.indices[p0:p1]
-        block.data = csc.data[p0:p1]
-        blocks.append((c0, c1, block))
-    return tuple(blocks)
-
-
 def _row_blocks(T: np.ndarray) -> tuple:
     """``(start, stop, block)`` per row block of a split ``T @ y``, or ``()``.
 
@@ -161,19 +130,19 @@ class LibsvmFormatError(ValueError):
 
 
 class SparseMatrix:
-    """Immutable design matrix with validated structure, in one of two layouts.
+    """Immutable design matrix with validated structure, stored as ``T = A^T``.
 
     Large designs with at least 2/3 nonzeros (see the module docstring for
-    the exact rule) are stored dense, as ``T = A^T`` in a private read-only
-    C-ordered array; all others column-compressed. ``from_dense`` and
-    ``from_scipy`` choose the same layout for the same matrix. Every method
-    returns the same values in both layouts: gathers and ``toarray``
-    exactly, products to roundoff.
+    the exact rule) hold ``T`` as a private read-only C-ordered array; all
+    others as a CSR array over the CSC arrays of ``A``. ``from_dense`` and
+    ``from_scipy`` choose the same form for the same matrix. Every method
+    returns the same values in both forms: gathers and ``toarray`` exactly,
+    products to roundoff.
 
-    Invariants of the CSC layout, enforced at construction: row indices lie
+    Invariants of the CSC input, enforced at construction: row indices lie
     in ``[0, m)`` and are strictly increasing within each column; stored
     values are finite and nonzero. Index arrays are int32 when every index
-    fits, else int64. A dense layout holds finite values.
+    fits, else int64. A dense ``T`` holds finite values.
     """
 
     def __init__(self, m, n, indptr, indices, data):
@@ -208,21 +177,18 @@ class SparseMatrix:
                 raise ValueError("row indices must be strictly increasing per column")
         self._m = int(m)
         self._n = int(n)
-        csc = sp.csc_array((data, indices, indptr), shape=(m, n))
-        if _dense_layout(self._m, self._n, indices.size):
-            self._set_dense(csc.T.toarray())
-        else:
-            self._csc = csc
-            self._T = None
-            self._blocks = _column_blocks(csc)
+        # the CSC arrays of A are the CSR arrays of A^T: nothing is copied
+        T = sp.csc_array((data, indices, indptr), shape=(m, n)).T
+        self._set_T(T.toarray() if _dense_layout(self._m, self._n, indices.size) else T)
 
-    def _set_dense(self, T: np.ndarray) -> None:
-        """Store the dense layout ``T = A^T``, a C-ordered ``(n, m)`` array
-        no caller holds."""
-        T.flags.writeable = False
-        self._csc = None
+    def _set_T(self, T) -> None:
+        """Store ``T = A^T``: a C-ordered ``(n, m)`` array no caller holds, or
+        a CSR array."""
         self._T = T
-        self._blocks = _row_blocks(T)
+        self._blocks = ()
+        if isinstance(T, np.ndarray):
+            T.flags.writeable = False
+            self._blocks = _row_blocks(T)
 
     @property
     def m(self):
@@ -261,31 +227,29 @@ class SparseMatrix:
             raise ValueError("stored values must be finite and nonzero")
         A = cls.__new__(cls)
         A._m, A._n = m, n
-        A._set_dense(np.array(arr.T, order="C"))
+        A._set_T(np.array(arr.T, order="C"))
         return A
 
     def matvec(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self._n,):
             raise ValueError(f"matvec expects a vector of length {self._n}")
-        if self._T is not None:
-            return self._T.T @ x
-        return self._csc @ x
+        return self._T.T @ x
 
     def rmatvec(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self._m,):
             raise ValueError(f"rmatvec expects a vector of length {self._m}")
         if not self._blocks:
-            return self._T @ y if self._T is not None else self._csc.T @ y
+            return self._T @ y
         out = np.empty(self._n)
         pool = _thread_pool()
         pending = [
-            pool.submit(_block_product, out[c0:c1], block, y)
-            for c0, c1, block in self._blocks[1:]
+            pool.submit(_block_product, out[r0:r1], block, y)
+            for r0, r1, block in self._blocks[1:]
         ]
-        c0, c1, block = self._blocks[0]
-        _block_product(out[c0:c1], block, y)
+        r0, r1, block = self._blocks[0]
+        _block_product(out[r0:r1], block, y)
         for f in pending:
             f.result()
         return out
@@ -293,27 +257,22 @@ class SparseMatrix:
     def take_columns(self, idx) -> sp.csc_array:
         """Column submatrix as a scipy CSC array (m x len(idx))."""
         idx = np.asarray(idx, dtype=np.int64)
-        if self._T is not None:
-            return sp.csc_array(self._T[idx].T)
-        return self._csc[:, idx]
+        return sp.csc_array(self._T[idx].T)
 
     def take_columns_dense(self, idx) -> np.ndarray:
         """Column submatrix gathered into a dense array; cheaper than sparse
         slicing for the reduced solves this library runs at desk scale."""
         idx = np.asarray(idx, dtype=np.int64)
-        if self._T is not None:
-            return self._T[idx].T
-        indptr, indices, data = self._csc.indptr, self._csc.indices, self._csc.data
-        out = np.zeros((self._m, idx.size))
-        for j, col in enumerate(idx):
-            lo, hi = indptr[col], indptr[col + 1]
-            out[indices[lo:hi], j] = data[lo:hi]
-        return out
+        sub = self._T[idx]
+        if isinstance(sub, np.ndarray):
+            return sub.T
+        # C order, as the reduced solves' last bits depend on the layout; a
+        # copy of the rows' transpose is faster than scipy's own conversion
+        return np.ascontiguousarray(sub.toarray().T)
 
     def toarray(self) -> np.ndarray:
-        if self._T is not None:
-            return self._T.T.copy()
-        return self._csc.toarray()
+        T = self._T
+        return T.T.copy() if isinstance(T, np.ndarray) else T.T.toarray()
 
 
 @dataclass(frozen=True)
@@ -451,7 +410,7 @@ def libsvm_write(path, data: ProblemData) -> None:
     Values are printed with ``repr`` (shortest round-trip decimal), so a
     read-back reproduces them bit-exactly.
     """
-    csr = sp.csr_array(data.A.take_columns(np.arange(data.A.n)))
+    csr = sp.csr_array(data.A._T.T)
     with open(path, "w") as fh:
         for i in range(data.A.m):
             parts = [repr(float(data.b[i]))]

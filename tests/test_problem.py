@@ -101,26 +101,41 @@ class TestSparseMatrix:
         sub = A.take_columns([0, 2]).toarray()
         np.testing.assert_array_equal(sub, dense[:, [0, 2]])
 
+    def test_csr_form_is_scipys_csc_bitwise(self):
+        # the CSR form of T = A^T reads the CSC arrays of A: its products are
+        # scipy's CSC products, its gathers scipy's column slices
+        rng = np.random.default_rng(12)
+        arr = rng.standard_normal((30, 80))
+        arr[rng.random(arr.shape) < 0.6] = 0.0
+        arr[:, 5] = 0.0
+        A, csc = SparseMatrix.from_dense(arr), sp.csc_array(arr)
+        assert isinstance(A._T, sp.csr_array)
+        for _ in range(3):
+            x, y = rng.standard_normal(80), rng.standard_normal(30)
+            assert np.array_equal(A.matvec(x), csc @ x)
+            assert np.array_equal(A.rmatvec(y), csc.T @ y)
+        idx = [7, 5, 0, 79, 7, 31]
+        sub = A.take_columns_dense(idx)
+        assert sub.flags.c_contiguous
+        np.testing.assert_array_equal(sub, arr[:, idx])
+        got, want = A.take_columns(idx), csc[:, idx]
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert got.indices.dtype == want.indices.dtype == np.int32
+        np.testing.assert_array_equal(A.toarray(), arr)
+
 
 def _split_small(monkeypatch, cpus=4):
-    """Matrices built afterwards split ``A^T y`` into ``cpus`` blocks, whatever the host."""
+    """Dense-stored matrices built afterwards split ``A^T y`` into ``cpus``
+    blocks, whatever the host."""
     monkeypatch.setattr(problem, "_MIN_BLOCK_NNZ", 0)
     monkeypatch.setattr(problem, "_usable_cpus", lambda: cpus)
 
 
 def _dense_from(monkeypatch, minimum=0):
-    """Matrices built afterwards take the dense layout from ``minimum`` entries
+    """Matrices built afterwards store ``T`` dense from ``minimum`` entries
     on (``math.inf``: never), when dense enough."""
     monkeypatch.setattr(problem, "_MIN_DENSE_ENTRIES", minimum)
-
-
-def _serial_and_blocked(monkeypatch, mat):
-    """The same matrix built unsplit and split into 4 blocks."""
-    serial = SparseMatrix.from_scipy(mat)
-    _split_small(monkeypatch)
-    blocked = SparseMatrix.from_scipy(mat)
-    assert not serial._blocks and len(blocked._blocks) == 4
-    return serial, blocked
 
 
 def _child_rmatvec(A, y, expected):
@@ -129,12 +144,17 @@ def _child_rmatvec(A, y, expected):
 
 
 def _solve_identical_to_serial(monkeypatch, penalty, dense):
-    """_usable_cpus 1 and 4 give the same layout and bit-identical solves."""
+    """_usable_cpus 1 and 4 give the same form and bit-identical solves; a
+    dense ``T`` splits into 4 blocks, a CSR one never splits."""
     _dense_from(monkeypatch, 0 if dense else math.inf)
     data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=11))
     data = data.with_rho(0.1 * data.bnorm)
-    serial, blocked = _serial_and_blocked(monkeypatch, sp.csc_array(data.A.toarray()))
-    assert (serial._T is not None) is (blocked._T is not None) is dense
+    mat = sp.csc_array(data.A.toarray())
+    serial = SparseMatrix.from_scipy(mat)
+    _split_small(monkeypatch)
+    blocked = SparseMatrix.from_scipy(mat)
+    assert isinstance(serial._T, np.ndarray) is isinstance(blocked._T, np.ndarray) is dense
+    assert not serial._blocks and len(blocked._blocks) == (4 if dense else 0)
     reg = L1() if penalty == "l1" else SortedL1(linear_weights(400))
     cfg = SmopConfig(stoptol=1e-8)
     res_s = smop_solve(ProblemData(serial, data.b, data.rho), reg, cfg)
@@ -146,116 +166,21 @@ def _solve_identical_to_serial(monkeypatch, penalty, dense):
     assert np.array_equal(res_b.x, res_s.x)
 
 
-def _concurrent_callers_share_one_pool(monkeypatch, dense):
-    _dense_from(monkeypatch, 0 if dense else math.inf)
-    _split_small(monkeypatch)
-    created = []
-
-    class CountingPool(problem.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            created.append(self)
-
-    monkeypatch.setattr(problem, "ThreadPoolExecutor", CountingPool)
-    monkeypatch.setattr(problem, "_pool", None)
-    rng = np.random.default_rng(7)
-    A = SparseMatrix.from_dense(rng.standard_normal((30, 200)))
-    ys = rng.standard_normal((8, 30))
-    assert (A._T is not None) is dense
-    expected = [(A._T if dense else A._csc.T) @ y for y in ys]
-    wrong = []
-
-    def caller(i):
-        for _ in range(25):
-            if not np.array_equal(A.rmatvec(ys[i]), expected[i]):
-                wrong.append(i)
-
-    threads = [threading.Thread(target=caller, args=(i,)) for i in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not wrong and len(created) == 1
-    created[0].shutdown()
-
-
-def _forked_child_builds_its_own_pool(monkeypatch, dense):
-    # two blocks on a fresh pool: its one worker is idle after the product,
-    # so an inherited pool would queue the child's block and start no thread
-    _dense_from(monkeypatch, 0 if dense else math.inf)
-    _split_small(monkeypatch, cpus=2)
-    monkeypatch.setattr(problem, "_pool", None)
-    rng = np.random.default_rng(6)
-    A = SparseMatrix.from_dense(rng.standard_normal((20, 60)))
-    y = rng.standard_normal(20)
-    expected = A.rmatvec(y)  # starts the parent's pool
-    assert len(A._blocks) == 2 and (A._T is not None) is dense
-    child = multiprocessing.get_context("fork").Process(
-        target=_child_rmatvec, args=(A, y, expected)
-    )
-    child.start()
-    child.join(timeout=30)
-    try:
-        assert child.exitcode == 0, "child hung or computed a wrong product"
-    finally:
-        if child.exitcode is None:
-            child.kill()
-            child.join()
-
-
 class TestBlockedRmatvec:
-    def test_matches_serial_bitwise(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        one_column = sp.csc_array(
-            (rng.standard_normal(50), (np.arange(50), np.full(50, 7))), shape=(50, 20)
-        )
-        cases = {
-            "empty columns": sp.random_array((30, 200), density=0.02, format="csc", rng=rng),
-            "all in one column": one_column,
-            "fewer columns than blocks": sp.random_array((40, 3), density=0.9, format="csc", rng=rng),
-            "one column": sp.random_array((25, 1), density=0.8, format="csc", rng=rng),
-            "dense": sp.csc_array(rng.standard_normal((17, 300))),
-        }
-        for name, mat in cases.items():
-            monkeypatch.undo()
-            serial, blocked = _serial_and_blocked(monkeypatch, mat)
-            for _ in range(3):
-                y = rng.standard_normal(mat.shape[0])
-                assert np.array_equal(serial.rmatvec(y), blocked.rmatvec(y)), name
-        assert np.any(np.diff(cases["empty columns"].indptr) == 0)
-
-    def test_blocks_share_the_csc_arrays(self, monkeypatch):
-        _split_small(monkeypatch)
-        A = SparseMatrix.from_dense(np.random.default_rng(4).standard_normal((30, 90)))
-        csc = A._csc
-        for c0, c1, block in A._blocks:
-            assert np.shares_memory(block.data, csc.data)
-            assert np.shares_memory(block.indices, csc.indices)
-            assert block.shape == (c1 - c0, A.m)
-        starts = [c0 for c0, _, _ in A._blocks]
-        stops = [c1 for _, c1, _ in A._blocks]
-        assert starts[0] == 0 and stops[-1] == A.n and starts[1:] == stops[:-1]
-
     def test_splits_only_above_the_block_minimum(self, monkeypatch):
-        dense = np.random.default_rng(5).standard_normal((10, 40))  # 400 nonzeros
+        _dense_from(monkeypatch)
+        dense = np.random.default_rng(5).standard_normal((10, 40))  # T: 40 rows of 10
         monkeypatch.setattr(problem, "_usable_cpus", lambda: 4)
-        for minimum, blocks in [(100, 4), (101, 3), (134, 2), (201, 0)]:
+        # 4 blocks are cut at rows 8, 20, 28 (80 or 120 entries each), 3 at
+        # 12 and 24 (120 or 160), 2 at 20 (200)
+        for minimum, blocks in [(80, 4), (81, 3), (120, 3), (121, 2), (200, 2), (201, 0)]:
             monkeypatch.setattr(problem, "_MIN_BLOCK_NNZ", minimum)
             A = SparseMatrix.from_dense(dense)
             assert len(A._blocks) == blocks, minimum
-            assert all(blk.nnz >= minimum for _, _, blk in A._blocks)
-        # one heavy column: no cut gives every block the minimum
-        monkeypatch.setattr(problem, "_MIN_BLOCK_NNZ", 1)
-        heavy = sp.csc_array((np.ones(10), (np.arange(10), np.zeros(10, int))), shape=(10, 5))
-        assert not SparseMatrix.from_scipy(heavy)._blocks
+            assert all(blk.size >= minimum for _, _, blk in A._blocks)
 
     def test_one_usable_cpu_stays_serial(self, monkeypatch):
+        _dense_from(monkeypatch)
         _split_small(monkeypatch, cpus=1)
         assert not SparseMatrix.from_dense(np.ones((5, 8)))._blocks
 
@@ -263,28 +188,22 @@ class TestBlockedRmatvec:
     def test_solve_identical_to_serial(self, monkeypatch, penalty):
         _solve_identical_to_serial(monkeypatch, penalty, dense=False)
 
-    def test_concurrent_callers_share_one_pool(self, monkeypatch):
-        _concurrent_callers_share_one_pool(monkeypatch, dense=False)
-
-    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-    def test_forked_child_builds_its_own_pool(self, monkeypatch):
-        _forked_child_builds_its_own_pool(monkeypatch, dense=False)
-
     def test_process_exits_with_idle_pool(self):
         code = textwrap.dedent("""
             import numpy as np
             from smop import SparseMatrix, problem
+            problem._MIN_DENSE_ENTRIES = 0
             problem._MIN_BLOCK_NNZ = 0
             problem._usable_cpus = lambda: 4
-            A = SparseMatrix.from_dense(np.ones((4, 12)))
-            assert len(A._blocks) == 4
+            A = SparseMatrix.from_dense(np.ones((4, 16)))
+            assert isinstance(A._T, np.ndarray) and len(A._blocks) == 4
             print(A.rmatvec(np.ones(4)).sum())
         """)
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "48.0"
+        assert out.stdout.strip() == "64.0"
 
 
 def _with_nonzeros(m, n, nnz, seed=0):
@@ -311,35 +230,34 @@ class TestDenseLayout:
             SparseMatrix.from_scipy(sp.coo_array(arr)),
         ]
         for A in built:
-            assert (A._T is not None) is dense
-            assert (A._csc is None) is dense
+            assert isinstance(A._T, np.ndarray) is dense
             np.testing.assert_array_equal(A.toarray(), arr)
 
     def test_block_minimum_does_not_move_the_layout(self, monkeypatch):
         arr = _with_nonzeros(499, 1000, 499_000)
         for minimum in (0, 1, 10**9):
             monkeypatch.setattr(problem, "_MIN_BLOCK_NNZ", minimum)
-            assert SparseMatrix.from_dense(arr)._T is None
+            assert not isinstance(SparseMatrix.from_dense(arr)._T, np.ndarray)
 
     def test_matches_csc_layout(self, monkeypatch):
         rng = np.random.default_rng(8)
         arr = rng.standard_normal((40, 230))
         arr[rng.random(arr.shape) < 0.2] = 0.0
-        csc = SparseMatrix.from_dense(arr)
+        csr = SparseMatrix.from_dense(arr)
         _dense_from(monkeypatch)
         dense = SparseMatrix.from_dense(arr)
-        assert csc._T is None and dense._T is not None
+        assert isinstance(csr._T, sp.csr_array) and isinstance(dense._T, np.ndarray)
         idx = [7, 0, 229, 31, 100]
-        np.testing.assert_array_equal(dense.take_columns_dense(idx), csc.take_columns_dense(idx))
-        got, want = dense.take_columns(idx), csc.take_columns(idx)
+        np.testing.assert_array_equal(dense.take_columns_dense(idx), csr.take_columns_dense(idx))
+        got, want = dense.take_columns(idx), csr.take_columns(idx)
         for name in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
         assert got.shape == want.shape and got.indices.dtype == want.indices.dtype
-        np.testing.assert_array_equal(dense.toarray(), csc.toarray())
+        np.testing.assert_array_equal(dense.toarray(), csr.toarray())
         for _ in range(5):
             x, y = rng.standard_normal(230), rng.standard_normal(40)
-            np.testing.assert_allclose(dense.matvec(x), csc.matvec(x), rtol=0, atol=1e-12)
-            np.testing.assert_allclose(dense.rmatvec(y), csc.rmatvec(y), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dense.matvec(x), csr.matvec(x), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dense.rmatvec(y), csr.rmatvec(y), rtol=0, atol=1e-12)
 
     # each product stays below the sizes a threaded BLAS splits itself
     @pytest.mark.parametrize("m, n", [(31, 297), (40, 230), (7, 1001), (300, 97), (12, 9)])
@@ -368,11 +286,66 @@ class TestDenseLayout:
         _solve_identical_to_serial(monkeypatch, penalty, dense=True)
 
     def test_concurrent_callers_share_one_pool(self, monkeypatch):
-        _concurrent_callers_share_one_pool(monkeypatch, dense=True)
+        _dense_from(monkeypatch)
+        _split_small(monkeypatch)
+        created = []
+
+        class CountingPool(problem.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(problem, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(problem, "_pool", None)
+        rng = np.random.default_rng(7)
+        A = SparseMatrix.from_dense(rng.standard_normal((30, 200)))
+        ys = rng.standard_normal((8, 30))
+        assert isinstance(A._T, np.ndarray)
+        expected = [A._T @ y for y in ys]
+        wrong = []
+
+        def caller(i):
+            for _ in range(25):
+                if not np.array_equal(A.rmatvec(ys[i]), expected[i]):
+                    wrong.append(i)
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong and len(created) == 1
+        created[0].shutdown()
 
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
     def test_forked_child_builds_its_own_pool(self, monkeypatch):
-        _forked_child_builds_its_own_pool(monkeypatch, dense=True)
+        # two blocks on a fresh pool: its one worker is idle after the product,
+        # so an inherited pool would queue the child's block and start no thread
+        _dense_from(monkeypatch)
+        _split_small(monkeypatch, cpus=2)
+        monkeypatch.setattr(problem, "_pool", None)
+        rng = np.random.default_rng(6)
+        A = SparseMatrix.from_dense(rng.standard_normal((20, 60)))
+        y = rng.standard_normal(20)
+        expected = A.rmatvec(y)  # starts the parent's pool
+        assert len(A._blocks) == 2 and isinstance(A._T, np.ndarray)
+        child = multiprocessing.get_context("fork").Process(
+            target=_child_rmatvec, args=(A, y, expected)
+        )
+        child.start()
+        child.join(timeout=30)
+        try:
+            assert child.exitcode == 0, "child hung or computed a wrong product"
+        finally:
+            if child.exitcode is None:
+                child.kill()
+                child.join()
 
     def test_too_few_rows_to_split(self, monkeypatch):
         _dense_from(monkeypatch)
@@ -416,17 +389,17 @@ class TestDenseLayout:
         # one row or one column: the transpose of T is contiguous already
         for shape in [(1, 40), (40, 1)]:
             thin = SparseMatrix.from_dense(np.ones(shape))
-            assert thin._T is not None and thin.toarray().flags.writeable
+            assert isinstance(thin._T, np.ndarray) and thin.toarray().flags.writeable
 
     @pytest.mark.parametrize("penalty", ["l1", "sorted-l1"])
     def test_solve_matches_csc_layout(self, monkeypatch, penalty):
         # just above the size minimum: 300 x 2000 is stored dense
         data, _ = synth_instance(SynthSpec(m=300, n=2000, s=20, sigma=0.01, seed=3))
         data = data.with_rho(0.1 * data.bnorm)
-        assert data.A._T is not None
+        assert isinstance(data.A._T, np.ndarray)
         _dense_from(monkeypatch, math.inf)
         csc = ProblemData(SparseMatrix.from_dense(data.A.toarray()), data.b, data.rho)
-        assert csc.A._T is None
+        assert isinstance(csc.A._T, sp.csr_array)
         reg = L1() if penalty == "l1" else SortedL1(linear_weights(2000))
         cfg = SmopConfig(stoptol=1e-8)
         res_d, res_c = smop_solve(data, reg, cfg), smop_solve(csc, reg, cfg)
@@ -501,16 +474,30 @@ class TestLibsvm:
         dense = rng.standard_normal((6, 9)) / 3.0
         dense[rng.random((6, 9)) < 0.5] = 0.0
         dense[0, 0] = 1.0  # keep b recoverable rows nonempty is not required
-        data = ProblemData(SparseMatrix.from_dense(dense), rng.standard_normal(6))
-        path = tmp_path / "rt.svm"
-        libsvm_write(path, data)
-        back = libsvm_read(path)
-        # column count can shrink if trailing columns are empty; pad to compare
-        assert back.A.m == 6
-        got = np.zeros((6, 9))
-        got[:, : back.A.n] = back.A.toarray()
-        np.testing.assert_array_equal(got, dense)
-        np.testing.assert_array_equal(back.b, data.b)
+        _roundtrip(tmp_path, dense, rng.standard_normal(6))
+
+    def test_roundtrip_dense_stored(self, tmp_path, monkeypatch):
+        _dense_from(monkeypatch)
+        rng = np.random.default_rng(8)
+        dense = rng.standard_normal((6, 9)) / 3.0
+        dense[2, 4] = 0.0
+        assert isinstance(SparseMatrix.from_dense(dense)._T, np.ndarray)
+        _roundtrip(tmp_path, dense, rng.standard_normal(6))
+
+
+def _roundtrip(tmp_path, dense, b):
+    """``libsvm_write`` then ``libsvm_read`` gives back ``(dense, b)`` bit-exactly."""
+    data = ProblemData(SparseMatrix.from_dense(dense), b)
+    path = tmp_path / "rt.svm"
+    libsvm_write(path, data)
+    back = libsvm_read(path)
+    # column count can shrink if trailing columns are empty; pad to compare
+    m, n = dense.shape
+    assert back.A.m == m
+    got = np.zeros((m, n))
+    got[:, : back.A.n] = back.A.toarray()
+    np.testing.assert_array_equal(got, dense)
+    np.testing.assert_array_equal(back.b, data.b)
 
 
 class TestSynth:
