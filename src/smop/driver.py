@@ -197,16 +197,16 @@ class _PhiOracle:
             )
             self.xs[lam] = res.x
             log.debug("phi(%0.6g) = %0.6g, support %d", lam, rec.phi, rec.support)
-        return rec.phi, self.xs[lam]
+        return rec.phi
 
-    def derivative(self, x, lam, phi):
-        """``phi_derivative`` at the evaluated ``lam``. Only a certified
-        evaluation gives one: an uncertified ``x`` may sit on the wrong piece,
-        so its derivative raises ``ValueError`` and the caller falls back."""
+    def derivative(self, lam):
+        """``phi_derivative`` from the ``x`` and ``phi`` cached at ``lam``. Only a
+        certified evaluation gives one: an uncertified ``x`` may sit on the wrong
+        piece, so its derivative raises ``ValueError`` and the caller falls back."""
         rec = self.cache.get(lam)
         if rec is None or not rec.converged:
             raise ValueError(f"no certified evaluation at lam={lam:.6g}")
-        return phi_derivative(self.data.A, self.reg, x, lam, phi)
+        return phi_derivative(self.data.A, self.reg, self.xs[lam], lam, rec.phi)
 
 
 def smop_solve(
@@ -218,8 +218,9 @@ def smop_solve(
     """Solve ``min p(x) s.t. ||A x - b|| <= rho`` by level-set root finding.
 
     ``warm`` is the result of a solve on the same data at a nearby ``rho``.
-    Its ``x`` seeds the first evaluation, and ``bracket_init`` grows the guess
+    Its ``x`` seeds the first evaluation, and ``bracket_init`` turns the guess
     ``(warm.bracket[0], 1.5 * warm.lambda_star)`` into a sign-changing bracket.
+    The root finders see phi's values only; ``x`` is the oracle's at ``lambda*``.
     """
     cfg = cfg or SmopConfig()
     if data.rho is None:
@@ -232,8 +233,7 @@ def smop_solve(
 
     lo, hi = (None, None) if warm is None else (warm.bracket[0], 1.5 * warm.lambda_star)
     try:
-        lo, hi = bracket_init(oracle, rho, lam_top, lo, hi, bnorm=data.bnorm,
-                              dphi=oracle.derivative)
+        lo, hi = bracket_init(oracle, rho, lam_top, data.bnorm, oracle.derivative, lo, hi)
     except BracketError as exc:
         # an evaluation that stopped short of its KKT tolerance can misplace
         # the sign of phi - rho; name that cause rather than the bracket's
@@ -246,14 +246,14 @@ def smop_solve(
         ) from exc
 
     if cfg.method == "smop":
-        lam_star, x_star, state = hybrid_secant_solve(oracle, rho, lo, hi, cfg.stoptol, cfg.mu)
+        lam_star, state = hybrid_secant_solve(oracle, rho, lo, hi, cfg.stoptol, cfg.mu)
     elif cfg.method == "bmop":
-        lam_star, x_star, state = bisection_solve(oracle, rho, lo, hi, cfg.stoptol)
+        lam_star, state = bisection_solve(oracle, rho, lo, hi, cfg.stoptol)
     else:
-        lam_star, x_star, state = newton_hybrid_solve(oracle, oracle.derivative, rho, lo, hi,
-                                                      cfg.stoptol, cfg.mu)
+        lam_star, state = newton_hybrid_solve(oracle, oracle.derivative, rho, lo, hi,
+                                              cfg.stoptol, cfg.mu)
 
-    final = oracle.cache[lam_star]
+    final, x_star = oracle.cache[lam_star], oracle.xs[lam_star]
     evals = list(oracle.cache.values())
     if not final.converged:
         log.warning("the phi evaluation at lambda*=%.8g did not certify its KKT residual",
@@ -285,23 +285,18 @@ def smop_solve(
 
 @dataclass
 class PathSpec:
-    """Schedule of constraint levels ``rho_i = c_i * base_c * ||b||``."""
+    """Levels ``rho_i = c_i * base_c * ||b||``, ``c_i`` falling evenly from 1.5 to 1."""
 
     base_c: float
     count: int = 100
-    multipliers: tuple = None
 
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be positive")
-        if self.multipliers is None:
-            denom = max(self.count - 1, 1)
-            self.multipliers = tuple(1.5 - 0.5 * i / denom for i in range(self.count))
-        if len(self.multipliers) != self.count:
-            raise ValueError("need one multiplier per path step")
 
     def rhos(self, bnorm: float) -> np.ndarray:
-        r = np.asarray([c * self.base_c * bnorm for c in self.multipliers])
+        c = 1.5 - 0.5 * np.arange(self.count) / max(self.count - 1, 1)
+        r = c * self.base_c * bnorm
         if np.any(r <= 0) or np.any(r >= bnorm):
             raise ValueError("every rho_i must lie in (0, ||b||)")
         return r

@@ -300,12 +300,14 @@ class ProblemData:
             object.__setattr__(self, "rho", rho)
 
     def with_rho(self, rho: float) -> "ProblemData":
-        return replace(self, rho=float(rho))
+        out = replace(self, rho=float(rho))
+        out.__dict__["Atb"] = self.Atb
+        return out
 
     @cached_property
     def Atb(self) -> np.ndarray:
-        """``A^T b``, read-only and formed once per instance: ``lambda_inf``
-        and the sieve's round from the empty set both read it."""
+        """``A^T b``, read-only, formed once per instance and shared by its
+        :meth:`with_rho` levels: ``lambda_inf`` and the empty sieve round read it."""
         atb = self.A.rmatvec(self.b)
         atb.flags.writeable = False
         return atb

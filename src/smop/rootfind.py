@@ -12,30 +12,31 @@ Three solvers share one safeguarded skeleton for the equation
 * ``newton_hybrid_solve`` replaces the secant proposal with a Newton step
   using a generalized derivative of phi supplied by the caller.
 
-A run that has not reached ``stoptol`` after ``MAX_OUTER`` proposals stops
-unconverged.
+``phi(lam)`` and ``dphi(lam)`` return numbers, and every solver returns
+``(lam, RootState)``: the caller keeps the solution behind each value. A run
+that has not reached ``stoptol`` after ``MAX_OUTER`` proposals stops unconverged.
 
 ``bracket_init`` supplies the bracket for cold and warm starts alike. A cold
 search starts from the exact point ``(lam_inf, ||b||)``, where ``x = 0`` is
-optimal, without a solve; a warm one walks the upper end up from its guess by
-doubling (capped at ``lam_inf``). The lower end steps down to the root of the
-piece through the last evaluation: on a fixed pattern of a polyhedral gauge
-``phi^2`` is affine in ``lam^2``, so with ``v`` the generalized derivative
-of phi at ``lam``
+optimal, without a solve; a warm upper guess at or below the root becomes
+the lower end, with ``lam_inf`` the upper one. The lower end steps down to
+the root of the piece through the last evaluation: on a fixed pattern of a
+polyhedral gauge ``phi^2`` is affine in ``lam^2``, so with ``v`` the
+generalized derivative of phi at ``lam``
 
     lam' = sqrt(lam^2 - (phi^2 - rho^2) * lam / (phi * v))
 
 is exact on the piece (Newton on ``phi^2`` as a function of ``lam^2``).
-Where no derivative is at hand (empty pattern, uncertified evaluation, no
-``dphi``), where ``lam'`` leaves ``(max(floor, 0.1 * lam), lam)``, or where
-it moves ``lam`` by no more than roundoff (a piece root that landed above
-``rho`` by roundoff would only find itself again), the step falls back to
-``lam *= max(0.1, 0.5 * rho / phi(lam))``: where phi is proportional to lam
-that lands at half the root. No step shrinks ``lam`` by more than a decade:
-on a degenerate design a far jump can land where the warm start of its
-evaluation is poor, and that evaluation then runs to its iteration cap.
-Every evaluated point tightens the bracket, so no evaluation lies strictly
-inside the bracket it returns.
+Where no derivative is at hand (``x = 0`` at ``lam_inf`` has no pattern;
+``dphi`` refuses an uncertified evaluation), where ``lam'`` leaves
+``(max(floor, 0.1 * lam), lam)``, or where it moves ``lam`` by no more than
+roundoff (a piece root that landed above ``rho`` by roundoff would only find
+itself again), the step falls back to ``lam *= max(0.1, 0.5 * rho / phi(lam))``:
+where phi is proportional to lam that lands at half the root. No step shrinks
+``lam`` by more than a decade: on a degenerate design a far jump can land where
+the warm start of its evaluation is poor, and that evaluation then runs to its
+iteration cap. Every evaluated point tightens the bracket, so no evaluation
+lies strictly inside the bracket it returns.
 
 The module also provides the plain (unsafeguarded) secant iteration together
 with two scalar test functions and a convergence-order estimator used to
@@ -169,19 +170,28 @@ def eta(phi_tilde: float, rho: float) -> float:
     return abs(phi_tilde - rho) / max(1.0, rho)
 
 
-def _finish(state, lam, x, phi_val, step):
+def _finish(state, lam, phi_val, step):
     state.converged = True
     state.record(lam, phi_val, step)
-    return lam, x, state
+    return lam, state
+
+
+def _slope(dphi, lam):
+    """``dphi(lam)`` if it is positive and finite, else None (also if it raises)."""
+    try:
+        v = dphi(lam)
+    except (ValueError, np.linalg.LinAlgError):
+        return None
+    return v if 0.0 < v < math.inf else None
 
 
 def _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, step_name):
     """Shared skeleton of the secant and Newton hybrids and of bisection.
 
     A run stops at the first evaluation with ``eta <= stoptol``, bracket ends
-    included. ``proposal(history, x_last)`` returns a trial lambda from the
-    accepted iterates (``state.history``, a list of ``IterRecord``) or None to
-    force bisection. Every evaluation updates the bracket by the sign of
+    included. ``proposal(history)`` returns a trial lambda from the accepted
+    iterates (``state.history``, a list of ``IterRecord``) or None to force
+    bisection. Every evaluation updates the bracket by the sign of
     ``phi - rho``; trial points are only evaluated inside the *initial*
     interval, and an accepted trial must either be among the first two since
     the last bisection or shrink the residual by ``mu`` relative to three
@@ -196,12 +206,12 @@ def _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, step_name
     if not 0 < lam_m1 < lam_0:
         raise BracketError("need 0 < lam_lo < lam_hi")
     state = RootState(lo=lam_m1, hi=lam_0)
-    p_hi, x_hi = phi(lam_0)
+    p_hi = phi(lam_0)
     if eta(p_hi, rho) <= stoptol:
-        return _finish(state, lam_0, x_hi, p_hi, "init")
-    p_lo, x_lo = phi(lam_m1)
+        return _finish(state, lam_0, p_hi, "init")
+    p_lo = phi(lam_m1)
     if eta(p_lo, rho) <= stoptol:
-        return _finish(state, lam_m1, x_lo, p_lo, "init")
+        return _finish(state, lam_m1, p_lo, "init")
     if not p_lo < rho < p_hi:
         raise BracketError(
             f"phi({lam_m1:.6g})={p_lo:.6g}, phi({lam_0:.6g})={p_hi:.6g} "
@@ -209,49 +219,46 @@ def _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, step_name
         )
     state.record(lam_m1, p_lo, "init")
     state.record(lam_0, p_hi, "init")
-    x_last = x_hi
-    seen = [(lam_0, x_hi, p_hi), (lam_m1, x_lo, p_lo)]  # every evaluated point, in order
+    seen = [(lam_0, p_hi), (lam_m1, p_lo)]  # every evaluated point, in order
     since_bisection = 0  # evaluated trials since the last bisection
 
     for _ in range(MAX_OUTER):
-        lam = proposal(state.history, x_last)
+        lam = proposal(state.history)
         step = step_name if lam is not None and lam_m1 <= lam <= lam_0 else None
         while True:
             if step is None:
                 step, lam = "bisection", 0.5 * (state.lo + state.hi)
-            p, x = phi(lam)
+            p = phi(lam)
             state.n_evals += 1
             since_bisection = 0 if step == "bisection" else since_bisection + 1
             if eta(p, rho) <= stoptol:
-                return _finish(state, lam, x, p, step)
+                return _finish(state, lam, p, step)
             if p > rho:
                 state.hi = min(state.hi, lam)
             else:
                 state.lo = max(state.lo, lam)
-            seen.append((lam, x, p))
+            seen.append((lam, p))
             if (step == "bisection" or since_bisection < 3
                     or abs(p - rho) <= mu * abs(state.history[-3].phi - rho)):
                 break
             step = None  # the rejected trial tightened the bracket; bisect it
-        x_last = x
         state.record(lam, p, step)
 
     state.converged = False
-    lam, x, _ = min(seen, key=lambda e: abs(e[2] - rho))
-    return lam, x, state
+    lam, _ = min(seen, key=lambda e: abs(e[1] - rho))
+    return lam, state
 
 
 def hybrid_secant_solve(phi, rho: float, lam_m1: float, lam_0: float, stoptol: float,
                         mu: float = 0.5):
     """Globally convergent safeguarded secant method for ``phi(lam) = rho``.
 
-    ``phi`` maps a penalty strength to ``(phi_value, x)``. Requires
-    ``phi(lam_m1) < rho < phi(lam_0)``; returns ``(lam, x, RootState)`` at the
-    first point with ``eta = |phi - rho| / max(1, rho) <= stoptol``. ``mu``, in
-    (0, 1), is the sufficient-decrease factor of the safeguard.
+    Requires ``phi(lam_m1) < rho < phi(lam_0)``; returns ``(lam, RootState)``
+    at the first point with ``eta = |phi - rho| / max(1, rho) <= stoptol``.
+    ``mu``, in (0, 1), is the sufficient-decrease factor of the safeguard.
     """
 
-    def proposal(history, _x_last):
+    def proposal(history):
         prev, last = history[-2], history[-1]
         try:
             return secant_step(last.lam, prev.lam, last.phi - rho, prev.phi - rho)
@@ -266,19 +273,14 @@ def newton_hybrid_solve(phi, dphi, rho: float, lam_m1: float, lam_0: float, stop
     """Safeguarded semismooth-Newton variant.
 
     The trial point is ``lam_k - (phi(lam_k) - rho) / v`` with
-    ``v = dphi(x, lam_k, phi(lam_k))`` the generalized derivative at the last
-    accepted iterate; derivative failures fall back to bisection.
+    ``v = dphi(lam_k)`` the generalized derivative at the last accepted
+    iterate; derivative failures fall back to bisection.
     """
 
-    def proposal(history, x_last):
+    def proposal(history):
         lam_k, p_k = history[-1].lam, history[-1].phi
-        try:
-            v = dphi(x_last, lam_k, p_k)
-        except (ValueError, np.linalg.LinAlgError):
-            return None
-        if v <= 0 or not math.isfinite(v):
-            return None
-        return lam_k - (p_k - rho) / v
+        v = _slope(dphi, lam_k)
+        return None if v is None else lam_k - (p_k - rho) / v
 
     return _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, "newton")
 
@@ -286,76 +288,62 @@ def newton_hybrid_solve(phi, dphi, rho: float, lam_m1: float, lam_0: float, stop
 def bisection_solve(phi, rho: float, lam_lo: float, lam_hi: float, stoptol: float):
     """Plain bisection baseline: the safeguarded skeleton with no proposal."""
     # every step bisects, so the safeguard factor is never read
-    return _safeguarded_solve(phi, rho, lam_lo, lam_hi, stoptol, 0.5, lambda _h, _x: None,
+    return _safeguarded_solve(phi, rho, lam_lo, lam_hi, stoptol, 0.5, lambda _h: None,
                               "bisection")
 
 
-def bracket_init(phi, rho: float, lam_inf: float, lo=None, hi=None, *, bnorm=None,
-                 dphi=None):
-    """Grow a guess into the tightest sign-changing bracket ``(lo, hi)`` seen.
+def bracket_init(phi, rho: float, lam_inf: float, bnorm: float, dphi, lo=None, hi=None):
+    """Turn a guess into the tightest sign-changing bracket ``(lo, hi)`` seen.
 
-    The upper end starts at ``hi`` (cold: ``lam_inf``) and doubles, capped at
-    ``lam_inf``, until ``phi(hi) > rho``; a point passed on the way with
-    ``phi < rho`` is the lower end. ``bnorm`` is ``phi(lam_inf) = ||b||``:
-    given, the point ``lam_inf`` is never evaluated. Otherwise the lower end
-    starts at ``lo`` (if given and below ``hi``) or one step below ``hi`` and
-    steps down until ``phi(lam) < rho``; each point passed on the way becomes
-    the upper end. A step is the root of the piece through the last point
-    when ``dphi(x, lam, phi)``, phi's derivative there, gives a usable one
-    (see the module docstring), else ``lam *= max(0.1, 0.5 * rho / phi(lam))``.
-    A ``phi`` that is not finite ends the search at once with a ``BracketError``.
+    ``bnorm`` is ``phi(lam_inf) = ||b||``, so ``lam_inf`` is never evaluated.
+    The upper end starts at ``hi`` (cold: ``lam_inf``); a warm ``hi`` with
+    ``phi(hi) <= rho`` is returned as the lower end, under ``lam_inf``.
+    Otherwise the lower end starts at ``lo`` (if given and below ``hi``) or one
+    step below ``hi`` and steps down until ``phi(lam) < rho``; each point passed
+    on the way becomes the upper end. A step is the root of the piece through
+    the last point when ``dphi(lam)``, phi's derivative there, gives a usable
+    one (module docstring), else ``lam *= max(0.1, 0.5 * rho / phi(lam))``. A
+    ``phi`` that is not finite ends the search at once with a ``BracketError``.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
+    if rho >= bnorm:
+        raise BracketError("require 0 < rho < ||b||")
 
     def evaluate(lam):
-        p, x = phi(lam)
+        p = phi(lam)
         if not math.isfinite(p):
             # nan compares as neither above nor below rho
             raise BracketError(f"phi({lam:.3g})={p} is not finite")
-        return p, x
+        return p
 
     hi = lam_inf if hi is None else min(hi, lam_inf)
-    below = None
-    while True:
-        # x = 0 at lam_inf: no pattern, so no piece root from there
-        p, x = (bnorm, None) if hi >= lam_inf and bnorm is not None else evaluate(hi)
-        if p > rho:
-            break
-        if p < rho:
-            below = hi
-        if hi >= lam_inf:
-            raise BracketError("require 0 < rho < ||b||")
-        hi = min(2.0 * hi, lam_inf)
+    p = bnorm if hi == lam_inf else evaluate(hi)
+    if p <= rho:  # a warm upper guess at or below the root
+        return hi, lam_inf
     floor = 1e-12 * hi
 
-    def step_down(lam, p, x):
-        """The root of the piece through ``(lam, p, x)`` if it lies in
+    def step_down(lam, p):
+        """The root of the piece through ``(lam, p)`` if it lies in
         ``(max(floor, 0.1 * lam), lam)`` and moves ``lam`` by more than
         roundoff; else ``lam * max(0.1, 0.5 * rho / p)``."""
-        new = 0.0
-        if dphi is not None and x is not None:
-            try:
-                v = dphi(x, lam, p)
-            except (ValueError, np.linalg.LinAlgError):
-                v = 0.0
-            if 0.0 < v < math.inf:
-                new = math.sqrt(max(lam * lam - (p * p - rho * rho) * lam / (p * v), 0.0))
-        if max(floor, 0.1 * lam) < new < (1.0 - _ROUNDOFF) * lam:
-            return new
+        # x = 0 at lam_inf: no pattern, so no derivative is asked for there
+        v = _slope(dphi, lam) if lam < lam_inf else None
+        if v is not None:
+            new = math.sqrt(max(lam * lam - (p * p - rho * rho) * lam / (p * v), 0.0))
+            if max(floor, 0.1 * lam) < new < (1.0 - _ROUNDOFF) * lam:
+                return new
         return lam * max(0.1, 0.5 * rho / p)
 
-    lam = lo if lo is not None and lo < hi else step_down(hi, p, x)
-    while below is None:
+    lam = lo if lo is not None and lo < hi else step_down(hi, p)
+    while True:
         if lam < floor:
             raise BracketError(
                 f"rho={rho:.6g} too small: phi({hi:.3g})={p:.6g} near the lam floor; no "
                 "level below the least-squares residual min ||A x - b|| is reachable"
             )
-        p, x = evaluate(lam)
+        p = evaluate(lam)
         if p < rho:
-            below = lam
-        else:
-            hi = lam
-            lam = step_down(lam, p, x)
-    return below, hi
+            return lam, hi
+        hi = lam
+        lam = step_down(lam, p)

@@ -218,7 +218,6 @@ class TestSmopSolve:
         # A^T b is formed once per instance: lambda_inf and the sieve's round
         # from the empty set share it
         data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=11))
-        data = data.with_rho(0.1 * data.bnorm)
         reg = L1() if kind == "l1" else SortedL1(linear_weights(400))
         calls = []
         rmatvec = SparseMatrix.rmatvec
@@ -228,6 +227,8 @@ class TestSmopSolve:
             return rmatvec(self, y)
 
         monkeypatch.setattr(SparseMatrix, "rmatvec", counting)
+        # with_rho forms the instance's A^T b, which the level shares
+        data = data.with_rho(0.1 * data.bnorm)
         shared = smop_solve(data, reg, SmopConfig(stoptol=1e-8))
         rounds = [r for rec in shared.evals for r in rec.rounds]
         assert sum(r.size_I == 0 for r in rounds) == 1
@@ -245,6 +246,7 @@ class TestSmopSolve:
     def test_kept_product_is_read_only(self):
         data, _ = synth_instance(SynthSpec(m=20, n=50, s=3, seed=2))
         assert data.Atb is data.Atb
+        assert data.with_rho(0.5 * data.bnorm).Atb is data.Atb
         np.testing.assert_array_equal(data.Atb, data.A.rmatvec(data.b))
         with pytest.raises(ValueError):
             data.Atb[0] = 1.0
@@ -438,7 +440,8 @@ class TestPieceRootBracket:
         gated = smop_solve(data, reg, cfg)
         assert all(rec.converged for rec in gated.evals)
         monkeypatch.setattr(driver._PhiOracle, "derivative",
-                            lambda self, x, lam, p: phi_derivative(data.A, reg, x, lam, p))
+                            lambda self, lam: phi_derivative(data.A, reg, self.xs[lam], lam,
+                                                             self.cache[lam].phi))
         plain = smop_solve(data, reg, cfg)
         assert [(it.lam, it.step) for it in gated.root_state.history] == \
             [(it.lam, it.step) for it in plain.root_state.history]
@@ -455,26 +458,41 @@ class TestPieceRootBracket:
         lam = 0.3 * lam_top
         monkeypatch.setattr("smop.inner.MAX_ITERS", 1)
         oracle = _PhiOracle(data, L1(), KKT_TOL, False)
-        p, x = oracle(lam)
+        p = oracle(lam)
         assert not oracle.cache[lam].converged
         with pytest.raises(ValueError, match="no certified evaluation"):
-            oracle.derivative(x, lam, p)
+            oracle.derivative(lam)
         rho = 0.5 * p
         try:
-            bracket_init(oracle, rho, lam_top, hi=lam, dphi=oracle.derivative)
+            bracket_init(oracle, rho, lam_top, data.bnorm, oracle.derivative, hi=lam)
         except BracketError:
             pass  # uncertified evaluations may never cross rho
         assert list(oracle.cache)[1] == lam * 0.25
         # certified, the same point gives phi_derivative's value
         monkeypatch.undo()
         certified = _PhiOracle(data, L1(), KKT_TOL, False)
-        p, x = certified(lam)
-        assert certified.derivative(x, lam, p) == phi_derivative(data.A, L1(), x, lam, p)
+        p = certified(lam)
+        assert certified.derivative(lam) == \
+            phi_derivative(data.A, L1(), certified.xs[lam], lam, p)
+
+    def test_derivative_refuses_an_unevaluated_lam(self):
+        from smop.driver import _PhiOracle
+
+        data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=0))
+        lam = 0.3 * lambda_inf(L1(), data.A, data.b)
+        oracle = _PhiOracle(data, L1(), KKT_TOL, False)
+        oracle(lam)
+        assert oracle.cache[lam].converged
+        oracle.derivative(lam)
+        with pytest.raises(ValueError, match="no certified evaluation"):
+            oracle.derivative(0.5 * lam)
+        assert list(oracle.cache) == [lam]  # asking evaluates nothing
 
 
 class TestSolvePath:
     def test_single_step_reduces_to_solve(self, scalar_data):
-        spec = PathSpec(base_c=0.3, count=1, multipliers=(1.0,))
+        # a single step runs at the top of the schedule, 1.5 * 0.2 ||b||
+        spec = PathSpec(base_c=0.2, count=1)
         path = solve_path(scalar_data, L1(), spec, SmopConfig(stoptol=1e-9))
         assert len(path.steps) == 1
         single = smop_solve(scalar_data.with_rho(0.3), L1(), SmopConfig(stoptol=1e-9))
@@ -488,10 +506,11 @@ class TestSolvePath:
             assert step.result.lambda_star == pytest.approx(step.rho, abs=1e-8)
 
     def test_default_multiplier_schedule(self):
-        spec = PathSpec(base_c=0.1, count=100)
-        assert spec.multipliers[0] == pytest.approx(1.5)
-        assert spec.multipliers[-1] == pytest.approx(1.0)
-        assert spec.multipliers[49] == pytest.approx(1.5 - 0.5 * 49 / 99)
+        rhos = PathSpec(base_c=0.1, count=100).rhos(1.0)
+        assert rhos.shape == (100,)
+        assert rhos[0] == pytest.approx(0.15)
+        assert rhos[-1] == pytest.approx(0.1)
+        assert rhos[49] == pytest.approx(0.1 * (1.5 - 0.5 * 49 / 99))
 
     def test_lambda_monotone_as_rho_decreases(self):
         data, _ = synth_instance(SynthSpec(m=50, n=200, s=6, sigma=0.02, seed=23))

@@ -23,6 +23,8 @@ from smop import (
     secant_step,
 )
 from smop.cli import sci
+from smop.driver import _PhiOracle
+from smop.inner import KKT_TOL
 
 # iterate tables of the plain secant method on the two scalar test functions,
 # printed at 2 significant digits
@@ -40,24 +42,39 @@ TABLE_CONSTRUCTED_F = ["1.9e-1", "3.7e-2", "4.0e-3", "1.0e-4", "2.7e-7",
                        "2.0e-11", "4.0e-18", "6.1e-29"]
 
 
+def scalar_x(lam):
+    """Solution of the 1x1 identity instance with b = 1."""
+    return np.array([max(1.0 - float(lam), 0.0)])
+
+
 def scalar_phi(lam):
     """phi of the 1x1 identity instance with b = 1."""
+    return min(float(lam), 1.0)
+
+
+def diagonal_x(lam):
+    """Solution of the diag(1, 2) instance with b = (1, 1)."""
     lam = float(lam)
-    return min(lam, 1.0), np.array([max(1.0 - lam, 0.0)])
-
-
-def l1_dphi(A):
-    """Generalized derivative of phi for the l1 penalty on the design ``A``."""
-    return lambda x, lam, p: phi_derivative(A, L1(), x, lam, p)
+    return np.array([max(1.0 - lam, 0.0), max(2.0 - lam, 0.0) / 4.0])
 
 
 def diagonal_phi(lam):
     """phi of the diag(1, 2) instance with b = (1, 1); affine slope sqrt(5)/2
     on (0, 1], then sqrt(1 + lam^2/4) up to lam_inf = 2."""
-    lam = float(lam)
-    x = np.array([max(1.0 - lam, 0.0), max(2.0 - lam, 0.0) / 4.0])
+    x = diagonal_x(lam)
     y = np.array([1.0, 1.0]) - np.array([x[0], 2.0 * x[1]])
-    return float(np.linalg.norm(y)), x
+    return float(np.linalg.norm(y))
+
+
+def l1_dphi(A, x_of, phi):
+    """Generalized derivative of ``phi`` for the l1 penalty on the design
+    ``A``, at the solution ``x_of(lam)``."""
+    return lambda lam: phi_derivative(A, L1(), x_of(lam), lam, phi(lam))
+
+
+def no_dphi(lam):
+    """No derivative is ever at hand: every step down is the plain one."""
+    raise ValueError("no derivative")
 
 
 class TestSecantStep:
@@ -165,18 +182,19 @@ class TestQOrder:
 
 
 class TestHybridSecant:
-    def test_scalar_instance(self):
-        lam, x, state = hybrid_secant_solve(scalar_phi, 0.3, 0.095, 0.95, 1e-12)
+    def test_scalar_instance(self, scalar_data):
+        oracle = _PhiOracle(scalar_data, L1(), KKT_TOL, False)
+        lam, state = hybrid_secant_solve(oracle, 0.3, 0.095, 0.95, 1e-12)
         assert state.converged
         assert lam == pytest.approx(0.3, abs=1e-10)
-        np.testing.assert_allclose(x, [0.7], atol=1e-10)
+        np.testing.assert_allclose(oracle.xs[lam], [0.7], atol=1e-10)
 
     def test_diagonal_instance(self):
-        lam, x, state = hybrid_secant_solve(diagonal_phi, 0.5, 0.19, 1.9, 1e-12)
+        lam, state = hybrid_secant_solve(diagonal_phi, 0.5, 0.19, 1.9, 1e-12)
         assert lam == pytest.approx(1.0 / np.sqrt(5.0), abs=1e-10)
 
     def test_boundary_rho_equals_phi_at_upper_point(self):
-        lam, x, state = hybrid_secant_solve(scalar_phi, 0.95, 0.095, 0.95, 1e-10)
+        lam, state = hybrid_secant_solve(scalar_phi, 0.95, 0.095, 0.95, 1e-10)
         assert lam == 0.95
         assert state.converged
 
@@ -188,8 +206,7 @@ class TestHybridSecant:
 
     def test_bracket_preserved_and_never_widens(self):
         rho = eval_constructed_fn(0.37)
-        phi = lambda lam: (eval_constructed_fn(lam), np.array([lam]))
-        lam, _, state = hybrid_secant_solve(phi, rho, 1e-3, 1.0, 1e-13)
+        lam, state = hybrid_secant_solve(eval_constructed_fn, rho, 1e-3, 1.0, 1e-13)
         assert state.converged
         lo, hi = 1e-3, 1.0
         for rec in state.history[2:]:
@@ -201,9 +218,8 @@ class TestHybridSecant:
     def test_progress_guarantee(self):
         # over any 3 accepted iterates: bracket halves or residual shrinks by mu
         rho = eval_constructed_fn(0.11)
-        phi = lambda lam: (eval_constructed_fn(lam), np.array([lam]))
         mu = 0.5
-        _, _, state = hybrid_secant_solve(phi, rho, 1e-4, 1.0, 1e-13, mu)
+        _, state = hybrid_secant_solve(eval_constructed_fn, rho, 1e-4, 1.0, 1e-13, mu)
         recs = state.history[1:]  # from lam_0 on
         widths = [r.hi - r.lo for r in recs]
         resid = [abs(r.phi - rho) for r in recs]
@@ -214,16 +230,16 @@ class TestHybridSecant:
 
     def test_max_outer_flags_nonconvergence(self, monkeypatch):
         monkeypatch.setattr(smop.rootfind, "MAX_OUTER", 2)
-        lam, x, state = hybrid_secant_solve(diagonal_phi, 0.5, 0.19, 1.9, 1e-14)
+        lam, state = hybrid_secant_solve(diagonal_phi, 0.5, 0.19, 1.9, 1e-14)
         assert not state.converged
 
     def test_rejected_proposal_falls_back_to_bisection(self):
         # strong curvature stalls the secant against the mu-decrease test:
         # the rejected trial still tightens the bracket, then a midpoint step
         # resets the safeguard counter
-        phi = lambda lam: (float(lam) ** 9, np.array([lam]))
+        phi = lambda lam: float(lam) ** 9
         mu = 0.5
-        lam, _, state = hybrid_secant_solve(phi, 0.5 ** 9, 0.05, 1.0, 1e-12, mu)
+        lam, state = hybrid_secant_solve(phi, 0.5 ** 9, 0.05, 1.0, 1e-12, mu)
         assert state.converged
         assert lam == pytest.approx(0.5, abs=1e-9)
         rejections = state.n_evals - (len(state.history) - 2)
@@ -240,7 +256,7 @@ class TestHybridSecant:
             if method == "secant":
                 hybrid_secant_solve(phi, 0.3, 0.01, 0.99, 1e-6, mu)
             else:
-                newton_hybrid_solve(phi, lambda x, lam, p: 1.0, 0.3, 0.01, 0.99, 1e-6, mu)
+                newton_hybrid_solve(phi, lambda lam: 1.0, 0.3, 0.01, 0.99, 1e-6, mu)
         assert lams == []  # rejected before any evaluation
 
 
@@ -291,8 +307,7 @@ class TestHybridFuzz:
             p_lo, p_hi = value(lo), value(hi)
             rho = float(rng.uniform(p_lo + 1e-3, p_hi - 1e-3))
             lam_true = invert(rho)
-            phi = lambda lam: (value(lam), np.array([lam]))
-            lam, _, state = hybrid_secant_solve(phi, rho, lo, hi, cfg.stoptol, cfg.mu)
+            lam, state = hybrid_secant_solve(value, rho, lo, hi, cfg.stoptol, cfg.mu)
             assert state.converged, trial
             # eta <= stoptol translates to a lambda error through the local slope
             assert abs(value(lam) - rho) <= cfg.stoptol * max(1.0, rho)
@@ -301,15 +316,37 @@ class TestHybridFuzz:
                 assert rec.lo < rec.hi
                 assert value(rec.lo) < rho < value(rec.hi)
 
+    def test_bracket_from_warm_guesses_on_both_sides(self):
+        # the step-down reads the slope of the piece through its point; the
+        # top end lam_inf is known as (lam_inf, value(lam_inf)), never evaluated
+        rng = np.random.default_rng(7)
+        for trial in range(60):
+            value, invert = self._random_pw_affine(rng)
+            lam_inf = float(rng.uniform(1.5, 3.0))
+            rho = float(rng.uniform(value(0.01) + 1e-3, value(lam_inf) - 1e-3))
+            lam_true = invert(rho)
+            h = 1e-7
+            slope = lambda lam: (value(lam) - value(lam - h)) / h
+            lo0, hi0 = lam_true * rng.uniform(0.2, 1.6, 2)
+            phi = recording(value)
+            lo, hi = bracket_init(phi, rho, lam_inf, value(lam_inf), slope,
+                                  float(lo0), float(hi0))
+            assert 0 < lo < hi <= lam_inf, trial
+            # an exact slope can land a piece root on rho itself; that end is
+            # then the root, and the root finder stops there
+            assert value(lo) <= rho <= value(hi) and value(lo) < value(hi), trial
+            assert not [lam for lam in phi.lams if lo < lam < hi], trial
+            assert lam_inf not in phi.lams, trial
+
 
 class TestBisection:
     def test_scalar_instance(self):
-        lam, x, state = bisection_solve(scalar_phi, 0.3, 0.01, 0.99, 1e-6)
+        lam, state = bisection_solve(scalar_phi, 0.3, 0.01, 0.99, 1e-6)
         assert state.converged
         assert lam == pytest.approx(0.3, abs=1e-6)
 
     def test_width_halves_each_iteration(self):
-        _, _, state = bisection_solve(scalar_phi, 0.3, 0.01, 0.99, 1e-9)
+        _, state = bisection_solve(scalar_phi, 0.3, 0.01, 0.99, 1e-9)
         # the terminal record is written at the root, before any bracket update
         steps = [r for r in state.history if r.step == "bisection"][:-1]
         width0 = 0.99 - 0.01
@@ -318,18 +355,19 @@ class TestBisection:
 
     def test_iteration_count_matches_contract(self, monkeypatch):
         monkeypatch.setattr(smop.rootfind, "MAX_OUTER", 500)
-        _, _, state = bisection_solve(scalar_phi, 0.3, 0.01, 0.99, 1e-6)
+        _, state = bisection_solve(scalar_phi, 0.3, 0.01, 0.99, 1e-6)
         # eta tolerance on an identity phi: about log2(width / stoptol) rounds
         expected = np.log2((0.99 - 0.01) / 1e-6)
         assert state.n_evals <= expected + 2
 
-    def test_unconverged_returns_closest_evaluated_point(self, monkeypatch):
+    def test_unconverged_returns_closest_evaluated_point(self, monkeypatch, scalar_data):
         # the one bisection step lands at 0.64; the lower end 0.29 is closer
         monkeypatch.setattr(smop.rootfind, "MAX_OUTER", 1)
-        lam, x, state = bisection_solve(scalar_phi, 0.3, 0.29, 0.99, 1e-14)
+        oracle = _PhiOracle(scalar_data, L1(), KKT_TOL, False)
+        lam, state = bisection_solve(oracle, 0.3, 0.29, 0.99, 1e-14)
         assert not state.converged
         assert lam == 0.29
-        np.testing.assert_array_equal(x, [0.71])
+        np.testing.assert_array_equal(oracle.xs[lam], [0.71])
 
     def test_invalid_bracket(self):
         with pytest.raises(BracketError):
@@ -410,15 +448,16 @@ class TestHsDerivative:
 
 class TestNewtonHybrid:
     def test_scalar_one_newton_step(self, scalar_data):
-        lam, x, state = newton_hybrid_solve(scalar_phi, l1_dphi(scalar_data.A), 0.3, 0.095, 0.95, 1e-12)
+        dphi = l1_dphi(scalar_data.A, scalar_x, scalar_phi)
+        lam, state = newton_hybrid_solve(scalar_phi, dphi, 0.3, 0.095, 0.95, 1e-12)
         assert state.converged
         assert lam == pytest.approx(0.3, abs=1e-12)
         newton_steps = [r for r in state.history if r.step == "newton"]
         assert len(newton_steps) == 1  # exact on the affine branch
 
     def test_diagonal(self, diagonal_data):
-        lam, x, state = newton_hybrid_solve(diagonal_phi, l1_dphi(diagonal_data.A), 0.5, 0.19, 0.9,
-                                              1e-12)
+        dphi = l1_dphi(diagonal_data.A, diagonal_x, diagonal_phi)
+        lam, state = newton_hybrid_solve(diagonal_phi, dphi, 0.5, 0.19, 0.9, 1e-12)
         assert lam == pytest.approx(1.0 / np.sqrt(5.0), abs=1e-10)
         # from inside (0, 1) where phi is affine, one Newton step suffices
         newton_steps = [r for r in state.history if r.step == "newton"]
@@ -426,8 +465,8 @@ class TestNewtonHybrid:
 
     def test_zero_support_falls_back_to_bisection(self, scalar_data):
         # upper end at lam >= lam_inf has x = 0: first proposal must bisect
-        phi = lambda lam: scalar_phi(lam)
-        lam, _, state = newton_hybrid_solve(phi, l1_dphi(scalar_data.A), 0.3, 0.095, 1.0, 1e-12)
+        dphi = l1_dphi(scalar_data.A, scalar_x, scalar_phi)
+        lam, state = newton_hybrid_solve(scalar_phi, dphi, 0.3, 0.095, 1.0, 1e-12)
         assert state.converged
         assert state.history[2].step == "bisection"
 
@@ -444,32 +483,20 @@ def recording(phi):
 
 
 def synthetic_phi():
-    """phi of a small synthetic l1 instance, with its lambda_inf and ||b||."""
-    from smop import SynthSpec, lambda_inf, phi_eval, synth_instance
+    """The phi oracle of a small synthetic l1 instance, with its lambda_inf
+    and ||b||; ``.derivative`` is its certified derivative."""
+    from smop import SynthSpec, lambda_inf, synth_instance
 
     data, _ = synth_instance(SynthSpec(m=40, n=120, s=5, sigma=0.01, seed=3))
-
-    def phi(lam):
-        res, _ = phi_eval(data, L1(), lam, tol=1e-10, sieve=False)
-        return res.phi, res.x
-
-    return phi, lambda_inf(L1(), data.A, data.b), data.bnorm
-
-
-def synthetic_dphi():
-    """The l1 derivative of phi on the instance of :func:`synthetic_phi`."""
-    from smop import SynthSpec, synth_instance
-
-    data, _ = synth_instance(SynthSpec(m=40, n=120, s=5, sigma=0.01, seed=3))
-    return l1_dphi(data.A)
+    return _PhiOracle(data, L1(), 1e-10, False), lambda_inf(L1(), data.A, data.b), data.bnorm
 
 
 class TestBracketInit:
-    def test_scalar_example(self):
+    def test_scalar_example(self, scalar_data):
         # the cold search starts from phi(lam_inf) = ||b|| = 1 > 0.3 without
         # evaluating it, so one step of 1 * 0.5 * 0.3 / 1
         phi = recording(scalar_phi)
-        lo, hi = bracket_init(phi, 0.3, 1.0, bnorm=1.0)
+        lo, hi = bracket_init(phi, 0.3, 1.0, 1.0, l1_dphi(scalar_data.A, scalar_x, scalar_phi))
         assert hi == 1.0
         assert lo == pytest.approx(0.15)
         assert phi.lams == [pytest.approx(0.15)]
@@ -477,15 +504,16 @@ class TestBracketInit:
     @staticmethod
     def _assert_tightest(phi, rho, lo, hi, lams):
         assert 0 < lo < hi
-        assert phi(lo)[0] < rho < phi(hi)[0]
+        assert phi(lo) < rho < phi(hi)
         # every evaluated point is an end or lies outside the bracket
         assert not [lam for lam in lams if lo < lam < hi]
 
     @pytest.mark.parametrize("rho", [1e-6, 0.01, 0.2, 0.5, 1.0, 1.2, 1.4])
-    def test_diagonal_tightest_bracket(self, rho):
+    def test_diagonal_tightest_bracket(self, rho, diagonal_data):
         # ||b|| = sqrt(2), lam_inf = 2
         phi = recording(diagonal_phi)
-        lo, hi = bracket_init(phi, rho, 2.0)
+        dphi = l1_dphi(diagonal_data.A, diagonal_x, diagonal_phi)
+        lo, hi = bracket_init(phi, rho, 2.0, math.sqrt(2.0), dphi)
         self._assert_tightest(diagonal_phi, rho, lo, hi, phi.lams)
 
     @pytest.mark.parametrize("c", [0.05, 0.1, 0.3, 0.9])
@@ -493,65 +521,66 @@ class TestBracketInit:
         base, lam_inf, bnorm = synthetic_phi()
         phi = recording(base)
         rho = c * bnorm
-        lo, hi = bracket_init(phi, rho, lam_inf)
+        lo, hi = bracket_init(phi, rho, lam_inf, bnorm, base.derivative)
         self._assert_tightest(base, rho, lo, hi, phi.lams)
 
     @pytest.mark.parametrize("c", [0.05, 0.3])
     def test_synthetic_warm_guesses(self, c):
         base, lam_inf, bnorm = synthetic_phi()
         rho = c * bnorm
-        lam_star = 0.5 * sum(bracket_init(base, rho, lam_inf))
+        lam_star = 0.5 * sum(bracket_init(base, rho, lam_inf, bnorm, base.derivative))
         for lo0, hi0 in [(0.5 * lam_star, 1.5 * lam_star), (1.1 * lam_star, 1.3 * lam_star),
                          (0.2 * lam_star, 0.6 * lam_star), (0.9 * lam_star, 0.95 * lam_star)]:
             phi = recording(base)
-            lo, hi = bracket_init(phi, rho, lam_inf, lo0, hi0)
+            lo, hi = bracket_init(phi, rho, lam_inf, bnorm, base.derivative, lo0, hi0)
             self._assert_tightest(base, rho, lo, hi, phi.lams)
 
     def test_warm_hi_below_root(self):
-        # root of scalar_phi at rho = 0.3 is 0.3: hi = 0.2 doubles to 0.4
+        # root of scalar_phi at rho = 0.3 is 0.3: hi = 0.2 lies below it, so it
+        # is the lower end and lam_inf the upper one, after one evaluation
         phi = recording(scalar_phi)
-        lo, hi = bracket_init(phi, 0.3, 1.0, lo=0.1, hi=0.2)
-        assert (lo, hi) == (0.2, 0.4)
-        assert phi.lams == [0.2, 0.4]
+        lo, hi = bracket_init(phi, 0.3, 1.0, 1.0, no_dphi, lo=0.1, hi=0.2)
+        assert (lo, hi) == (0.2, 1.0)
+        assert phi.lams == [0.2]
 
     def test_warm_lo_above_root_steps_down(self):
         # phi(0.5) = 0.5 > 0.3 makes 0.5 the upper end; 0.5 * 0.3 = 0.15 below
         phi = recording(scalar_phi)
-        lo, hi = bracket_init(phi, 0.3, 1.0, lo=0.5, hi=0.8)
+        lo, hi = bracket_init(phi, 0.3, 1.0, 1.0, no_dphi, lo=0.5, hi=0.8)
         assert hi == 0.5
         assert lo == pytest.approx(0.15)
         assert phi.lams == [0.8, 0.5, pytest.approx(0.15)]
 
     def test_warm_bracket_kept_when_valid(self):
         phi = recording(scalar_phi)
-        assert bracket_init(phi, 0.3, 1.0, lo=0.25, hi=0.35) == (0.25, 0.35)
+        assert bracket_init(phi, 0.3, 1.0, 1.0, no_dphi, lo=0.25, hi=0.35) == (0.25, 0.35)
         assert phi.lams == [0.35, 0.25]
 
     def test_warm_lo_not_below_hi_is_ignored(self):
         phi = recording(scalar_phi)
-        lo, hi = bracket_init(phi, 0.3, 1.0, lo=0.9, hi=0.6)
+        lo, hi = bracket_init(phi, 0.3, 1.0, 1.0, no_dphi, lo=0.9, hi=0.6)
         assert hi == 0.6
         assert lo == pytest.approx(0.15)
         assert 0.9 not in phi.lams
 
     def test_warm_hi_capped_at_lam_inf(self):
-        lo, hi = bracket_init(scalar_phi, 0.97, 1.0, lo=0.5, hi=4.0)
+        lo, hi = bracket_init(scalar_phi, 0.97, 1.0, 1.0, no_dphi, lo=0.5, hi=4.0)
         assert hi == 1.0
-        assert scalar_phi(lo)[0] < 0.97
+        assert scalar_phi(lo) < 0.97
 
     def test_rho_too_large(self):
         with pytest.raises(BracketError, match="0 < rho"):
-            bracket_init(scalar_phi, 1.2, 1.0)
+            bracket_init(scalar_phi, 1.2, 1.0, 1.0, no_dphi)
 
     def test_rho_barely_below_bnorm(self):
-        # phi(0.95) = 0.95 < rho: upper end falls back to lam_inf where phi = 1
-        lo, hi = bracket_init(scalar_phi, 0.97, 1.0)
+        # the upper end stays at lam_inf, where phi = ||b|| = 1 > rho
+        lo, hi = bracket_init(scalar_phi, 0.97, 1.0, 1.0, no_dphi)
         assert hi == 1.0
-        assert scalar_phi(lo)[0] < 0.97
+        assert scalar_phi(lo) < 0.97
 
     def test_rho_too_small(self):
         with pytest.raises(BracketError, match="too small"):
-            bracket_init(scalar_phi, 1e-14, 1.0)
+            bracket_init(scalar_phi, 1e-14, 1.0, 1.0, no_dphi)
 
 
 def explicit_piece_root(data, reg, x, rho):
@@ -571,7 +600,7 @@ def explicit_piece_root(data, reg, x, rho):
 
 
 def _raise(exc):
-    def dphi(x, lam, p):
+    def dphi(lam):
         raise exc("no derivative")
     return dphi
 
@@ -581,7 +610,7 @@ class TestPieceRootStep:
 
     @pytest.mark.parametrize("kind", ["l1", "slope"])
     def test_step_is_the_explicit_piece_root(self, kind):
-        from smop import SynthSpec, lambda_inf, linear_weights, phi_eval, synth_instance
+        from smop import SynthSpec, lambda_inf, linear_weights, synth_instance
 
         if kind == "l1":
             data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=1))
@@ -589,74 +618,76 @@ class TestPieceRootStep:
         else:  # a tied cluster at 0.25 lambda_inf (TestHsDerivative)
             data, _ = synth_instance(SynthSpec(m=100, n=600, s=10, sigma=0.01, seed=3))
             reg, frac = SortedL1(linear_weights(600)), 0.25
-        def base(lam):
-            res, _ = phi_eval(data, reg, lam, tol=1e-12, sieve=False)
-            return res.phi, res.x
-
+        base = _PhiOracle(data, reg, 1e-12, False)
         lam_inf = lambda_inf(reg, data.A, data.b)
         lam0 = frac * lam_inf
-        p0, x0 = base(lam0)
+        p0 = base(lam0)
         rho = 0.7 * p0
-        want, clustered = explicit_piece_root(data, reg, x0, rho)
+        want, clustered = explicit_piece_root(data, reg, base.xs[lam0], rho)
         assert clustered == (kind == "slope")
         phi = recording(base)
-        bracket_init(phi, rho, lam_inf, hi=lam0,
-                     dphi=lambda x, lam, p: phi_derivative(data.A, reg, x, lam, p))
+        bracket_init(phi, rho, lam_inf, data.bnorm, base.derivative, hi=lam0)
         assert phi.lams[0] == lam0
         assert phi.lams[1] == pytest.approx(want, rel=1e-12)
 
     def test_exact_derivative_steps_onto_the_root(self):
         # phi = lam below 1: v = 1 and the step lands on rho = 0.3 at once
         phi = recording(scalar_phi)
-        bracket_init(phi, 0.3, 1.0, hi=0.8, dphi=lambda x, lam, p: 1.0)
+        bracket_init(phi, 0.3, 1.0, 1.0, lambda lam: 1.0, hi=0.8)
         assert phi.lams[1] == pytest.approx(0.3, rel=1e-15)
 
     @pytest.mark.parametrize("dphi", [
         _raise(ValueError), _raise(np.linalg.LinAlgError),
-        lambda x, lam, p: 0.0, lambda x, lam, p: -1.0,
-        lambda x, lam, p: float("nan"), lambda x, lam, p: float("inf"),
-        lambda x, lam, p: 1e-3,  # a root below zero
-        lambda x, lam, p: 0.86,  # a root near 0.02, more than a decade down
+        lambda lam: 0.0, lambda lam: -1.0,
+        lambda lam: float("nan"), lambda lam: float("inf"),
+        lambda lam: 1e-3,  # a root below zero
+        lambda lam: 0.86,  # a root near 0.02, more than a decade down
     ], ids=["value-error", "linalg-error", "zero", "negative", "nan", "inf", "below-zero",
             "below-decade"])
     def test_falls_back_without_a_usable_derivative(self, dphi):
         # the plain step 0.8 * max(0.1, 0.5 * 0.3 / 0.8) = 0.15
         phi = recording(scalar_phi)
-        lo, hi = bracket_init(phi, 0.3, 1.0, hi=0.8, dphi=dphi)
+        lo, hi = bracket_init(phi, 0.3, 1.0, 1.0, dphi, hi=0.8)
         assert phi.lams == [0.8, pytest.approx(0.15)]
         assert (lo, hi) == (pytest.approx(0.15), 0.8)
 
     def test_empty_pattern_falls_back(self):
-        # x = 0 at lambda_inf has no piece: the first step is the plain one
+        # x = 0 at lambda_inf has no piece, so no derivative is asked for
+        # there: the first step is the plain one from (lambda_inf, ||b||)
         base, lam_inf, bnorm = synthetic_phi()
-        p_top, x_top = base(lam_inf)
-        assert not x_top.any()
+        top = _PhiOracle(base.data, L1(), 1e-10, False)
+        p_top = top(lam_inf)
+        assert not top.xs[lam_inf].any()
+        with pytest.raises(ValueError, match="zero support"):
+            top.derivative(lam_inf)
         phi = recording(base)
+        dphi = recording(base.derivative)
         rho = 0.1 * bnorm
-        bracket_init(phi, rho, lam_inf, dphi=synthetic_dphi())
-        assert phi.lams[:2] == [lam_inf, lam_inf * max(0.1, 0.5 * rho / p_top)]
+        bracket_init(phi, rho, lam_inf, p_top, dphi)
+        assert phi.lams[0] == lam_inf * max(0.1, 0.5 * rho / p_top)
+        assert lam_inf not in phi.lams + dphi.lams
 
     def test_roundoff_piece_root_falls_back(self):
         # phi = lam one ulp above rho = 0.3: the exact piece root 0.3 moves lam
         # by roundoff, so the step is the plain one, 0.5 * 0.3 = 0.15
         hi = math.nextafter(0.3, 1.0)
         phi = recording(scalar_phi)
-        bracket_init(phi, 0.3, 1.0, hi=hi, dphi=lambda x, lam, p: 1.0)
+        bracket_init(phi, 0.3, 1.0, 1.0, lambda lam: 1.0, hi=hi)
         assert phi.lams == [hi, pytest.approx(0.15)]
         # a gap of 1e-12 is no roundoff: the piece root is taken
         hi = 0.3 * (1.0 + 1e-12)
         phi = recording(scalar_phi)
-        bracket_init(phi, 0.3, 1.0, hi=hi, dphi=lambda x, lam, p: 1.0)
+        bracket_init(phi, 0.3, 1.0, 1.0, lambda lam: 1.0, hi=hi)
         assert phi.lams[1] == pytest.approx(0.3, rel=1e-15)
 
     @pytest.mark.parametrize("c", [0.05, 0.1, 0.3, 0.9])
     def test_cold_search_never_evaluates_lambda_inf(self, c):
-        # with bnorm given, (lambda_inf, ||b||) is known: neither it nor
-        # 0.95 lambda_inf is evaluated, and the bracket stays the tightest
+        # (lambda_inf, ||b||) is known: neither it nor 0.95 lambda_inf is
+        # evaluated, and the bracket stays the tightest
         base, lam_inf, bnorm = synthetic_phi()
         phi = recording(base)
         rho = c * bnorm
-        lo, hi = bracket_init(phi, rho, lam_inf, bnorm=bnorm, dphi=synthetic_dphi())
+        lo, hi = bracket_init(phi, rho, lam_inf, bnorm, base.derivative)
         assert phi.lams[0] == lam_inf * max(0.1, 0.5 * c)
         assert max(phi.lams) < 0.95 * lam_inf
         TestBracketInit._assert_tightest(base, rho, lo, hi, phi.lams)
