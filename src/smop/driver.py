@@ -218,8 +218,10 @@ def smop_solve(
     """Solve ``min p(x) s.t. ||A x - b|| <= rho`` by level-set root finding.
 
     ``warm`` is the result of a solve on the same data at a nearby ``rho``.
-    Its ``x`` seeds the first evaluation, and ``bracket_init`` turns the guess
-    ``(warm.bracket[0], 1.5 * warm.lambda_star)`` into a sign-changing bracket.
+    Its ``x`` seeds the first evaluation. When ``warm.rho > rho``, as on every
+    ``solve_path`` step, ``bracket_init`` turns the guess
+    ``(warm.bracket[0], 1.5 * warm.lambda_star)`` into a sign-changing bracket;
+    from a level at or below ``rho`` the bracket search is the cold one.
     The root finders see phi's values only; ``x`` is the oracle's at ``lambda*``.
     """
     cfg = cfg or SmopConfig()
@@ -231,9 +233,21 @@ def smop_solve(
     tol = min(KKT_TOL, 0.01 * cfg.stoptol * max(1.0, rho))
     oracle = _PhiOracle(data, reg, tol, cfg.sieve, x_warm=None if warm is None else warm.x)
 
-    lo, hi = (None, None) if warm is None else (warm.bracket[0], 1.5 * warm.lambda_star)
+    # a level at or below rho gives no upper guess: its lambda* lies below ours
+    lo, hi = (None, None)
+    if warm is not None and warm.rho > rho:
+        lo, hi = warm.bracket[0], 1.5 * warm.lambda_star
+    phase = "bracket search"
     try:
         lo, hi = bracket_init(oracle, rho, lam_top, data.bnorm, oracle.derivative, lo, hi)
+        phase = "bracket and root search"
+        if cfg.method == "smop":
+            lam_star, state = hybrid_secant_solve(oracle, rho, lo, hi, cfg.stoptol, cfg.mu)
+        elif cfg.method == "bmop":
+            lam_star, state = bisection_solve(oracle, rho, lo, hi, cfg.stoptol)
+        else:
+            lam_star, state = newton_hybrid_solve(oracle, oracle.derivative, rho, lo, hi,
+                                                  cfg.stoptol, cfg.mu)
     except BracketError as exc:
         # an evaluation that stopped short of its KKT tolerance can misplace
         # the sign of phi - rho; name that cause rather than the bracket's
@@ -241,17 +255,9 @@ def smop_solve(
         if not uncertified:
             raise
         raise BracketError(
-            f"{uncertified} of {len(oracle.cache)} phi evaluations in the bracket "
-            f"search did not certify their KKT residual ({exc})"
+            f"{uncertified} of {len(oracle.cache)} phi evaluations in the {phase} "
+            f"did not certify their KKT residual ({exc})"
         ) from exc
-
-    if cfg.method == "smop":
-        lam_star, state = hybrid_secant_solve(oracle, rho, lo, hi, cfg.stoptol, cfg.mu)
-    elif cfg.method == "bmop":
-        lam_star, state = bisection_solve(oracle, rho, lo, hi, cfg.stoptol)
-    else:
-        lam_star, state = newton_hybrid_solve(oracle, oracle.derivative, rho, lo, hi,
-                                              cfg.stoptol, cfg.mu)
 
     final, x_star = oracle.cache[lam_star], oracle.xs[lam_star]
     evals = list(oracle.cache.values())

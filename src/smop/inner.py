@@ -6,6 +6,8 @@ over a coordinate subset I, and returns the prox-polished point. Convergence
 is certified by two unit-step quantities at the candidate: the inexactness
 certificate ``||z - xh + grad(xh) - grad(z)||`` (xh the polished point) and
 the proximal residual at xh itself; both must fall below the tolerance.
+The Gram matrix ``A_I^T A_I`` is formed only when it holds no more entries
+than ``A_I``; otherwise each Gram product is ``A_I^T (A_I z)``.
 
 On a fixed pattern of a polyhedral gauge the solution is ``x_J = P z`` with
 ``(P^T G_JJ P) z = P^T c_J - lam*w``: ``Regularizer.piece`` gives the
@@ -33,10 +35,8 @@ from scipy.linalg import cho_factor, cho_solve
 from .problem import ProblemData
 from .regularizers import Regularizer
 
-# above this column count the Gram matrix is not formed explicitly
-_GRAM_LIMIT = 4096
-# reduced matrices up to this entry count are gathered densely (BLAS products
-# beat scipy sparse dispatch overhead at desk scale)
+# a CSR-stored design's reduced matrices up to this entry count are gathered
+# densely (BLAS products beat scipy sparse dispatch overhead at desk scale)
 _DENSE_LIMIT = 4_194_304
 # default certificate tolerance of a solve, and the APG iteration cap
 KKT_TOL = 1e-8
@@ -100,20 +100,21 @@ def _dense_gram(A_I) -> np.ndarray:
 
 
 def _gather(A, idx: np.ndarray):
-    """Columns ``idx`` of ``A``: dense up to ``_DENSE_LIMIT`` entries, else sparse."""
+    """Columns ``idx`` of ``A``: dense up to ``_DENSE_LIMIT`` entries, else as stored."""
     return A.take_columns_dense(idx) if A.m * idx.size <= _DENSE_LIMIT else A.take_columns(idx)
 
 
 def _reduced_operator(data: ProblemData, idx: np.ndarray):
     """``(A_I, c, G, gram_mv, L)`` for the index set ``idx``: the column
-    submatrix, ``c = A_I^T b``, the dense Gram matrix (None above
-    ``_GRAM_LIMIT``), the Gram product and the step bound L.
+    submatrix, ``c = A_I^T b``, the dense Gram matrix if ``k * k <= A_I.size``
+    (nonzeros of a sparse ``A_I``; for a dense one ``k <= m``, where ``G @ z``
+    also costs less than ``A_I^T (A_I z)``) else None, the Gram product and L.
 
     The operator of the last index set is kept on ``data``: every direct phi
     evaluation reuses the set [n], and for a handful of columns building the
-    operator costs more than the solve. It is keyed on the index set alone
-    (the module limits are constants). A different set drops the kept one
-    before the new one is built, so no two are held at once.
+    operator costs more than the solve. It is keyed on the index set alone.
+    A different set drops the kept one before the new one is built, so no
+    two are held at once.
     """
     k = idx.size
     key = idx.tobytes()
@@ -129,7 +130,7 @@ def _reduced_operator(data: ProblemData, idx: np.ndarray):
 
     A_I = _gather(data.A, idx)
     c = A_I.T @ data.b
-    if k <= _GRAM_LIMIT:
+    if k * k <= A_I.size:
         G = _dense_gram(A_I)
         gram_mv = lambda z: G @ z
         diag = np.diag(G)

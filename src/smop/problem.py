@@ -15,7 +15,8 @@ matrix alone (never from the machine), with no option:
   arrays of ``A^T``, so a sparse design (LIBSVM files) stays compact.
 
 Every method reads ``T`` the same way in both forms: a product is ``T @ y``
-or ``T.T @ x`` and a column gather is a row gather of ``T``.
+or ``T.T @ x`` and a column gather is a row gather of ``T``, which
+``take_columns`` returns in the stored form (dense or CSC).
 
 ``SparseMatrix.rmatvec`` splits a large dense ``T @ y`` over the usable
 cores: row blocks of ``T`` (``_row_blocks``), one per CPU the process may
@@ -254,21 +255,18 @@ class SparseMatrix:
             f.result()
         return out
 
-    def take_columns(self, idx) -> sp.csc_array:
-        """Column submatrix as a scipy CSC array (m x len(idx))."""
-        idx = np.asarray(idx, dtype=np.int64)
-        return sp.csc_array(self._T[idx].T)
+    def take_columns(self, idx):
+        """Column submatrix (m x len(idx)) in the stored form: the dense array
+        of ``take_columns_dense`` for a design stored dense, else scipy CSC."""
+        sub = self._T[np.asarray(idx, dtype=np.int64)].T
+        return sub if isinstance(sub, np.ndarray) else sp.csc_array(sub)
 
     def take_columns_dense(self, idx) -> np.ndarray:
-        """Column submatrix gathered into a dense array; cheaper than sparse
-        slicing for the reduced solves this library runs at desk scale."""
-        idx = np.asarray(idx, dtype=np.int64)
-        sub = self._T[idx]
-        if isinstance(sub, np.ndarray):
-            return sub.T
-        # C order, as the reduced solves' last bits depend on the layout; a
-        # copy of the rows' transpose is faster than scipy's own conversion
-        return np.ascontiguousarray(sub.toarray().T)
+        """Column submatrix as a dense array, whatever the stored form."""
+        sub = self._T[np.asarray(idx, dtype=np.int64)]
+        # from CSR in C order, as the reduced solves' last bits depend on the
+        # layout; a copy of the rows' transpose is faster than scipy's conversion
+        return sub.T if isinstance(sub, np.ndarray) else np.ascontiguousarray(sub.toarray().T)
 
     def toarray(self) -> np.ndarray:
         T = self._T

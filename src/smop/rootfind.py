@@ -14,7 +14,9 @@ Three solvers share one safeguarded skeleton for the equation
 
 ``phi(lam)`` and ``dphi(lam)`` return numbers, and every solver returns
 ``(lam, RootState)``: the caller keeps the solution behind each value. A run
-that has not reached ``stoptol`` after ``MAX_OUTER`` proposals stops unconverged.
+that has not reached ``stoptol`` after ``MAX_OUTER`` proposals stops unconverged;
+a ``phi`` that is not finite ends any solver or bracket search at once with a
+``BracketError``.
 
 ``bracket_init`` supplies the bracket for cold and warm starts alike. A cold
 search starts from the exact point ``(lam_inf, ||b||)``, where ``x = 0`` is
@@ -185,6 +187,15 @@ def _slope(dphi, lam):
     return v if 0.0 < v < math.inf else None
 
 
+def _evaluate(phi, lam):
+    """``phi(lam)``; a value that is not finite raises ``BracketError``."""
+    p = phi(lam)
+    if not math.isfinite(p):
+        # nan compares as neither above nor below rho
+        raise BracketError(f"phi({lam:.3g})={p} is not finite")
+    return p
+
+
 def _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, step_name):
     """Shared skeleton of the secant and Newton hybrids and of bisection.
 
@@ -197,7 +208,8 @@ def _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, step_name
     the last bisection or shrink the residual by ``mu`` relative to three
     iterates back; a rejected one is followed by a bisection. A run that does
     not converge returns the evaluated point, bracket ends included, with the
-    smallest ``|phi - rho|``.
+    smallest ``|phi - rho|``. A ``phi`` that is not finite ends the run at once
+    with a ``BracketError``.
     """
     if stoptol < 0:
         raise ValueError("stoptol must be nonnegative")
@@ -206,10 +218,10 @@ def _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, step_name
     if not 0 < lam_m1 < lam_0:
         raise BracketError("need 0 < lam_lo < lam_hi")
     state = RootState(lo=lam_m1, hi=lam_0)
-    p_hi = phi(lam_0)
+    p_hi = _evaluate(phi, lam_0)
     if eta(p_hi, rho) <= stoptol:
         return _finish(state, lam_0, p_hi, "init")
-    p_lo = phi(lam_m1)
+    p_lo = _evaluate(phi, lam_m1)
     if eta(p_lo, rho) <= stoptol:
         return _finish(state, lam_m1, p_lo, "init")
     if not p_lo < rho < p_hi:
@@ -228,7 +240,7 @@ def _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, step_name
         while True:
             if step is None:
                 step, lam = "bisection", 0.5 * (state.lo + state.hi)
-            p = phi(lam)
+            p = _evaluate(phi, lam)
             state.n_evals += 1
             since_bisection = 0 if step == "bisection" else since_bisection + 1
             if eta(p, rho) <= stoptol:
@@ -310,15 +322,8 @@ def bracket_init(phi, rho: float, lam_inf: float, bnorm: float, dphi, lo=None, h
     if rho >= bnorm:
         raise BracketError("require 0 < rho < ||b||")
 
-    def evaluate(lam):
-        p = phi(lam)
-        if not math.isfinite(p):
-            # nan compares as neither above nor below rho
-            raise BracketError(f"phi({lam:.3g})={p} is not finite")
-        return p
-
     hi = lam_inf if hi is None else min(hi, lam_inf)
-    p = bnorm if hi == lam_inf else evaluate(hi)
+    p = bnorm if hi == lam_inf else _evaluate(phi, hi)
     if p <= rho:  # a warm upper guess at or below the root
         return hi, lam_inf
     floor = 1e-12 * hi
@@ -342,7 +347,7 @@ def bracket_init(phi, rho: float, lam_inf: float, bnorm: float, dphi, lo=None, h
                 f"rho={rho:.6g} too small: phi({hi:.3g})={p:.6g} near the lam floor; no "
                 "level below the least-squares residual min ||A x - b|| is reachable"
             )
-        p = evaluate(lam)
+        p = _evaluate(phi, lam)
         if p < rho:
             return lam, hi
         hi = lam

@@ -271,6 +271,29 @@ class TestSmopSolve:
         want = {("l1", 1): (4, 4), ("l1", 2): (2, 4), ("slope", 1): (2, 5), ("slope", 2): (4, 5)}
         assert (cold.n_subproblems, warm.n_subproblems) == want[kind, seed]
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("kind", ["l1", "slope"])
+    def test_warm_result_from_lower_level_seeds_only_x(self, kind, seed):
+        # a result at a lower level has its lambda* below the root, so its
+        # guesses are not used: its x seeds the cold search. With the guesses,
+        # every one of these solves took 5 or 7 evaluations
+        data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=seed))
+        reg = L1() if kind == "l1" else SortedL1(linear_weights(400))
+        cfg = SmopConfig(stoptol=1e-8)
+        rho = 0.1 * data.bnorm
+        cold = smop_solve(data.with_rho(rho), reg, cfg)
+        counts = []
+        for c in (0.3, 0.5, 0.95):
+            prev = smop_solve(data.with_rho(c * rho), reg, cfg)
+            warm = smop_solve(data.with_rho(rho), reg, cfg, warm=prev)
+            assert warm.converged
+            assert warm.lambda_star == pytest.approx(cold.lambda_star, rel=1e-6)
+            assert warm.n_subproblems <= cold.n_subproblems + 1
+            counts.append(warm.n_subproblems)
+        want = {("l1", 1): (4, [4, 4, 4]), ("l1", 2): (2, [2, 3, 2]),
+                ("slope", 1): (2, [3, 2, 3]), ("slope", 2): (4, [4, 4, 4])}
+        assert (cold.n_subproblems, counts) == want[kind, seed]
+
     def test_trace_spans_every_sieve_round(self):
         # the first evaluation grows its set from empty over several sieve
         # rounds; its record keeps every one of them, and their iterations
@@ -299,6 +322,37 @@ class TestSmopSolve:
             smop_solve(data, L1(), cfg)
         assert re.match(r"\d+ of \d+ phi evaluations in the bracket search", str(exc.value))
         assert str(exc.value.__cause__) in str(exc.value)
+        assert isinstance(exc.value.__cause__, BracketError)
+
+    def test_uncertified_root_evaluations_named(self, monkeypatch):
+        # after the bracket search every evaluation stops uncertified at
+        # phi = nan: the root finder ends at the first one, and the error
+        # counts it as the bracket search's error counts its own. On the
+        # second step of a path the root lies inside the warm bracket
+        data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=0))
+        cfg = SmopConfig(stoptol=1e-8)
+        first, second = PathSpec(base_c=0.1, count=4).rhos(data.bnorm)[:2]
+        prev = smop_solve(data.with_rho(first), L1(), cfg)
+        brackets, evaluate, search = [], driver.phi_eval, driver.bracket_init
+
+        def bracket(*args):
+            brackets.append(search(*args))
+            return brackets[-1]
+
+        def failing(*args, **kwargs):
+            res, trace = evaluate(*args, **kwargs)
+            if brackets:
+                res.phi, res.converged = float("nan"), False
+            return res, trace
+
+        monkeypatch.setattr(driver, "bracket_init", bracket)
+        monkeypatch.setattr(driver, "phi_eval", failing)
+        with pytest.raises(BracketError, match="did not certify their KKT residual") as exc:
+            smop_solve(data.with_rho(second), L1(), cfg, warm=prev)
+        assert len(brackets) == 1
+        assert re.match(r"1 of \d+ phi evaluations in the bracket and root search",
+                        str(exc.value))
+        assert "is not finite" in str(exc.value)
         assert isinstance(exc.value.__cause__, BracketError)
 
     def test_configs_are_frozen(self):

@@ -15,6 +15,7 @@ from smop import (
     solve_reduced,
     synth_instance,
 )
+from smop.inner import _reduced_operator
 
 
 class TestResidual:
@@ -43,6 +44,60 @@ class TestEtaL:
 
     def test_positive_below_threshold(self, scalar_data):
         assert eta_l([0.0], scalar_data.A, scalar_data.b, L1(), 0.3) > 0
+
+
+# the reduced operator's forms: a dense or CSC block, with or without G
+_FORMS = ["dense-gram", "dense-implicit", "csc-gram", "csc-implicit"]
+
+
+class TestReducedOperator:
+    @pytest.mark.parametrize("dense_limit", [4_194_304, 0])
+    def test_gram_formed_when_no_larger_than_block(self, monkeypatch, dense_limit):
+        # G has k*k entries and a full block of 40 rows 40*k: at k = m they
+        # are equal and G is formed, one column more and it is not
+        monkeypatch.setattr("smop.inner._DENSE_LIMIT", dense_limit)
+        data, _ = synth_instance(SynthSpec(m=40, n=120, s=5, sigma=0.01, seed=0))
+        z = np.random.default_rng(1).standard_normal(41)
+        for k, formed in ((40, True), (41, False)):
+            A_I, _, G, gram_mv, _ = _reduced_operator(data, np.arange(k))
+            assert isinstance(A_I, np.ndarray) == (dense_limit > 0)
+            assert A_I.size == 40 * k
+            assert (G is not None) is formed
+            np.testing.assert_allclose(gram_mv(z[:k]), A_I.T @ (A_I @ z[:k]), rtol=1e-12)
+
+    def test_sparse_block_counts_nonzeros(self, monkeypatch):
+        # a CSC block's size is its nonzero count: at 1/4 fill, 40 columns of
+        # 40 rows hold about 400 nonzeros, too few for a 40x40 G
+        monkeypatch.setattr("smop.inner._DENSE_LIMIT", 0)
+        rng = np.random.default_rng(2)
+        arr = rng.standard_normal((40, 120)) * (rng.random((40, 120)) < 0.25)
+        data = ProblemData(SparseMatrix.from_dense(arr), rng.standard_normal(40))
+        formed = []
+        for k in (5, 10, 15, 20, 40):
+            A_I, _, G, _, _ = _reduced_operator(data, np.arange(k))
+            assert A_I.size == np.count_nonzero(arr[:, :k])
+            assert (G is not None) == (k * k <= A_I.size)
+            formed.append(G is not None)
+        assert formed[0] and not formed[-1]  # both sides of the rule are reached
+
+    def test_dense_design_gathers_dense_above_limit(self, monkeypatch):
+        # a design stored dense is never gathered into CSC: above the limit
+        # its block is the same array, and the solve the same bits
+        monkeypatch.setattr("smop.problem._MIN_DENSE_ENTRIES", 0)
+        spec = SynthSpec(m=30, n=90, s=4, sigma=0.01, seed=5)
+        data, _ = synth_instance(spec)
+        assert isinstance(data.A._T, np.ndarray)
+        lam = 0.2 * lambda_inf(L1(), data.A, data.b)
+        idx = np.arange(90)
+        below = solve_reduced(data, L1(), lam, idx)
+        monkeypatch.setattr("smop.inner._DENSE_LIMIT", 0)
+        data, _ = synth_instance(spec)  # a new instance keeps no operator
+        A_I = _reduced_operator(data, idx)[0]
+        assert isinstance(A_I, np.ndarray)
+        np.testing.assert_array_equal(A_I, data.A.toarray())
+        above = solve_reduced(data, L1(), lam, idx)
+        assert above.iters == below.iters
+        np.testing.assert_array_equal(above.x, below.x)
 
 
 class TestSolveReduced:
@@ -126,20 +181,21 @@ class TestSolveReduced:
             eta_l(res.x, data.A, data.b, reg, lam), rel=1e-6, abs=1e-13
         )
 
-    @pytest.mark.parametrize(
-        "gram_limit, dense_limit", [(4096, 4_194_304), (1, 4_194_304), (1, 0)]
-    )
-    def test_newton_step_needs_a_tenth_of_apg_iterations(
-        self, monkeypatch, apg_only_l1, gram_limit, dense_limit
-    ):
+    @pytest.mark.parametrize("form", _FORMS)
+    def test_newton_step_needs_a_tenth_of_apg_iterations(self, monkeypatch, apg_only_l1, form):
         # the l1 solve must reach the point of APG alone in a tenth of the
-        # iterations on every matrix path (gram_limit=1 never forms G)
-        monkeypatch.setattr("smop.inner._GRAM_LIMIT", gram_limit)
-        monkeypatch.setattr("smop.inner._DENSE_LIMIT", dense_limit)
+        # iterations on every operator form: G is formed on the 60 columns of
+        # the 60-row design and not on all 400
+        block, gram = form.split("-")
+        if block == "csc":
+            monkeypatch.setattr("smop.inner._DENSE_LIMIT", 0)
         data, _ = synth_instance(SynthSpec(m=60, n=400, s=6, sigma=0.02, seed=1))
         lam = 0.25 * lambda_inf(L1(), data.A, data.b)
         tol = 1e-10
-        idx = np.arange(400)
+        idx = np.arange(60 if gram == "gram" else 400)
+        A_I, _, G, _, _ = _reduced_operator(data, idx)
+        assert isinstance(A_I, np.ndarray) == (block == "dense")
+        assert (G is not None) == (gram == "gram")
         newton = solve_reduced(data, L1(), lam, idx, tol=tol)
         apg = solve_reduced(data, apg_only_l1, lam, idx, tol=tol)
         assert newton.converged and apg.converged
@@ -164,21 +220,25 @@ class TestSolveReduced:
         apg = solve_reduced(data, apg_only_l1, lam, np.arange(10), tol=1e-10)
         assert 5 * res.iters <= apg.iters
 
-    @pytest.mark.parametrize(
-        "gram_limit, dense_limit", [(4096, 4_194_304), (1, 4_194_304), (1, 0)]
-    )
-    def test_power_start_in_null_space(self, monkeypatch, gram_limit, dense_limit):
-        # columns [u, -u]: the all-ones power start is a null vector of the
-        # Gram matrix, so the eigenvalue estimate must fall back to its trace
-        # (gram_limit=1 never forms the Gram matrix; dense_limit=0 keeps the
-        # reduced matrix sparse)
-        monkeypatch.setattr("smop.inner._GRAM_LIMIT", gram_limit)
-        monkeypatch.setattr("smop.inner._DENSE_LIMIT", dense_limit)
+    @pytest.mark.parametrize("form", _FORMS)
+    def test_power_start_in_null_space(self, monkeypatch, form):
+        # columns [u, -u], once or 16 times: the all-ones power start is a
+        # null vector of the Gram product, so the eigenvalue estimate must
+        # fall back to its trace (G is formed on 2 columns of 30 rows, not
+        # on 32; dense_limit=0 keeps the reduced matrix sparse)
+        block, gram = form.split("-")
+        if block == "csc":
+            monkeypatch.setattr("smop.inner._DENSE_LIMIT", 0)
         rng = np.random.default_rng(0)
         u = rng.standard_normal(30)
-        data = ProblemData(SparseMatrix.from_dense(np.column_stack([u, -u])),
+        copies = 1 if gram == "gram" else 16
+        data = ProblemData(SparseMatrix.from_dense(np.tile(np.column_stack([u, -u]), copies)),
                            rng.standard_normal(30))
-        res = solve_reduced(data, L1(), 0.1, [0, 1])
+        idx = np.arange(2 * copies)
+        A_I, _, G, _, _ = _reduced_operator(data, idx)
+        assert isinstance(A_I, np.ndarray) == (block == "dense")
+        assert (G is not None) == (gram == "gram")
+        res = solve_reduced(data, L1(), 0.1, idx)
         assert np.all(np.isfinite(res.x))
         assert res.converged
         assert eta_l(res.x, data.A, data.b, L1(), 0.1) <= 1e-8

@@ -249,10 +249,11 @@ class TestDenseLayout:
         assert isinstance(csr._T, sp.csr_array) and isinstance(dense._T, np.ndarray)
         idx = [7, 0, 229, 31, 100]
         np.testing.assert_array_equal(dense.take_columns_dense(idx), csr.take_columns_dense(idx))
+        # each form gathers in its own: a dense array, or CSC from CSR
         got, want = dense.take_columns(idx), csr.take_columns(idx)
-        for name in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-        assert got.shape == want.shape and got.indices.dtype == want.indices.dtype
+        assert isinstance(got, np.ndarray) and isinstance(want, sp.csc_array)
+        assert got.shape == want.shape == (40, 5)
+        np.testing.assert_array_equal(got, want.toarray())
         np.testing.assert_array_equal(dense.toarray(), csr.toarray())
         for _ in range(5):
             x, y = rng.standard_normal(230), rng.standard_normal(40)

@@ -491,6 +491,31 @@ def synthetic_phi():
     return _PhiOracle(data, L1(), 1e-10, False), lambda_inf(L1(), data.A, data.b), data.bnorm
 
 
+class TestNonFinitePhi:
+    @staticmethod
+    def _phi(lam):
+        """``lam``, except nan on (0.3, 0.7): nan compares as neither above nor
+        below rho, so unguarded solvers spent all ``MAX_OUTER`` trials on it."""
+        return float("nan") if 0.3 < lam < 0.7 else float(lam)
+
+    @pytest.mark.parametrize("solver", ["secant", "bisection", "newton", "bracket"])
+    def test_raises_after_one_trial(self, solver):
+        # from (0.1, 0.9) to rho = 0.5 the first trial of every solver is 0.5;
+        # the warm bracket search evaluates its upper guess and then 0.5
+        phi = recording(self._phi)
+        with pytest.raises(BracketError, match=r"phi\(0\.5\)=nan is not finite"):
+            if solver == "secant":
+                hybrid_secant_solve(phi, 0.5, 0.1, 0.9, 1e-10)
+            elif solver == "bisection":
+                bisection_solve(phi, 0.5, 0.1, 0.9, 1e-10)
+            elif solver == "newton":
+                newton_hybrid_solve(phi, lambda lam: 1.0, 0.5, 0.1, 0.9, 1e-10)
+            else:
+                bracket_init(phi, 0.5, 1.0, 1.0, no_dphi, lo=0.5, hi=0.9)
+        trials = phi.lams[1:] if solver == "bracket" else phi.lams[2:]
+        assert trials == [0.5]
+
+
 class TestBracketInit:
     def test_scalar_example(self, scalar_data):
         # the cold search starts from phi(lam_inf) = ||b|| = 1 > 0.3 without
