@@ -5,9 +5,10 @@ constraint level rho as a fraction of ||b||, and solve
 
     min ||x||_1   s.t.   ||A x - b|| <= rho
 
-with the secant-driven level-set solver. The solver finds the penalty
-strength lam* whose regularized solution sits exactly on the constraint
-boundary, so we check feasibility, activity and support recovery at the end.
+with the level-set solver. The solver finds the penalty strength lam* whose
+regularized solution sits exactly on the constraint boundary, stepping to the
+root of the piece of the value function phi and falling back to secant steps.
+We check feasibility, activity and support recovery at the end.
 """
 
 import numpy as np
@@ -22,8 +23,9 @@ data = data.with_rho(0.1 * data.bnorm)
 print(f"instance: m={spec.m}, n={spec.n}, ||b||={data.bnorm:.4f}, rho={data.rho:.4f}")
 
 ###############################################################################
-# Solve. The default configuration uses the safeguarded secant root finder
-# ("smop") with adaptive sieving around every regularized subproblem.
+# Solve. The default configuration uses the safeguarded root finder "smop"
+# (piece root, then secant) with adaptive sieving around every regularized
+# subproblem.
 result = smop_solve(data, L1(), SmopConfig(stoptol=1e-6))
 print(f"lambda* = {result.lambda_star:.8f}")
 print(f"eta     = {result.eta:.2e}  (relative residual |phi - rho| / max(1, rho))")

@@ -5,7 +5,8 @@ Solves ``min p(x)  s.t.  ||A x - b|| <= rho`` for sparsity-promoting gauges
 the companion regularized problem, with adaptive sieving around each
 regularized solve. Three root finders are provided: a safeguarded secant
 method ("smop"), plain bisection ("bmop") and a generalized-derivative
-Newton hybrid ("nmop").
+Newton hybrid ("nmop"). smop and nmop first step to the root of the piece
+of the value function, with the secant or Newton step as the fallback.
 """
 
 from .driver import (

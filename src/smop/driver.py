@@ -1,8 +1,10 @@
 """Constrained-problem drivers: single solves and solution paths.
 
 ``smop_solve`` finds ``lam*`` with ``phi(lam*) = rho`` by the chosen root
-finder ("smop" secant hybrid, "bmop" bisection, "nmop" Newton hybrid) and
-returns the matching solution of the regularized problem. Every phi
+finder and returns the matching solution of the regularized problem. "smop"
+and "nmop" step to the root of the piece through their best iterate, from
+phi's generalized derivative, and fall back to a secant ("smop") or Newton
+("nmop") step; "bmop" is plain bisection. Every phi
 evaluation is a regularized solve; with sieving on, the first solve
 starts from the empty index set and every later one is seeded with the
 support of the previous solution, which keeps the subproblems small along
@@ -12,7 +14,9 @@ whether evaluations are sieved; the caps are module constants.
 
 Each evaluation is kept as an :class:`EvalRecord` with its sieve rounds, and
 ``SmopResult.events()`` lists evaluations, rounds and root-finding iterates as
-one event stream; keeping them changes no iterate.
+one event stream; keeping them changes no iterate. An evaluation's derivative
+is formed at most once, when a root finder first asks for it, and kept on its
+record as the value or the reason there is none.
 """
 
 from __future__ import annotations
@@ -70,6 +74,8 @@ class EvalRecord:
     support: int
     converged: bool          # the evaluation's solve certified its KKT residual
     rounds: list[SieveRound] = field(default_factory=list)  # empty for a direct solve
+    # phi's derivative here, or why there is none; None if never asked for
+    slope: float | str | None = None
 
 
 @dataclass
@@ -118,7 +124,7 @@ class SmopResult:
             yield {"event": "eval", "eval": rec.index, "lam": rec.lam, "phi": rec.phi,
                    "eta": eta(rec.phi, self.rho), "eta_l": rec.eta_l,
                    "inner_iters": rec.inner_iters, "support": rec.support,
-                   "converged": rec.converged}
+                   "converged": rec.converged, "slope": rec.slope}
             for i, rnd in enumerate(rec.rounds, 1):
                 yield {"event": "round", "eval": rec.index, "round": i, **asdict(rnd)}
         # each iterate's lam is the exact key the oracle cached its evaluation under
@@ -200,13 +206,24 @@ class _PhiOracle:
         return rec.phi
 
     def derivative(self, lam):
-        """``phi_derivative`` from the ``x`` and ``phi`` cached at ``lam``. Only a
-        certified evaluation gives one: an uncertified ``x`` may sit on the wrong
-        piece, so its derivative raises ``ValueError`` and the caller falls back."""
+        """``phi_derivative`` from the ``x`` and ``phi`` cached at ``lam``, formed
+        once and kept as ``EvalRecord.slope``. Only a certified evaluation gives
+        one: an uncertified ``x`` may sit on the wrong piece. Where there is
+        none, the kept reason is raised as ``ValueError`` and the caller falls
+        back."""
         rec = self.cache.get(lam)
-        if rec is None or not rec.converged:
+        if rec is None:
             raise ValueError(f"no certified evaluation at lam={lam:.6g}")
-        return phi_derivative(self.data.A, self.reg, self.xs[lam], lam, rec.phi)
+        if rec.slope is None and not rec.converged:
+            rec.slope = f"no certified evaluation at lam={lam:.6g}"
+        elif rec.slope is None:
+            try:
+                rec.slope = phi_derivative(self.data.A, self.reg, self.xs[lam], lam, rec.phi)
+            except ValueError as exc:  # np.linalg.LinAlgError included
+                rec.slope = str(exc)
+        if isinstance(rec.slope, str):
+            raise ValueError(rec.slope)
+        return rec.slope
 
 
 def smop_solve(
@@ -242,7 +259,8 @@ def smop_solve(
         lo, hi = bracket_init(oracle, rho, lam_top, data.bnorm, oracle.derivative, lo, hi)
         phase = "bracket and root search"
         if cfg.method == "smop":
-            lam_star, state = hybrid_secant_solve(oracle, rho, lo, hi, cfg.stoptol, cfg.mu)
+            lam_star, state = hybrid_secant_solve(oracle, rho, lo, hi, cfg.stoptol, cfg.mu,
+                                                  oracle.derivative)
         elif cfg.method == "bmop":
             lam_star, state = bisection_solve(oracle, rho, lo, hi, cfg.stoptol)
         else:

@@ -18,27 +18,33 @@ that has not reached ``stoptol`` after ``MAX_OUTER`` proposals stops unconverged
 a ``phi`` that is not finite ends any solver or bracket search at once with a
 ``BracketError``.
 
+On a fixed pattern of a polyhedral gauge ``phi^2`` is affine in ``lam^2``, so
+with ``v`` the generalized derivative of phi at ``lam`` the root of the piece
+through ``(lam, phi)``
+
+    lam' = sqrt(lam^2 - (phi^2 - rho^2) * lam / (phi * v))
+
+is exact on that piece (Newton on ``phi^2`` as a function of ``lam^2``). It is
+no step where ``dphi`` gives no positive, finite slope (``x = 0`` has no
+pattern; ``dphi`` refuses an uncertified evaluation) or where it moves ``lam``
+by no more than roundoff: a piece root that landed off ``rho`` by roundoff
+would only find itself again. Given a ``dphi``, the skeleton proposes the piece
+root through whichever of the last two accepted iterates lies nearer ``rho``
+first, and the method's own proposal (secant or Newton step) only where there
+is none or it leaves the initial bracket.
+
 ``bracket_init`` supplies the bracket for cold and warm starts alike. A cold
 search starts from the exact point ``(lam_inf, ||b||)``, where ``x = 0`` is
 optimal, without a solve; a warm upper guess at or below the root becomes
 the lower end, with ``lam_inf`` the upper one. The lower end steps down to
-the root of the piece through the last evaluation: on a fixed pattern of a
-polyhedral gauge ``phi^2`` is affine in ``lam^2``, so with ``v`` the
-generalized derivative of phi at ``lam``
-
-    lam' = sqrt(lam^2 - (phi^2 - rho^2) * lam / (phi * v))
-
-is exact on the piece (Newton on ``phi^2`` as a function of ``lam^2``).
-Where no derivative is at hand (``x = 0`` at ``lam_inf`` has no pattern;
-``dphi`` refuses an uncertified evaluation), where ``lam'`` leaves
-``(max(floor, 0.1 * lam), lam)``, or where it moves ``lam`` by no more than
-roundoff (a piece root that landed above ``rho`` by roundoff would only find
-itself again), the step falls back to ``lam *= max(0.1, 0.5 * rho / phi(lam))``:
-where phi is proportional to lam that lands at half the root. No step shrinks
-``lam`` by more than a decade: on a degenerate design a far jump can land where
-the warm start of its evaluation is poor, and that evaluation then runs to its
-iteration cap. Every evaluated point tightens the bracket, so no evaluation
-lies strictly inside the bracket it returns.
+the root of the piece through the last evaluation. Where there is none, or
+where it leaves ``(max(floor, 0.1 * lam), lam)``, the step falls back to
+``lam *= max(0.1, 0.5 * rho / phi(lam))``: where phi is proportional to lam
+that lands at half the root. No step shrinks ``lam`` by more than a decade: on
+a degenerate design a far jump can land where the warm start of its evaluation
+is poor, and that evaluation then runs to its iteration cap. Every evaluated
+point tightens the bracket, so no evaluation lies strictly inside the bracket
+it returns.
 
 The module also provides the plain (unsafeguarded) secant iteration together
 with two scalar test functions and a convergence-order estimator used to
@@ -74,7 +80,7 @@ class IterRecord:
     k: int
     lam: float
     phi: float
-    step: str                 # "init" | "secant" | "newton" | "bisection"
+    step: str                 # "init" | "piece" | "secant" | "newton" | "bisection"
     lo: float
     hi: float
 
@@ -187,6 +193,18 @@ def _slope(dphi, lam):
     return v if 0.0 < v < math.inf else None
 
 
+def _piece_root(dphi, lam, p, rho):
+    """The root of the piece through ``(lam, p)`` (module docstring), or None
+    where ``p``, a norm, is not positive, where ``dphi`` gives no usable slope
+    at ``lam`` or where the root moves ``lam`` by no more than roundoff."""
+    v = _slope(dphi, lam) if p > 0.0 else None
+    if v is None:
+        return None
+    new = math.sqrt(max(lam * lam - (p * p - rho * rho) * lam / (p * v), 0.0))
+    # written so that a nan is no step either
+    return new if abs(new - lam) > _ROUNDOFF * lam else None
+
+
 def _evaluate(phi, lam):
     """``phi(lam)``; a value that is not finite raises ``BracketError``."""
     p = phi(lam)
@@ -196,13 +214,17 @@ def _evaluate(phi, lam):
     return p
 
 
-def _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, step_name):
+def _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, step_name,
+                       dphi=None):
     """Shared skeleton of the secant and Newton hybrids and of bisection.
 
     A run stops at the first evaluation with ``eta <= stoptol``, bracket ends
-    included. ``proposal(history)`` returns a trial lambda from the accepted
-    iterates (``state.history``, a list of ``IterRecord``) or None to force
-    bisection. Every evaluation updates the bracket by the sign of
+    included. Given a ``dphi``, a trial is first the piece root through the
+    nearer to ``rho`` of the last two accepted iterates (step ``"piece"``).
+    Where there is none, or it leaves the initial interval,
+    ``proposal(history)`` returns a trial lambda from the accepted iterates
+    (``state.history``, a list of ``IterRecord``) or None to force bisection.
+    Every evaluation updates the bracket by the sign of
     ``phi - rho``; trial points are only evaluated inside the *initial*
     interval, and an accepted trial must either be among the first two since
     the last bisection or shrink the residual by ``mu`` relative to three
@@ -234,9 +256,18 @@ def _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, step_name
     seen = [(lam_0, p_hi), (lam_m1, p_lo)]  # every evaluated point, in order
     since_bisection = 0  # evaluated trials since the last bisection
 
+    def piece(history):
+        near = min(history[-2:], key=lambda rec: abs(rec.phi - rho))
+        return _piece_root(dphi, near.lam, near.phi, rho)
+
+    proposals = ([("piece", piece)] if dphi is not None else []) + [(step_name, proposal)]
     for _ in range(MAX_OUTER):
-        lam = proposal(state.history)
-        step = step_name if lam is not None and lam_m1 <= lam <= lam_0 else None
+        step = None
+        for name, propose in proposals:
+            lam = propose(state.history)
+            if lam is not None and lam_m1 <= lam <= lam_0:
+                step = name
+                break
         while True:
             if step is None:
                 step, lam = "bisection", 0.5 * (state.lo + state.hi)
@@ -262,12 +293,14 @@ def _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, step_name
 
 
 def hybrid_secant_solve(phi, rho: float, lam_m1: float, lam_0: float, stoptol: float,
-                        mu: float = 0.5):
+                        mu: float = 0.5, dphi=None):
     """Globally convergent safeguarded secant method for ``phi(lam) = rho``.
 
     Requires ``phi(lam_m1) < rho < phi(lam_0)``; returns ``(lam, RootState)``
     at the first point with ``eta = |phi - rho| / max(1, rho) <= stoptol``.
     ``mu``, in (0, 1), is the sufficient-decrease factor of the safeguard.
+    Given ``dphi``, phi's generalized derivative, the piece root comes first
+    and the secant step is its fallback.
     """
 
     def proposal(history):
@@ -277,15 +310,15 @@ def hybrid_secant_solve(phi, rho: float, lam_m1: float, lam_0: float, stoptol: f
         except DegenerateSecantError:
             return None
 
-    return _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, "secant")
+    return _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, "secant", dphi)
 
 
 def newton_hybrid_solve(phi, dphi, rho: float, lam_m1: float, lam_0: float, stoptol: float,
                         mu: float = 0.5):
     """Safeguarded semismooth-Newton variant.
 
-    The trial point is ``lam_k - (phi(lam_k) - rho) / v`` with
-    ``v = dphi(lam_k)`` the generalized derivative at the last accepted
+    The trial point is the piece root, else ``lam_k - (phi(lam_k) - rho) / v``
+    with ``v = dphi(lam_k)`` the generalized derivative at the last accepted
     iterate; derivative failures fall back to bisection.
     """
 
@@ -294,7 +327,7 @@ def newton_hybrid_solve(phi, dphi, rho: float, lam_m1: float, lam_0: float, stop
         v = _slope(dphi, lam_k)
         return None if v is None else lam_k - (p_k - rho) / v
 
-    return _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, "newton")
+    return _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, "newton", dphi)
 
 
 def bisection_solve(phi, rho: float, lam_lo: float, lam_hi: float, stoptol: float):
@@ -329,15 +362,12 @@ def bracket_init(phi, rho: float, lam_inf: float, bnorm: float, dphi, lo=None, h
     floor = 1e-12 * hi
 
     def step_down(lam, p):
-        """The root of the piece through ``(lam, p)`` if it lies in
-        ``(max(floor, 0.1 * lam), lam)`` and moves ``lam`` by more than
-        roundoff; else ``lam * max(0.1, 0.5 * rho / p)``."""
+        """The root of the piece through ``(lam, p)`` if there is one in
+        ``(max(floor, 0.1 * lam), lam)``; else ``lam * max(0.1, 0.5 * rho / p)``."""
         # x = 0 at lam_inf: no pattern, so no derivative is asked for there
-        v = _slope(dphi, lam) if lam < lam_inf else None
-        if v is not None:
-            new = math.sqrt(max(lam * lam - (p * p - rho * rho) * lam / (p * v), 0.0))
-            if max(floor, 0.1 * lam) < new < (1.0 - _ROUNDOFF) * lam:
-                return new
+        new = _piece_root(dphi, lam, p, rho) if lam < lam_inf else None
+        if new is not None and max(floor, 0.1 * lam) < new < lam:
+            return new
         return lam * max(0.1, 0.5 * rho / p)
 
     lam = lo if lo is not None and lo < hi else step_down(hi, p)

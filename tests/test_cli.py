@@ -137,7 +137,7 @@ class TestSolve:
         assert sum(e["inner_iters"] for e in evals) == doc["inner_iters_total"]
         assert {e["event"] for e in events} == {"eval", "round", "iterate"}
         assert set(evals[0]) == {"event", "eval", "lam", "phi", "eta", "eta_l",
-                                 "inner_iters", "support", "converged"}
+                                 "inner_iters", "support", "converged", "slope"}
         rnd = next(e for e in events if e["event"] == "round")
         assert set(rnd) == {"event", "eval", "round", "size_I", "r_norm", "size_J",
                             "added", "inner_iters"}
@@ -214,7 +214,8 @@ class TestSolve:
         assert f"error: {message}" in err
 
     def test_nonconvergence_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setattr(smop.rootfind, "MAX_OUTER", 1)
+        # no trial runs: the bracket end nearer rho is returned, unconverged
+        monkeypatch.setattr(smop.rootfind, "MAX_OUTER", 0)
         code, out, _ = run(
             capsys, "solve", "--synth", "m=10,n=30,s=3,seed=5", "--c", "0.3",
             "--stoptol", "1e-13",

@@ -83,14 +83,16 @@ class TestSmopSolve:
             smop_solve(data, L1(), SmopConfig())
 
     def test_nmop_on_sorted_l1_matches_smop(self):
-        # the derivative on the sorted-l1 cluster piece drives Newton steps
+        # the derivative on the sorted-l1 cluster piece drives the piece-root
+        # steps of both methods
         data, _ = synth_instance(SynthSpec(m=60, n=300, s=8, sigma=0.02, seed=40))
         data = data.with_rho(0.15 * data.bnorm)
         reg = SortedL1(linear_weights(300))
         res_n = smop_solve(data, reg, SmopConfig(stoptol=1e-8, method="nmop"))
         res_s = smop_solve(data, reg, SmopConfig(stoptol=1e-8, method="smop"))
         assert res_n.converged and res_n.eta <= 1e-8
-        assert any(rec.step == "newton" for rec in res_n.root_state.history)
+        for res in (res_n, res_s):
+            assert any(rec.step == "piece" for rec in res.root_state.history)
         assert abs(res_n.lambda_star - res_s.lambda_star) <= 1e-7 * res_s.lambda_star
 
     def test_solve_count_matches_eval_records(self, diagonal_data):
@@ -205,12 +207,13 @@ class TestSmopSolve:
     def test_l1_counter_pin(self):
         # the Newton step changes no root-finder step (APG alone: 6
         # evaluations, 507 inner iterations); the piece-root step-down of the
-        # bracket search takes the count from 6 to 4
+        # bracket search takes the count from 6 to 4, and the piece root as the
+        # root finder's first proposal from 4 to 3
         data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=1))
         data = data.with_rho(0.1 * data.bnorm)
         res = smop_solve(data, L1(), SmopConfig(stoptol=1e-8))
         assert res.converged
-        assert res.n_subproblems == 4
+        assert res.n_subproblems == 3
         assert res.inner_iters_total <= 100
 
     @pytest.mark.parametrize("kind", ["l1", "sorted-l1"])
@@ -268,7 +271,7 @@ class TestSmopSolve:
         warm = smop_solve(data, reg, cfg, warm=prev)
         assert cold.converged and warm.converged
         assert warm.lambda_star == pytest.approx(cold.lambda_star, rel=1e-6)
-        want = {("l1", 1): (4, 4), ("l1", 2): (2, 4), ("slope", 1): (2, 5), ("slope", 2): (4, 5)}
+        want = {("l1", 1): (3, 4), ("l1", 2): (2, 4), ("slope", 1): (2, 4), ("slope", 2): (4, 4)}
         assert (cold.n_subproblems, warm.n_subproblems) == want[kind, seed]
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -290,7 +293,7 @@ class TestSmopSolve:
             assert warm.lambda_star == pytest.approx(cold.lambda_star, rel=1e-6)
             assert warm.n_subproblems <= cold.n_subproblems + 1
             counts.append(warm.n_subproblems)
-        want = {("l1", 1): (4, [4, 4, 4]), ("l1", 2): (2, [2, 3, 2]),
+        want = {("l1", 1): (3, [3, 3, 3]), ("l1", 2): (2, [2, 3, 2]),
                 ("slope", 1): (2, [3, 2, 3]), ("slope", 2): (4, [4, 4, 4])}
         assert (cold.n_subproblems, counts) == want[kind, seed]
 
@@ -502,6 +505,50 @@ class TestPieceRootBracket:
         assert [rec.lam for rec in gated.evals] == [rec.lam for rec in plain.evals]
         np.testing.assert_array_equal(gated.x, plain.x)
 
+    @pytest.mark.parametrize("method", ["smop", "nmop"])
+    @pytest.mark.parametrize("kind", ["l1", "slope"])
+    def test_derivative_formed_once_per_evaluation(self, kind, method, monkeypatch):
+        # near ||b|| the upper end stays at lambda_inf, the nearer end, and has
+        # no piece: nmop then asks there for the piece root and again for the
+        # Newton step. The record keeps the first answer, and the iterates are
+        # those of a derivative formed afresh on every ask
+        data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=1))
+        data = data.with_rho(0.99 * data.bnorm)
+        reg = L1() if kind == "l1" else SortedL1(linear_weights(400))
+        cfg = SmopConfig(stoptol=1e-10, method=method)
+        calls = []
+        monkeypatch.setattr(driver, "phi_derivative",
+                            lambda A, reg, x, lam, phi: calls.append(lam)
+                            or phi_derivative(A, reg, x, lam, phi))
+        kept = smop_solve(data, reg, cfg)
+        assert calls and len(calls) == len(set(calls))
+        assert sorted(calls) == sorted(rec.lam for rec in kept.evals if rec.slope is not None)
+        slopes = {e["eval"]: e["slope"] for e in kept.events() if e["event"] == "eval"}
+        assert slopes == {rec.index: rec.slope for rec in kept.evals}
+        calls.clear()
+        monkeypatch.setattr(driver._PhiOracle, "derivative",
+                            lambda self, lam: driver.phi_derivative(
+                                data.A, reg, self.xs[lam], lam, self.cache[lam].phi))
+        fresh = smop_solve(data, reg, cfg)
+        assert (len(calls) > len(set(calls))) == (method == "nmop")
+        assert [(it.lam, it.step) for it in kept.root_state.history] == \
+            [(it.lam, it.step) for it in fresh.root_state.history]
+        np.testing.assert_array_equal(kept.x, fresh.x)
+
+    def test_refused_derivative_kept_as_its_reason(self):
+        # x = 0 at lambda_inf has no piece: the reason is kept and raised again
+        from smop.driver import _PhiOracle
+
+        data, _ = synth_instance(SynthSpec(m=40, n=120, s=5, sigma=0.01, seed=3))
+        lam_top = lambda_inf(L1(), data.A, data.b)
+        oracle = _PhiOracle(data, L1(), 1e-10, False)
+        oracle(lam_top)
+        assert not oracle.xs[lam_top].any()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="zero support"):
+                oracle.derivative(lam_top)
+        assert oracle.cache[lam_top].slope == "derivative undefined at zero support"
+
     def test_uncertified_evaluation_gives_no_derivative(self, monkeypatch):
         # one APG iteration certifies nothing: the derivative is refused, and
         # the bracket search takes the plain step lam * max(0.1, 0.5 rho / phi)
@@ -577,9 +624,10 @@ class TestSolvePath:
             solve_path(scalar_data, L1(), PathSpec(base_c=0.9, count=3), SmopConfig())
 
     def test_failed_step_recorded_and_path_continues(self, monkeypatch):
-        # one secant step cannot reach stoptol=1e-12 here (on seed 24 the
-        # bracket search's piece root reaches it in one of the three steps)
-        monkeypatch.setattr(smop.rootfind, "MAX_OUTER", 1)
+        # with no trial the root finder stops at the bracket end nearer rho,
+        # unconverged at stoptol=1e-12 (on seed 24 the bracket search's piece
+        # root reaches it in one of the three steps)
+        monkeypatch.setattr(smop.rootfind, "MAX_OUTER", 0)
         data, _ = synth_instance(SynthSpec(m=40, n=150, s=5, sigma=0.02, seed=25))
         cfg = SmopConfig(stoptol=1e-12)
         path = solve_path(data, L1(), PathSpec(base_c=0.2, count=3), cfg)

@@ -452,23 +452,26 @@ class TestNewtonHybrid:
         lam, state = newton_hybrid_solve(scalar_phi, dphi, 0.3, 0.095, 0.95, 1e-12)
         assert state.converged
         assert lam == pytest.approx(0.3, abs=1e-12)
-        newton_steps = [r for r in state.history if r.step == "newton"]
-        assert len(newton_steps) == 1  # exact on the affine branch
+        # the piece root through the lower end, exact on the affine branch
+        assert [r.step for r in state.history] == ["init", "init", "piece"]
 
     def test_diagonal(self, diagonal_data):
         dphi = l1_dphi(diagonal_data.A, diagonal_x, diagonal_phi)
         lam, state = newton_hybrid_solve(diagonal_phi, dphi, 0.5, 0.19, 0.9, 1e-12)
         assert lam == pytest.approx(1.0 / np.sqrt(5.0), abs=1e-10)
-        # from inside (0, 1) where phi is affine, one Newton step suffices
-        newton_steps = [r for r in state.history if r.step == "newton"]
-        assert len(newton_steps) == 1
+        # from inside (0, 1) where phi is affine, one piece-root step suffices
+        assert [r.step for r in state.history] == ["init", "init", "piece"]
 
     def test_zero_support_falls_back_to_bisection(self, scalar_data):
-        # upper end at lam >= lam_inf has x = 0: first proposal must bisect
+        # the upper end at lam >= lam_inf has x = 0 and lies nearer rho = 0.9:
+        # neither a piece root nor a Newton step, so the first trial bisects to
+        # 0.5475. The upper end is still the nearer one, so the second trial is
+        # the Newton step from the midpoint, exact on the affine branch
         dphi = l1_dphi(scalar_data.A, scalar_x, scalar_phi)
-        lam, state = newton_hybrid_solve(scalar_phi, dphi, 0.3, 0.095, 1.0, 1e-12)
+        lam, state = newton_hybrid_solve(scalar_phi, dphi, 0.9, 0.095, 1.0, 1e-12)
         assert state.converged
-        assert state.history[2].step == "bisection"
+        assert lam == pytest.approx(0.9, abs=1e-12)
+        assert [r.step for r in state.history] == ["init", "init", "bisection", "newton"]
 
 
 def recording(phi):
@@ -716,3 +719,83 @@ class TestPieceRootStep:
         assert phi.lams[0] == lam_inf * max(0.1, 0.5 * c)
         assert max(phi.lams) < 0.95 * lam_inf
         TestBracketInit._assert_tightest(base, rho, lo, hi, phi.lams)
+
+
+# histories of the secant hybrid on phi = lam^3 + 0.1 lam, rho = 0.5, from
+# (0.05, 1.5) at stoptol 1e-12, before the piece root was its first proposal
+CUBIC_SECANT = [
+    (0.05, "init"), (1.5, "init"), (0.25386199794026765, "secant"),
+    (0.4178027008014541, "secant"), (0.8506437443107879, "bisection"),
+    (0.702451961992689, "secant"), (0.7458756986928043, "secant"),
+    (0.7521246780703535, "secant"), (0.751741602631852, "secant"),
+    (0.7517444170898033, "secant"), (0.7517444184343964, "secant"),
+]
+
+
+def cubic_phi(lam):
+    return float(lam) ** 3 + 0.1 * float(lam)
+
+
+class TestPieceRootProposal:
+    """The piece root as the skeleton's first proposal, given a ``dphi``."""
+
+    @pytest.mark.parametrize("method", ["smop", "nmop"])
+    @pytest.mark.parametrize("kind", ["l1", "slope"])
+    def test_first_trial_is_the_explicit_piece_root(self, kind, method):
+        # from the bracket end nearer rho; on sorted-l1 its piece has a tied
+        # cluster
+        from smop import SynthSpec, linear_weights, phi_eval, smop_solve, synth_instance
+
+        if kind == "l1":
+            data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=1))
+            reg, c = L1(), 0.1
+        else:
+            data, _ = synth_instance(SynthSpec(m=100, n=600, s=10, sigma=0.01, seed=3))
+            reg, c = SortedL1(linear_weights(600)), 0.05
+        data = data.with_rho(c * data.bnorm)
+        res = smop_solve(data, reg, SmopConfig(stoptol=1e-8, method=method))
+        lo, hi, first = res.root_state.history[:3]
+        assert (lo.step, hi.step, first.step) == ("init", "init", "piece")
+        near = min((lo, hi), key=lambda rec: abs(rec.phi - data.rho))
+        x = phi_eval(data, reg, near.lam, tol=1e-13, sieve=False)[0].x
+        want, clustered = explicit_piece_root(data, reg, x, data.rho)
+        assert clustered == (kind == "slope")
+        assert first.lam == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("dphi", [
+        _raise(ValueError), _raise(np.linalg.LinAlgError), lambda lam: 0.0, lambda lam: -1.0,
+    ], ids=["value-error", "linalg-error", "zero", "negative"])
+    def test_no_usable_slope_keeps_the_method_steps(self, dphi):
+        # the secant history is the one without a dphi; Newton has no step
+        # either, so it bisects exactly as bisection does
+        _, state = hybrid_secant_solve(cubic_phi, 0.5, 0.05, 1.5, 1e-12, 0.5, dphi)
+        assert [(r.lam, r.step) for r in state.history] == CUBIC_SECANT
+        _, plain = hybrid_secant_solve(cubic_phi, 0.5, 0.05, 1.5, 1e-12)
+        assert [(r.lam, r.step) for r in plain.history] == CUBIC_SECANT
+        _, state = newton_hybrid_solve(cubic_phi, dphi, 0.5, 0.05, 1.5, 1e-12)
+        _, bisect = bisection_solve(cubic_phi, 0.5, 0.05, 1.5, 1e-12)
+        assert [(r.lam, r.phi, r.step, r.lo, r.hi) for r in state.history] == \
+            [(r.lam, r.phi, r.step, r.lo, r.hi) for r in bisect.history]
+
+    @pytest.mark.parametrize("method", ["secant", "newton"])
+    def test_roundoff_piece_root_falls_back_to_the_method(self, method):
+        # phi = lam: the lower end 1e-15 below rho = 0.3 is the nearer one,
+        # and its exact piece root moves it by roundoff only
+        lo = 0.3 * (1.0 - 1e-15)
+        if method == "secant":
+            _, state = hybrid_secant_solve(scalar_phi, 0.3, lo, 0.9, 0.0, 0.5, lambda lam: 1.0)
+        else:
+            _, state = newton_hybrid_solve(scalar_phi, lambda lam: 1.0, 0.3, lo, 0.9, 0.0)
+        assert state.history[2].step == method
+        # a gap of 1e-12 is no roundoff: the piece root is taken
+        lo = 0.3 * (1.0 - 1e-12)
+        _, state = hybrid_secant_solve(scalar_phi, 0.3, lo, 0.9, 0.0, 0.5, lambda lam: 1.0)
+        assert state.history[2].step == "piece"
+        assert state.history[2].lam == pytest.approx(0.3, rel=1e-15)
+
+    def test_piece_root_outside_the_bracket_falls_back(self):
+        # a slope ten times too small sends the piece root through the lower
+        # end far above the bracket; the secant step is taken instead
+        _, state = hybrid_secant_solve(scalar_phi, 0.3, 0.15, 0.5, 1e-12, 0.5, lambda lam: 0.1)
+        assert state.history[2].step == "secant"
+        assert state.history[2].lam == pytest.approx(0.3, rel=1e-12)
