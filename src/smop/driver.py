@@ -206,7 +206,8 @@ class _PhiOracle:
         return rec.phi
 
     def derivative(self, lam):
-        """``phi_derivative`` from the ``x`` and ``phi`` cached at ``lam``, formed
+        """``phi_derivative`` from the ``x`` and ``phi`` cached at ``lam``, on
+        ``self.data``, where the evaluations keep their gathered columns; formed
         once and kept as ``EvalRecord.slope``. Only a certified evaluation gives
         one: an uncertified ``x`` may sit on the wrong piece. Where there is
         none, the kept reason is raised as ``ValueError`` and the caller falls
@@ -218,7 +219,7 @@ class _PhiOracle:
             rec.slope = f"no certified evaluation at lam={lam:.6g}"
         elif rec.slope is None:
             try:
-                rec.slope = phi_derivative(self.data.A, self.reg, self.xs[lam], lam, rec.phi)
+                rec.slope = phi_derivative(self.data, self.reg, self.xs[lam], lam, rec.phi)
             except ValueError as exc:  # np.linalg.LinAlgError included
                 rec.slope = str(exc)
         if isinstance(rec.slope, str):

@@ -11,11 +11,14 @@ than ``A_I``; otherwise each Gram product is ``A_I^T (A_I z)``.
 
 On a fixed pattern of a polyhedral gauge the solution is ``x_J = P z`` with
 ``(P^T G_JJ P) z = P^T c_J - lam*w``: ``Regularizer.piece`` gives the
-pattern and ``piece_solve`` the solve. Each certificate check that fails
-also tries this Newton step on the piece through xh, and the same
-certificate, at the same tolerance, is run on its point. APG stops when it
-passes and otherwise continues unchanged; a failed pattern is not solved
-again. ``phi_derivative`` uses the same solve for phi's derivative.
+pattern and ``piece_solve`` the solve, one LAPACK Cholesky factorization
+(``dpotrf``/``dpotrs``). Each certificate check that fails also tries this
+Newton step on the piece through xh, and the same certificate, at the same
+tolerance, is run on its point. APG stops when it passes and otherwise
+continues unchanged; a failed pattern is not solved again.
+``phi_derivative`` uses the same solve for phi's derivative, on columns
+sliced from the reduced operator its evaluation kept on ``data`` when they
+lie there.
 
 A solve certifies to ``tol`` (default ``KKT_TOL``) and otherwise stops
 uncertified: after ``MAX_ITERS`` APG iterations, or at once when its
@@ -30,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .problem import ProblemData
 from .regularizers import Regularizer
@@ -153,36 +156,67 @@ def piece_solve(G_JJ, s, starts, rhs, m: int) -> np.ndarray:
     """``x_J = P z`` where ``(P^T G_JJ P) z = rhs`` and column i of ``P`` holds
     the signs ``s`` on the rows of cluster i, ``starts[i]`` to the next start.
 
-    One Cholesky factorization when there are at most ``m`` clusters; the
-    minimum-norm least-squares solution when the matrix is singular or there
-    are more clusters.
+    One LAPACK Cholesky factorization (``dpotrf``, then ``dpotrs``, the calls
+    ``scipy.linalg.cho_factor``/``cho_solve`` make, with the same result bit
+    for bit) when there are at most ``m`` clusters; the minimum-norm
+    least-squares solution when the matrix is singular or there are more
+    clusters. Raises ``ValueError`` if the matrix or ``rhs`` is not finite.
     """
     M = s[:, None] * G_JJ * s
     if starts.size < s.size:  # a one-entry cluster sum is the entry itself
         M = np.add.reduceat(M, starts, axis=0)
         M = np.add.reduceat(M, starts, axis=1)
-    try:
-        z = cho_solve(cho_factor(M), rhs) if starts.size <= m else None
-    except np.linalg.LinAlgError:
-        z = None
+    if not (np.isfinite(M).all() and np.isfinite(rhs).all()):
+        raise ValueError("piece system must be finite")
+    z = None
+    if starts.size <= m:
+        # the upper triangle, as cho_factor reads it; info > 0: not positive definite
+        c, info = dpotrf(M, lower=0, clean=0)
+        if info == 0:
+            z, info = dpotrs(c, rhs, lower=0)
+        if info < 0:
+            raise ValueError(f"LAPACK rejected argument {-info} of the piece system")
     if z is None:
         z = np.linalg.lstsq(M, rhs, rcond=None)[0]
     return s * np.repeat(z, np.diff(starts, append=s.size))
 
 
-def phi_derivative(A, reg: Regularizer, x, lam: float, phi: float) -> float:
+def _columns(data: ProblemData, J: np.ndarray):
+    """Columns ``J`` of ``A`` as ``_gather(data.A, J)`` returns them, bit for bit
+    and in the same layout: sliced from the dense block of the operator
+    ``_reduced_operator`` keeps on ``data`` when ``J`` lies in its index set,
+    else gathered."""
+    kept = data.__dict__.get("_reduced_operator")
+    if kept is not None and isinstance(kept[1][0], np.ndarray):
+        key, (A_I, *_) = kept
+        idx = np.frombuffer(key, dtype=np.int64)
+        where = np.full(data.A.n, -1, dtype=np.int64)
+        where[idx] = np.arange(idx.size)
+        pos = where[J]
+        if (pos >= 0).all():
+            # _gather returns F order for a dense-stored design (rows of A^T)
+            # and C order for a CSR-stored one, and the products' last bits
+            # depend on it; take returns C order, A_I[:, pos] would not
+            return A_I.T.take(pos, axis=0).T if A_I.flags.f_contiguous else A_I.take(pos, axis=1)
+    return _gather(data.A, J)
+
+
+def phi_derivative(data: ProblemData, reg: Regularizer, x, lam: float, phi: float) -> float:
     """Generalized derivative ``lam * ||h||^2 / phi`` of phi at ``lam``.
 
     ``h = A_J P (P^T G_JJ P)^{-1} w`` on the piece ``(J, s, starts, w)`` through
     ``x``, as ``P^T A_J^T (b - A x) = lam w`` there; positive below lambda_inf.
+    ``data`` is the instance the evaluation at ``lam`` solved: the reduced
+    operator its last round kept on ``data`` holds ``x``'s support, so ``A_J``
+    is sliced from that block, not gathered again (a support outside it is).
     """
     if phi <= 0:
         raise ValueError("phi must be positive")
     J, s, starts, w = reg.piece(x)
     if J.size == 0:
         raise ValueError("derivative undefined at zero support")
-    A_J = _gather(A, J)
-    h = A_J @ piece_solve(_dense_gram(A_J), s, starts, w, A.m)
+    A_J = _columns(data, J)
+    h = A_J @ piece_solve(_dense_gram(A_J), s, starts, w, data.A.m)
     return float(lam * (h @ h) / phi)
 
 

@@ -42,8 +42,8 @@ class L1(Regularizer):
         return float(np.sum(np.abs(x)))
 
     def prox(self, v, t: float) -> np.ndarray:
-        if t <= 0:
-            raise ValueError("prox parameter t must be positive")
+        if not 0.0 < t < np.inf:
+            raise ValueError("prox parameter t must be positive and finite")
         v = np.asarray(v, dtype=np.float64)
         return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
@@ -96,13 +96,19 @@ class SortedL1(Regularizer):
         return float(np.dot(self.weights, np.sort(np.abs(x))[::-1]))
 
     def prox(self, v, t: float) -> np.ndarray:
-        if t <= 0:
-            raise ValueError("prox parameter t must be positive")
+        if not 0.0 < t < np.inf:
+            raise ValueError("prox parameter t must be positive and finite")
         v = self._check(v)
         av = np.abs(v)
-        # stable sort: magnitude ties keep original index order
-        order = np.argsort(-av, kind="stable")
-        z = av[order] - t * self.weights
+        order = np.argsort(-av)
+        a = av[order]
+        if np.count_nonzero(a[1:] == a[:-1]):
+            # tied magnitudes take index order, as in piece(): PAVA's block
+            # means round, so a run of equal z can get two values an ulp
+            # apart, and the order of the tied entries would set which gets
+            # which. The sorted values a are the same in either order
+            order = np.argsort(-av, kind="stable")
+        z = a - t * self.weights
         u = np.maximum(isotonic_regression(z, increasing=False).x, 0.0)
         out = np.zeros_like(v)
         out[order] = u

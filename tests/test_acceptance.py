@@ -236,7 +236,7 @@ def test_criterion_7_property_suites(suite, suite_runs_1e8):
     for res, xs, data_rho in zip(runs["smop"], smop_xs, suite):
         for ev in res.evals:
             if np.any(xs[ev.lam] != 0):
-                v = phi_derivative(data_rho.A, L1(), xs[ev.lam], ev.lam, ev.phi)
+                v = phi_derivative(data_rho, L1(), xs[ev.lam], ev.lam, ev.phi)
                 assert v > 0
                 n_checked += 1
 

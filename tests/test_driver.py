@@ -487,7 +487,8 @@ class TestPieceRootBracket:
 
     @pytest.mark.parametrize("kind", ["l1", "slope"])
     def test_nmop_unchanged_by_the_certified_gate(self, kind, monkeypatch):
-        # with every evaluation certified, the gated derivative is phi_derivative
+        # with every evaluation certified, the gated derivative is phi_derivative,
+        # here on a fresh instance, so from a fresh gather of the support
         import smop.driver as driver
 
         data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=2))
@@ -497,7 +498,8 @@ class TestPieceRootBracket:
         gated = smop_solve(data, reg, cfg)
         assert all(rec.converged for rec in gated.evals)
         monkeypatch.setattr(driver._PhiOracle, "derivative",
-                            lambda self, lam: phi_derivative(data.A, reg, self.xs[lam], lam,
+                            lambda self, lam: phi_derivative(ProblemData(data.A, data.b), reg,
+                                                             self.xs[lam], lam,
                                                              self.cache[lam].phi))
         plain = smop_solve(data, reg, cfg)
         assert [(it.lam, it.step) for it in gated.root_state.history] == \
@@ -518,8 +520,8 @@ class TestPieceRootBracket:
         cfg = SmopConfig(stoptol=1e-10, method=method)
         calls = []
         monkeypatch.setattr(driver, "phi_derivative",
-                            lambda A, reg, x, lam, phi: calls.append(lam)
-                            or phi_derivative(A, reg, x, lam, phi))
+                            lambda data, reg, x, lam, phi: calls.append(lam)
+                            or phi_derivative(data, reg, x, lam, phi))
         kept = smop_solve(data, reg, cfg)
         assert calls and len(calls) == len(set(calls))
         assert sorted(calls) == sorted(rec.lam for rec in kept.evals if rec.slope is not None)
@@ -528,7 +530,8 @@ class TestPieceRootBracket:
         calls.clear()
         monkeypatch.setattr(driver._PhiOracle, "derivative",
                             lambda self, lam: driver.phi_derivative(
-                                data.A, reg, self.xs[lam], lam, self.cache[lam].phi))
+                                ProblemData(data.A, data.b), reg, self.xs[lam], lam,
+                                self.cache[lam].phi))
         fresh = smop_solve(data, reg, cfg)
         assert (len(calls) > len(set(calls))) == (method == "nmop")
         assert [(it.lam, it.step) for it in kept.root_state.history] == \
@@ -548,6 +551,22 @@ class TestPieceRootBracket:
             with pytest.raises(ValueError, match="zero support"):
                 oracle.derivative(lam_top)
         assert oracle.cache[lam_top].slope == "derivative undefined at zero support"
+
+    def test_non_finite_piece_system_kept_as_its_reason(self, monkeypatch):
+        # a NaN in the support's Gram matrix stops the piece solve before
+        # LAPACK and least squares: the slope is the reason, not a NaN
+        from smop.driver import _PhiOracle
+
+        data, _ = synth_instance(SynthSpec(m=40, n=120, s=5, sigma=0.01, seed=3))
+        lam = 0.3 * lambda_inf(L1(), data.A, data.b)
+        oracle = _PhiOracle(data, L1(), 1e-10, True)
+        oracle(lam)
+        monkeypatch.setattr("smop.inner._dense_gram", lambda A_J: np.full((A_J.shape[1],) * 2,
+                                                                           np.nan))
+        monkeypatch.setattr(np.linalg, "lstsq", None)
+        with pytest.raises(ValueError, match="piece system must be finite"):
+            oracle.derivative(lam)
+        assert oracle.cache[lam].slope == "piece system must be finite"
 
     def test_uncertified_evaluation_gives_no_derivative(self, monkeypatch):
         # one APG iteration certifies nothing: the derivative is refused, and
@@ -574,7 +593,7 @@ class TestPieceRootBracket:
         certified = _PhiOracle(data, L1(), KKT_TOL, False)
         p = certified(lam)
         assert certified.derivative(lam) == \
-            phi_derivative(data.A, L1(), certified.xs[lam], lam, p)
+            phi_derivative(ProblemData(data.A, data.b), L1(), certified.xs[lam], lam, p)
 
     def test_derivative_refuses_an_unevaluated_lam(self):
         from smop.driver import _PhiOracle

@@ -1,21 +1,27 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
+import smop.driver as driver
+import smop.inner as inner
 from smop import (
     L1,
     ProblemData,
+    SmopConfig,
     SortedL1,
     SparseMatrix,
     SynthSpec,
     eta_l,
     lambda_inf,
     linear_weights,
+    phi_derivative,
     phi_eval,
     residual_R,
+    smop_solve,
     solve_reduced,
     synth_instance,
 )
-from smop.inner import _reduced_operator
+from smop.inner import _gather, _reduced_operator, piece_solve
 
 
 class TestResidual:
@@ -98,6 +104,129 @@ class TestReducedOperator:
         above = solve_reduced(data, L1(), lam, idx)
         assert above.iters == below.iters
         np.testing.assert_array_equal(above.x, below.x)
+
+
+class TestPieceSolve:
+    @staticmethod
+    def _system(seed, k=12, m=30):
+        """A positive definite ``G_JJ``, signs, three clusters and a right-hand side."""
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((m, k))
+        s = rng.choice([-1.0, 1.0], k)
+        starts = np.array([0, 4, 9])
+        return A.T @ A, s, starts, rng.standard_normal(starts.size)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_cho_factor_bit_for_bit(self, seed):
+        G_JJ, s, starts, rhs = self._system(seed)
+        M = s[:, None] * G_JJ * s
+        M = np.add.reduceat(np.add.reduceat(M, starts, axis=0), starts, axis=1)
+        z = cho_solve(cho_factor(M), rhs)
+        want = s * np.repeat(z, np.diff(starts, append=s.size))
+        assert piece_solve(G_JJ, s, starts, rhs, 30).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("where", ["matrix", "rhs"])
+    def test_not_finite_raises_before_lapack(self, monkeypatch, where):
+        G_JJ, s, starts, rhs = self._system(0)
+        if where == "matrix":
+            G_JJ[1, 2] = G_JJ[2, 1] = np.nan
+        else:
+            rhs[0] = np.inf
+        for name in ("dpotrf", "dpotrs"):
+            monkeypatch.setattr(f"smop.inner.{name}", None)  # never reached
+        monkeypatch.setattr(np.linalg, "lstsq", None)
+        for m in (30, 2):  # Cholesky, and more clusters than rows
+            with pytest.raises(ValueError, match="piece system must be finite"):
+                piece_solve(G_JJ, s, starts, rhs, m)
+
+    def test_singular_gives_minimum_norm_solution(self):
+        # duplicate columns: the second leading minor is exactly zero
+        A = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        ones = np.ones(3)
+        x = piece_solve(A.T @ A, ones, np.arange(3), ones, 3)
+        np.testing.assert_array_equal(x, np.linalg.lstsq(A.T @ A, ones, rcond=None)[0])
+        np.testing.assert_allclose(x, [0.5, 0.5, 1.0], rtol=1e-14)
+
+    def test_more_clusters_than_rows_skips_cholesky(self, monkeypatch):
+        monkeypatch.setattr("smop.inner.dpotrf", None)  # never reached
+        A = np.array([[1.0, 2.0]])
+        rhs = np.array([1.0, 2.0])
+        x = piece_solve(A.T @ A, np.ones(2), np.arange(2), rhs, 1)
+        np.testing.assert_array_equal(x, np.linalg.lstsq(A.T @ A, rhs, rcond=None)[0])
+        np.testing.assert_allclose(x, [0.2, 0.4], rtol=1e-14)
+
+
+def _gather_counter(monkeypatch):
+    """Count calls of ``SparseMatrix.take_columns_dense``."""
+    calls = []
+    take = SparseMatrix.take_columns_dense
+    monkeypatch.setattr(SparseMatrix, "take_columns_dense",
+                        lambda self, idx: calls.append(len(idx)) or take(self, idx))
+    return calls
+
+
+class TestDerivativeColumns:
+    """``phi_derivative`` reads the support's columns from the reduced operator
+    its evaluation kept on ``data``, with the bits of a fresh gather."""
+
+    # 300x2000 is stored dense (columns gathered in F order), 200x1500 as CSR
+    # (C order)
+    SIZES = [(300, 2000, True), (200, 1500, False)]
+
+    @pytest.mark.parametrize("kind", ["l1", "slope"])
+    @pytest.mark.parametrize("m,n,dense", SIZES)
+    def test_equals_fresh_gather(self, monkeypatch, kind, m, n, dense):
+        data, _ = synth_instance(SynthSpec(m=m, n=n, s=20, sigma=0.01, seed=4))
+        assert isinstance(data.A._T, np.ndarray) == dense
+        reg = L1() if kind == "l1" else SortedL1(linear_weights(n))
+        lam = 0.1 * lambda_inf(reg, data.A, data.b)
+        res, _ = phi_eval(data, reg, lam, tol=1e-10)
+        J = reg.piece(res.x)[0]
+        A_I = data.__dict__["_reduced_operator"][1][0]
+        assert isinstance(A_I, np.ndarray) and J.size < A_I.shape[1]
+        calls = _gather_counter(monkeypatch)
+        kept = phi_derivative(data, reg, res.x, lam, res.phi)
+        assert calls == []
+        fresh = phi_derivative(ProblemData(data.A, data.b), reg, res.x, lam, res.phi)
+        assert calls == [J.size]
+        assert kept == fresh
+        # the sliced block is the gathered one, layout included
+        sliced = inner._columns(data, J)
+        gathered = _gather(data.A, J)
+        assert sliced.strides == gathered.strides and sliced.flags.f_contiguous == dense
+        assert sliced.tobytes(order="A") == gathered.tobytes(order="A")
+
+    def test_support_outside_kept_set_gathers(self, monkeypatch):
+        data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=2))
+        lam = 0.2 * lambda_inf(L1(), data.A, data.b)
+        res, _ = phi_eval(data, L1(), lam, tol=1e-10)
+        I = np.frombuffer(data.__dict__["_reduced_operator"][0], dtype=np.int64)
+        x = res.x.copy()
+        x[np.setdiff1d(np.arange(400), I)[0]] = 1e-3
+        calls = _gather_counter(monkeypatch)
+        kept = phi_derivative(data, L1(), x, lam, res.phi)
+        assert calls == [np.count_nonzero(x)]
+        assert kept == phi_derivative(ProblemData(data.A, data.b), L1(), x, lam, res.phi)
+
+    @pytest.mark.parametrize("kind", ["l1", "slope"])
+    @pytest.mark.parametrize("m,n,dense", SIZES)
+    def test_sieved_solve_gathers_no_column_for_a_derivative(self, monkeypatch, kind, m, n,
+                                                             dense):
+        data, _ = synth_instance(SynthSpec(m=m, n=n, s=20, sigma=0.01, seed=1))
+        data = data.with_rho(0.1 * data.bnorm)
+        reg = L1() if kind == "l1" else SortedL1(linear_weights(n))
+        calls = _gather_counter(monkeypatch)
+        asked = []
+
+        def counted(*args):
+            before = len(calls)
+            out = phi_derivative(*args)
+            asked.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(driver, "phi_derivative", counted)
+        res = smop_solve(data, reg, SmopConfig(stoptol=1e-8))
+        assert res.converged and asked and asked == [0] * len(asked)
 
 
 class TestSolveReduced:

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import isotonic_regression
 
 from smop import (
     L1,
@@ -147,8 +150,44 @@ class TestProx:
                 assert zi == 0.0 or np.sign(zi) == np.sign(vi)
 
     def test_rejects_nonpositive_t(self):
-        with pytest.raises(ValueError):
-            L1().prox([1.0], 0.0)
+        # t must be finite too: nan makes every entry NaN, and inf times the
+        # zero last weight of linear weights is NaN
+        for reg in (L1(), SortedL1(linear_weights(3))):
+            for t in (np.nan, np.inf, 0.0, -1.0):
+                with pytest.raises(ValueError, match="positive and finite"):
+                    reg.prox([1.0, -2.0, 0.5], t)
+
+
+def prox_sorted_stable(w, v, t):
+    """Sorted-l1 prox with magnitude ties in index order: the reference for
+    ``SortedL1.prox``, which sorts in the default (unstable) order."""
+    av = np.abs(v)
+    order = np.argsort(-av, kind="stable")
+    u = np.maximum(isotonic_regression(av[order] - t * w, increasing=False).x, 0.0)
+    out = np.zeros_like(v)
+    out[order] = u
+    return np.sign(v) * out
+
+
+@st.composite
+def tied_prox_cases(draw):
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = rng.uniform(0.0, 3.0, draw(st.integers(1, 4)))
+    v = rng.choice(levels, n) * rng.choice([-1.0, 1.0], n)
+    w = linear_weights(n) if draw(st.booleans()) else constant_weights(n)
+    t = 10.0 ** draw(st.floats(-6.0, 3.0))
+    return w, v, t
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=tied_prox_cases())
+def test_sorted_prox_independent_of_tie_order(case):
+    w, v, t = case
+    order_differs = not np.array_equal(np.argsort(-np.abs(v)),
+                                       np.argsort(-np.abs(v), kind="stable"))
+    event(f"tie order differs from index order: {order_differs}")
+    assert SortedL1(w).prox(v, t).tobytes() == prox_sorted_stable(w, v, t).tobytes()
 
 
 class TestPolar:

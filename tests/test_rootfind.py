@@ -8,6 +8,7 @@ from smop import (
     BracketError,
     DegenerateSecantError,
     L1,
+    ProblemData,
     SmopConfig,
     SortedL1,
     SparseMatrix,
@@ -66,10 +67,10 @@ def diagonal_phi(lam):
     return float(np.linalg.norm(y))
 
 
-def l1_dphi(A, x_of, phi):
-    """Generalized derivative of ``phi`` for the l1 penalty on the design
-    ``A``, at the solution ``x_of(lam)``."""
-    return lambda lam: phi_derivative(A, L1(), x_of(lam), lam, phi(lam))
+def l1_dphi(data, x_of, phi):
+    """Generalized derivative of ``phi`` for the l1 penalty on the instance
+    ``data``, at the solution ``x_of(lam)``."""
+    return lambda lam: phi_derivative(data, L1(), x_of(lam), lam, phi(lam))
 
 
 def no_dphi(lam):
@@ -378,23 +379,23 @@ class TestHsDerivative:
     """The generalized (HS) derivative of phi from ``phi_derivative``."""
 
     def test_scalar(self, scalar_data):
-        v = phi_derivative(scalar_data.A, L1(), np.array([0.7]), 0.3, 0.3)
+        v = phi_derivative(scalar_data, L1(), np.array([0.7]), 0.3, 0.3)
         assert v == pytest.approx(1.0)
 
     def test_diagonal(self, diagonal_data):
         # phi(lam) = lam*sqrt(5)/2 on (0,1]: derivative sqrt(5)/2
         phi = 0.4 * np.sqrt(5) / 2
-        v = phi_derivative(diagonal_data.A, L1(), np.array([0.6, 0.4]), 0.4, phi)
+        v = phi_derivative(diagonal_data, L1(), np.array([0.6, 0.4]), 0.4, phi)
         assert v == pytest.approx(np.sqrt(5) / 2)
 
     def test_zero_support(self, scalar_data):
         with pytest.raises(ValueError, match="zero support"):
-            phi_derivative(scalar_data.A, L1(), np.zeros(1), 0.3, 0.3)
+            phi_derivative(scalar_data, L1(), np.zeros(1), 0.3, 0.3)
 
     def test_rank_deficient_uses_ridge(self):
         # duplicate columns: the support Gram is singular, least squares solves it
-        A = SparseMatrix.from_dense([[1.0, 1.0], [2.0, 2.0]])
-        v = phi_derivative(A, L1(), np.array([0.5, 0.5]), 0.3, 0.7)
+        data = ProblemData(SparseMatrix.from_dense([[1.0, 1.0], [2.0, 2.0]]), np.ones(2))
+        v = phi_derivative(data, L1(), np.array([0.5, 0.5]), 0.3, 0.7)
         assert np.isfinite(v) and v > 0
 
     @staticmethod
@@ -404,7 +405,7 @@ class TestHsDerivative:
         from smop import phi_eval
 
         res, _ = phi_eval(data, reg, lam0, tol=1e-12, sieve=False)
-        v = phi_derivative(data.A, reg, res.x, lam0, res.phi)
+        v = phi_derivative(data, reg, res.x, lam0, res.phi)
         h = 1e-6 * lam0
         fd = (
             phi_eval(data, reg, lam0 + h, x0=res.x, tol=1e-12, sieve=False)[0].phi
@@ -436,19 +437,19 @@ class TestHsDerivative:
         # A = I, b = (1, 1), weights (1, 0.5): x = (1 - 0.75 lam)(1, 1) for
         # small lam, so phi = 0.75 lam sqrt(2), slope 1.5 / sqrt(2); one cluster
         # of weight 1.5 gives h = 0.75 (1, 1)
-        A = SparseMatrix.from_dense(np.eye(2))
+        data = ProblemData(SparseMatrix.from_dense(np.eye(2)), np.ones(2))
         reg = SortedL1([1.0, 0.5])
         lam = 0.4
         x = np.full(2, 1.0 - 0.75 * lam)
         phi = 0.75 * lam * np.sqrt(2.0)
         assert reg.piece(x)[2].size == 1
-        v = phi_derivative(A, reg, x, lam, phi)
+        v = phi_derivative(data, reg, x, lam, phi)
         assert v == pytest.approx(1.5 / np.sqrt(2.0))
 
 
 class TestNewtonHybrid:
     def test_scalar_one_newton_step(self, scalar_data):
-        dphi = l1_dphi(scalar_data.A, scalar_x, scalar_phi)
+        dphi = l1_dphi(scalar_data, scalar_x, scalar_phi)
         lam, state = newton_hybrid_solve(scalar_phi, dphi, 0.3, 0.095, 0.95, 1e-12)
         assert state.converged
         assert lam == pytest.approx(0.3, abs=1e-12)
@@ -456,7 +457,7 @@ class TestNewtonHybrid:
         assert [r.step for r in state.history] == ["init", "init", "piece"]
 
     def test_diagonal(self, diagonal_data):
-        dphi = l1_dphi(diagonal_data.A, diagonal_x, diagonal_phi)
+        dphi = l1_dphi(diagonal_data, diagonal_x, diagonal_phi)
         lam, state = newton_hybrid_solve(diagonal_phi, dphi, 0.5, 0.19, 0.9, 1e-12)
         assert lam == pytest.approx(1.0 / np.sqrt(5.0), abs=1e-10)
         # from inside (0, 1) where phi is affine, one piece-root step suffices
@@ -467,7 +468,7 @@ class TestNewtonHybrid:
         # neither a piece root nor a Newton step, so the first trial bisects to
         # 0.5475. The upper end is still the nearer one, so the second trial is
         # the Newton step from the midpoint, exact on the affine branch
-        dphi = l1_dphi(scalar_data.A, scalar_x, scalar_phi)
+        dphi = l1_dphi(scalar_data, scalar_x, scalar_phi)
         lam, state = newton_hybrid_solve(scalar_phi, dphi, 0.9, 0.095, 1.0, 1e-12)
         assert state.converged
         assert lam == pytest.approx(0.9, abs=1e-12)
@@ -524,7 +525,7 @@ class TestBracketInit:
         # the cold search starts from phi(lam_inf) = ||b|| = 1 > 0.3 without
         # evaluating it, so one step of 1 * 0.5 * 0.3 / 1
         phi = recording(scalar_phi)
-        lo, hi = bracket_init(phi, 0.3, 1.0, 1.0, l1_dphi(scalar_data.A, scalar_x, scalar_phi))
+        lo, hi = bracket_init(phi, 0.3, 1.0, 1.0, l1_dphi(scalar_data, scalar_x, scalar_phi))
         assert hi == 1.0
         assert lo == pytest.approx(0.15)
         assert phi.lams == [pytest.approx(0.15)]
@@ -540,7 +541,7 @@ class TestBracketInit:
     def test_diagonal_tightest_bracket(self, rho, diagonal_data):
         # ||b|| = sqrt(2), lam_inf = 2
         phi = recording(diagonal_phi)
-        dphi = l1_dphi(diagonal_data.A, diagonal_x, diagonal_phi)
+        dphi = l1_dphi(diagonal_data, diagonal_x, diagonal_phi)
         lo, hi = bracket_init(phi, rho, 2.0, math.sqrt(2.0), dphi)
         self._assert_tightest(diagonal_phi, rho, lo, hi, phi.lams)
 
