@@ -3,10 +3,10 @@
 Solves ``min p(x)  s.t.  ||A x - b|| <= rho`` for sparsity-promoting gauges
 ``p`` (l1 and weighted sorted-l1) by root finding on the value function of
 the companion regularized problem, with adaptive sieving around each
-regularized solve. Three root finders are provided: a safeguarded secant
-method ("smop"), plain bisection ("bmop") and a generalized-derivative
-Newton hybrid ("nmop"). smop and nmop first step to the root of the piece
-of the value function, with the secant or Newton step as the fallback.
+regularized solve. Two root finders are provided: a safeguarded secant
+method ("smop"), which first steps to the root of the piece of the value
+function and takes the secant step as the fallback, and plain bisection
+("bmop").
 """
 
 from .driver import (
@@ -50,7 +50,6 @@ from .rootfind import (
     eval_beta_fn,
     eval_constructed_fn,
     hybrid_secant_solve,
-    newton_hybrid_solve,
     q_order_estimate,
     secant_solve,
     secant_step,
@@ -98,7 +97,6 @@ __all__ = [
     "eval_beta_fn",
     "eval_constructed_fn",
     "hybrid_secant_solve",
-    "newton_hybrid_solve",
     "q_order_estimate",
     "secant_solve",
     "secant_step",

@@ -1,4 +1,4 @@
-"""Command-line front end: solve, path, rootdemo and bench subcommands.
+"""Command-line front end: solve, path and rootdemo subcommands.
 
 Exit codes: 0 on success (tolerance reached), 2 on non-convergence, 1 on
 usage or data errors. Set the environment variable ``SMOP_LOG`` to
@@ -14,8 +14,6 @@ import json
 import logging
 import os
 import sys
-
-import numpy as np
 
 from .driver import (
     METHODS,
@@ -186,60 +184,6 @@ def cmd_rootdemo(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    methods = [m for m in args.methods.split(",") if m]
-    if args.seeds < 1 or not methods:
-        raise ValueError("bench needs at least one seed and one method")
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}")
-    base = _parse_synth(args.synth) if args.synth else SynthSpec(m=100, n=800, s=10)
-    fields = ["rho", "lambda_star", "eta", "nnz", "n_subproblems", "inner_iters_total",
-              "wall_ms", "converged"]
-    rows = []
-    all_ok = True
-    for seed in range(args.seeds):
-        spec = SynthSpec(m=base.m, n=base.n, s=base.s, sigma=base.sigma, seed=base.seed + seed)
-        data, _ = synth_instance(spec)
-        reg = make_regularizer(args.reg, data.A.n, args.gamma)
-        for method in methods:
-            cfg = SmopConfig(stoptol=args.stoptol, method=method)
-            if args.path:
-                path = solve_path(data, reg, PathSpec(base_c=args.c, count=args.path), cfg)
-                results = [step.result for step in path.steps]
-                all_ok = all_ok and path.failures == 0
-            else:
-                results = [smop_solve(data.with_rho(args.c * data.bnorm), reg, cfg)]
-                all_ok = all_ok and results[0].converged
-            for r in results:
-                doc = r.to_doc()
-                rows.append([spec.seed, method] + [doc[k] for k in fields])
-    os.makedirs(args.out_dir, exist_ok=True)
-    runs_path = os.path.join(args.out_dir, "runs.csv")
-    with open(runs_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["seed", "method"] + fields)
-        w.writerows(rows)
-    with open(os.path.join(args.out_dir, "summary.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "median_subproblems", "median_wall_ms",
-                    "evals_vs_first", "time_vs_first"])
-        med = {}
-        for method in methods:
-            sub = [r[6] for r in rows if r[1] == method]
-            ms = [r[8] for r in rows if r[1] == method]
-            med[method] = (float(np.median(sub)), float(np.median(ms)))
-        first = methods[0]
-        for method in methods:
-            w.writerow([
-                method, med[method][0], med[method][1],
-                med[method][0] / max(med[first][0], 1e-12),
-                med[method][1] / max(med[first][1], 1e-12),
-            ])
-    print(f"wrote {runs_path}")
-    return 0 if all_ok else 2
-
-
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="smop", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -266,17 +210,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="compare against the embedded expected table")
     p.set_defaults(func=cmd_rootdemo)
 
-    p = sub.add_parser("bench", help="compare methods over a synthetic suite")
-    p.add_argument("--synth", help="instance spec (seed is the base seed)")
-    p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--methods", default="smop,bmop")
-    p.add_argument("--reg", choices=("l1", "slope"), default="l1")
-    p.add_argument("--gamma", choices=("linear", "constant"), default="linear")
-    p.add_argument("--c", type=float, default=0.1)
-    p.add_argument("--stoptol", type=float, default=1e-8)
-    p.add_argument("--path", type=int, default=0, help="run a path of this many steps")
-    p.add_argument("--out-dir", default="bench_out")
-    p.set_defaults(func=cmd_bench)
     return top
 
 

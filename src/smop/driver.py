@@ -2,15 +2,15 @@
 
 ``smop_solve`` finds ``lam*`` with ``phi(lam*) = rho`` by the chosen root
 finder and returns the matching solution of the regularized problem. "smop"
-and "nmop" step to the root of the piece through their best iterate, from
-phi's generalized derivative, and fall back to a secant ("smop") or Newton
-("nmop") step; "bmop" is plain bisection. Every phi
-evaluation is a regularized solve; with sieving on, the first solve
-starts from the empty index set and every later one is seeded with the
-support of the previous solution, which keeps the subproblems small along
-the root-finding trajectory and along rho paths. ``SmopConfig`` holds all a
-user sets: ``stoptol``, the ``method``, the secant safeguard ``mu`` and
-whether evaluations are sieved; the caps are module constants.
+steps to the root of the piece through its best iterate, from phi's
+generalized derivative, and falls back to a secant step; "bmop" is plain
+bisection. Every phi evaluation is a regularized solve; with sieving on,
+the first solve starts from the empty index set and every later one is
+seeded with the support of the previous solution, which keeps the
+subproblems small along the root-finding trajectory and along rho paths.
+``SmopConfig`` holds all a user sets: ``stoptol``, the ``method``, the
+secant safeguard ``mu`` and whether evaluations are sieved; the caps are
+module constants.
 
 Each evaluation is kept as an :class:`EvalRecord` with its sieve rounds, and
 ``SmopResult.events()`` lists evaluations, rounds and root-finding iterates as
@@ -37,13 +37,12 @@ from .rootfind import (
     bracket_init,
     eta,
     hybrid_secant_solve,
-    newton_hybrid_solve,
 )
 from .sieving import SieveRound, phi_eval
 
 log = logging.getLogger("smop")
 
-METHODS = ("smop", "bmop", "nmop")
+METHODS = ("smop", "bmop")
 
 
 @dataclass(frozen=True)
@@ -262,11 +261,8 @@ def smop_solve(
         if cfg.method == "smop":
             lam_star, state = hybrid_secant_solve(oracle, rho, lo, hi, cfg.stoptol, cfg.mu,
                                                   oracle.derivative)
-        elif cfg.method == "bmop":
-            lam_star, state = bisection_solve(oracle, rho, lo, hi, cfg.stoptol)
         else:
-            lam_star, state = newton_hybrid_solve(oracle, oracle.derivative, rho, lo, hi,
-                                                  cfg.stoptol, cfg.mu)
+            lam_star, state = bisection_solve(oracle, rho, lo, hi, cfg.stoptol)
     except BracketError as exc:
         # an evaluation that stopped short of its KKT tolerance can misplace
         # the sign of phi - rho; name that cause rather than the bracket's

