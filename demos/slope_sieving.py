@@ -36,10 +36,11 @@ reg = SortedL1(linear_weights(1000))
 lam = 0.3 * lambda_inf(reg, data.A, data.b)
 res, trace = sieve_solve(data, reg, lam, [], tol=1e-8)
 print(f"\nsieve rounds at lam = {lam:.5f} (tol = 1e-8):")
-print(f"{'round':>5s} {'|I|':>5s} {'||R||':>10s} {'|J|':>5s} {'added':>5s} {'fista':>6s}")
+print(f"{'round':>5s} {'|I|':>5s} {'||R||':>10s} {'|J|':>5s} {'added':>5s} {'apg':>5s} "
+      f"{'pieces':>6s}")
 for s, r in enumerate(trace.rounds):
     print(f"{s:>5d} {r.size_I:>5d} {r.r_norm:>10.2e} {r.size_J:>5d} "
-          f"{r.added:>5d} {r.inner_iters:>6d}")
+          f"{r.added:>5d} {r.inner_iters:>5d} {r.piece_solves:>6d}")
 print(f"converged: {res.converged}, support {np.count_nonzero(res.x)} of {data.A.n}")
 
 ###############################################################################

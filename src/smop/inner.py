@@ -1,9 +1,8 @@
 """Regularized least-squares solves and the value function phi.
 
-``solve_reduced`` runs an accelerated proximal-gradient method (fixed step
-1/L, function-value restart) on ``min 0.5*||A_I z - b||^2 + lam * p_I(z)``
-over a coordinate subset I, and returns the prox-polished point. Convergence
-is certified by two unit-step quantities at the candidate: the inexactness
+``solve_reduced`` solves ``min 0.5*||A_I z - b||^2 + lam * p_I(z)`` over a
+coordinate subset I and returns the prox-polished point. Convergence is
+certified by two unit-step quantities at the candidate: the inexactness
 certificate ``||z - xh + grad(xh) - grad(z)||`` (xh the polished point) and
 the proximal residual at xh itself; both must fall below the tolerance.
 The Gram matrix ``A_I^T A_I`` is formed only when it holds no more entries
@@ -12,19 +11,24 @@ than ``A_I``; otherwise each Gram product is ``A_I^T (A_I z)``.
 On a fixed pattern of a polyhedral gauge the solution is ``x_J = P z`` with
 ``(P^T G_JJ P) z = P^T c_J - lam*w``: ``Regularizer.piece`` gives the
 pattern and ``piece_solve`` the solve, one LAPACK Cholesky factorization
-(``dpotrf``/``dpotrs``). Each certificate check that fails also tries this
-Newton step on the piece through xh, and the same certificate, at the same
-tolerance, is run on its point. APG stops when it passes and otherwise
-continues unchanged; a failed pattern is not solved again.
-``phi_derivative`` uses the same solve for phi's derivative, on columns
-sliced from the reduced operator its evaluation kept on ``data`` when they
-lie there.
+(``dpotrf``/``dpotrs``). This Newton step is the main step of a solve. The
+first check runs at the start point, ``x0`` on I or zero: if its certificate
+fails, a chain of Newton points follows, each on the piece through the last
+polished point and certified at the same tolerance, while the larger
+certificate norm strictly shrinks from link to link. A pattern is solved at
+most once per solve. Only when that check fails does an accelerated
+proximal-gradient method run (fixed step 1/L, function-value restart), with
+the same check every third iteration; the chain never moves its iterate.
+L is formed when APG first needs a step and kept with the reduced operator.
+``phi_derivative`` uses the same piece solve for phi's derivative, on
+columns sliced from the reduced operator its evaluation kept on ``data``
+when they lie there.
 
 A solve certifies to ``tol`` (default ``KKT_TOL``) and otherwise stops
 uncertified: after ``MAX_ITERS`` APG iterations, or at once when its
 objective or its certificate is no longer finite. Its result carries its
-iteration count and the certificate at its point; the per-round log of an
-evaluation is the sieve's ``SieveRound`` list.
+APG iteration count, its piece solves and the certificate at its point; the
+per-round log of an evaluation is the sieve's ``SieveRound`` list.
 """
 
 from __future__ import annotations
@@ -52,9 +56,10 @@ class InnerSolveResult:
     y: np.ndarray            # b - A x
     phi: float               # ||y||
     eta_l: float             # relative KKT residual of the solved problem
-    iters: int
+    iters: int               # APG iterations
     objective: float         # 0.5*||A x - b||^2 + lam * p(x)
     converged: bool
+    piece_solves: int = 0    # piece systems solved by Newton points
 
 
 def residual_R(x, grad, reg: Regularizer, lam: float) -> np.ndarray:
@@ -108,10 +113,12 @@ def _gather(A, idx: np.ndarray):
 
 
 def _reduced_operator(data: ProblemData, idx: np.ndarray):
-    """``(A_I, c, G, gram_mv, L)`` for the index set ``idx``: the column
-    submatrix, ``c = A_I^T b``, the dense Gram matrix if ``k * k <= A_I.size``
-    (nonzeros of a sparse ``A_I``; for a dense one ``k <= m``, where ``G @ z``
-    also costs less than ``A_I^T (A_I z)``) else None, the Gram product and L.
+    """``(A_I, c, G, gram_mv, lipschitz)`` for the index set ``idx``: the
+    column submatrix, ``c = A_I^T b``, the dense Gram matrix if
+    ``k * k <= A_I.size`` (nonzeros of a sparse ``A_I``; for a dense one
+    ``k <= m``, where ``G @ z`` also costs less than ``A_I^T (A_I z)``) else
+    None, the Gram product, and ``lipschitz()``, which returns the step bound
+    L of APG: formed on its first call, then kept with the operator.
 
     The operator of the last index set is kept on ``data``: every direct phi
     evaluation reuses the set [n], and for a handful of columns building the
@@ -136,18 +143,24 @@ def _reduced_operator(data: ProblemData, idx: np.ndarray):
     if k * k <= A_I.size:
         G = _dense_gram(A_I)
         gram_mv = lambda z: G @ z
-        diag = np.diag(G)
     else:
         G = None
         gram_mv = lambda z: A_I.T @ (A_I @ z)
-        diag = np.asarray((A_I * A_I).sum(axis=0)).ravel()
+    bound = []
 
-    L = _power_iteration_bound(gram_mv, k)
-    # the power start can lie in the null space of G (columns [u, -u]); the
-    # largest diagonal entry bounds lambda_max below and the trace above it
-    if L < diag.max():
-        L = float(diag.sum())
-    op = (A_I, c, G, gram_mv, max(L, 1e-12))
+    def lipschitz() -> float:
+        if not bound:
+            L = _power_iteration_bound(gram_mv, k)
+            diag = np.diag(G) if G is not None else np.asarray((A_I * A_I).sum(axis=0)).ravel()
+            # the power start can lie in the null space of G (columns [u, -u]);
+            # the largest diagonal entry bounds lambda_max below and the trace
+            # above it
+            if L < diag.max():
+                L = float(diag.sum())
+            bound.append(max(L, 1e-12))
+        return bound[0]
+
+    op = (A_I, c, G, gram_mv, lipschitz)
     data.__dict__["_reduced_operator"] = (key, op)
     return op
 
@@ -247,10 +260,13 @@ def solve_reduced(
 ) -> InnerSolveResult:
     """Solve the regularized problem restricted to ``index_set``.
 
-    The sorted-l1 penalty restricted to k coordinates uses its k leading
-    (largest) weights; the sieving loop's full-dimension residual check is the
-    authoritative certificate for the assembled point. Returns a result whose
-    ``x`` is a full-length vector supported on the index set.
+    The first check runs at the start point, ``x0`` on the index set or zero:
+    its certificate, then the chain of Newton points from its polished point.
+    APG runs only when that check fails, and checks again every third
+    iteration. The sorted-l1 penalty restricted to k coordinates uses its k
+    leading (largest) weights; the sieving loop's full-dimension residual
+    check is the authoritative certificate for the assembled point. Returns a
+    result whose ``x`` is a full-length vector supported on the index set.
     """
     if not 0.0 < lam < np.inf:
         raise ValueError("lam must be positive and finite")
@@ -259,7 +275,7 @@ def solve_reduced(
     idx = np.asarray(index_set, dtype=np.int64)
     if idx.size == 0:
         return _zero_result(data)
-    A_I, c, G, gram_mv, L = _reduced_operator(data, idx)
+    A_I, c, G, gram_mv, lipschitz = _reduced_operator(data, idx)
     reg_r = reg.restrict(idx.size)
     b = data.b
     k = idx.size
@@ -267,12 +283,6 @@ def solve_reduced(
 
     def smooth(z, Gz):
         return 0.5 * float(z @ Gz) - float(c @ z) + 0.5 * bb
-
-    z = np.zeros(k) if x0 is None else np.asarray(x0, dtype=np.float64)[idx].copy()
-    y = z.copy()
-    t = 1.0
-    Gz = gram_mv(z)
-    F_z = smooth(z, Gz) + lam * reg_r.value(z)
 
     def certify(zc, Gzc):
         """Polished point of ``zc`` and both certificate norms."""
@@ -282,17 +292,23 @@ def solve_reduced(
         r_hat = xh - reg_r.prox(xh - (Gxh - c), lam)
         return xh, float(np.sqrt(cert_vec @ cert_vec)), float(np.sqrt(r_hat @ r_hat))
 
+    def worst(out):
+        """The larger certificate norm of ``certify``'s ``out``; inf if not finite."""
+        _, cert, r_norm = out
+        return max(cert, r_norm) if math.isfinite(cert + r_norm) else math.inf
+
     failed = set()
     last_key = None
+    piece_solves = 0
 
     def newton_point(xh):
         """``P z`` on the piece ``(J, s, starts, w)`` through ``xh``, or None.
 
         Each pattern is solved at most once. A pattern with more clusters than
-        rows is solved only once it has held since the previous check
-        (duplicate and negated columns make such supports optimal).
+        rows is solved only when it is the pattern last asked for (duplicate
+        and negated columns make such supports optimal).
         """
-        nonlocal last_key
+        nonlocal last_key, piece_solves
         J, s, starts, w = reg_r.piece(xh)
         key = (J.tobytes(), s.tobytes(), starts.tobytes())
         stable, last_key = key == last_key, key
@@ -301,6 +317,7 @@ def solve_reduced(
         failed.add(key)  # a pattern that certifies ends the solve
         G_JJ = G[np.ix_(J, J)] if G is not None else _dense_gram(A_I[:, J])
         rhs = np.add.reduceat(s * c[J], starts) - lam * w
+        piece_solves += 1
         x_J = piece_solve(G_JJ, s, starts, rhs, data.A.m)
         if not np.all(np.isfinite(x_J)):
             return None
@@ -308,49 +325,71 @@ def solve_reduced(
         zn[J] = x_J
         return zn
 
-    inv_L = 1.0 / L
-    step_t = lam * inv_L
-    converged = False
-    iters = 0
+    def check(zc, Gzc):
+        """``certify(zc, Gzc)``, or the first Newton point of the chain from
+        its polished point that passes. Each link solves the piece through
+        the last polished point; the chain stops at a refused pattern or a
+        link that does not shrink the larger certificate norm."""
+        out = certify(zc, Gzc)
+        xh, best = out[0], worst(out)
+        while tol < best < math.inf:
+            zn = newton_point(xh)
+            if zn is None:
+                break
+            link = certify(zn, gram_mv(zn))
+            if worst(link) <= tol:
+                return link
+            if not worst(link) < best:
+                break
+            xh, best = link[0], worst(link)
+        return out
 
-    for iters in range(1, MAX_ITERS + 1):
-        g_y = gram_mv(y) - c
-        z_new = reg_r.prox(y - g_y * inv_L, step_t)
-        Gz_new = gram_mv(z_new)
-        F_new = smooth(z_new, Gz_new) + lam * reg_r.value(z_new)
-        if F_new > F_z:
-            # momentum restart: plain proximal-gradient step from the last
-            # accepted iterate, which cannot increase the objective
-            g_z = Gz - c
-            z_new = reg_r.prox(z - g_z * inv_L, step_t)
+    z = np.zeros(k) if x0 is None else np.asarray(x0, dtype=np.float64)[idx].copy()
+    Gz = gram_mv(z)
+    iters = 0
+    out = check(z, Gz)
+    converged = worst(out) <= tol
+    if not (converged or worst(out) == math.inf):
+        y = z.copy()
+        t = 1.0
+        F_z = smooth(z, Gz) + lam * reg_r.value(z)
+        inv_L = 1.0 / lipschitz()
+        step_t = lam * inv_L
+        for iters in range(1, MAX_ITERS + 1):
+            g_y = gram_mv(y) - c
+            z_new = reg_r.prox(y - g_y * inv_L, step_t)
             Gz_new = gram_mv(z_new)
             F_new = smooth(z_new, Gz_new) + lam * reg_r.value(z_new)
-            t = 1.0
-        if not math.isfinite(F_new):
-            # overflow: stop uncertified at the last finite iterate
-            break
-
-        # the certificate evaluation costs two extra Gram products, so run it
-        # on a fixed cadence
-        if iters % 3 == 1:
-            xh, cert, r_norm = certify(z_new, Gz_new)
-            if not math.isfinite(cert + r_norm):
-                # the certificate overflowed: stop uncertified
-                break
-            zn = newton_point(xh) if max(cert, r_norm) > tol else None
-            if zn is not None:
-                n_cert = certify(zn, gram_mv(zn))
-                if max(n_cert[1:]) <= tol:
-                    xh, cert, r_norm = n_cert
-            if max(cert, r_norm) <= tol:
-                converged = True
+            if F_new > F_z:
+                # momentum restart: plain proximal-gradient step from the last
+                # accepted iterate, which cannot increase the objective
+                g_z = Gz - c
+                z_new = reg_r.prox(z - g_z * inv_L, step_t)
+                Gz_new = gram_mv(z_new)
+                F_new = smooth(z_new, Gz_new) + lam * reg_r.value(z_new)
+                t = 1.0
+            if not math.isfinite(F_new):
+                # overflow: stop uncertified at the last finite iterate
                 break
 
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = z_new + ((t - 1.0) / t_next) * (z_new - z)
-        z, Gz, F_z, t = z_new, Gz_new, F_new, t_next
+            # the check costs two extra Gram products, so run it on a fixed
+            # cadence
+            if iters % 3 == 1:
+                out = check(z_new, Gz_new)
+                if worst(out) <= tol:
+                    converged = True
+                    break
+                if worst(out) == math.inf:
+                    # the certificate overflowed: stop uncertified
+                    break
 
-    if not converged:
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            y = z_new + ((t - 1.0) / t_next) * (z_new - z)
+            z, Gz, F_z, t = z_new, Gz_new, F_new, t_next
+
+    if converged:
+        xh, _, r_norm = out
+    else:
         xh, _, r_norm = certify(z, Gz)
     x_full = np.zeros(data.A.n)
     x_full[idx] = xh
@@ -365,5 +404,5 @@ def solve_reduced(
         iters=iters,
         objective=0.5 * phi * phi + lam * reg_r.value(xh),
         converged=converged,
+        piece_solves=piece_solves,
     )
-

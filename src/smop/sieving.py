@@ -48,12 +48,14 @@ MAX_ROUNDS = 100
 class SieveRound:
     """One round: the reduced solve on ``size_I`` coordinates, the full residual
     norm at its point, ``size_J`` off-set candidates (0 once converged or when
-    re-tightening), how many were ``added``, and the solve's APG iterations."""
+    re-tightening), how many were ``added``, and the solve's APG iterations
+    and piece solves."""
     size_I: int
     r_norm: float
     size_J: int
     added: int
     inner_iters: int
+    piece_solves: int
 
 
 @dataclass
@@ -94,7 +96,8 @@ def sieve_solve(
         Full-dimension result with ``||R(x)|| <= tol`` (an unnormalized
         tolerance here) on success, and the per-round log: one
         :class:`SieveRound` per reduced solve, so the rounds' ``inner_iters``
-        sum to the result's ``iters``. The result's ``eta_l`` is the last
+        and ``piece_solves`` sum to the result's ``iters`` and
+        ``piece_solves``. The result's ``eta_l`` is the last
         round's full-dimension residual, normalized as in ``inner.eta_l``.
     """
     if not 0.0 < lam < np.inf:
@@ -111,24 +114,29 @@ def sieve_solve(
     round_tol = max(tol, 1e-15)
     trace = SieveTrace()
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    total_iters = 0
+    total_iters = total_pieces = 0
     converged = False
+
+    def log(size_J, added):
+        trace.rounds.append(SieveRound(I.size, r_norm, size_J, added, result.iters,
+                                       result.piece_solves))
 
     for _ in range(MAX_ROUNDS):
         result = solve_reduced(data, reg, lam, I, x0=x, tol=round_tol)
         total_iters += result.iters
+        total_pieces += result.piece_solves
         x = result.x
         if not np.isfinite(result.phi):
             # the reduced solve overflowed, and later rounds would stop at the same overflow
             r_norm = np.nan
-            trace.rounds.append(SieveRound(I.size, r_norm, 0, 0, result.iters))
+            log(0, 0)
             break
         # over the empty set y = b, whose A^T b the instance keeps
         grad = -(data.Atb if I.size == 0 else data.A.rmatvec(result.y))
         R = residual_R(x, grad, reg, lam)
         r_norm = float(np.linalg.norm(R))
         if r_norm <= tol:
-            trace.rounds.append(SieveRound(I.size, r_norm, 0, 0, result.iters))
+            log(0, 0)
             converged = True
             break
         off = np.ones(n, dtype=bool)
@@ -136,15 +144,16 @@ def sieve_solve(
         J = np.flatnonzero(off & (np.abs(R) > zero_thresh))
         if J.size == 0:
             # residual mass sits inside I: repeat the round more accurately
-            trace.rounds.append(SieveRound(I.size, r_norm, 0, 0, result.iters))
+            log(0, 0)
             round_tol *= 0.1
             continue
         add = select_top_k(R, J, min(J.size, MAX_GROWTH, max(I.size, MIN_GROWTH)))
-        trace.rounds.append(SieveRound(I.size, r_norm, J.size, add.size, result.iters))
+        log(J.size, add.size)
         I = np.union1d(I, add)
 
     den = 1.0 + float(np.linalg.norm(x)) + result.phi
-    final = replace(result, eta_l=r_norm / den, iters=total_iters, converged=converged)
+    final = replace(result, eta_l=r_norm / den, iters=total_iters,
+                    piece_solves=total_pieces, converged=converged)
     return final, trace
 
 

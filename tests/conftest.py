@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smop import L1, ProblemData, SparseMatrix
+from smop import L1, ProblemData, SortedL1, SparseMatrix
 
 
 @pytest.fixture
@@ -18,8 +18,8 @@ def diagonal_data():
     return ProblemData(A, np.array([1.0, 1.0]), rho=0.5)
 
 
-class _ApgOnlyL1(L1):
-    """The l1 norm with an empty solution piece: ``solve_reduced`` finds no
+class _ApgOnly:
+    """A penalty with an empty solution piece: ``solve_reduced`` finds no
     Newton point, so it solves by APG alone."""
 
     def piece(self, x):
@@ -27,7 +27,22 @@ class _ApgOnlyL1(L1):
         return J, np.empty(0), J, np.empty(0)
 
 
+class _ApgOnlyL1(_ApgOnly, L1):
+    pass
+
+
+class _ApgOnlySortedL1(_ApgOnly, SortedL1):
+    def restrict(self, size):
+        return _ApgOnlySortedL1(super().restrict(size).weights)
+
+
 @pytest.fixture
 def apg_only_l1():
     """l1 solved without the Newton step, the reference it is measured against."""
     return _ApgOnlyL1()
+
+
+@pytest.fixture
+def apg_only():
+    """Maps ``L1()`` or a ``SortedL1`` to the same penalty solved by APG alone."""
+    return lambda reg: _ApgOnlyL1() if isinstance(reg, L1) else _ApgOnlySortedL1(reg.weights)

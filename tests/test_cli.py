@@ -129,7 +129,7 @@ class TestSolve:
                                  "inner_iters", "support", "converged", "slope"}
         rnd = next(e for e in events if e["event"] == "round")
         assert set(rnd) == {"event", "eval", "round", "size_I", "r_norm", "size_J",
-                            "added", "inner_iters"}
+                            "added", "inner_iters", "piece_solves"}
         assert set(events[-1]) == {"event", "k", "eval", "step", "lo", "hi"}
         assert events[-1]["eval"] == next(e["eval"] for e in evals
                                           if e["lam"] == doc["lambda_star"])

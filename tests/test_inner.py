@@ -264,20 +264,21 @@ class TestSolveReduced:
         with pytest.raises(ValueError):
             solve_reduced(diagonal_data, L1(), 0.4, [5])
 
-    def test_max_iters_flags_nonconverged(self, monkeypatch, diagonal_data):
-        # the first sorted-l1 iterate ties both coordinates in one cluster and
-        # the solution (0.6, 0.5) has two, so the Newton point on its pattern
-        # fails the certificate; an l1 solve of this problem certifies in one
-        # iteration (test_one_iteration_certifies_l1_on_identified_support)
+    def test_max_iters_flags_nonconverged(self, monkeypatch, apg_only, diagonal_data):
+        # the cap ends a solve by APG alone uncertified; the Newton-first solve
+        # chains from the start point's one-cluster pattern to the solution's
+        # two clusters (0.6, 0.5) and certifies before any APG iteration
         monkeypatch.setattr("smop.inner.MAX_ITERS", 1)
-        res = solve_reduced(
-            diagonal_data, SortedL1(linear_weights(2)), 0.4, [0, 1], tol=1e-14
-        )
-        assert not res.converged
+        reg = SortedL1(linear_weights(2))
+        res = solve_reduced(diagonal_data, apg_only(reg), 0.4, [0, 1], tol=1e-14)
+        assert not res.converged and res.iters == 1
+        newton = solve_reduced(diagonal_data, reg, 0.4, [0, 1], tol=1e-14)
+        assert newton.converged and newton.iters == 0
 
     def test_max_iters_flags_nonconverged_l1_wrong_first_support(self, monkeypatch):
-        # the first iterate has 51 nonzeros and the solution 9, so the Newton
-        # point on its support fails the certificate
+        # the polished points of the start point and of the first iterate have
+        # more nonzeros than the 30 rows and differ, so no piece is solved
+        # before the cap; the solution has 9
         monkeypatch.setattr("smop.inner.MAX_ITERS", 1)
         data, _ = synth_instance(SynthSpec(m=30, n=80, s=5, sigma=0.05, seed=2))
         lam = 0.1 * lambda_inf(L1(), data.A, data.b)
@@ -286,29 +287,70 @@ class TestSolveReduced:
 
     def test_one_iteration_certifies_l1_on_identified_support(self, monkeypatch,
                                                               diagonal_data):
-        # the first APG iterate has the solution's support and signs, so the
-        # Newton step lands on the solution
+        # the start point's polished point has the solution's support and
+        # signs, so the Newton step lands on the solution before any APG
+        # iteration
         monkeypatch.setattr("smop.inner.MAX_ITERS", 1)
         res = solve_reduced(diagonal_data, L1(), 0.4, [0, 1], tol=1e-14)
         assert res.converged
-        assert res.iters == 1
+        assert res.iters == 0
         assert eta_l(res.x, diagonal_data.A, diagonal_data.b, L1(), 0.4) <= 1e-14
         np.testing.assert_allclose(res.x, [0.6, 0.4], atol=1e-15)
 
-    @pytest.mark.parametrize("max_iters", [1, 2, 7, 20000])
     @pytest.mark.parametrize("kind", ["l1", "slope"])
-    def test_returned_certificate_is_full_eta_l(self, monkeypatch, kind, max_iters):
-        # over all columns the reduced certificate is the full-dimension one,
-        # whether the solve ended at a passed check or ran out of iterations
-        monkeypatch.setattr("smop.inner.MAX_ITERS", max_iters)
+    def test_start_at_solution_forms_no_bound(self, monkeypatch, kind):
+        # a start point at the solution certifies at the first check, before
+        # any APG step or piece solve, so the step bound L is never formed
         data, _ = synth_instance(SynthSpec(40, 120, 8, 0.01, 3))
         reg = L1() if kind == "l1" else SortedL1(linear_weights(120))
         lam = 0.2 * lambda_inf(reg, data.A, data.b)
-        res = solve_reduced(data, reg, lam, np.arange(120))
+        idx = np.arange(120)
+        sol = solve_reduced(data, reg, lam, idx, tol=1e-12)
+        assert sol.converged
+        calls = []
+        monkeypatch.setattr(inner, "_power_iteration_bound", lambda *a: calls.append(a))
+        fresh = ProblemData(data.A, data.b)  # keeps no operator
+        res = solve_reduced(fresh, reg, lam, idx, x0=sol.x, tol=1e-10)
+        assert res.converged
+        assert (res.iters, res.piece_solves, calls) == (0, 0, [])
+
+    def test_apg_fallback_forms_the_bound_once(self, monkeypatch):
+        # from the zero start the Newton chain cannot certify here, so APG
+        # runs: it forms L once, and a second solve on the same index set
+        # reads the bound kept with the operator
+        data, _ = synth_instance(SynthSpec(m=30, n=80, s=5, sigma=0.05, seed=2))
+        lam = 0.1 * lambda_inf(L1(), data.A, data.b)
+        calls = []
+        bound = inner._power_iteration_bound
+        monkeypatch.setattr(inner, "_power_iteration_bound",
+                            lambda *a: calls.append(a) or bound(*a))
+        idx = np.arange(80)
+        first = solve_reduced(data, L1(), lam, idx, tol=1e-14)
+        assert first.converged and first.iters > 0 and first.piece_solves > 0
+        assert len(calls) == 1
+        again = solve_reduced(data, L1(), lam, idx, tol=1e-14)
+        assert again.iters == first.iters and len(calls) == 1
+        np.testing.assert_array_equal(again.x, first.x)
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 7, 20000])
+    @pytest.mark.parametrize("kind", ["l1", "slope"])
+    def test_returned_certificate_is_full_eta_l(self, monkeypatch, apg_only, kind, max_iters):
+        # over all columns the reduced certificate is the full-dimension one,
+        # whether the solve ended at a passed check or ran out of iterations:
+        # the cap ends a solve by APG alone, and the Newton-first solve
+        # certifies
+        data, _ = synth_instance(SynthSpec(40, 120, 8, 0.01, 3))
+        reg = L1() if kind == "l1" else SortedL1(linear_weights(120))
+        lam = 0.2 * lambda_inf(reg, data.A, data.b)
+        newton = solve_reduced(data, reg, lam, np.arange(120))
+        assert newton.converged
+        monkeypatch.setattr("smop.inner.MAX_ITERS", max_iters)
+        res = solve_reduced(data, apg_only(reg), lam, np.arange(120))
         assert res.converged == (max_iters == 20000)
-        assert res.eta_l == pytest.approx(
-            eta_l(res.x, data.A, data.b, reg, lam), rel=1e-6, abs=1e-13
-        )
+        for r in (newton, res):
+            assert r.eta_l == pytest.approx(
+                eta_l(r.x, data.A, data.b, reg, lam), rel=1e-6, abs=1e-13
+            )
 
     @pytest.mark.parametrize("form", _FORMS)
     def test_newton_step_needs_a_tenth_of_apg_iterations(self, monkeypatch, apg_only_l1, form):
@@ -354,7 +396,8 @@ class TestSolveReduced:
         # columns [u, -u], once or 16 times: the all-ones power start is a
         # null vector of the Gram product, so the eigenvalue estimate must
         # fall back to its trace (G is formed on 2 columns of 30 rows, not
-        # on 32; dense_limit=0 keeps the reduced matrix sparse)
+        # on 32; dense_limit=0 keeps the reduced matrix sparse). The solve
+        # certifies on its Newton chain; the bound is formed here
         block, gram = form.split("-")
         if block == "csc":
             monkeypatch.setattr("smop.inner._DENSE_LIMIT", 0)
@@ -364,19 +407,22 @@ class TestSolveReduced:
         data = ProblemData(SparseMatrix.from_dense(np.tile(np.column_stack([u, -u]), copies)),
                            rng.standard_normal(30))
         idx = np.arange(2 * copies)
-        A_I, _, G, _, _ = _reduced_operator(data, idx)
+        A_I, _, G, _, lipschitz = _reduced_operator(data, idx)
         assert isinstance(A_I, np.ndarray) == (block == "dense")
         assert (G is not None) == (gram == "gram")
+        # the trace, here lambda_max itself; a power estimate would read 1.1x
+        assert lipschitz() == pytest.approx(copies * 2 * float(u @ u), rel=1e-12)
         res = solve_reduced(data, L1(), 0.1, idx)
         assert np.all(np.isfinite(res.x))
         assert res.converged
         assert eta_l(res.x, data.A, data.b, L1(), 0.1) <= 1e-8
 
-    def test_monotone_objective_trace(self):
+    def test_monotone_objective_trace(self, apg_only_l1):
         # APG values each iterate it compares through the penalty; an objective
         # above the last accepted one must be followed at once by the restart's
-        # value, and that value must be no higher
-        class RecordingL1(L1):
+        # value, and that value must be no higher. The penalty has no Newton
+        # point, so APG runs long enough to restart
+        class RecordingL1(type(apg_only_l1)):
             def __init__(self):
                 self.points = []
 

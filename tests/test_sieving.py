@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import smop.inner as inner
 from smop import (
     L1,
     SortedL1,
@@ -141,20 +142,36 @@ class TestSieveSolve:
     def test_trace_covers_every_round(self, kind):
         # one logged round per reduced solve: the set grows by each round's
         # additions, the rounds' iterations sum to the result's, and the
-        # converged round has no candidates left
+        # converged round has no candidates left. A round works by APG
+        # iterations or piece solves
         data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=2))
         reg = L1() if kind == "l1" else SortedL1(linear_weights(120))
         lam = 0.1 * lambda_inf(reg, data.A, data.b)
         res, trace = sieve_solve(data, reg, lam, [], tol=1e-9)
         assert res.converged
         rounds = trace.rounds
-        assert sum(r.inner_iters > 0 for r in rounds) >= 2
+        assert sum(r.inner_iters + r.piece_solves > 0 for r in rounds) >= 2
         assert sum(r.inner_iters for r in rounds) == res.iters
         assert rounds[0].size_I == 0
         for prev, nxt in zip(rounds, rounds[1:]):
             assert nxt.size_I == prev.size_I + prev.added
         assert rounds[-1].size_J == rounds[-1].added == 0
         assert rounds[-1].r_norm <= 1e-9
+
+    @pytest.mark.parametrize("kind", ["l1", "slope"])
+    def test_piece_solves_sum_over_rounds(self, monkeypatch, kind):
+        # each round logs the piece systems its reduced solve solved, and the
+        # result carries their sum, as it does the APG iterations
+        calls = []
+        solve = inner.piece_solve
+        monkeypatch.setattr(inner, "piece_solve", lambda *a: calls.append(1) or solve(*a))
+        data, _ = synth_instance(SynthSpec(m=60, n=250, s=10, sigma=0.05, seed=13))
+        reg = L1() if kind == "l1" else SortedL1(linear_weights(250))
+        lam = 0.1 * lambda_inf(reg, data.A, data.b)
+        res, trace = sieve_solve(data, reg, lam, [], tol=TIGHT)
+        assert res.converged and len(trace.rounds) >= 2
+        assert res.piece_solves == sum(r.piece_solves for r in trace.rounds) == len(calls) > 0
+        assert res.iters == sum(r.inner_iters for r in trace.rounds)
 
     def test_threshold_matches_exact_nonzeros_on_exact_case(self, diagonal_data):
         # at x = 0 the residual is prox(A^T b) with exactly representable
