@@ -65,6 +65,9 @@ def _parse_synth(text: str, seed_override=None) -> SynthSpec:
         if key not in ("m", "n", "s", "sigma", "seed"):
             raise ValueError(f"unknown synth field {key!r}")
         fields[key] = float(val) if key == "sigma" else int(val)
+    missing = [key for key in ("m", "n", "s") if key not in fields]
+    if missing:
+        raise ValueError(f"synth spec is missing {', '.join(missing)}")
     if seed_override is not None:
         fields["seed"] = seed_override
     return SynthSpec(**fields)

@@ -48,8 +48,8 @@ import scipy.sparse as sp
 # thread costs more than it saves (break-even measured on 2 cores)
 _MIN_BLOCK_NNZ = 250_000
 # fewest entries m*n of a design stored dense; smaller dense designs keep CSR
-# (see ROADMAP item 2 for why). Its own constant: patching the block minimum
-# must not change a layout.
+# (see the ROADMAP item "One layout rule for dense designs"). Its own constant:
+# patching the block minimum must not change a layout.
 _MIN_DENSE_ENTRIES = 2 * _MIN_BLOCK_NNZ
 
 _pool: ThreadPoolExecutor | None = None
@@ -326,8 +326,8 @@ class SynthSpec:
             raise ValueError("m and n must be positive")
         if not 0 <= self.s <= self.n:
             raise ValueError("support size s must satisfy 0 <= s <= n")
-        if self.sigma < 0:
-            raise ValueError("noise level sigma must be nonnegative")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError("noise level sigma must be finite and nonnegative")
 
 
 def synth_instance(spec: SynthSpec):

@@ -202,6 +202,18 @@ class TestSolve:
         assert out == ""
         assert f"error: {message}" in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ("m=200", "synth spec is missing n, s"),
+        ("n=8,s=2,seed=7", "synth spec is missing m"),
+        ("m=20,n=50,s=3,sigma=nan", "noise level sigma must be finite and nonnegative"),
+        ("m=20,n=50,s=3,sigma=inf", "noise level sigma must be finite and nonnegative"),
+    ], ids=["missing-n-s", "missing-m", "sigma-nan", "sigma-inf"])
+    def test_bad_synth_spec(self, capsys, spec, message):
+        code, out, err = run(capsys, "solve", "--synth", spec, "--c", "0.1")
+        assert code == 1
+        assert out == ""
+        assert f"error: {message}" in err
+
     def test_nonconvergence_exits_two(self, capsys, monkeypatch):
         # no trial runs: the bracket end nearer rho is returned, unconverged
         monkeypatch.setattr(smop.rootfind, "MAX_OUTER", 0)

@@ -526,5 +526,6 @@ class TestSynth:
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             SynthSpec(m=4, n=8, s=9, seed=0)
-        with pytest.raises(ValueError):
-            SynthSpec(m=4, n=8, s=2, sigma=-1.0)
+        for sigma in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+                SynthSpec(m=4, n=8, s=2, sigma=sigma)
