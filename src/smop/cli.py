@@ -64,7 +64,13 @@ def _parse_synth(text: str, seed_override=None) -> SynthSpec:
         key = key.strip()
         if key not in ("m", "n", "s", "sigma", "seed"):
             raise ValueError(f"unknown synth field {key!r}")
-        fields[key] = float(val) if key == "sigma" else int(val)
+        if key in fields:
+            raise ValueError(f"synth field {key!r} is given twice")
+        try:
+            fields[key] = float(val) if key == "sigma" else int(val)
+        except ValueError:
+            kind = "a number" if key == "sigma" else "an integer"
+            raise ValueError(f"synth field {key!r} must be {kind}, got {val!r}") from None
     missing = [key for key in ("m", "n", "s") if key not in fields]
     if missing:
         raise ValueError(f"synth spec is missing {', '.join(missing)}")

@@ -191,7 +191,9 @@ def piece_solve(G_JJ, s, starts, rhs, m: int) -> np.ndarray:
             raise ValueError(f"LAPACK rejected argument {-info} of the piece system")
     if z is None:
         z = np.linalg.lstsq(M, rhs, rcond=None)[0]
-    return s * np.repeat(z, np.diff(starts, append=s.size))
+    if starts.size < s.size:
+        z = np.repeat(z, np.diff(starts, append=s.size))
+    return s * z
 
 
 def _columns(data: ProblemData, J: np.ndarray):

@@ -262,11 +262,31 @@ class SparseMatrix:
         return sub if isinstance(sub, np.ndarray) else sp.csc_array(sub)
 
     def take_columns_dense(self, idx) -> np.ndarray:
-        """Column submatrix as a dense array, whatever the stored form."""
-        sub = self._T[np.asarray(idx, dtype=np.int64)]
-        # from CSR in C order, as the reduced solves' last bits depend on the
-        # layout; a copy of the rows' transpose is faster than scipy's conversion
-        return sub.T if isinstance(sub, np.ndarray) else np.ascontiguousarray(sub.toarray().T)
+        """Column submatrix as a dense array, whatever the stored form.
+
+        From CSR the result is C-ordered, as the reduced solves' last bits
+        depend on the layout: each gathered row of ``T`` is scattered
+        straight into its column, with no scipy submatrix in between.
+        Negative indices count from the end; an index out of range raises
+        scipy's ``IndexError``.
+        """
+        idx = np.asarray(idx, dtype=np.int64)
+        T, n, k = self._T, self._n, idx.size
+        if isinstance(T, np.ndarray):
+            return T[idx].T
+        if k:
+            hi, lo = int(idx.max()), int(idx.min())
+            if hi >= n or lo < -n:
+                raise IndexError(f"index ({hi if hi >= n else lo}) out of range")
+            idx = idx % n
+        start = T.indptr[idx]
+        count = T.indptr[idx + 1] - start
+        # stored entry p of gathered row j goes to out[T.indices[p], j]
+        col = np.repeat(np.arange(k), count)
+        pos = np.arange(col.size) + np.repeat(start - np.cumsum(count) + count, count)
+        out = np.zeros((self._m, k))
+        out.ravel()[np.multiply(T.indices[pos], k, dtype=np.int64) + col] = T.data[pos]
+        return out
 
     def toarray(self) -> np.ndarray:
         T = self._T
@@ -289,8 +309,13 @@ class ProblemData:
             raise ValueError("b must be finite: it contains NaN or inf")
         if not np.any(b != 0.0):
             raise ValueError("b must have at least one nonzero entry")
+        with np.errstate(over="ignore"):  # an overflow is reported below, by its cause
+            bnorm = float(np.linalg.norm(b))
+        if bnorm == np.inf:
+            raise ValueError(f"||b|| overflows float64: b is too large in scale "
+                             f"(max |b_i| = {np.abs(b).max():.3g}); rescale b and rho")
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "bnorm", float(np.linalg.norm(b)))
+        object.__setattr__(self, "bnorm", bnorm)
         if self.rho is not None:
             rho = float(self.rho)
             if not 0.0 < rho < self.bnorm:

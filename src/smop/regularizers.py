@@ -102,17 +102,18 @@ class SortedL1(Regularizer):
         av = np.abs(v)
         order = np.argsort(-av)
         a = av[order]
-        if np.count_nonzero(a[1:] == a[:-1]):
+        if (a[1:] == a[:-1]).any():
             # tied magnitudes take index order, as in piece(): PAVA's block
             # means round, so a run of equal z can get two values an ulp
             # apart, and the order of the tied entries would set which gets
             # which. The sorted values a are the same in either order
             order = np.argsort(-av, kind="stable")
-        z = a - t * self.weights
-        u = np.maximum(isotonic_regression(z, increasing=False).x, 0.0)
-        out = np.zeros_like(v)
+        u = isotonic_regression(a - t * self.weights, increasing=False).x
+        np.maximum(u, 0.0, out=u)
+        out = np.empty_like(v)  # order is a permutation: every entry is set
         out[order] = u
-        return np.sign(v) * out
+        out *= np.sign(v)
+        return out
 
     def polar(self, z) -> float:
         z = self._check(z)
@@ -123,14 +124,17 @@ class SortedL1(Regularizer):
     def restrict(self, size: int) -> "SortedL1":
         if not 1 <= size <= self.n:
             raise ValueError("restriction size out of range")
-        return SortedL1(self.weights[:size])
+        out = SortedL1.__new__(SortedL1)  # a nonempty prefix of valid weights is valid
+        out.weights = self.weights[:size]
+        return out
 
     def piece(self, x):
         x = self._check(x)
         ax = np.abs(x)
         # rank order, ties in index order as in prox; runs of equal |x| cluster
         J = np.argsort(-ax, kind="stable")[: np.count_nonzero(x)]
-        starts = np.flatnonzero(np.diff(ax[J], prepend=-1.0))
+        a = ax[J]
+        starts = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))[: J.size]
         return J, np.sign(x[J]), starts, np.add.reduceat(self.weights[: J.size], starts)
 
     def __repr__(self):

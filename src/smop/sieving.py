@@ -64,13 +64,20 @@ class SieveTrace:
 
 
 def select_top_k(residual, candidates, k: int) -> np.ndarray:
-    """The k candidate indices with largest ``|residual|``, ties to the smaller index."""
+    """The k candidate indices with largest ``|residual|``, ascending; ties go to
+    the smaller index and NaN ranks last, as in a stable argsort of
+    ``-|residual|``, but ``np.partition`` finds the k-th value in linear time."""
     candidates = np.sort(np.asarray(candidates, dtype=np.int64))
     if not 0 <= k <= candidates.size:
         raise ValueError("k must lie between 0 and the candidate count")
-    mags = np.abs(np.asarray(residual)[candidates])
-    order = np.argsort(-mags, kind="stable")  # stable: ties keep ascending index
-    return np.sort(candidates[order[:k]])
+    neg = -np.abs(np.asarray(residual)[candidates])
+    if k in (0, candidates.size):
+        return candidates[:k]
+    kth = np.partition(neg, k - 1)[k - 1]
+    # a NaN k-th value means fewer than k numbers: all of them, then NaN by index
+    keep, tie = (neg < kth, neg == kth) if kth == kth else (neg == neg, neg != neg)
+    keep[np.flatnonzero(tie)[: k - np.count_nonzero(keep)]] = True
+    return candidates[keep]
 
 
 def sieve_solve(

@@ -207,12 +207,25 @@ class TestSolve:
         ("n=8,s=2,seed=7", "synth spec is missing m"),
         ("m=20,n=50,s=3,sigma=nan", "noise level sigma must be finite and nonnegative"),
         ("m=20,n=50,s=3,sigma=inf", "noise level sigma must be finite and nonnegative"),
-    ], ids=["missing-n-s", "missing-m", "sigma-nan", "sigma-inf"])
+        ("m=20,n=50,s=3,m=30", "synth field 'm' is given twice"),
+        ("m=20,n=x,s=3", "synth field 'n' must be an integer, got 'x'"),
+        ("m=20,n=50,s=3,sigma=big", "synth field 'sigma' must be a number, got 'big'"),
+    ], ids=["missing-n-s", "missing-m", "sigma-nan", "sigma-inf", "repeated-field",
+            "n-not-integer", "sigma-not-number"])
     def test_bad_synth_spec(self, capsys, spec, message):
         code, out, err = run(capsys, "solve", "--synth", spec, "--c", "0.1")
         assert code == 1
         assert out == ""
         assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("level", [["--c", "0.1"], ["--rho", "1e199"]], ids=["c", "rho"])
+    def test_b_whose_norm_overflows(self, capsys, level):
+        # every b_i is finite, ||b|| is not: the error names the scale, with
+        # no overflow warning first (tier-1 turns warnings into errors)
+        code, out, err = run(capsys, "solve", "--synth", "m=20,n=50,s=3,sigma=1e200", *level)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ||b|| overflows float64: b is too large in scale")
 
     def test_nonconvergence_exits_two(self, capsys, monkeypatch):
         # no trial runs: the bracket end nearer rho is returned, unconverged

@@ -1,0 +1,239 @@
+"""The sieve-round kernels against their earlier, plainer forms, bit for bit.
+
+Each reference below is the form a kernel had before its per-call overhead
+was taken out. The rewrites change no floating-point operation, so every
+output must match its reference in bytes, dtype and layout, and every error
+must be the same error.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.optimize import isotonic_regression
+
+from smop import SortedL1, SparseMatrix, linear_weights, select_top_k
+from smop.inner import piece_solve
+
+
+def _same(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------------- references
+
+def _select_top_k_argsort(residual, candidates, k):
+    candidates = np.sort(np.asarray(candidates, dtype=np.int64))
+    if not 0 <= k <= candidates.size:
+        raise ValueError("k must lie between 0 and the candidate count")
+    mags = np.abs(np.asarray(residual)[candidates])
+    order = np.argsort(-mags, kind="stable")
+    return np.sort(candidates[order[:k]])
+
+
+def _prox_zeros_like(reg, v, t):
+    v = np.asarray(v, dtype=np.float64)
+    av = np.abs(v)
+    order = np.argsort(-av)
+    a = av[order]
+    if np.count_nonzero(a[1:] == a[:-1]):
+        order = np.argsort(-av, kind="stable")
+    z = a - t * reg.weights
+    u = np.maximum(isotonic_regression(z, increasing=False).x, 0.0)
+    out = np.zeros_like(v)
+    out[order] = u
+    return np.sign(v) * out
+
+
+def _piece_diff(reg, x):
+    x = np.asarray(x, dtype=np.float64)
+    ax = np.abs(x)
+    J = np.argsort(-ax, kind="stable")[: np.count_nonzero(x)]
+    starts = np.flatnonzero(np.diff(ax[J], prepend=-1.0))
+    return J, np.sign(x[J]), starts, np.add.reduceat(reg.weights[: J.size], starts)
+
+
+def _piece_solve_repeat(G_JJ, s, starts, rhs, m):
+    M = s[:, None] * G_JJ * s
+    if starts.size < s.size:
+        M = np.add.reduceat(M, starts, axis=0)
+        M = np.add.reduceat(M, starts, axis=1)
+    z = None
+    if starts.size <= m:
+        c, info = dpotrf(M, lower=0, clean=0)
+        if info == 0:
+            z, info = dpotrs(c, rhs, lower=0)
+    if z is None:
+        z = np.linalg.lstsq(M, rhs, rcond=None)[0]
+    return s * np.repeat(z, np.diff(starts, append=s.size))
+
+
+def _take_columns_scipy(A, idx):
+    sub = A._T[np.asarray(idx, dtype=np.int64)]
+    return np.ascontiguousarray(sub.toarray().T)
+
+
+# ------------------------------------------------------------------ tests
+
+class TestSelectTopK:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_stable_argsort(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        # few distinct magnitudes of both signs: many ties, zeros of both signs
+        residual = rng.integers(-4, 5, size=n) * rng.choice([0.5, 1.0, 1e-13])
+        residual[rng.random(n) < 0.05] = -0.0
+        if seed % 4 == 0:
+            residual[rng.random(n) < 0.2] = np.nan
+        if seed % 5 == 0:
+            residual[rng.random(n) < 0.05] = -np.inf
+        cand = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        for k in sorted({0, 1, cand.size // 3, cand.size - 1, cand.size} - {-1}):
+            _same(select_top_k(residual, cand, k), _select_top_k_argsort(residual, cand, k))
+
+    def test_nan_ranks_last_by_index(self):
+        residual = np.array([np.nan, 2.0, np.nan, -1.0, np.nan, 0.0])
+        for k in range(7):
+            _same(select_top_k(residual, np.arange(6), k),
+                  _select_top_k_argsort(residual, np.arange(6), k))
+        np.testing.assert_array_equal(select_top_k(residual, np.arange(6), 4), [0, 1, 3, 5])
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.complex128])
+    def test_other_dtypes(self, dtype):
+        residual = np.array([3, -5, 1, 2, -3, 0]).astype(dtype)
+        for k in range(7):
+            _same(select_top_k(residual, np.arange(6), k),
+                  _select_top_k_argsort(residual, np.arange(6), k))
+
+    def test_duplicate_candidates(self):
+        residual = np.array([3.0, 1.0, 3.0, 2.0])
+        cand = [2, 0, 2, 3, 1, 0]
+        for k in range(7):
+            _same(select_top_k(residual, cand, k), _select_top_k_argsort(residual, cand, k))
+
+    def test_same_errors(self):
+        for k in (-1, 3):
+            with pytest.raises(ValueError, match="k must lie"):
+                select_top_k(np.ones(3), [0, 1], k)
+        # an index past the residual fails, also when every candidate is taken
+        for k in (0, 1, 2):
+            with pytest.raises(IndexError):
+                _select_top_k_argsort(np.ones(3), [0, 5], k)
+            with pytest.raises(IndexError):
+                select_top_k(np.ones(3), [0, 5], k)
+
+
+def _prox_cases():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 60, 2000):
+        v = rng.standard_normal(n)
+        yield n, v
+        tied = np.round(v, 1)  # ties, zeros of both signs
+        tied[rng.random(n) < 0.2] = 0.0
+        tied[rng.random(n) < 0.1] = -0.0
+        yield n, tied
+        yield n, np.zeros(n)
+
+
+class TestSortedL1:
+    @pytest.mark.parametrize("schedule", ["linear", "constant"])
+    def test_prox_matches_zeros_like_form(self, schedule):
+        for n, v in _prox_cases():
+            w = linear_weights(n) if schedule == "linear" else np.ones(n)
+            reg = SortedL1(w)
+            for t in (1e-3, 0.05, 0.3, 10.0):
+                _same(reg.prox(v, t), _prox_zeros_like(reg, v, t))
+
+    def test_prox_does_not_write_its_input(self):
+        v = np.round(np.random.default_rng(1).standard_normal(50), 1)
+        v.flags.writeable = False
+        before = v.copy()
+        SortedL1(linear_weights(50)).prox(v, 0.1)
+        _same(v, before)
+
+    def test_piece_matches_diff_form(self):
+        for n, v in _prox_cases():
+            reg = SortedL1(linear_weights(n))
+            for x in (v, reg.prox(v, 0.05), reg.prox(v, 0.3)):
+                for got, want in zip(reg.piece(x), _piece_diff(reg, x)):
+                    _same(got, want)
+
+    def test_restrict_is_the_validated_prefix(self):
+        reg = SortedL1(linear_weights(40))
+        v = np.round(np.random.default_rng(2).standard_normal(40), 1)
+        for size in (1, 12, 40):
+            r = reg.restrict(size)
+            assert type(r) is SortedL1 and r.n == size
+            _same(r.weights, SortedL1(linear_weights(40)[:size]).weights)
+            _same(r.prox(v[:size], 0.1), SortedL1(reg.weights[:size]).prox(v[:size], 0.1))
+        for size in (0, 41):
+            with pytest.raises(ValueError, match="restriction size out of range"):
+                reg.restrict(size)
+
+
+class TestPieceSolve:
+    @pytest.mark.parametrize("pattern", ["singletons", "clusters", "one-cluster",
+                                         "more-clusters-than-rows"])
+    def test_matches_repeat_form(self, pattern):
+        rng = np.random.default_rng(5)
+        size, m = 12, 30
+        if pattern == "singletons":
+            starts = np.arange(size)
+        elif pattern == "clusters":
+            starts = np.array([0, 1, 4, 5, 9])
+        elif pattern == "one-cluster":
+            starts = np.array([0])
+        else:
+            starts, m = np.arange(size), 6  # least squares, not Cholesky
+        A = rng.standard_normal((m, size))
+        s = rng.choice([-1.0, 1.0], size)
+        rhs = rng.standard_normal(starts.size)
+        G = A.T @ A
+        _same(piece_solve(G, s, starts, rhs, m), _piece_solve_repeat(G, s, starts, rhs, m))
+
+
+def _csr_design():
+    rng = np.random.default_rng(11)
+    arr = rng.standard_normal((25, 40))
+    arr[rng.random(arr.shape) < 0.7] = 0.0
+    arr[:, [3, 17]] = 0.0  # empty columns
+    arr[:, 8] = rng.standard_normal(25)  # a full one
+    A = SparseMatrix.from_dense(arr)
+    assert isinstance(A._T, sp.csr_array)
+    return A, arr
+
+
+class TestCsrGather:
+    @pytest.mark.parametrize("idx", [
+        [5], [3], [8, 3, 17, 0], [7, 7, 2, 7], [-1, 0, -40, 39], list(range(40)),
+        [], np.array([], dtype=np.int32), np.array([9, 1], dtype=np.int32),
+    ], ids=["one", "empty-column", "mixed", "duplicates", "negative", "all", "none",
+            "none-int32", "int32"])
+    def test_matches_scipy_gather(self, idx):
+        A, arr = _csr_design()
+        got = A.take_columns_dense(idx)
+        assert got.flags.c_contiguous
+        _same(got, _take_columns_scipy(A, idx))
+        np.testing.assert_array_equal(got, arr[:, np.asarray(idx, dtype=np.int64)])
+
+    def test_random_gathers(self):
+        A, _ = _csr_design()
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            idx = rng.integers(-40, 40, size=int(rng.integers(0, 60)))
+            _same(A.take_columns_dense(idx), _take_columns_scipy(A, idx))
+
+    @pytest.mark.parametrize("idx", [[40], [0, 41], [-41], [-41, 40], [-50, 2]])
+    def test_out_of_range_raises_scipys_error(self, idx):
+        A, _ = _csr_design()
+        with pytest.raises(IndexError) as want:
+            _take_columns_scipy(A, idx)
+        with pytest.raises(IndexError) as got:
+            A.take_columns_dense(idx)
+        assert str(got.value) == str(want.value)
+
+    def test_no_rows(self):
+        A = SparseMatrix.from_scipy(sp.csc_array((0, 4)))
+        _same(A.take_columns_dense([1, 3]), np.zeros((0, 2)))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -428,6 +429,20 @@ class TestProblemData:
             ProblemData(A, np.array([1.0, bad]))
         with pytest.raises(ValueError, match="NaN or inf"):
             ProblemData(A, np.array([1.0, bad]), rho=0.5)
+
+    def test_rejects_b_whose_norm_overflows(self):
+        rng = np.random.default_rng(3)
+        A = SparseMatrix.from_dense(rng.standard_normal((20, 5)))
+        b = rng.standard_normal(20)
+        assert np.isfinite(1e200 * b).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning comes first
+            with pytest.raises(ValueError, match=r"\|\|b\|\| overflows.*\(max \|b_i\| = [0-9.]+e\+200"):
+                ProblemData(A, 1e200 * b)
+            with pytest.raises(ValueError, match="overflows"):
+                ProblemData(A, 1e200 * b, rho=1e199)
+            # a large scale whose norm stays finite is accepted
+            assert ProblemData(A, 1e150 * b).bnorm < np.inf
 
     def test_rejects_zero_b(self):
         A = SparseMatrix.from_dense([[1.0]])
