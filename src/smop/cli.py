@@ -83,8 +83,10 @@ def _load_data(args) -> ProblemData:
     if bool(args.input) == bool(args.synth):
         raise ValueError("exactly one of --input or --synth is required")
     if args.input:
+        if args.seed is not None:
+            raise ValueError("--seed applies to --synth only, not to --input")
         return libsvm_read(args.input)
-    spec = _parse_synth(args.synth, getattr(args, "seed", None))
+    spec = _parse_synth(args.synth, args.seed)
     data, _ = synth_instance(spec)
     return data
 
@@ -145,6 +147,8 @@ def cmd_solve(args) -> int:
 
 def cmd_path(args) -> int:
     data = _load_data(args)
+    if args.rho is not None:
+        raise ValueError("path takes no --rho: its levels follow --c")
     if args.c is None or not 0 < args.c:
         raise ValueError("path requires --c > 0")
     reg = make_regularizer(args.reg, data.A.n, args.gamma)

@@ -205,12 +205,11 @@ class _PhiOracle:
         return rec.phi
 
     def derivative(self, lam):
-        """``phi_derivative`` from the ``x`` and ``phi`` cached at ``lam``, on
-        ``self.data``, where the evaluations keep their gathered columns; formed
-        once and kept as ``EvalRecord.slope``. Only a certified evaluation gives
-        one: an uncertified ``x`` may sit on the wrong piece. Where there is
-        none, the kept reason is raised as ``ValueError`` and the caller falls
-        back."""
+        """``phi_derivative`` from the ``x`` and ``phi`` cached at ``lam``,
+        formed once and kept as ``EvalRecord.slope``. Only a certified
+        evaluation gives one: an uncertified ``x`` may sit on the wrong piece.
+        Where there is none, the kept reason is raised as ``ValueError`` and
+        the caller falls back."""
         rec = self.cache.get(lam)
         if rec is None:
             raise ValueError(f"no certified evaluation at lam={lam:.6g}")

@@ -5,8 +5,10 @@ coordinate subset I and returns the prox-polished point. Convergence is
 certified by two unit-step quantities at the candidate: the inexactness
 certificate ``||z - xh + grad(xh) - grad(z)||`` (xh the polished point) and
 the proximal residual at xh itself; both must fall below the tolerance.
-The Gram matrix ``A_I^T A_I`` is formed only when it holds no more entries
-than ``A_I``; otherwise each Gram product is ``A_I^T (A_I z)``.
+The columns ``A_I`` come from ``SparseMatrix.take_columns``, which alone
+picks their form (dense or CSC). The Gram matrix ``A_I^T A_I`` is formed
+only when it holds no more entries than ``A_I``; otherwise each Gram
+product is ``A_I^T (A_I z)``.
 
 On a fixed pattern of a polyhedral gauge the solution is ``x_J = P z`` with
 ``(P^T G_JJ P) z = P^T c_J - lam*w``: ``Regularizer.piece`` gives the
@@ -20,9 +22,8 @@ most once per solve. Only when that check fails does an accelerated
 proximal-gradient method run (fixed step 1/L, function-value restart), with
 the same check every third iteration; the chain never moves its iterate.
 L is formed when APG first needs a step and kept with the reduced operator.
-``phi_derivative`` uses the same piece solve for phi's derivative, on
-columns sliced from the reduced operator its evaluation kept on ``data``
-when they lie there.
+``phi_derivative`` uses the same piece solve for phi's derivative, on the
+support's columns from the same ``take_columns``.
 
 A solve certifies to ``tol`` (default ``KKT_TOL``) and otherwise stops
 uncertified: after ``MAX_ITERS`` APG iterations, or at once when its
@@ -42,9 +43,6 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .problem import ProblemData
 from .regularizers import Regularizer
 
-# a CSR-stored design's reduced matrices up to this entry count are gathered
-# densely (BLAS products beat scipy sparse dispatch overhead at desk scale)
-_DENSE_LIMIT = 4_194_304
 # default certificate tolerance of a solve, and the APG iteration cap
 KKT_TOL = 1e-8
 MAX_ITERS = 20000
@@ -107,11 +105,6 @@ def _dense_gram(A_I) -> np.ndarray:
     return gram.toarray() if hasattr(gram, "toarray") else np.asarray(gram)
 
 
-def _gather(A, idx: np.ndarray):
-    """Columns ``idx`` of ``A``: dense up to ``_DENSE_LIMIT`` entries, else as stored."""
-    return A.take_columns_dense(idx) if A.m * idx.size <= _DENSE_LIMIT else A.take_columns(idx)
-
-
 def _reduced_operator(data: ProblemData, idx: np.ndarray):
     """``(A_I, c, G, gram_mv, lipschitz)`` for the index set ``idx``: the
     column submatrix, ``c = A_I^T b``, the dense Gram matrix if
@@ -138,7 +131,7 @@ def _reduced_operator(data: ProblemData, idx: np.ndarray):
     if idx.min() < 0 or idx.max() >= data.A.n:
         raise ValueError("index set out of range")
 
-    A_I = _gather(data.A, idx)
+    A_I = data.A.take_columns(idx)
     c = A_I.T @ data.b
     if k * k <= A_I.size:
         G = _dense_gram(A_I)
@@ -196,41 +189,18 @@ def piece_solve(G_JJ, s, starts, rhs, m: int) -> np.ndarray:
     return s * z
 
 
-def _columns(data: ProblemData, J: np.ndarray):
-    """Columns ``J`` of ``A`` as ``_gather(data.A, J)`` returns them, bit for bit
-    and in the same layout: sliced from the dense block of the operator
-    ``_reduced_operator`` keeps on ``data`` when ``J`` lies in its index set,
-    else gathered."""
-    kept = data.__dict__.get("_reduced_operator")
-    if kept is not None and isinstance(kept[1][0], np.ndarray):
-        key, (A_I, *_) = kept
-        idx = np.frombuffer(key, dtype=np.int64)
-        where = np.full(data.A.n, -1, dtype=np.int64)
-        where[idx] = np.arange(idx.size)
-        pos = where[J]
-        if (pos >= 0).all():
-            # _gather returns F order for a dense-stored design (rows of A^T)
-            # and C order for a CSR-stored one, and the products' last bits
-            # depend on it; take returns C order, A_I[:, pos] would not
-            return A_I.T.take(pos, axis=0).T if A_I.flags.f_contiguous else A_I.take(pos, axis=1)
-    return _gather(data.A, J)
-
-
 def phi_derivative(data: ProblemData, reg: Regularizer, x, lam: float, phi: float) -> float:
     """Generalized derivative ``lam * ||h||^2 / phi`` of phi at ``lam``.
 
     ``h = A_J P (P^T G_JJ P)^{-1} w`` on the piece ``(J, s, starts, w)`` through
     ``x``, as ``P^T A_J^T (b - A x) = lam w`` there; positive below lambda_inf.
-    ``data`` is the instance the evaluation at ``lam`` solved: the reduced
-    operator its last round kept on ``data`` holds ``x``'s support, so ``A_J``
-    is sliced from that block, not gathered again (a support outside it is).
     """
     if phi <= 0:
         raise ValueError("phi must be positive")
     J, s, starts, w = reg.piece(x)
     if J.size == 0:
         raise ValueError("derivative undefined at zero support")
-    A_J = _columns(data, J)
+    A_J = data.A.take_columns(J)
     h = A_J @ piece_solve(_dense_gram(A_J), s, starts, w, data.A.m)
     return float(lam * (h @ h) / phi)
 

@@ -15,8 +15,10 @@ matrix alone (never from the machine), with no option:
   arrays of ``A^T``, so a sparse design (LIBSVM files) stays compact.
 
 Every method reads ``T`` the same way in both forms: a product is ``T @ y``
-or ``T.T @ x`` and a column gather is a row gather of ``T``, which
-``take_columns`` returns in the stored form (dense or CSC).
+or ``T.T @ x`` and a column gather is a row gather of ``T``. ``take_columns``
+is the one gather of the solves, and it alone picks the block's form: dense
+when the design is stored dense or the block has at most ``_DENSE_LIMIT``
+entries, CSC otherwise.
 
 ``SparseMatrix.rmatvec`` splits a large dense ``T @ y`` over the usable
 cores: row blocks of ``T`` (``_row_blocks``), one per CPU the process may
@@ -51,6 +53,9 @@ _MIN_BLOCK_NNZ = 250_000
 # (see the ROADMAP item "One layout rule for dense designs"). Its own constant:
 # patching the block minimum must not change a layout.
 _MIN_DENSE_ENTRIES = 2 * _MIN_BLOCK_NNZ
+# a CSR-stored design's column blocks up to this entry count are gathered
+# densely (BLAS products beat scipy sparse dispatch overhead at desk scale)
+_DENSE_LIMIT = 4_194_304
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -256,10 +261,14 @@ class SparseMatrix:
         return out
 
     def take_columns(self, idx):
-        """Column submatrix (m x len(idx)) in the stored form: the dense array
-        of ``take_columns_dense`` for a design stored dense, else scipy CSC."""
-        sub = self._T[np.asarray(idx, dtype=np.int64)].T
-        return sub if isinstance(sub, np.ndarray) else sp.csc_array(sub)
+        """Column submatrix (m x len(idx)): the dense array of
+        ``take_columns_dense`` when the design is stored dense or the block
+        has at most ``_DENSE_LIMIT`` entries, else scipy CSC. A dense block is
+        F-ordered from a dense design (rows of ``T``) and C-ordered from CSR."""
+        idx = np.asarray(idx, dtype=np.int64)
+        if isinstance(self._T, np.ndarray) or self._m * idx.size <= _DENSE_LIMIT:
+            return self.take_columns_dense(idx)
+        return sp.csc_array(self._T[idx].T)
 
     def take_columns_dense(self, idx) -> np.ndarray:
         """Column submatrix as a dense array, whatever the stored form.

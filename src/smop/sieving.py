@@ -10,11 +10,13 @@ per round: the reduced problems stay near the size of the support the solve
 needs, and reaching a support of size s takes ``O(log s)`` rounds. Rounds
 where no off-set entry exceeds the zero threshold re-solve the current set at
 a tighter tolerance, which drives the full residual down since an exact
-reduced solve with an empty candidate set already solves the full problem.
-A solve that has not certified after ``MAX_ROUNDS`` rounds stops uncertified,
-and so does one whose reduced solve returns a phi that is not finite: that
-round forms no ``A^T y``. A non-finite full residual alone does not stop it,
-since at ``x = 0`` it can overflow while ``phi = ||b||`` is finite.
+reduced solve with an empty candidate set already solves the full problem;
+if that round's reduced solve did not certify, a tighter one would not
+either, and the solve stops uncertified. A solve that has not certified
+after ``MAX_ROUNDS`` rounds stops uncertified, and so does one whose reduced
+solve returns a phi that is not finite: that round forms no ``A^T y``. A
+non-finite full residual alone does not stop it, since at ``x = 0`` it can
+overflow while ``phi = ||b||`` is finite.
 
 The residual ``y = b - A_I x_I`` that the reduced solve returns is reused:
 the round's gradient is ``-A^T y`` and the final ``y``/``phi`` are the last
@@ -150,8 +152,11 @@ def sieve_solve(
         off[I] = False
         J = np.flatnonzero(off & (np.abs(R) > zero_thresh))
         if J.size == 0:
-            # residual mass sits inside I: repeat the round more accurately
+            # residual mass sits inside I: repeat the round more accurately,
+            # unless this round's reduced solve did not certify
             log(0, 0)
+            if not result.converged:
+                break
             round_tol *= 0.1
             continue
         add = select_top_k(R, J, min(J.size, MAX_GROWTH, max(I.size, MIN_GROWTH)))

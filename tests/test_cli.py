@@ -64,6 +64,16 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["eta"] <= 1e-6
 
+    def test_seed_with_input_rejected(self, capsys, tmp_path):
+        # --seed overrides the synth seed; a LIBSVM file has none to override
+        rng = np.random.default_rng(0)
+        path = tmp_path / "data.svm"
+        libsvm_write(path, ProblemData(SparseMatrix.from_dense(rng.standard_normal((6, 10))),
+                                       rng.standard_normal(6)))
+        code, out, err = run(capsys, "solve", "--input", str(path), "--c", "0.4", "--seed", "3")
+        assert code == 1 and out == ""
+        assert "--seed" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "--input", "/nonexistent.svm", "--c", "0.3")
         assert code == 1
@@ -254,6 +264,13 @@ class TestPath:
     def test_path_requires_c(self, capsys):
         code, _, err = run(capsys, "path", "--synth", "m=10,n=30,s=3,seed=5")
         assert code == 1
+
+    def test_path_rejects_rho(self, capsys):
+        # the path's levels follow --c alone, so a --rho would be ignored
+        code, out, err = run(capsys, "path", "--synth", "m=10,n=30,s=3,seed=5", "--c", "0.1",
+                             "--rho", "0.5")
+        assert code == 1 and out == ""
+        assert "--rho" in err
 
 
 class TestRootdemo:

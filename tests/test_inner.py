@@ -21,7 +21,7 @@ from smop import (
     solve_reduced,
     synth_instance,
 )
-from smop.inner import _gather, _reduced_operator, piece_solve
+from smop.inner import _reduced_operator, piece_solve
 
 
 class TestResidual:
@@ -61,7 +61,7 @@ class TestReducedOperator:
     def test_gram_formed_when_no_larger_than_block(self, monkeypatch, dense_limit):
         # G has k*k entries and a full block of 40 rows 40*k: at k = m they
         # are equal and G is formed, one column more and it is not
-        monkeypatch.setattr("smop.inner._DENSE_LIMIT", dense_limit)
+        monkeypatch.setattr("smop.problem._DENSE_LIMIT", dense_limit)
         data, _ = synth_instance(SynthSpec(m=40, n=120, s=5, sigma=0.01, seed=0))
         z = np.random.default_rng(1).standard_normal(41)
         for k, formed in ((40, True), (41, False)):
@@ -74,7 +74,7 @@ class TestReducedOperator:
     def test_sparse_block_counts_nonzeros(self, monkeypatch):
         # a CSC block's size is its nonzero count: at 1/4 fill, 40 columns of
         # 40 rows hold about 400 nonzeros, too few for a 40x40 G
-        monkeypatch.setattr("smop.inner._DENSE_LIMIT", 0)
+        monkeypatch.setattr("smop.problem._DENSE_LIMIT", 0)
         rng = np.random.default_rng(2)
         arr = rng.standard_normal((40, 120)) * (rng.random((40, 120)) < 0.25)
         data = ProblemData(SparseMatrix.from_dense(arr), rng.standard_normal(40))
@@ -96,7 +96,7 @@ class TestReducedOperator:
         lam = 0.2 * lambda_inf(L1(), data.A, data.b)
         idx = np.arange(90)
         below = solve_reduced(data, L1(), lam, idx)
-        monkeypatch.setattr("smop.inner._DENSE_LIMIT", 0)
+        monkeypatch.setattr("smop.problem._DENSE_LIMIT", 0)
         data, _ = synth_instance(spec)  # a new instance keeps no operator
         A_I = _reduced_operator(data, idx)[0]
         assert isinstance(A_I, np.ndarray)
@@ -166,8 +166,9 @@ def _gather_counter(monkeypatch):
 
 
 class TestDerivativeColumns:
-    """``phi_derivative`` reads the support's columns from the reduced operator
-    its evaluation kept on ``data``, with the bits of a fresh gather."""
+    """``phi_derivative`` gathers the support's columns with
+    ``SparseMatrix.take_columns``, whatever operator its evaluation kept on
+    ``data``."""
 
     # 300x2000 is stored dense (columns gathered in F order), 200x1500 as CSR
     # (C order)
@@ -182,19 +183,18 @@ class TestDerivativeColumns:
         lam = 0.1 * lambda_inf(reg, data.A, data.b)
         res, _ = phi_eval(data, reg, lam, tol=1e-10)
         J = reg.piece(res.x)[0]
-        A_I = data.__dict__["_reduced_operator"][1][0]
-        assert isinstance(A_I, np.ndarray) and J.size < A_I.shape[1]
         calls = _gather_counter(monkeypatch)
         kept = phi_derivative(data, reg, res.x, lam, res.phi)
-        assert calls == []
         fresh = phi_derivative(ProblemData(data.A, data.b), reg, res.x, lam, res.phi)
-        assert calls == [J.size]
+        assert calls == [J.size, J.size]
         assert kept == fresh
-        # the sliced block is the gathered one, layout included
-        sliced = inner._columns(data, J)
-        gathered = _gather(data.A, J)
-        assert sliced.strides == gathered.strides and sliced.flags.f_contiguous == dense
-        assert sliced.tobytes(order="A") == gathered.tobytes(order="A")
+        # a dense design's columns are rows of A^T (F order), a CSR design's
+        # are scattered into a C-ordered block; the products' last bits
+        # depend on the layout
+        A_J = data.A.take_columns(J)
+        assert isinstance(A_J, np.ndarray) and J.size > 1
+        assert A_J.flags.f_contiguous == dense and A_J.flags.c_contiguous == (not dense)
+        np.testing.assert_array_equal(A_J, data.A.toarray()[:, J])
 
     def test_support_outside_kept_set_gathers(self, monkeypatch):
         data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=2))
@@ -210,8 +210,7 @@ class TestDerivativeColumns:
 
     @pytest.mark.parametrize("kind", ["l1", "slope"])
     @pytest.mark.parametrize("m,n,dense", SIZES)
-    def test_sieved_solve_gathers_no_column_for_a_derivative(self, monkeypatch, kind, m, n,
-                                                             dense):
+    def test_one_gather_per_derivative(self, monkeypatch, kind, m, n, dense):
         data, _ = synth_instance(SynthSpec(m=m, n=n, s=20, sigma=0.01, seed=1))
         data = data.with_rho(0.1 * data.bnorm)
         reg = L1() if kind == "l1" else SortedL1(linear_weights(n))
@@ -226,7 +225,7 @@ class TestDerivativeColumns:
 
         monkeypatch.setattr(driver, "phi_derivative", counted)
         res = smop_solve(data, reg, SmopConfig(stoptol=1e-8))
-        assert res.converged and asked and asked == [0] * len(asked)
+        assert res.converged and asked and asked == [1] * len(asked)
 
 
 class TestSolveReduced:
@@ -359,7 +358,7 @@ class TestSolveReduced:
         # the 60-row design and not on all 400
         block, gram = form.split("-")
         if block == "csc":
-            monkeypatch.setattr("smop.inner._DENSE_LIMIT", 0)
+            monkeypatch.setattr("smop.problem._DENSE_LIMIT", 0)
         data, _ = synth_instance(SynthSpec(m=60, n=400, s=6, sigma=0.02, seed=1))
         lam = 0.25 * lambda_inf(L1(), data.A, data.b)
         tol = 1e-10
@@ -400,7 +399,7 @@ class TestSolveReduced:
         # certifies on its Newton chain; the bound is formed here
         block, gram = form.split("-")
         if block == "csc":
-            monkeypatch.setattr("smop.inner._DENSE_LIMIT", 0)
+            monkeypatch.setattr("smop.problem._DENSE_LIMIT", 0)
         rng = np.random.default_rng(0)
         u = rng.standard_normal(30)
         copies = 1 if gram == "gram" else 16

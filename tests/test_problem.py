@@ -75,9 +75,11 @@ class TestSparseMatrix:
         with pytest.raises(ValueError, match="out of range"):
             SparseMatrix(2, 1, [0, 1], [2], [1.0])
 
-    def test_int32_indices_and_no_wraparound(self):
+    def test_int32_indices_and_no_wraparound(self, monkeypatch):
         # indices are stored as int32; values past the int32 range must be
-        # rejected before the cast, not wrapped into range by it
+        # rejected before the cast, not wrapped into range by it (a zero
+        # dense limit makes the gather CSC)
+        monkeypatch.setattr(problem, "_DENSE_LIMIT", 0)
         A = SparseMatrix(3, 2, [0, 2, 3], [0, 2, 1], [1.0, 2.0, 3.0])
         assert A.take_columns([0, 1]).indices.dtype == np.int32
         np.testing.assert_array_equal(A.toarray(), [[1.0, 0.0], [0.0, 3.0], [2.0, 0.0]])
@@ -96,15 +98,18 @@ class TestSparseMatrix:
         with pytest.raises(ValueError, match="finite and nonzero"):
             SparseMatrix(2, 1, [0, 1], [0], [np.inf])
 
-    def test_take_columns(self):
+    def test_take_columns(self, monkeypatch):
+        monkeypatch.setattr(problem, "_DENSE_LIMIT", 0)  # a CSC gather
         dense = np.array([[2.0, 0.0, -1.0], [0.0, 4.0, 3.0]])
         A = SparseMatrix.from_dense(dense)
         sub = A.take_columns([0, 2]).toarray()
         np.testing.assert_array_equal(sub, dense[:, [0, 2]])
 
-    def test_csr_form_is_scipys_csc_bitwise(self):
+    def test_csr_form_is_scipys_csc_bitwise(self, monkeypatch):
         # the CSR form of T = A^T reads the CSC arrays of A: its products are
-        # scipy's CSC products, its gathers scipy's column slices
+        # scipy's CSC products, its gathers above the dense limit scipy's
+        # column slices
+        monkeypatch.setattr(problem, "_DENSE_LIMIT", 0)
         rng = np.random.default_rng(12)
         arr = rng.standard_normal((30, 80))
         arr[rng.random(arr.shape) < 0.6] = 0.0
@@ -250,7 +255,9 @@ class TestDenseLayout:
         assert isinstance(csr._T, sp.csr_array) and isinstance(dense._T, np.ndarray)
         idx = [7, 0, 229, 31, 100]
         np.testing.assert_array_equal(dense.take_columns_dense(idx), csr.take_columns_dense(idx))
-        # each form gathers in its own: a dense array, or CSC from CSR
+        # above the dense limit each form gathers in its own: a dense array,
+        # or CSC from CSR
+        monkeypatch.setattr(problem, "_DENSE_LIMIT", 0)
         got, want = dense.take_columns(idx), csr.take_columns(idx)
         assert isinstance(got, np.ndarray) and isinstance(want, sp.csc_array)
         assert got.shape == want.shape == (40, 5)

@@ -4,6 +4,7 @@ import pytest
 import smop.inner as inner
 from smop import (
     L1,
+    ProblemData,
     SortedL1,
     SparseMatrix,
     SynthSpec,
@@ -118,7 +119,7 @@ class TestSieveSolve:
             return matvec(self, x)
 
         monkeypatch.setattr(SparseMatrix, "matvec", counting)
-        monkeypatch.setattr("smop.inner._DENSE_LIMIT", dense_limit)
+        monkeypatch.setattr("smop.problem._DENSE_LIMIT", dense_limit)
         initial = [] if start == "empty" else np.flatnonzero(x_true)
         res, trace = sieve_solve(data, L1(), lam, initial, tol=TIGHT)
         assert res.converged
@@ -172,6 +173,25 @@ class TestSieveSolve:
         assert res.converged and len(trace.rounds) >= 2
         assert res.piece_solves == sum(r.piece_solves for r in trace.rounds) == len(calls) > 0
         assert res.iters == sum(r.inner_iters for r in trace.rounds)
+
+    def test_uncertified_round_without_candidates_stops(self, monkeypatch):
+        # near-duplicate columns: each reduced solve hits the iteration cap
+        # with all residual mass inside I, and a tighter tolerance cannot
+        # certify what the cap stopped, so the sieve stops uncertified
+        # instead of re-solving the same set until MAX_ROUNDS
+        monkeypatch.setattr(inner, "MAX_ITERS", 300)
+        rng = np.random.default_rng(0)
+        base = rng.standard_normal((40, 100))
+        arr = np.hstack([base, base + 1e-6 * rng.standard_normal((40, 100))])
+        arr /= np.linalg.norm(arr, axis=0)
+        x = np.zeros(200)
+        x[rng.choice(200, 8, replace=False)] = 1.0
+        data = ProblemData(SparseMatrix.from_dense(arr), arr @ x + 0.01 * rng.standard_normal(40))
+        lam = 0.05 * lambda_inf(L1(), data.A, data.b)
+        res, trace = sieve_solve(data, L1(), lam, [], tol=1e-10)
+        assert not res.converged
+        assert len(trace.rounds) <= 3
+        assert trace.rounds[-1].size_J == 0 and trace.rounds[-1].inner_iters == 300
 
     def test_threshold_matches_exact_nonzeros_on_exact_case(self, diagonal_data):
         # at x = 0 the residual is prox(A^T b) with exactly representable
