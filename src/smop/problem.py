@@ -14,6 +14,12 @@ matrix alone (never from the machine), with no option:
 * **CSR** otherwise: the validated CSC arrays of ``A``, which are the CSR
   arrays of ``A^T``, so a sparse design (LIBSVM files) stays compact.
 
+``from_dense`` makes one private C-ordered copy of ``A^T`` and builds either
+form from it, with no scipy conversion: the dense form is the copy, and the
+CSR arrays are read off it (for a full design the value array is the copy
+itself), equal byte for byte to the CSC constructor's. Complex input is
+rejected at every entry point, never cast.
+
 Every method reads ``T`` the same way in both forms: a product is ``T @ y``
 or ``T.T @ x`` and a column gather is a row gather of ``T``. ``take_columns``
 is the one gather of the solves, and it alone picks the block's form: dense
@@ -37,6 +43,7 @@ stays serial: no solve calls it.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -131,6 +138,13 @@ def _block_product(out, block, y) -> None:
     out[...] = block @ y
 
 
+def _require_real(arr: np.ndarray, name: str) -> None:
+    """Reject complex input before a cast to float64 would drop its imaginary
+    part with only a warning."""
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{name} must be real, got {arr.dtype}")
+
+
 class LibsvmFormatError(ValueError):
     """A LIBSVM text file violates the format contract."""
 
@@ -154,7 +168,9 @@ class SparseMatrix:
     def __init__(self, m, n, indptr, indices, data):
         indptr = np.asarray(indptr)
         indices = np.asarray(indices)
-        data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        _require_real(data, "stored values")
+        data = data.astype(np.float64, copy=False)
         if m < 0 or n < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size:
@@ -218,22 +234,40 @@ class SparseMatrix:
 
     @classmethod
     def from_dense(cls, arr) -> "SparseMatrix":
-        """The matrix of a 2-D array of finite values. A design stored dense
-        is copied, never converted through CSC; later writes to ``arr``
-        change nothing here."""
-        arr = np.asarray(arr, dtype=np.float64)
+        """The matrix of a real 2-D array of finite values.
+
+        Either form is read off one private C-ordered copy ``T`` of ``arr.T``:
+        a dense ``T`` is that copy, and a CSR ``T`` takes its arrays from it,
+        canonical by construction and equal byte for byte to the CSC
+        constructor's. Later writes to ``arr`` change nothing here.
+        """
+        arr = np.asarray(arr)
+        _require_real(arr, "a matrix")
         if arr.ndim != 2:
             raise ValueError(f"a matrix must be 2-D, got {arr.ndim}-D input")
         m, n = arr.shape
-        # below the size minimum no fill is counted; the CSC constructor
-        # rejects NaN and inf
-        if m * n < _MIN_DENSE_ENTRIES or not _dense_layout(m, n, int(np.count_nonzero(arr))):
-            return cls.from_scipy(sp.csc_array(arr))
-        if not np.all(np.isfinite(arr)):
+        T = np.array(arr.T, dtype=np.float64, order="C")
+        if not np.isfinite(T).all():
             raise ValueError("stored values must be finite and nonzero")
+        nnz = int(np.count_nonzero(T))
         A = cls.__new__(cls)
         A._m, A._n = m, n
-        A._set_T(np.array(arr.T, order="C"))
+        if _dense_layout(m, n, nnz):
+            A._set_T(T)
+            return A
+        idx = _index_dtype(m, n, nnz)
+        if nnz == T.size:
+            data = T.reshape(-1)
+            indices = np.tile(np.arange(m, dtype=idx), n)
+            indptr = m * np.arange(n + 1, dtype=idx)
+        else:
+            # -0.0 is not stored, as in the CSC constructor
+            mask = T != 0.0
+            data = T[mask]
+            indices = np.broadcast_to(np.arange(m, dtype=idx), T.shape)[mask]
+            indptr = np.zeros(n + 1, dtype=idx)
+            np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
+        A._set_T(sp.csr_array((data, indices, indptr), shape=(n, m)))
         return A
 
     def matvec(self, x) -> np.ndarray:
@@ -311,7 +345,9 @@ class ProblemData:
     rho: float | None = None
 
     def __post_init__(self):
-        b = np.asarray(self.b, dtype=np.float64)
+        b = np.asarray(self.b)
+        _require_real(b, "b")
+        b = b.astype(np.float64, copy=False)
         if b.shape != (self.A.m,):
             raise ValueError("b must have length equal to the row count of A")
         if not np.all(np.isfinite(b)):
@@ -410,9 +446,12 @@ def libsvm_read(path) -> ProblemData:
         if not tokens:
             raise LibsvmFormatError(f"line {lineno}: empty line")
         try:
-            labels.append(float(tokens[0]))
+            label = float(tokens[0])
         except ValueError:
             raise LibsvmFormatError(f"line {lineno}: bad label {tokens[0]!r}") from None
+        if not math.isfinite(label):
+            raise LibsvmFormatError(f"line {lineno}: label must be finite, got {tokens[0]!r}")
+        labels.append(label)
         prev_idx = 0
         for tok in tokens[1:]:
             idx_s, _, val_s = tok.partition(":")
@@ -421,6 +460,10 @@ def libsvm_read(path) -> ProblemData:
                 val = float(val_s)
             except ValueError:
                 raise LibsvmFormatError(f"line {lineno}: bad feature {tok!r}") from None
+            if not math.isfinite(val):
+                raise LibsvmFormatError(
+                    f"line {lineno}: feature value must be finite, got {val_s!r}"
+                )
             if idx < 1:
                 raise LibsvmFormatError(f"line {lineno}: indices are 1-based, got {idx}")
             if idx <= prev_idx:

@@ -74,6 +74,14 @@ class TestSolve:
         assert code == 1 and out == ""
         assert "--seed" in err
 
+    @pytest.mark.parametrize("bad", ["3:nan", "3:1e999"])
+    def test_libsvm_nonfinite_value_names_its_line(self, capsys, tmp_path, bad):
+        path = tmp_path / "bad.svm"
+        path.write_text(f"1.0 1:2.0\n-1.0 2:1.0 {bad}\n0.5 1:1.0\n")
+        code, out, err = run(capsys, "solve", "--input", str(path), "--c", "0.4")
+        assert code == 1 and out == ""
+        assert err.startswith("error: line 2: feature value must be finite")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "--input", "/nonexistent.svm", "--c", "0.3")
         assert code == 1

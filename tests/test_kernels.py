@@ -1,4 +1,5 @@
-"""The sieve-round kernels against their earlier, plainer forms, bit for bit.
+"""The sieve-round kernels and the design construction against their
+earlier, plainer forms, bit for bit.
 
 Each reference below is the form a kernel had before its per-call overhead
 was taken out. The rewrites change no floating-point operation, so every
@@ -12,7 +13,8 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import isotonic_regression
 
-from smop import SortedL1, SparseMatrix, linear_weights, select_top_k
+from smop import SortedL1, SparseMatrix, SynthSpec, linear_weights, select_top_k, synth_instance
+from smop import problem
 from smop.inner import piece_solve
 
 
@@ -73,6 +75,25 @@ def _piece_solve_repeat(G_JJ, s, starts, rhs, m):
 def _take_columns_scipy(A, idx):
     sub = A._T[np.asarray(idx, dtype=np.int64)]
     return np.ascontiguousarray(sub.toarray().T)
+
+
+def _from_dense_csc(arr):
+    """``SparseMatrix.from_dense`` as it was when every design stored CSR
+    went through scipy's COO and CSC forms and the CSC constructor."""
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"a matrix must be 2-D, got {arr.ndim}-D input")
+    m, n = arr.shape
+    if m * n < problem._MIN_DENSE_ENTRIES or not problem._dense_layout(
+        m, n, int(np.count_nonzero(arr))
+    ):
+        return SparseMatrix.from_scipy(sp.csc_array(arr))
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("stored values must be finite and nonzero")
+    A = SparseMatrix.__new__(SparseMatrix)
+    A._m, A._n = m, n
+    A._set_T(np.array(arr.T, order="C"))
+    return A
 
 
 # ------------------------------------------------------------------ tests
@@ -237,3 +258,93 @@ class TestCsrGather:
     def test_no_rows(self):
         A = SparseMatrix.from_scipy(sp.csc_array((0, 4)))
         _same(A.take_columns_dense([1, 3]), np.zeros((0, 2)))
+
+
+def _same_matrix(got, want):
+    """Same shape, form and stored bytes: a dense ``T`` also in its order and
+    read-only flag, a CSR ``T`` in each of its three arrays."""
+    assert got.shape == want.shape and type(got._T) is type(want._T)
+    if isinstance(want._T, np.ndarray):
+        _same(got._T, want._T)
+        assert got._T.flags.c_contiguous and not got._T.flags.writeable
+        assert not want._T.flags.writeable
+    else:
+        assert got._T.shape == want._T.shape
+        for name in ("data", "indices", "indptr"):
+            _same(getattr(got._T, name), getattr(want._T, name))
+
+
+def _construction_cases():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((30, 20))
+    sparse = a.copy()
+    sparse[rng.random(a.shape) < 0.6] = 0.0
+    negzero = a.copy()
+    negzero[rng.random(a.shape) < 0.3] = -0.0
+    negzero[:, 4] = -0.0
+    holes = a.copy()
+    holes[[0, 7, 29]] = 0.0
+    holes[:, [2, 19]] = 0.0
+    return {
+        "full": a, "sparse": sparse, "negative-zero": negzero, "zero-rows-columns": holes,
+        "all-zero": np.zeros((4, 6)), "0xn": np.zeros((0, 5)), "mx0": np.zeros((5, 0)),
+        "0x0": np.zeros((0, 0)), "1x1": np.array([[2.5]]), "1x1-zero": np.array([[0.0]]),
+        "row": a[:1], "column": a[:, :1].copy(), "int": rng.integers(-2, 3, size=(9, 14)),
+        "bool": rng.random((9, 14)) < 0.5, "fortran": np.asfortranarray(sparse),
+        "transposed-view": a.T, "list": [[2.0, 0.0, -1.0], [0.0, 4.0, 0.0]],
+    }
+
+
+class TestFromDense:
+    @pytest.mark.parametrize("name", sorted(_construction_cases()))
+    @pytest.mark.parametrize("minimum", [None, 0], ids=["default", "dense-from-0"])
+    def test_matches_csc_construction(self, monkeypatch, name, minimum):
+        if minimum is not None:
+            monkeypatch.setattr(problem, "_MIN_DENSE_ENTRIES", minimum)
+        arr = _construction_cases()[name]
+        _same_matrix(SparseMatrix.from_dense(arr), _from_dense_csc(arr))
+
+    @pytest.mark.parametrize("m, n, s", [(300, 10000, 30), (200, 2000, 20), (200, 1500, 15)])
+    def test_benchmark_shapes(self, m, n, s):
+        data, _ = synth_instance(SynthSpec(m=m, n=n, s=s, sigma=0.01, seed=1))
+        _same_matrix(data.A, _from_dense_csc(data.A.toarray()))
+        assert isinstance(data.A._T, np.ndarray) is (m * n >= problem._MIN_DENSE_ENTRIES)
+
+    @pytest.mark.parametrize("nnz, dense", [(333_334, True), (333_333, False)])
+    def test_two_thirds_fill_at_the_size_minimum(self, nnz, dense):
+        assert problem._MIN_DENSE_ENTRIES == 500_000
+        arr = 1.5 * (np.random.default_rng(0).permutation(500_000) < nnz).reshape(500, 1000)
+        A = SparseMatrix.from_dense(arr)
+        assert isinstance(A._T, np.ndarray) is dense
+        _same_matrix(A, _from_dense_csc(arr))
+
+    @pytest.mark.parametrize("fill", [1.0, 0.5])
+    def test_later_writes_to_the_input_change_nothing(self, fill):
+        # a full CSR design's value array is the private copy of T itself
+        rng = np.random.default_rng(5)
+        arr = rng.standard_normal((20, 30))
+        arr[rng.random(arr.shape) >= fill] = 0.0
+        A = SparseMatrix.from_dense(arr)
+        assert isinstance(A._T, sp.csr_array)
+        if fill == 1.0:
+            assert A._T.data.base is not None and A._T.data.base.shape == (30, 20)
+        before = arr.copy()
+        assert not np.shares_memory(A._T.data, arr)
+        arr[:] = 7.0
+        np.testing.assert_array_equal(A.toarray(), before)
+        _same_matrix(A, _from_dense_csc(before))
+
+    @pytest.mark.parametrize("bad", [
+        np.ones(3), np.ones((2, 2, 2)), 5.0,
+        np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[1.0, 0.0], [np.inf, 1.0]]),
+        np.array([[-np.inf, 1.0]]), np.array([[0.0, np.nan]]),
+    ], ids=["1-D", "3-D", "scalar", "nan", "inf", "-inf", "nan-beside-zero"])
+    @pytest.mark.parametrize("minimum", [None, 0], ids=["default", "dense-from-0"])
+    def test_same_errors(self, monkeypatch, bad, minimum):
+        if minimum is not None:
+            monkeypatch.setattr(problem, "_MIN_DENSE_ENTRIES", minimum)
+        with pytest.raises(ValueError) as want:
+            _from_dense_csc(bad)
+        with pytest.raises(ValueError) as got:
+            SparseMatrix.from_dense(bad)
+        assert str(got.value) == str(want.value)

@@ -98,6 +98,21 @@ class TestSparseMatrix:
         with pytest.raises(ValueError, match="finite and nonzero"):
             SparseMatrix(2, 1, [0, 1], [0], [np.inf])
 
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_rejects_complex_values(self, dtype):
+        # before any cast: a cast to float64 would drop the imaginary part
+        # with only a ComplexWarning
+        arr = np.array([[1 + 2j, 0], [0, 3]], dtype=dtype)
+        with pytest.raises(ValueError, match=f"a matrix must be real, got {np.dtype(dtype)}"):
+            SparseMatrix.from_dense(arr)
+        with pytest.raises(ValueError, match=f"stored values must be real, got {np.dtype(dtype)}"):
+            SparseMatrix.from_scipy(sp.csc_array(arr))
+        with pytest.raises(ValueError, match=f"stored values must be real, got {np.dtype(dtype)}"):
+            SparseMatrix(2, 2, [0, 1, 2], [0, 1], np.array([1 + 2j, 3], dtype=dtype))
+        # a zero imaginary part is complex input all the same
+        with pytest.raises(ValueError, match="must be real, got complex128"):
+            SparseMatrix.from_dense([[1 + 0j, 0.0]])
+
     def test_take_columns(self, monkeypatch):
         monkeypatch.setattr(problem, "_DENSE_LIMIT", 0)  # a CSC gather
         dense = np.array([[2.0, 0.0, -1.0], [0.0, 4.0, 3.0]])
@@ -451,6 +466,13 @@ class TestProblemData:
             # a large scale whose norm stays finite is accepted
             assert ProblemData(A, 1e150 * b).bnorm < np.inf
 
+    def test_rejects_complex_b(self):
+        A = SparseMatrix.from_dense([[1.0], [2.0]])
+        with pytest.raises(ValueError, match="b must be real, got complex128"):
+            ProblemData(A, np.array([1.0 + 2j, 1.0]))
+        with pytest.raises(ValueError, match="b must be real, got complex64"):
+            ProblemData(A, np.array([1.0, 2.0], dtype=np.complex64), rho=0.5)
+
     def test_rejects_zero_b(self):
         A = SparseMatrix.from_dense([[1.0]])
         with pytest.raises(ValueError, match="nonzero"):
@@ -490,6 +512,26 @@ class TestLibsvm:
         f = tmp_path / "bad.svm"
         f.write_text("1 1:2\n-1 2:x\n")
         with pytest.raises(LibsvmFormatError, match="line 2"):
+            libsvm_read(f)
+
+    @pytest.mark.parametrize("text, line, token", [
+        ("1.0 1:2.0 3:nan\n", 1, "nan"),
+        ("1 1:2\n-1 2:1e999\n", 2, "1e999"),
+        ("1 1:2\n2 1:1\n-1 1:-inf 2:1\n", 3, "-inf"),
+    ])
+    def test_nonfinite_feature_names_its_line(self, tmp_path, text, line, token):
+        f = tmp_path / "nf.svm"
+        f.write_text(text)
+        with pytest.raises(LibsvmFormatError,
+                           match=f"^line {line}: feature value must be finite, got '{token}'$"):
+            libsvm_read(f)
+
+    @pytest.mark.parametrize("label", ["nan", "inf", "-1e999"])
+    def test_nonfinite_label_names_its_line(self, tmp_path, label):
+        f = tmp_path / "nl.svm"
+        f.write_text(f"1 1:2\n{label} 2:1\n")
+        with pytest.raises(LibsvmFormatError,
+                           match=f"^line 2: label must be finite, got '{label}'$"):
             libsvm_read(f)
 
     def test_roundtrip_bit_exact(self, tmp_path):

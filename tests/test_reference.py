@@ -17,7 +17,17 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import cholesky, toeplitz
 
-from smop import L1, ProblemData, SmopConfig, SparseMatrix, SynthSpec, smop_solve, synth_instance
+from smop import (
+    L1,
+    PathSpec,
+    ProblemData,
+    SmopConfig,
+    SparseMatrix,
+    SynthSpec,
+    smop_solve,
+    solve_path,
+    synth_instance,
+)
 
 
 def lasso_at_rho(A: np.ndarray, b: np.ndarray, rho: float):
@@ -102,3 +112,22 @@ def test_smop_matches_lars(monkeypatch, name, dense_limit, c, sieve):
     assert res.converged
     assert abs(res.lambda_star - lam) <= 1e-10 * lam
     assert np.linalg.norm(res.x - x) <= 1e-10 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("sieve", [True, False], ids=["sieved", "direct"])
+@pytest.mark.parametrize("c", [0.1, 0.3])
+@pytest.mark.parametrize("name", ["synth40x120", "synth200x2000", "toeplitz", "sparse"])
+def test_path_levels_match_lars(name, c, sieve):
+    # every warm-started step against the walk at that step's rho
+    data, arr = _design(name)
+    data = ProblemData(data.A, data.b)  # keeps no operator
+    spec = PathSpec(base_c=c, count=6)
+    path = solve_path(data, L1(), spec, SmopConfig(stoptol=1e-10, sieve=sieve))
+    assert path.failures == 0
+    assert [step.rho for step in path.steps] == spec.rhos(data.bnorm).tolist()
+    for step in path.steps:
+        lam, x = lasso_at_rho(arr, data.b, step.rho)
+        res = step.result
+        assert res.converged
+        assert abs(res.lambda_star - lam) <= 1e-10 * lam
+        assert np.linalg.norm(res.x - x) <= 1e-10 * np.linalg.norm(x)
