@@ -2,8 +2,10 @@
 
 Exit codes: 0 on success (tolerance reached), 2 on non-convergence, 1 on
 usage or data errors. Set the environment variable ``SMOP_LOG`` to
-``debug``/``info``/``warning`` to control log verbosity. ``smop solve
---trace-jsonl PATH`` writes ``SmopResult.events()``, one JSON object per line.
+``debug``/``info``/``warning``/``error`` (any case; empty or unset is
+``warning``) to control log verbosity; any other value is a usage error.
+``smop solve --trace-jsonl PATH`` writes ``SmopResult.events()``, one JSON
+object per line.
 """
 
 from __future__ import annotations
@@ -226,10 +228,23 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
+def _log_level() -> int:
+    """The logging level ``SMOP_LOG`` names, in any case; empty or unset is
+    ``warning``."""
+    value = os.environ.get("SMOP_LOG", "")
+    name = value.lower() or "warning"
+    if name not in ("debug", "info", "warning", "error"):
+        raise ValueError(f"SMOP_LOG must be one of debug, info, warning, error; got {value!r}")
+    return getattr(logging, name.upper())
+
+
 def main(argv=None) -> int:
-    level = os.environ.get("SMOP_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    try:
+        level = _log_level()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .problem import ProblemData
+from .problem import ProblemData, index_array
 from .regularizers import Regularizer
 
 # default certificate tolerance of a solve, and the APG iteration cap
@@ -239,12 +239,14 @@ def solve_reduced(
     leading (largest) weights; the sieving loop's full-dimension residual
     check is the authoritative certificate for the assembled point. Returns a
     result whose ``x`` is a full-length vector supported on the index set.
+    An index set that is not of integer dtype (a bool mask, floats) raises
+    ``IndexError``.
     """
     if not 0.0 < lam < np.inf:
         raise ValueError("lam must be positive and finite")
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
-    idx = np.asarray(index_set, dtype=np.int64)
+    idx = index_array(index_set)
     if idx.size == 0:
         return _zero_result(data)
     A_I, c, G, gram_mv, lipschitz = _reduced_operator(data, idx)

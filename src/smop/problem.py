@@ -24,7 +24,10 @@ Every method reads ``T`` the same way in both forms: a product is ``T @ y``
 or ``T.T @ x`` and a column gather is a row gather of ``T``. ``take_columns``
 is the one gather of the solves, and it alone picks the block's form: dense
 when the design is stored dense or the block has at most ``_DENSE_LIMIT``
-entries, CSC otherwise.
+entries, CSC otherwise. A dense gather from a CSR ``T`` with every entry
+stored takes rows of the ``(n, m)`` view of its value array; from any other
+CSR ``T`` it scatters the stored entries. Index arrays must have an integer
+dtype (``index_array``): a bool mask or a float index is refused, not cast.
 
 ``SparseMatrix.rmatvec`` splits a large dense ``T @ y`` over the usable
 cores: row blocks of ``T`` (``_row_blocks``), one per CPU the process may
@@ -143,6 +146,17 @@ def _require_real(arr: np.ndarray, name: str) -> None:
     part with only a warning."""
     if np.iscomplexobj(arr):
         raise ValueError(f"{name} must be real, got {arr.dtype}")
+
+
+def index_array(idx) -> np.ndarray:
+    """``idx`` as an int64 index array. An array of any other dtype kind
+    raises ``IndexError`` naming it: a cast would turn a bool mask into the
+    indices 0 and 1 and truncate a float index. An empty list, which numpy
+    reads as float64, stays the empty index array."""
+    arr = np.asarray(idx)
+    if arr.dtype.kind not in "iu" and arr.size:
+        raise IndexError(f"index arrays must have an integer dtype, got {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 class LibsvmFormatError(ValueError):
@@ -299,7 +313,7 @@ class SparseMatrix:
         ``take_columns_dense`` when the design is stored dense or the block
         has at most ``_DENSE_LIMIT`` entries, else scipy CSC. A dense block is
         F-ordered from a dense design (rows of ``T``) and C-ordered from CSR."""
-        idx = np.asarray(idx, dtype=np.int64)
+        idx = index_array(idx)
         if isinstance(self._T, np.ndarray) or self._m * idx.size <= _DENSE_LIMIT:
             return self.take_columns_dense(idx)
         return sp.csc_array(self._T[idx].T)
@@ -307,27 +321,34 @@ class SparseMatrix:
     def take_columns_dense(self, idx) -> np.ndarray:
         """Column submatrix as a dense array, whatever the stored form.
 
-        From CSR the result is C-ordered, as the reduced solves' last bits
-        depend on the layout: each gathered row of ``T`` is scattered
-        straight into its column, with no scipy submatrix in between.
-        Negative indices count from the end; an index out of range raises
-        scipy's ``IndexError``.
+        From CSR the result is a fresh C-ordered array, as the reduced solves'
+        last bits depend on the layout. A CSR ``T`` with every row full
+        (``T.nnz == n * m``) has the C-ordered ``(n, m)`` array as its value
+        array, so the gathered rows of that view are copied, transposed, into
+        the result; any other CSR ``T`` has each gathered row scattered
+        straight into its column. Neither builds a scipy submatrix. Negative
+        indices count from the end; an index out of range raises scipy's
+        ``IndexError``, and an index array that is not of integer dtype an
+        ``IndexError`` naming its dtype.
         """
-        idx = np.asarray(idx, dtype=np.int64)
-        T, n, k = self._T, self._n, idx.size
+        idx = index_array(idx)
+        T, n, m, k = self._T, self._n, self._m, idx.size
         if isinstance(T, np.ndarray):
             return T[idx].T
         if k:
             hi, lo = int(idx.max()), int(idx.min())
             if hi >= n or lo < -n:
                 raise IndexError(f"index ({hi if hi >= n else lo}) out of range")
-            idx = idx % n
+        if T.nnz == n * m:
+            # full rows: T.indices repeat arange(m), so T.data is T row by row
+            return T.data.reshape(n, m)[idx].T.copy()
+        idx = idx % n
         start = T.indptr[idx]
         count = T.indptr[idx + 1] - start
         # stored entry p of gathered row j goes to out[T.indices[p], j]
         col = np.repeat(np.arange(k), count)
         pos = np.arange(col.size) + np.repeat(start - np.cumsum(count) + count, count)
-        out = np.zeros((self._m, k))
+        out = np.zeros((m, k))
         out.ravel()[np.multiply(T.indices[pos], k, dtype=np.int64) + col] = T.data[pos]
         return out
 
@@ -485,13 +506,18 @@ def libsvm_write(path, data: ProblemData) -> None:
     """Write ``(A, b)`` in LIBSVM text format.
 
     Values are printed with ``repr`` (shortest round-trip decimal), so a
-    read-back reproduces them bit-exactly.
+    read-back reproduces them bit-exactly. When the last column stores
+    nothing, the first line ends with an explicit ``n:0.0``, so the read-back
+    keeps all ``n`` columns.
     """
     csr = sp.csr_array(data.A._T.T)
+    n = data.A.n
     with open(path, "w") as fh:
         for i in range(data.A.m):
             parts = [repr(float(data.b[i]))]
             lo, hi = csr.indptr[i], csr.indptr[i + 1]
             for j, v in zip(csr.indices[lo:hi], csr.data[lo:hi]):
                 parts.append(f"{j + 1}:{repr(float(v))}")
+            if i == 0 and n and not np.any(csr.indices == n - 1):
+                parts.append(f"{n}:0.0")
             fh.write(" ".join(parts) + "\n")

@@ -108,7 +108,11 @@ class SortedL1(Regularizer):
             # apart, and the order of the tied entries would set which gets
             # which. The sorted values a are the same in either order
             order = np.argsort(-av, kind="stable")
-        u = isotonic_regression(a - t * self.weights, increasing=False).x
+        u = a - t * self.weights
+        if not (u[1:] < u[:-1]).all():
+            # PAVA pools nothing in a strictly decreasing u and returns it as
+            # it is; pooling equal values can move their last bit
+            u = isotonic_regression(u, increasing=False).x
         np.maximum(u, 0.0, out=u)
         out = np.empty_like(v)  # order is a permutation: every entry is set
         out[order] = u
@@ -131,9 +135,12 @@ class SortedL1(Regularizer):
     def piece(self, x):
         x = self._check(x)
         ax = np.abs(x)
-        # rank order, ties in index order as in prox; runs of equal |x| cluster
-        J = np.argsort(-ax, kind="stable")[: np.count_nonzero(x)]
+        # the support in rank order, ties in index order as in prox; runs of
+        # equal |x| cluster
+        J = np.flatnonzero(x)
         a = ax[J]
+        order = np.argsort(-a, kind="stable")
+        J, a = J[order], a[order]
         starts = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))[: J.size]
         return J, np.sign(x[J]), starts, np.add.reduceat(self.weights[: J.size], starts)
 

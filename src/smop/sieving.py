@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .inner import KKT_TOL, InnerSolveResult, residual_R, solve_reduced
-from .problem import ProblemData
+from .problem import ProblemData, index_array
 from .regularizers import Regularizer
 
 # a round may add this many coordinates even when I is smaller, and never
@@ -97,7 +97,8 @@ def sieve_solve(
     initial_set : array-like of int
         Starting index set; may be empty, in which case the first round
         evaluates the residual at zero and seeds the set from its largest
-        entries.
+        entries. An array of another dtype (a bool mask, floats) raises
+        ``IndexError``.
 
     Returns
     -------
@@ -114,7 +115,7 @@ def sieve_solve(
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
     n = data.A.n
-    I = np.unique(np.asarray(initial_set, dtype=np.int64))
+    I = np.unique(index_array(initial_set))
     if I.size and (I.min() < 0 or I.max() >= n):
         raise ValueError("initial index set out of range")
 

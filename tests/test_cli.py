@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import pathlib
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import smop
 from smop import ProblemData, SparseMatrix, libsvm_write
-from smop.cli import main, sci
+from smop.cli import _log_level, main, sci
 
 
 def run(capsys, *argv):
@@ -323,14 +324,14 @@ class TestConsoleScript:
     """The ``smop`` command that ``pyproject.toml`` installs, run in its own process."""
 
     @staticmethod
-    def _run(*argv):
+    def _run(*argv, **environ):
         tomllib = pytest.importorskip("tomllib")
         root = pathlib.Path(__file__).resolve().parents[1]
         with open(root / "pyproject.toml", "rb") as fh:
             target = tomllib.load(fh)["project"]["scripts"]["smop"]
         module, func = target.split(":")
         paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p), **environ}
         code = f"from {module} import {func}; {func}()"
         return subprocess.run([sys.executable, "-c", code, *argv], env=env,
                               capture_output=True, text=True, timeout=120)
@@ -344,3 +345,35 @@ class TestConsoleScript:
         proc = self._run("solve", "--bogus")
         assert proc.returncode == 1
         assert "unrecognized arguments: --bogus" in proc.stderr
+
+    def test_debug_log_reaches_stderr(self):
+        proc = self._run("solve", "--synth", "m=20,n=50,s=3", "--c", "0.1", SMOP_LOG="debug")
+        assert proc.returncode == 0, proc.stderr
+        assert any(line.startswith("DEBUG smop: phi(") for line in proc.stderr.splitlines())
+
+    @pytest.mark.parametrize("value", ["bogus", "basic_format", "%(levelname)s"])
+    def test_bad_log_level_exits_one(self, value):
+        proc = self._run("solve", "--synth", "m=20,n=50,s=3", "--c", "0.1", SMOP_LOG=value)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == (f"error: SMOP_LOG must be one of debug, info, warning, "
+                               f"error; got {value!r}\n")
+
+
+class TestLogLevel:
+    @pytest.mark.parametrize("value, level", [
+        ("debug", logging.DEBUG), ("INFO", logging.INFO), ("Warning", logging.WARNING),
+        ("error", logging.ERROR), ("", logging.WARNING), (None, logging.WARNING),
+    ])
+    def test_accepted_values(self, monkeypatch, value, level):
+        if value is None:
+            monkeypatch.delenv("SMOP_LOG", raising=False)
+        else:
+            monkeypatch.setenv("SMOP_LOG", value)
+        assert _log_level() == level
+
+    @pytest.mark.parametrize("value", ["bogus", "basic_format", "critical", "10", " info"])
+    def test_other_values_are_usage_errors(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("SMOP_LOG", value)
+        code, out, err = run(capsys, "rootdemo", "beta:1.5")
+        assert code == 1 and out == ""
+        assert err == f"error: SMOP_LOG must be one of debug, info, warning, error; got {value!r}\n"

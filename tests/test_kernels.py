@@ -2,14 +2,16 @@
 earlier, plainer forms, bit for bit.
 
 Each reference below is the form a kernel had before its per-call overhead
-was taken out. The rewrites change no floating-point operation, so every
-output must match its reference in bytes, dtype and layout, and every error
-must be the same error.
+was taken out, or before it skipped work its result does not need. The
+rewrites change no floating-point operation, so every output must match its
+reference in bytes, dtype and layout, and every error must be the same error.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import isotonic_regression
 
@@ -36,6 +38,8 @@ def _select_top_k_argsort(residual, candidates, k):
 
 
 def _prox_zeros_like(reg, v, t):
+    """``SortedL1.prox`` as it was when every call ran PAVA into a zeroed
+    output."""
     v = np.asarray(v, dtype=np.float64)
     av = np.abs(v)
     order = np.argsort(-av)
@@ -50,6 +54,7 @@ def _prox_zeros_like(reg, v, t):
 
 
 def _piece_diff(reg, x):
+    """``SortedL1.piece`` as it was when it argsorted all of ``|x|``."""
     x = np.asarray(x, dtype=np.float64)
     ax = np.abs(x)
     J = np.argsort(-ax, kind="stable")[: np.count_nonzero(x)]
@@ -75,6 +80,25 @@ def _piece_solve_repeat(G_JJ, s, starts, rhs, m):
 def _take_columns_scipy(A, idx):
     sub = A._T[np.asarray(idx, dtype=np.int64)]
     return np.ascontiguousarray(sub.toarray().T)
+
+
+def _take_columns_scatter(A, idx):
+    """The CSR branch of ``take_columns_dense`` as it was when every CSR
+    design scattered its gathered rows, full or not."""
+    idx = np.asarray(idx, dtype=np.int64)
+    T, n, k = A._T, A.n, idx.size
+    if k:
+        hi, lo = int(idx.max()), int(idx.min())
+        if hi >= n or lo < -n:
+            raise IndexError(f"index ({hi if hi >= n else lo}) out of range")
+        idx = idx % n
+    start = T.indptr[idx]
+    count = T.indptr[idx + 1] - start
+    col = np.repeat(np.arange(k), count)
+    pos = np.arange(col.size) + np.repeat(start - np.cumsum(count) + count, count)
+    out = np.zeros((A.m, k))
+    out.ravel()[np.multiply(T.indices[pos], k, dtype=np.int64) + col] = T.data[pos]
+    return out
 
 
 def _from_dense_csc(arr):
@@ -156,6 +180,13 @@ def _prox_cases():
         tied[rng.random(n) < 0.1] = -0.0
         yield n, tied
         yield n, np.zeros(n)
+    for v in (
+        [0.7], [-0.0], [-0.0, 0.0, -0.0], [0.0, -3.0, 0.0, 0.0],  # k = 1, no or one nonzero
+        [2.0, -2.0, 2.0, 1.0, -1.0], [0.0, -0.0, 3.0, 0.0, -1.0],  # ties, zeros of both signs
+        [-0.0, 1.0, 0.0, -1.0, -0.0, 1.0], [1e-320, -0.0, -1e-320, 3.0],
+        [1.0, 1.0 + 2**-52, 1.0 - 2**-53, 0.5],  # an ulp apart
+    ):
+        yield len(v), np.array(v)
 
 
 class TestSortedL1:
@@ -164,7 +195,7 @@ class TestSortedL1:
         for n, v in _prox_cases():
             w = linear_weights(n) if schedule == "linear" else np.ones(n)
             reg = SortedL1(w)
-            for t in (1e-3, 0.05, 0.3, 10.0):
+            for t in (1e-300, 1e-3, 0.05, 0.3, 10.0, 1e300):
                 _same(reg.prox(v, t), _prox_zeros_like(reg, v, t))
 
     def test_prox_does_not_write_its_input(self):
@@ -180,6 +211,24 @@ class TestSortedL1:
             for x in (v, reg.prox(v, 0.05), reg.prox(v, 0.3)):
                 for got, want in zip(reg.piece(x), _piece_diff(reg, x)):
                     _same(got, want)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(min_value=5e-324, max_value=1e300), min_size=1,
+                    max_size=40, unique=True),
+           st.floats(min_value=1e-300, max_value=1e300), st.randoms(use_true_random=False))
+    def test_prox_on_strictly_decreasing_input(self, mags, t, rnd):
+        # distinct magnitudes, subnormal to huge, in random order and signs;
+        # with constant weights PAVA gets a - t*w, strictly decreasing unless
+        # t*w absorbs the gaps between magnitudes
+        a = np.sort(np.array(mags))[::-1]
+        u = a - t
+        if (u[1:] < u[:-1]).all():
+            # the skip rests on this: PAVA returns such input bit for bit
+            _same(isotonic_regression(u, increasing=False).x, u)
+        v = a * np.array([rnd.choice((-1.0, 1.0)) for _ in mags])
+        v = v[np.array(rnd.sample(range(a.size), a.size))]
+        for reg in (SortedL1(np.ones(a.size)), SortedL1(linear_weights(a.size))):
+            _same(reg.prox(v, t), _prox_zeros_like(reg, v, t))
 
     def test_restrict_is_the_validated_prefix(self):
         reg = SortedL1(linear_weights(40))
@@ -215,14 +264,17 @@ class TestPieceSolve:
         _same(piece_solve(G, s, starts, rhs, m), _piece_solve_repeat(G, s, starts, rhs, m))
 
 
-def _csr_design():
+def _csr_design(full=False):
+    """A 25 x 40 design stored CSR: with every entry stored (the view gather),
+    or with empty, full and partly filled columns (the scatter)."""
     rng = np.random.default_rng(11)
     arr = rng.standard_normal((25, 40))
-    arr[rng.random(arr.shape) < 0.7] = 0.0
-    arr[:, [3, 17]] = 0.0  # empty columns
-    arr[:, 8] = rng.standard_normal(25)  # a full one
+    if not full:
+        arr[rng.random(arr.shape) < 0.7] = 0.0
+        arr[:, [3, 17]] = 0.0  # empty columns
+        arr[:, 8] = rng.standard_normal(25)  # a full one
     A = SparseMatrix.from_dense(arr)
-    assert isinstance(A._T, sp.csr_array)
+    assert isinstance(A._T, sp.csr_array) and (A._T.nnz == arr.size) is full
     return A, arr
 
 
@@ -258,6 +310,80 @@ class TestCsrGather:
     def test_no_rows(self):
         A = SparseMatrix.from_scipy(sp.csc_array((0, 4)))
         _same(A.take_columns_dense([1, 3]), np.zeros((0, 2)))
+
+
+def _full_csr(m, n, how):
+    """A full ``m x n`` design stored CSR, built the way ``how`` names."""
+    arr = np.random.default_rng(m + n).standard_normal((m, n))
+    if how == "from_dense":
+        A = SparseMatrix.from_dense(arr)
+    elif how == "from_scipy":
+        A = SparseMatrix.from_scipy(sp.csr_array(arr))
+    else:
+        csc = sp.csc_array(arr)
+        A = SparseMatrix(m, n, csc.indptr, csc.indices, csc.data)
+    assert isinstance(A._T, sp.csr_array) and A._T.nnz == m * n
+    return A, arr
+
+
+class TestViewGather:
+    """A CSR design with every entry stored gathers from the dense view of its
+    value array; any other CSR design scatters."""
+
+    @pytest.mark.parametrize("how", ["from_dense", "from_scipy", "constructor"])
+    @pytest.mark.parametrize("m, n", [(300, 10000), (200, 2000), (200, 1500)])
+    def test_matches_scatter_on_benchmark_shapes(self, monkeypatch, m, n, how):
+        # the 300 x 10000 design is stored dense by default
+        monkeypatch.setattr(problem, "_MIN_DENSE_ENTRIES", m * n + 1)
+        A, arr = _full_csr(m, n, how)
+        rng = np.random.default_rng(1)
+        for k in (0, 1, 7, 25, 300):
+            idx = rng.integers(-n, n, size=k)
+            got = A.take_columns_dense(idx)
+            _same(got, _take_columns_scatter(A, idx))
+            assert got.flags.c_contiguous and got.flags.writeable and got.flags.owndata
+            np.testing.assert_array_equal(got, arr[:, idx])
+            got[...] = 7.0  # a fresh block: the design does not change
+        _same(A.toarray(), arr)
+
+    def test_index_forms(self):
+        A, arr = _csr_design(full=True)
+        rng = np.random.default_rng(4)
+        for idx in ([], np.array([], dtype=np.int32), [5], [7, 7, 2, 7], [-1, 0, -40, 39],
+                    list(range(39, -1, -3)), np.array([9, 1], dtype=np.int32),
+                    *(rng.integers(-40, 40, size=int(rng.integers(0, 60))) for _ in range(20))):
+            got = A.take_columns_dense(idx)
+            _same(got, _take_columns_scatter(A, idx))
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(got, arr[:, np.asarray(idx, dtype=np.int64)])
+        for idx in ([40], [0, 41], [-41], [-41, 40], [-50, 2]):
+            with pytest.raises(IndexError) as want:
+                _take_columns_scatter(A, idx)
+            with pytest.raises(IndexError) as got:
+                A.take_columns_dense(idx)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("holes", ["one-zero", "empty-last-column", "scattered-zeros"])
+    def test_design_with_a_missing_entry_scatters(self, holes):
+        rng = np.random.default_rng(2)
+        arr = rng.standard_normal((200, 2000))
+        if holes == "one-zero":
+            arr[17, 1234] = 0.0
+        elif holes == "empty-last-column":
+            arr[:, 1999] = 0.0
+        else:
+            arr[rng.integers(0, 200, 13), rng.integers(0, 2000, 13)] = 0.0
+        A = SparseMatrix.from_dense(arr)
+        assert isinstance(A._T, sp.csr_array) and A._T.nnz < arr.size
+        for idx in ([1234, 1999, 0, 1234], rng.integers(-2000, 2000, size=50)):
+            got = A.take_columns_dense(idx)
+            _same(got, _take_columns_scatter(A, idx))
+            np.testing.assert_array_equal(got, arr[:, np.asarray(idx)])
+
+    def test_no_columns(self):
+        # nnz == n * m == 0, as for TestCsrGather.test_no_rows
+        A = SparseMatrix.from_dense(np.zeros((3, 0)))
+        _same(A.take_columns_dense([]), np.zeros((3, 0)))
 
 
 def _same_matrix(got, want):

@@ -21,7 +21,9 @@ from smop import (
     libsvm_read,
     libsvm_write,
     linear_weights,
+    sieve_solve,
     smop_solve,
+    solve_reduced,
     synth_instance,
 )
 from smop import problem
@@ -151,6 +153,65 @@ def _split_small(monkeypatch, cpus=4):
     blocks, whatever the host."""
     monkeypatch.setattr(problem, "_MIN_BLOCK_NNZ", 0)
     monkeypatch.setattr(problem, "_usable_cpus", lambda: cpus)
+
+
+class TestIndexArrays:
+    """An index array that is not of integer dtype is refused by name, never
+    cast: a cast turns a bool mask into the indices 0 and 1 and truncates a
+    float index."""
+
+    BAD = [
+        np.array([False, False, False, False, False, True, True, False]),
+        np.array([1.7, 2.2]),
+        [True, False, True, False, False, False, False, False],
+        [1.0, 2.0],
+        np.array(["1", "2"]),
+    ]
+    IDS = ["bool-mask", "float", "bool-list", "whole-floats", "str"]
+
+    @staticmethod
+    def _data():
+        rng = np.random.default_rng(4)
+        return ProblemData(SparseMatrix.from_dense(rng.standard_normal((4, 8))),
+                           rng.standard_normal(4))
+
+    @pytest.mark.parametrize("idx", BAD, ids=IDS)
+    @pytest.mark.parametrize("dense", [False, True], ids=["csr", "dense"])
+    def test_gathers_raise(self, monkeypatch, idx, dense):
+        _dense_from(monkeypatch, 0 if dense else math.inf)
+        A = self._data().A
+        assert isinstance(A._T, np.ndarray) is dense
+        want = f"index arrays must have an integer dtype, got {np.asarray(idx).dtype}"
+        for gather in (A.take_columns, A.take_columns_dense):
+            with pytest.raises(IndexError, match=f"^{want}$"):
+                gather(idx)
+
+    @pytest.mark.parametrize("idx", BAD, ids=IDS)
+    def test_solves_raise(self, idx):
+        data = self._data()
+        want = f"index arrays must have an integer dtype, got {np.asarray(idx).dtype}"
+        with pytest.raises(IndexError, match=f"^{want}$"):
+            solve_reduced(data, L1(), 0.1, idx)
+        with pytest.raises(IndexError, match=f"^{want}$"):
+            sieve_solve(data, L1(), 0.1, idx)
+
+    @pytest.mark.parametrize("idx", [[], np.array([]), np.zeros(0, dtype=bool)],
+                             ids=["list", "float64", "bool"])
+    def test_empty_stays_valid(self, idx):
+        data = self._data()
+        assert data.A.take_columns(idx).shape == (4, 0)
+        assert data.A.take_columns_dense(idx).shape == (4, 0)
+        assert not solve_reduced(data, L1(), 0.1, idx).x.any()
+        assert sieve_solve(data, L1(), 0.1, idx)[0].converged
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64])
+    def test_integer_dtypes_stay_valid(self, dtype):
+        data = self._data()
+        idx = np.array([5, 2], dtype=dtype)
+        want = data.A.take_columns_dense([5, 2]).tobytes()
+        assert data.A.take_columns_dense(idx).tobytes() == want
+        assert solve_reduced(data, L1(), 0.1, idx).x.tobytes() == \
+            solve_reduced(data, L1(), 0.1, [5, 2]).x.tobytes()
 
 
 def _dense_from(monkeypatch, minimum=0):
@@ -541,6 +602,18 @@ class TestLibsvm:
         dense[0, 0] = 1.0  # keep b recoverable rows nonempty is not required
         _roundtrip(tmp_path, dense, rng.standard_normal(6))
 
+    @pytest.mark.parametrize("dense, first_line", [
+        ([[1.0, 2.0, 0.0], [0.0, 3.0, 0.0]], "1.0 1:1.0 2:2.0 3:0.0"),
+        ([[0.0, 2.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+         "1.0 2:2.5 4:0.0"),
+        ([[0.0, 0.0], [0.0, 4.0]], "1.0"),
+    ], ids=["empty-last-column", "empty-last-columns-and-row", "last-column-stored"])
+    def test_roundtrip_keeps_empty_last_columns(self, tmp_path, dense, first_line):
+        dense = np.array(dense)
+        text = _roundtrip(tmp_path, dense, np.arange(1.0, dense.shape[0] + 1))
+        assert text.splitlines()[0] == first_line
+        assert text.count(":0.0") == (first_line != "1.0")
+
     def test_roundtrip_dense_stored(self, tmp_path, monkeypatch):
         _dense_from(monkeypatch)
         rng = np.random.default_rng(8)
@@ -551,18 +624,16 @@ class TestLibsvm:
 
 
 def _roundtrip(tmp_path, dense, b):
-    """``libsvm_write`` then ``libsvm_read`` gives back ``(dense, b)`` bit-exactly."""
+    """``libsvm_write`` then ``libsvm_read`` gives back ``(dense, b)`` bit-exactly,
+    in its shape; returns the file's text."""
     data = ProblemData(SparseMatrix.from_dense(dense), b)
     path = tmp_path / "rt.svm"
     libsvm_write(path, data)
     back = libsvm_read(path)
-    # column count can shrink if trailing columns are empty; pad to compare
-    m, n = dense.shape
-    assert back.A.m == m
-    got = np.zeros((m, n))
-    got[:, : back.A.n] = back.A.toarray()
-    np.testing.assert_array_equal(got, dense)
-    np.testing.assert_array_equal(back.b, data.b)
+    assert back.A.shape == dense.shape
+    assert back.A.toarray().tobytes() == data.A.toarray().tobytes()
+    assert back.b.tobytes() == data.b.tobytes()
+    return path.read_text()
 
 
 class TestSynth:
