@@ -317,7 +317,7 @@ class PathSpec:
     def rhos(self, bnorm: float) -> np.ndarray:
         c = 1.5 - 0.5 * np.arange(self.count) / max(self.count - 1, 1)
         r = c * self.base_c * bnorm
-        if np.any(r <= 0) or np.any(r >= bnorm):
+        if not np.all((r > 0) & (r < bnorm)):
             raise ValueError("every rho_i must lie in (0, ||b||)")
         return r
 

@@ -33,7 +33,11 @@ dtype (``index_array``): a bool mask or a float index is refused, not cast.
 cores: row blocks of ``T`` (``_row_blocks``), one per CPU the process may
 run on, each on a shared worker thread (the caller computes the first). It
 splits only when every block holds at least ``_MIN_BLOCK_NNZ`` entries, and
-never with one usable CPU.
+never with one usable CPU. ``from_dense`` fills its copy of ``A^T`` by the
+same blocks in one pass: each block is written in strips of about
+``_STRIP_BYTES``, and every strip is checked for finite values and its
+nonzeros counted while it is still in cache. A copy is exact, so the stored
+bytes never depend on the block cuts.
 
 Scope of bit-identity: each output entry is the same BLAS ``gemv`` dot
 product whether split or not, so for a fixed BLAS thread count a split
@@ -49,7 +53,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -66,6 +70,11 @@ _MIN_DENSE_ENTRIES = 2 * _MIN_BLOCK_NNZ
 # a CSR-stored design's column blocks up to this entry count are gathered
 # densely (BLAS products beat scipy sparse dispatch overhead at desk scale)
 _DENSE_LIMIT = 4_194_304
+# bytes of T that from_dense writes and then checks while they are in cache:
+# on 2 cores, 256 KB to 1 MB strips set up a 300x10000 design equally fast
+# (7.0 ms, against 16.0 ms for a whole copy, isfinite and count_nonzero);
+# 64 KB and 2 MB strips were slower
+_STRIP_BYTES = 1 << 19
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -79,12 +88,13 @@ def _usable_cpus() -> int:
 
 
 def _thread_pool() -> ThreadPoolExecutor:
-    """The shared pool of block-product workers, created on first use."""
+    """The shared pool of row-block workers (``rmatvec`` and ``from_dense``),
+    created on first use."""
     global _pool
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(
-                max_workers=max(_usable_cpus() - 1, 1), thread_name_prefix="smop-rmatvec"
+                max_workers=max(_usable_cpus() - 1, 1), thread_name_prefix="smop-rows"
             )
         return _pool
 
@@ -116,7 +126,8 @@ def _dense_layout(m: int, n: int, nnz: int) -> bool:
 
 
 def _row_blocks(T: np.ndarray) -> tuple:
-    """``(start, stop, block)`` per row block of a split ``T @ y``, or ``()``.
+    """``(start, stop, block)`` per row block of a split ``T @ y``, or ``()``;
+    ``from_dense`` fills ``T`` by the same blocks.
 
     ``block`` is the view ``T[start:stop]``. Cuts are multiples of 4 rows and
     every block has at least 4: BLAS's gemv takes rows four at a time and the
@@ -141,6 +152,21 @@ def _block_product(out, block, y) -> None:
     out[...] = block @ y
 
 
+def _fill_rows(T, arr, r0: int, r1: int) -> tuple[bool, int]:
+    """Write ``T[r0:r1] = arr[:, r0:r1].T`` strip by strip; return whether
+    every value written is finite and how many are nonzero, both read off
+    each strip while it is still in cache."""
+    h = max(_STRIP_BYTES // (8 * max(T.shape[1], 1)), 1)
+    finite, nnz = True, 0
+    for j in range(r0, r1, h):
+        k = min(j + h, r1)
+        strip = T[j:k]
+        strip[...] = arr[:, j:k].T
+        finite = finite and bool(np.isfinite(strip).all())
+        nnz += int(np.count_nonzero(strip))
+    return finite, nnz
+
+
 def _require_real(arr: np.ndarray, name: str) -> None:
     """Reject complex input before a cast to float64 would drop its imaginary
     part with only a warning."""
@@ -152,10 +178,14 @@ def index_array(idx) -> np.ndarray:
     """``idx`` as an int64 index array. An array of any other dtype kind
     raises ``IndexError`` naming it: a cast would turn a bool mask into the
     indices 0 and 1 and truncate a float index. An empty list, which numpy
-    reads as float64, stays the empty index array."""
+    reads as float64, stays the empty index array. An unsigned index past
+    the int64 range raises ``IndexError`` naming it, as the cast would wrap
+    it to a negative index that counts from the end."""
     arr = np.asarray(idx)
     if arr.dtype.kind not in "iu" and arr.size:
         raise IndexError(f"index arrays must have an integer dtype, got {arr.dtype}")
+    if arr.dtype.kind == "u" and arr.size and arr.max() > np.iinfo(np.int64).max:
+        raise IndexError(f"index ({int(arr.max())}) out of range")
     return arr.astype(np.int64, copy=False)
 
 
@@ -253,17 +283,27 @@ class SparseMatrix:
         Either form is read off one private C-ordered copy ``T`` of ``arr.T``:
         a dense ``T`` is that copy, and a CSR ``T`` takes its arrays from it,
         canonical by construction and equal byte for byte to the CSC
-        constructor's. Later writes to ``arr`` change nothing here.
+        constructor's. Later writes to ``arr`` change nothing here. The copy
+        is filled in one pass by the row blocks of ``_row_blocks``, the first
+        by the caller and the others on the worker threads; one block (a
+        small design, one usable CPU) is the caller's alone.
         """
         arr = np.asarray(arr)
         _require_real(arr, "a matrix")
         if arr.ndim != 2:
             raise ValueError(f"a matrix must be 2-D, got {arr.ndim}-D input")
         m, n = arr.shape
-        T = np.array(arr.T, dtype=np.float64, order="C")
-        if not np.isfinite(T).all():
+        T = np.empty((n, m))
+        cuts = [(r0, r1) for r0, r1, _ in _row_blocks(T)] or [(0, n)]
+        pending = [_thread_pool().submit(_fill_rows, T, arr, r0, r1) for r0, r1 in cuts[1:]]
+        try:
+            filled = [_fill_rows(T, arr, *cuts[0])]
+        finally:
+            wait(pending)  # no worker may write T after an error leaves here
+        filled += [f.result() for f in pending]
+        if not all(finite for finite, _ in filled):
             raise ValueError("stored values must be finite and nonzero")
-        nnz = int(np.count_nonzero(T))
+        nnz = sum(count for _, count in filled)
         A = cls.__new__(cls)
         A._m, A._n = m, n
         if _dense_layout(m, n, nnz):

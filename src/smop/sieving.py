@@ -68,8 +68,10 @@ class SieveTrace:
 def select_top_k(residual, candidates, k: int) -> np.ndarray:
     """The k candidate indices with largest ``|residual|``, ascending; ties go to
     the smaller index and NaN ranks last, as in a stable argsort of
-    ``-|residual|``, but ``np.partition`` finds the k-th value in linear time."""
-    candidates = np.sort(np.asarray(candidates, dtype=np.int64))
+    ``-|residual|``, but ``np.partition`` finds the k-th value in linear time.
+    The candidates go through ``index_array``, so a bool mask, a float index
+    or an unsigned index past the int64 range raises its ``IndexError``."""
+    candidates = np.sort(index_array(candidates))
     if not 0 <= k <= candidates.size:
         raise ValueError("k must lie between 0 and the candidate count")
     neg = -np.abs(np.asarray(residual)[candidates])

@@ -614,6 +614,15 @@ class TestSolvePath:
         with pytest.raises(ValueError, match="rho_i"):
             solve_path(scalar_data, L1(), PathSpec(base_c=0.9, count=3), SmopConfig())
 
+    @pytest.mark.parametrize("base_c", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_base_level_names_the_levels(self, scalar_data, base_c):
+        # a NaN level compares False both ways, so it must fail the check by itself
+        want = r"^every rho_i must lie in \(0, \|\|b\|\|\)$"
+        with pytest.raises(ValueError, match=want):
+            PathSpec(base_c=base_c, count=3).rhos(1.0)
+        with pytest.raises(ValueError, match=want):
+            solve_path(scalar_data, L1(), PathSpec(base_c=base_c, count=3), SmopConfig())
+
     def test_failed_step_recorded_and_path_continues(self, monkeypatch):
         # with no trial the root finder stops at the bracket end nearer rho,
         # unconverged at stoptol=1e-12 (on seed 24 the bracket search's piece

@@ -7,6 +7,10 @@ rewrites change no floating-point operation, so every output must match its
 reference in bytes, dtype and layout, and every error must be the same error.
 """
 
+import multiprocessing
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -117,6 +121,40 @@ def _from_dense_csc(arr):
     A = SparseMatrix.__new__(SparseMatrix)
     A._m, A._n = m, n
     A._set_T(np.array(arr.T, order="C"))
+    return A
+
+
+def _from_dense_three_pass(arr):
+    """``SparseMatrix.from_dense`` as it was when it copied ``arr.T`` whole,
+    then checked the copy for finite values and counted its nonzeros, each a
+    pass of its own on one core."""
+    arr = np.asarray(arr)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"a matrix must be real, got {arr.dtype}")
+    if arr.ndim != 2:
+        raise ValueError(f"a matrix must be 2-D, got {arr.ndim}-D input")
+    m, n = arr.shape
+    T = np.array(arr.T, dtype=np.float64, order="C")
+    if not np.isfinite(T).all():
+        raise ValueError("stored values must be finite and nonzero")
+    nnz = int(np.count_nonzero(T))
+    A = SparseMatrix.__new__(SparseMatrix)
+    A._m, A._n = m, n
+    if problem._dense_layout(m, n, nnz):
+        A._set_T(T)
+        return A
+    idx = problem._index_dtype(m, n, nnz)
+    if nnz == T.size:
+        data = T.reshape(-1)
+        indices = np.tile(np.arange(m, dtype=idx), n)
+        indptr = m * np.arange(n + 1, dtype=idx)
+    else:
+        mask = T != 0.0
+        data = T[mask]
+        indices = np.broadcast_to(np.arange(m, dtype=idx), T.shape)[mask]
+        indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
+    A._set_T(sp.csr_array((data, indices, indptr), shape=(n, m)))
     return A
 
 
@@ -421,6 +459,50 @@ def _construction_cases():
     }
 
 
+_FILL_ROWS, _STRIP_BYTES = problem._fill_rows, problem._STRIP_BYTES
+
+
+def _record_blocks(monkeypatch, cpus):
+    """``from_dense`` called afterwards sees ``cpus`` usable CPUs. Returns
+    the list that records each block ``(r0, r1)`` it fills, on any thread."""
+    monkeypatch.setattr(problem, "_usable_cpus", lambda: cpus)
+    cuts = []
+
+    def record(T, arr, r0, r1):
+        cuts.append((r0, r1))
+        return _FILL_ROWS(T, arr, r0, r1)
+
+    monkeypatch.setattr(problem, "_fill_rows", record)
+    return cuts
+
+
+def _split_fill(monkeypatch, cpus, m=0, strip_rows=None):
+    """As ``_record_blocks``, with row blocks of any entry count, written in
+    strips of ``strip_rows`` rows on a design of ``m`` rows (default: the
+    strip size of the module)."""
+    monkeypatch.setattr(problem, "_MIN_BLOCK_NNZ", 1)
+    monkeypatch.setattr(problem, "_STRIP_BYTES", _STRIP_BYTES if strip_rows is None
+                        else 8 * max(m, 1) * strip_rows + 7)
+    return _record_blocks(monkeypatch, cpus)
+
+
+def _blocks_of(m, n):
+    """The row blocks ``from_dense`` cuts for an ``m x n`` design, at least one."""
+    return [(r0, r1) for r0, r1, _ in problem._row_blocks(np.empty((n, m)))] or [(0, n)]
+
+
+def _split_cases():
+    rng = np.random.default_rng(8)
+    odd = rng.standard_normal((7, 45))
+    odd[rng.random(odd.shape) < 0.5] = -0.0
+    return {**_construction_cases(), "odd-blocks": odd, "wide": rng.standard_normal((3, 61))}
+
+
+def _child_from_dense(arr, want):
+    # exits nonzero on other bytes; hangs if the inherited pool is used
+    sys.exit(0 if SparseMatrix.from_dense(arr)._T.tobytes() == want else 3)
+
+
 class TestFromDense:
     @pytest.mark.parametrize("name", sorted(_construction_cases()))
     @pytest.mark.parametrize("minimum", [None, 0], ids=["default", "dense-from-0"])
@@ -474,3 +556,113 @@ class TestFromDense:
         with pytest.raises(ValueError) as got:
             SparseMatrix.from_dense(bad)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("name", sorted(_split_cases()))
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_split_matches_three_pass_construction(self, monkeypatch, name, cpus):
+        arr = _split_cases()[name]
+        m, n = np.shape(arr)
+        default = problem._MIN_DENSE_ENTRIES
+        for strip_rows in (None, 3):
+            for minimum in (default, 0):
+                monkeypatch.setattr(problem, "_MIN_DENSE_ENTRIES", minimum)
+                cuts = _split_fill(monkeypatch, cpus, m, strip_rows)
+                want = _from_dense_three_pass(arr)
+                _same_matrix(SparseMatrix.from_dense(arr), want)
+                assert sorted(cuts) == _blocks_of(m, n)
+                # every block holds at least 4 rows of T
+                assert len(cuts) == (min(cpus, n // 4) if n >= 8 else 1)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("m, n", [(300, 10000), (200, 2000), (200, 1500)])
+    def test_split_on_benchmark_shapes(self, monkeypatch, m, n, cpus):
+        # the block minimum of the module: only the 300x10000 design splits
+        arr = np.random.default_rng(m + n).standard_normal((m, n))
+        cuts = _record_blocks(monkeypatch, cpus)
+        _same_matrix(SparseMatrix.from_dense(arr), _from_dense_three_pass(arr))
+        assert len(cuts) == (cpus if m * n == 3_000_000 else 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_nonfinite_in_a_workers_last_strip(self, monkeypatch, bad, cpus):
+        arr = np.random.default_rng(9).standard_normal((6, 45))
+        _split_fill(monkeypatch, cpus, m=6, strip_rows=5)
+        blocks = _blocks_of(6, 45)
+        assert len(blocks) == cpus
+        for _, r1 in blocks[1:]:
+            for i in (0, 5):
+                broken = arr.copy()
+                broken[i, r1 - 1] = bad  # the last row of the block's last strip
+                with pytest.raises(ValueError) as want:
+                    _from_dense_three_pass(broken)
+                with pytest.raises(ValueError) as got:
+                    SparseMatrix.from_dense(broken)
+                assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("bad", [
+        np.ones(3), np.ones((2, 2, 2)), 5.0, np.ones((4, 12), dtype=np.complex128),
+        np.full((4, 12), "1.5"), np.array([["1"] * 11 + ["x"]] * 4),
+        np.array([[1.0] * 11 + [None]] * 4, dtype=object),
+        np.array([[1.0] * 11 + [1j]] * 4, dtype=object),
+    ], ids=["1-D", "3-D", "scalar", "complex", "str", "bad-str", "None", "complex-object"])
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_split_same_result_or_error(self, monkeypatch, bad, cpus):
+        _split_fill(monkeypatch, cpus, m=4, strip_rows=2)
+        try:
+            want = _from_dense_three_pass(bad)
+        except (ValueError, TypeError) as err:
+            with pytest.raises(type(err)) as got:
+                SparseMatrix.from_dense(bad)
+            assert str(got.value) == str(err)
+        else:
+            _same_matrix(SparseMatrix.from_dense(bad), want)
+
+    def test_concurrent_builds_share_the_pool(self, monkeypatch):
+        # more callers and blocks than cores, each thread switching often:
+        # a block written into another build's T would change its bytes
+        monkeypatch.setattr(problem, "_MIN_DENSE_ENTRIES", 0)
+        _split_fill(monkeypatch, cpus=4, m=9, strip_rows=2)
+        rng = np.random.default_rng(11)
+        arrs = [rng.standard_normal((9, 40)) for _ in range(6)]
+        wants = [_from_dense_three_pass(a)._T.tobytes() for a in arrs]
+        got = [[] for _ in arrs]
+
+        def build(i):
+            for _ in range(20):
+                got[i].append(SparseMatrix.from_dense(arrs[i])._T.tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(len(arrs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads), "a build hung"
+        assert got == [[w] * 20 for w in wants]
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_builds_the_same_bytes(self, monkeypatch):
+        # two blocks on a fresh pool: its one worker is idle after the build,
+        # so an inherited pool would queue the child's block and start no thread
+        monkeypatch.setattr(problem, "_MIN_DENSE_ENTRIES", 0)
+        _split_fill(monkeypatch, cpus=2)
+        monkeypatch.setattr(problem, "_pool", None)
+        arr = np.random.default_rng(10).standard_normal((30, 40))
+        want = _from_dense_three_pass(arr)._T.tobytes()
+        assert SparseMatrix.from_dense(arr)._T.tobytes() == want  # starts the parent's pool
+        assert problem._pool is not None
+        child = multiprocessing.get_context("fork").Process(
+            target=_child_from_dense, args=(arr, want)
+        )
+        child.start()
+        child.join(timeout=30)
+        try:
+            assert child.exitcode == 0, "child hung or built other bytes"
+        finally:
+            if child.exitcode is None:
+                child.kill()
+                child.join()

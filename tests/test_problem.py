@@ -21,6 +21,7 @@ from smop import (
     libsvm_read,
     libsvm_write,
     linear_weights,
+    select_top_k,
     sieve_solve,
     smop_solve,
     solve_reduced,
@@ -203,6 +204,34 @@ class TestIndexArrays:
         assert data.A.take_columns_dense(idx).shape == (4, 0)
         assert not solve_reduced(data, L1(), 0.1, idx).x.any()
         assert sieve_solve(data, L1(), 0.1, idx)[0].converged
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["csr", "dense"])
+    def test_unsigned_index_past_int64_is_out_of_range(self, monkeypatch, dense):
+        # a cast to int64 would wrap 2**64 - 1 to -1, the last column
+        _dense_from(monkeypatch, 0 if dense else math.inf)
+        A = SparseMatrix.from_dense(np.arange(1, 25).reshape(4, 6))
+        assert isinstance(A._T, np.ndarray) is dense
+        for big in (2**63, 2**64 - 1):
+            idx = np.array([1, big], dtype=np.uint64)
+            for gather in (A.take_columns, A.take_columns_dense):
+                with pytest.raises(IndexError, match=rf"^index \({big}\) out of range$"):
+                    gather(idx)
+        np.testing.assert_array_equal(
+            A.take_columns_dense(np.array([5], dtype=np.uint64)), [[6], [12], [18], [24]])
+
+    @pytest.mark.parametrize("idx", BAD, ids=IDS)
+    def test_top_k_raises(self, idx):
+        want = f"index arrays must have an integer dtype, got {np.asarray(idx).dtype}"
+        with pytest.raises(IndexError, match=f"^{want}$"):
+            select_top_k(np.array([0.0, 3.0, -5.0, 1.0, 2.0, 0.5, 4.0, -1.0]), idx, 1)
+
+    def test_top_k_unsigned_past_int64_is_out_of_range(self):
+        residual = np.array([0.0, 3.0, -5.0, 1.0])
+        for big in (2**63, 2**64 - 1):
+            with pytest.raises(IndexError, match=rf"^index \({big}\) out of range$"):
+                select_top_k(residual, np.array([big], dtype=np.uint64), 1)
+        top = select_top_k(residual, np.array([3, 1], dtype=np.uint64), 1)
+        assert top.dtype == np.int64 and top.tolist() == [1]
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64])
     def test_integer_dtypes_stay_valid(self, dtype):
