@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .inner import KKT_TOL, phi_derivative
+from .inner import KKT_TOL, phi_derivative, start_point
 from .problem import ProblemData
 from .regularizers import Regularizer, lambda_inf
 from .rootfind import (
@@ -244,6 +244,8 @@ def smop_solve(
     if data.rho is None:
         raise ValueError("data.rho must be set")
     rho = data.rho
+    if warm is not None:
+        start_point(warm.x, data.A.n, "warm.x")
     t0 = time.perf_counter()
     lam_top = lambda_inf(reg, data.A, data.b, data.Atb)
     tol = min(KKT_TOL, 0.01 * cfg.stoptol * max(1.0, rho))
@@ -311,6 +313,8 @@ class PathSpec:
     count: int = 100
 
     def __post_init__(self):
+        if not isinstance(self.count, (int, np.integer)):
+            raise ValueError(f"count must be an integer, got {self.count!r}")
         if self.count < 1:
             raise ValueError("count must be positive")
 

@@ -205,6 +205,17 @@ def phi_derivative(data: ProblemData, reg: Regularizer, x, lam: float, phi: floa
     return float(lam * (h @ h) / phi)
 
 
+def start_point(x0, n: int, name: str = "x0"):
+    """``x0`` as a float64 vector, or None; any shape but ``(n,)`` raises
+    ``ValueError`` naming both shapes."""
+    if x0 is None:
+        return None
+    x0 = np.asarray(x0, dtype=np.float64)
+    if x0.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {x0.shape}")
+    return x0
+
+
 def _zero_result(data: ProblemData) -> InnerSolveResult:
     """The solve over an empty index set: ``x = 0``, ``y = b``, no products.
 
@@ -240,12 +251,13 @@ def solve_reduced(
     check is the authoritative certificate for the assembled point. Returns a
     result whose ``x`` is a full-length vector supported on the index set.
     An index set that is not of integer dtype (a bool mask, floats) raises
-    ``IndexError``.
+    ``IndexError``, and an ``x0`` not of shape ``(n,)`` ``ValueError``.
     """
     if not 0.0 < lam < np.inf:
         raise ValueError("lam must be positive and finite")
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
+    x0 = start_point(x0, data.A.n)
     idx = index_array(index_set)
     if idx.size == 0:
         return _zero_result(data)
@@ -318,7 +330,7 @@ def solve_reduced(
             xh, best = link[0], worst(link)
         return out
 
-    z = np.zeros(k) if x0 is None else np.asarray(x0, dtype=np.float64)[idx].copy()
+    z = np.zeros(k) if x0 is None else x0[idx]
     Gz = gram_mv(z)
     iters = 0
     out = check(z, Gz)

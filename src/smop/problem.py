@@ -29,15 +29,16 @@ stored takes rows of the ``(n, m)`` view of its value array; from any other
 CSR ``T`` it scatters the stored entries. Index arrays must have an integer
 dtype (``index_array``): a bool mask or a float index is refused, not cast.
 
-``SparseMatrix.rmatvec`` splits a large dense ``T @ y`` over the usable
-cores: row blocks of ``T`` (``_row_blocks``), one per CPU the process may
-run on, each on a shared worker thread (the caller computes the first). It
-splits only when every block holds at least ``_MIN_BLOCK_NNZ`` entries, and
-never with one usable CPU. ``from_dense`` fills its copy of ``A^T`` by the
-same blocks in one pass: each block is written in strips of about
-``_STRIP_BYTES``, and every strip is checked for finite values and its
-nonzeros counted while it is still in cache. A copy is exact, so the stored
-bytes never depend on the block cuts.
+``_row_cuts`` splits ``T`` into row blocks: at most one per usable CPU,
+each of at least ``_MIN_BLOCK_NNZ`` entries, and the one block ``(0, n)``
+for a small design or one usable CPU. One runner, ``_by_row_blocks``, does
+a job on the first block on the caller and on the others on shared worker
+threads. ``from_dense`` fills its copy of ``A^T`` through it in one pass,
+each block in strips of about ``_STRIP_BYTES``, and checks every strip for
+finite values and counts its nonzeros while it is still in cache; a copy is
+exact, so the stored bytes never depend on the cuts. A dense design keeps
+its cuts, and ``rmatvec`` on two or more forms ``T[start:stop] @ y`` per
+block.
 
 Scope of bit-identity: each output entry is the same BLAS ``gemv`` dot
 product whether split or not, so for a fixed BLAS thread count a split
@@ -55,7 +56,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -88,8 +89,7 @@ def _usable_cpus() -> int:
 
 
 def _thread_pool() -> ThreadPoolExecutor:
-    """The shared pool of row-block workers (``rmatvec`` and ``from_dense``),
-    created on first use."""
+    """The shared pool of ``_by_row_blocks``'s workers, created on first use."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -125,31 +125,37 @@ def _dense_layout(m: int, n: int, nnz: int) -> bool:
     return entries >= _MIN_DENSE_ENTRIES and 8 * entries <= per_nonzero * nnz
 
 
-def _row_blocks(T: np.ndarray) -> tuple:
-    """``(start, stop, block)`` per row block of a split ``T @ y``, or ``()``;
-    ``from_dense`` fills ``T`` by the same blocks.
+def _row_cuts(n: int, m: int) -> tuple:
+    """``(start, stop)`` per row block of an ``(n, m)`` ``T``: the most blocks,
+    at most one per usable CPU, that each hold at least ``_MIN_BLOCK_NNZ``
+    entries, and ``((0, n),)`` when there is no split.
 
-    ``block`` is the view ``T[start:stop]``. Cuts are multiples of 4 rows and
-    every block has at least 4: BLAS's gemv takes rows four at a time and the
-    last ``n % 4`` by a tail kernel that sums in another order, and numpy
-    hands a one-row product to ``dot``.
+    Cuts are multiples of 4 rows and every block of a split has at least 4:
+    BLAS's gemv takes rows four at a time and the last ``n % 4`` by a tail
+    kernel that sums in another order, and numpy hands a one-row product to
+    ``dot``.
     """
-    n, m = T.shape
     k = min(_usable_cpus(), n * m // max(_MIN_BLOCK_NNZ, 1))
     while k > 1:
         rows = 4 * (np.arange(k + 1) * n // (4 * k))
         rows[-1] = n
         sizes = np.diff(rows)
         if np.all(sizes >= 4) and np.all(sizes * m >= _MIN_BLOCK_NNZ):
-            break
+            return tuple(zip(rows[:-1].tolist(), rows[1:].tolist()))
         k -= 1
-    if k <= 1:
-        return ()
-    return tuple((r0, r1, T[r0:r1]) for r0, r1 in zip(rows[:-1].tolist(), rows[1:].tolist()))
+    return ((0, n),)
 
 
-def _block_product(out, block, y) -> None:
-    out[...] = block @ y
+def _by_row_blocks(cuts, fn) -> list:
+    """``[fn(start, stop) for start, stop in cuts]``: the first cut on the
+    caller, the others on the shared worker threads. An error leaves only
+    after every worker has finished, so none writes on after it."""
+    pending = [_thread_pool().submit(fn, *cut) for cut in cuts[1:]]
+    try:
+        return [fn(*cuts[0])] + [f.result() for f in pending]
+    except BaseException:
+        wait(pending)
+        raise
 
 
 def _fill_rows(T, arr, r0: int, r1: int) -> tuple[bool, int]:
@@ -241,32 +247,30 @@ class SparseMatrix:
             boundary[starts[starts < indices.size]] = True
             if np.any(d[~boundary[1:]] <= 0):
                 raise ValueError("row indices must be strictly increasing per column")
-        self._m = int(m)
-        self._n = int(n)
         # the CSC arrays of A are the CSR arrays of A^T: nothing is copied
         T = sp.csc_array((data, indices, indptr), shape=(m, n)).T
-        self._set_T(T.toarray() if _dense_layout(self._m, self._n, indices.size) else T)
+        self._set_T(T.toarray() if _dense_layout(m, n, indices.size) else T)
 
     def _set_T(self, T) -> None:
-        """Store ``T = A^T``: a C-ordered ``(n, m)`` array no caller holds, or
-        a CSR array."""
+        """Store ``T = A^T``, a C-ordered ``(n, m)`` array no caller holds or
+        a CSR array, and the row cuts of its ``T @ y``: one block for CSR."""
         self._T = T
-        self._blocks = ()
+        self._cuts = ((0, T.shape[0]),)
         if isinstance(T, np.ndarray):
             T.flags.writeable = False
-            self._blocks = _row_blocks(T)
+            self._cuts = _row_cuts(*T.shape)
 
     @property
     def m(self):
-        return self._m
+        return self._T.shape[1]
 
     @property
     def n(self):
-        return self._n
+        return self._T.shape[0]
 
     @property
     def shape(self):
-        return (self._m, self._n)
+        return self._T.shape[::-1]
 
     @classmethod
     def from_scipy(cls, mat) -> "SparseMatrix":
@@ -284,9 +288,9 @@ class SparseMatrix:
         a dense ``T`` is that copy, and a CSR ``T`` takes its arrays from it,
         canonical by construction and equal byte for byte to the CSC
         constructor's. Later writes to ``arr`` change nothing here. The copy
-        is filled in one pass by the row blocks of ``_row_blocks``, the first
-        by the caller and the others on the worker threads; one block (a
-        small design, one usable CPU) is the caller's alone.
+        is filled in one pass, block by block of ``_row_cuts`` through
+        ``_by_row_blocks``; one block (a small design, one usable CPU) is the
+        caller's alone.
         """
         arr = np.asarray(arr)
         _require_real(arr, "a matrix")
@@ -294,18 +298,11 @@ class SparseMatrix:
             raise ValueError(f"a matrix must be 2-D, got {arr.ndim}-D input")
         m, n = arr.shape
         T = np.empty((n, m))
-        cuts = [(r0, r1) for r0, r1, _ in _row_blocks(T)] or [(0, n)]
-        pending = [_thread_pool().submit(_fill_rows, T, arr, r0, r1) for r0, r1 in cuts[1:]]
-        try:
-            filled = [_fill_rows(T, arr, *cuts[0])]
-        finally:
-            wait(pending)  # no worker may write T after an error leaves here
-        filled += [f.result() for f in pending]
+        filled = _by_row_blocks(_row_cuts(n, m), partial(_fill_rows, T, arr))
         if not all(finite for finite, _ in filled):
             raise ValueError("stored values must be finite and nonzero")
         nnz = sum(count for _, count in filled)
         A = cls.__new__(cls)
-        A._m, A._n = m, n
         if _dense_layout(m, n, nnz):
             A._set_T(T)
             return A
@@ -326,26 +323,25 @@ class SparseMatrix:
 
     def matvec(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self._n,):
-            raise ValueError(f"matvec expects a vector of length {self._n}")
+        if x.shape != (self.n,):
+            raise ValueError(f"matvec expects a vector of length {self.n}")
         return self._T.T @ x
 
     def rmatvec(self, y) -> np.ndarray:
+        """``A^T y``: ``T @ y``, or ``T[start:stop] @ y`` per cut through
+        ``_by_row_blocks`` when there is more than one."""
         y = np.asarray(y, dtype=np.float64)
-        if y.shape != (self._m,):
-            raise ValueError(f"rmatvec expects a vector of length {self._m}")
-        if not self._blocks:
-            return self._T @ y
-        out = np.empty(self._n)
-        pool = _thread_pool()
-        pending = [
-            pool.submit(_block_product, out[r0:r1], block, y)
-            for r0, r1, block in self._blocks[1:]
-        ]
-        r0, r1, block = self._blocks[0]
-        _block_product(out[r0:r1], block, y)
-        for f in pending:
-            f.result()
+        if y.shape != (self.m,):
+            raise ValueError(f"rmatvec expects a vector of length {self.m}")
+        T = self._T
+        if len(self._cuts) == 1:
+            return T @ y
+        out = np.empty(self.n)
+
+        def product(r0, r1):
+            out[r0:r1] = T[r0:r1] @ y
+
+        _by_row_blocks(self._cuts, product)
         return out
 
     def take_columns(self, idx):
@@ -354,7 +350,7 @@ class SparseMatrix:
         has at most ``_DENSE_LIMIT`` entries, else scipy CSC. A dense block is
         F-ordered from a dense design (rows of ``T``) and C-ordered from CSR."""
         idx = index_array(idx)
-        if isinstance(self._T, np.ndarray) or self._m * idx.size <= _DENSE_LIMIT:
+        if isinstance(self._T, np.ndarray) or self.m * idx.size <= _DENSE_LIMIT:
             return self.take_columns_dense(idx)
         return sp.csc_array(self._T[idx].T)
 
@@ -372,7 +368,7 @@ class SparseMatrix:
         ``IndexError`` naming its dtype.
         """
         idx = index_array(idx)
-        T, n, m, k = self._T, self._n, self._m, idx.size
+        T, (n, m), k = self._T, self._T.shape, idx.size
         if isinstance(T, np.ndarray):
             return T[idx].T
         if k:
@@ -453,6 +449,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("m", "n", "s", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be positive")
         if not 0 <= self.s <= self.n:

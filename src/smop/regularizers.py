@@ -66,13 +66,15 @@ class L1(Regularizer):
 class SortedL1(Regularizer):
     """Weighted sorted-l1 penalty ``sum_i w_i |x|_(i)`` (|x| sorted descending).
 
-    Weights must be nonincreasing and nonnegative with ``w[0] > 0``.
+    Weights must be finite, nonincreasing and nonnegative with ``w[0] > 0``.
     """
 
     def __init__(self, weights):
         w = np.asarray(weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d array")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if w[0] <= 0:
             raise ValueError("leading weight must be positive")
         if np.any(w < 0):

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .inner import KKT_TOL, InnerSolveResult, residual_R, solve_reduced
+from .inner import KKT_TOL, InnerSolveResult, residual_R, solve_reduced, start_point
 from .problem import ProblemData, index_array
 from .regularizers import Regularizer
 
@@ -117,6 +117,7 @@ def sieve_solve(
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
     n = data.A.n
+    x0 = start_point(x0, n)
     I = np.unique(index_array(initial_set))
     if I.size and (I.min() < 0 or I.max() >= n):
         raise ValueError("initial index set out of range")
@@ -125,7 +126,7 @@ def sieve_solve(
     zero_thresh = max(1e-12, 1e-3 * tol)
     round_tol = max(tol, 1e-15)
     trace = SieveTrace()
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    x = np.zeros(n) if x0 is None else x0.copy()
     total_iters = total_pieces = 0
     converged = False
 
@@ -186,8 +187,10 @@ def phi_eval(
     the support of the warm start, and its round log is returned with the
     result; without, one direct solve runs over all coordinates and the log
     has no rounds. The result's ``eta_l`` is measured at full dimension.
-    Both solves reject a ``lam`` or ``tol`` that is not positive and finite.
+    Both solves reject a ``lam`` or ``tol`` that is not positive and finite,
+    and an ``x0`` not of shape ``(n,)``.
     """
+    x0 = start_point(x0, data.A.n)
     if not sieve:
         # the reduced certificate over all of [n] is already the full-dimension one
         return solve_reduced(data, reg, lam, np.arange(data.A.n), x0=x0, tol=tol), SieveTrace()

@@ -581,6 +581,15 @@ class TestPieceRootBracket:
         assert list(oracle.cache) == [lam]  # asking evaluates nothing
 
 
+def test_warm_result_of_another_design_is_refused():
+    # a warm x of 30 entries seeded a 50-column solve, which ran and converged
+    small, _ = synth_instance(SynthSpec(m=20, n=30, s=3, sigma=0.01, seed=0))
+    data, _ = synth_instance(SynthSpec(m=20, n=50, s=3, sigma=0.01, seed=0))
+    warm = smop_solve(small.with_rho(0.1 * small.bnorm), L1(), SmopConfig(stoptol=1e-8))
+    with pytest.raises(ValueError, match=re.escape("warm.x must have shape (50,), got (30,)")):
+        smop_solve(data.with_rho(0.1 * data.bnorm), L1(), SmopConfig(stoptol=1e-8), warm=warm)
+
+
 class TestSolvePath:
     def test_single_step_reduces_to_solve(self, scalar_data):
         # a single step runs at the top of the schedule, 1.5 * 0.2 ||b||
@@ -613,6 +622,15 @@ class TestSolvePath:
     def test_invalid_rho_schedule(self, scalar_data):
         with pytest.raises(ValueError, match="rho_i"):
             solve_path(scalar_data, L1(), PathSpec(base_c=0.9, count=3), SmopConfig())
+
+    @pytest.mark.parametrize("count", [1.5, 3.0, "3"])
+    def test_count_must_be_an_integer(self, count):
+        # count=1.5 gave 2 levels
+        with pytest.raises(ValueError, match=f"^count must be an integer, got {count!r}$"):
+            PathSpec(base_c=0.1, count=count)
+
+    def test_numpy_integer_count(self):
+        assert PathSpec(base_c=0.1, count=np.int64(4)).rhos(1.0).shape == (4,)
 
     @pytest.mark.parametrize("base_c", [np.nan, np.inf, -np.inf])
     def test_nonfinite_base_level_names_the_levels(self, scalar_data, base_c):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -265,7 +266,7 @@ def _solve_identical_to_serial(monkeypatch, penalty, dense):
     _split_small(monkeypatch)
     blocked = SparseMatrix.from_scipy(mat)
     assert isinstance(serial._T, np.ndarray) is isinstance(blocked._T, np.ndarray) is dense
-    assert not serial._blocks and len(blocked._blocks) == (4 if dense else 0)
+    assert len(serial._cuts) == 1 and len(blocked._cuts) == (4 if dense else 1)
     reg = L1() if penalty == "l1" else SortedL1(linear_weights(400))
     cfg = SmopConfig(stoptol=1e-8)
     res_s = smop_solve(ProblemData(serial, data.b, data.rho), reg, cfg)
@@ -284,16 +285,16 @@ class TestBlockedRmatvec:
         monkeypatch.setattr(problem, "_usable_cpus", lambda: 4)
         # 4 blocks are cut at rows 8, 20, 28 (80 or 120 entries each), 3 at
         # 12 and 24 (120 or 160), 2 at 20 (200)
-        for minimum, blocks in [(80, 4), (81, 3), (120, 3), (121, 2), (200, 2), (201, 0)]:
+        for minimum, blocks in [(80, 4), (81, 3), (120, 3), (121, 2), (200, 2), (201, 1)]:
             monkeypatch.setattr(problem, "_MIN_BLOCK_NNZ", minimum)
             A = SparseMatrix.from_dense(dense)
-            assert len(A._blocks) == blocks, minimum
-            assert all(blk.size >= minimum for _, _, blk in A._blocks)
+            assert len(A._cuts) == blocks, minimum
+            assert all((r1 - r0) * 10 >= minimum for r0, r1 in A._cuts)
 
     def test_one_usable_cpu_stays_serial(self, monkeypatch):
         _dense_from(monkeypatch)
         _split_small(monkeypatch, cpus=1)
-        assert not SparseMatrix.from_dense(np.ones((5, 8)))._blocks
+        assert SparseMatrix.from_dense(np.ones((5, 8)))._cuts == ((0, 8),)
 
     @pytest.mark.parametrize("penalty", ["l1", "sorted-l1"])
     def test_solve_identical_to_serial(self, monkeypatch, penalty):
@@ -307,7 +308,7 @@ class TestBlockedRmatvec:
             problem._MIN_BLOCK_NNZ = 0
             problem._usable_cpus = lambda: 4
             A = SparseMatrix.from_dense(np.ones((4, 16)))
-            assert isinstance(A._T, np.ndarray) and len(A._blocks) == 4
+            assert isinstance(A._T, np.ndarray) and len(A._cuts) == 4
             print(A.rmatvec(np.ones(4)).sum())
         """)
         out = subprocess.run(
@@ -315,6 +316,68 @@ class TestBlockedRmatvec:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "64.0"
+
+
+class TestRowBlocks:
+    """``_row_cuts`` and the one runner of row-block jobs, ``_by_row_blocks``."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4, 5])
+    def test_cut_edges(self, monkeypatch, cpus):
+        monkeypatch.setattr(problem, "_usable_cpus", lambda: cpus)
+        for minimum in (0, 1, 30, 200):
+            monkeypatch.setattr(problem, "_MIN_BLOCK_NNZ", minimum)
+            for n in range(50):
+                for m in (0, 1, 7, 10):
+                    cuts = problem._row_cuts(n, m)
+                    assert 1 <= len(cuts) <= cpus
+                    assert cuts[0][0] == 0 and cuts[-1][1] == n
+                    assert all(a[1] == b[0] for a, b in zip(cuts, cuts[1:]))
+                    if len(cuts) > 1:
+                        assert all(r0 % 4 == 0 and r1 - r0 >= 4 and (r1 - r0) * m >= minimum
+                                   for r0, r1 in cuts), (n, m, minimum)
+
+    @pytest.fixture
+    def own_pool(self, monkeypatch):
+        # a pool of cpus - 1 workers for each test, shut down after it
+        monkeypatch.setattr(problem, "_pool", None)
+        yield
+        if problem._pool is not None:
+            problem._pool.shutdown()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_each_cut_once_in_cut_order(self, monkeypatch, own_pool, cpus):
+        _split_small(monkeypatch, cpus)
+        cuts = problem._row_cuts(40, 10)
+        assert len(cuts) == cpus
+        ran = []
+
+        def job(r0, r1):
+            ran.append((r0, r1, threading.get_ident()))
+            time.sleep(0.001 * (40 - r0))  # the first cuts finish last
+            return r0, r1
+
+        assert problem._by_row_blocks(cuts, job) == list(cuts)
+        assert sorted((r0, r1) for r0, r1, _ in ran) == list(cuts)
+        assert [ident for r0, _, ident in ran if r0 == 0] == [threading.get_ident()]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_an_error_leaves_after_every_worker(self, monkeypatch, own_pool, cpus, failing):
+        _split_small(monkeypatch, cpus)
+        cuts = problem._row_cuts(40, 10)
+        bad = cuts[1] if failing == "worker" and cpus > 1 else cuts[0]
+        finished = []
+
+        def job(r0, r1):
+            if (r0, r1) == bad:
+                raise RuntimeError(f"cut {r0}")
+            if r0:
+                time.sleep(0.05)  # the others are still running when bad raises
+            finished.append((r0, r1))
+
+        with pytest.raises(RuntimeError, match=f"^cut {bad[0]}$"):
+            problem._by_row_blocks(cuts, job)
+        assert sorted(finished) == [cut for cut in cuts if cut != bad]
 
 
 def _with_nonzeros(m, n, nnz, seed=0):
@@ -383,13 +446,12 @@ class TestDenseLayout:
         serial = SparseMatrix.from_dense(arr)
         _split_small(monkeypatch, cpus)
         blocked = SparseMatrix.from_dense(arr)
-        assert not serial._blocks and len(blocked._blocks) > 1
-        rows = [(r0, r1) for r0, r1, _ in blocked._blocks]
+        assert serial._cuts == ((0, n),) and len(blocked._cuts) > 1
+        rows = blocked._cuts
+        assert rows == problem._row_cuts(n, m)
         assert rows[0][0] == 0 and rows[-1][1] == n
         assert all(r1 - r0 >= 4 and r0 % 4 == 0 for r0, r1 in rows)
         assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
-        for r0, r1, block in blocked._blocks:
-            assert np.shares_memory(block, blocked._T) and block.shape == (r1 - r0, m)
         for _ in range(3):
             y = rng.standard_normal(m)
             assert np.array_equal(blocked.rmatvec(y), serial.rmatvec(y))
@@ -448,7 +510,7 @@ class TestDenseLayout:
         A = SparseMatrix.from_dense(rng.standard_normal((20, 60)))
         y = rng.standard_normal(20)
         expected = A.rmatvec(y)  # starts the parent's pool
-        assert len(A._blocks) == 2 and isinstance(A._T, np.ndarray)
+        assert len(A._cuts) == 2 and isinstance(A._T, np.ndarray)
         child = multiprocessing.get_context("fork").Process(
             target=_child_rmatvec, args=(A, y, expected)
         )
@@ -464,8 +526,8 @@ class TestDenseLayout:
     def test_too_few_rows_to_split(self, monkeypatch):
         _dense_from(monkeypatch)
         _split_small(monkeypatch)
-        assert not SparseMatrix.from_dense(np.ones((50, 7)))._blocks
-        assert len(SparseMatrix.from_dense(np.ones((50, 8)))._blocks) == 2
+        assert SparseMatrix.from_dense(np.ones((50, 7)))._cuts == ((0, 7),)
+        assert len(SparseMatrix.from_dense(np.ones((50, 8)))._cuts) == 2
 
     @pytest.mark.parametrize("bad", [np.ones(3), np.ones((2, 2, 2)), 5.0])
     @pytest.mark.parametrize("minimum", [0, math.inf])
@@ -693,3 +755,19 @@ class TestSynth:
         for sigma in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
                 SynthSpec(m=4, n=8, s=2, sigma=sigma)
+
+    @pytest.mark.parametrize("field, value", [
+        ("m", 20.5), ("n", 50.0), ("s", 3.5), ("seed", 1.5), ("seed", None), ("m", "20"),
+    ])
+    def test_fields_must_be_integers(self, field, value):
+        # m=20.5 and seed=1.5 built a spec that synth_instance then failed on
+        fields = {"m": 20, "n": 50, "s": 3, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            SynthSpec(**fields)
+
+    def test_numpy_integers_are_integers(self):
+        spec = SynthSpec(m=np.int64(4), n=np.int32(8), s=np.int64(2), seed=np.uint8(7))
+        data, x = synth_instance(spec)
+        want, _ = synth_instance(SynthSpec(m=4, n=8, s=2, seed=7))
+        assert data.A.toarray().tobytes() == want.A.toarray().tobytes()
+        assert data.b.tobytes() == want.b.tobytes()

@@ -277,6 +277,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SortedL1([0.5, 1.0])
 
+    @pytest.mark.parametrize("weights", [
+        [np.nan, 1.0], [1.0, np.nan], [1.0, 0.5, np.nan], [np.inf, 1.0], [np.inf],
+        [1.0, -np.inf],
+    ])
+    def test_nonfinite_weights_are_refused(self, weights):
+        # nan passed every order check and its prox returned nan; a leading
+        # inf made prox return zeros and polar 0
+        with pytest.raises(ValueError, match="^weights must be finite$"):
+            SortedL1(weights)
+
     def test_linear_weights(self):
         np.testing.assert_allclose(linear_weights(3), [1.0, 0.5, 0.0])
         np.testing.assert_allclose(linear_weights(1), [1.0])

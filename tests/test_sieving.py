@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,24 @@ class TestSieveSolve:
             for tol in (0.0, -1.0, np.nan, np.inf):
                 with pytest.raises(ValueError, match="tol must be positive and finite"):
                     call(tol)
+
+
+@pytest.mark.parametrize("shape", [(45,), (55,), (50, 1)])
+@pytest.mark.parametrize("solve", ["solve_reduced", "sieve_solve", "phi_eval", "phi_eval-direct"])
+def test_x0_of_another_shape_is_refused(solve, shape):
+    # (45,) and (55,) ran to a converged result, and phi_eval read a (55,) x0's
+    # support as an index set out of range; (50, 1) broadcast to a nan sqrt
+    data, _ = synth_instance(SynthSpec(m=20, n=50, s=3, sigma=0.01, seed=0))
+    lam = 0.3 * lambda_inf(L1(), data.A, data.b)
+    x0 = np.ones(shape)
+    calls = {
+        "solve_reduced": lambda: solve_reduced(data, L1(), lam, np.arange(10), x0=x0),
+        "sieve_solve": lambda: sieve_solve(data, L1(), lam, [], x0=x0),
+        "phi_eval": lambda: phi_eval(data, L1(), lam, x0=x0),
+        "phi_eval-direct": lambda: phi_eval(data, L1(), lam, x0=x0, sieve=False),
+    }
+    with pytest.raises(ValueError, match=re.escape(f"x0 must have shape (50,), got {shape}")):
+        calls[solve]()
 
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf, 0.0, -1.0])
