@@ -9,8 +9,9 @@ measure. Three columns per instance:
   piece of phi (on a fixed pattern phi^2 is affine in lam^2, so one
   generalized derivative gives that root exactly) and takes the secant step
   as the fallback;
-* ``secant``: the pure safeguarded secant method, with no derivative, inside
-  a bracket searched without one, on a phi built from ``phi_eval``;
+* ``secant``: the pure safeguarded secant method, with no derivative, in
+  the same search from ``(lambda_inf, ||b||)``, on a phi built from
+  ``phi_eval``;
 * ``bmop``: plain bisection.
 
 Both secant variants take a handful of evaluations where bisection needs
@@ -26,7 +27,6 @@ from smop import (
     SmopConfig,
     SortedL1,
     SynthSpec,
-    bracket_init,
     hybrid_secant_solve,
     lambda_inf,
     linear_weights,
@@ -60,8 +60,7 @@ def pure_secant(data, reg):
 
     t0 = time.perf_counter()
     lam_top = lambda_inf(reg, data.A, data.b)
-    lo, hi = bracket_init(phi, data.rho, lam_top, data.bnorm, None)
-    _, state = hybrid_secant_solve(phi, data.rho, lo, hi, STOPTOL)
+    _, state = hybrid_secant_solve(phi, data.rho, None, lam_top, STOPTOL, phi_hi=data.bnorm)
     assert state.converged
     return len(evals), 1000.0 * (time.perf_counter() - t0)
 

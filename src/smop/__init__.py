@@ -45,7 +45,6 @@ from .rootfind import (
     DegenerateSecantError,
     RootState,
     bisection_solve,
-    bracket_init,
     eta,
     eval_beta_fn,
     eval_constructed_fn,
@@ -93,7 +92,6 @@ __all__ = [
     "DegenerateSecantError",
     "RootState",
     "bisection_solve",
-    "bracket_init",
     "eval_beta_fn",
     "eval_constructed_fn",
     "hybrid_secant_solve",

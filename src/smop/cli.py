@@ -207,10 +207,12 @@ def _parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--trace-jsonl", metavar="PATH",
                    help="write the solve's trace, one JSON object per line: an "
-                        "'eval' event per phi evaluation (bracket and rejected "
+                        "'eval' event per phi evaluation (step-down and rejected "
                         "trial points included), each followed by a 'round' event "
                         "per sieve round, then an 'iterate' event per accepted "
-                        "root-finding iterate; tracing changes no iterate")
+                        "root-finding iterate, whose 'eval' is null at the "
+                        "unevaluated point (lambda_inf, ||b||); tracing changes "
+                        "no iterate")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("path", help="solve a decreasing-rho solution path")

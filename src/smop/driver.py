@@ -27,14 +27,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .inner import KKT_TOL, phi_derivative, start_point
+from .inner import KKT_TOL, eta_l, phi_derivative, start_point
 from .problem import ProblemData
 from .regularizers import Regularizer, lambda_inf
 from .rootfind import (
     BracketError,
     RootState,
     bisection_solve,
-    bracket_init,
     eta,
     hybrid_secant_solve,
 )
@@ -91,7 +90,7 @@ class SmopResult:
     nnz: int
     method: str
     converged: bool
-    bracket: tuple           # what bracket_init returned; seeds the next path step
+    bracket: tuple           # the search's first sign-changing bracket; seeds a path step
     root_state: RootState    # its lo/hi is the bracket the root finder ended with
     evals: list[EvalRecord]
 
@@ -118,7 +117,8 @@ class SmopResult:
     def events(self):
         """The solve's trace as JSON-ready dicts: per evaluation an ``eval`` event
         and then a ``round`` event per sieve round, then an ``iterate`` event per
-        accepted root-finding iterate, each naming its ``EvalRecord.index``."""
+        accepted root-finding iterate, each naming its ``EvalRecord.index`` (None at
+        the unevaluated top point)."""
         for rec in self.evals:
             yield {"event": "eval", "eval": rec.index, "lam": rec.lam, "phi": rec.phi,
                    "eta": eta(rec.phi, self.rho), "eta_l": rec.eta_l,
@@ -129,7 +129,7 @@ class SmopResult:
         # each iterate's lam is the exact key the oracle cached its evaluation under
         index = {rec.lam: rec.index for rec in self.evals}
         for it in self.root_state.history:
-            yield {"event": "iterate", "k": it.k, "eval": index[it.lam], "step": it.step,
+            yield {"event": "iterate", "k": it.k, "eval": index.get(it.lam), "step": it.step,
                    "lo": it.lo, "hi": it.hi}
 
 
@@ -147,27 +147,31 @@ class _PhiOracle:
 
     ``cache`` maps each evaluated ``lam`` to its :class:`EvalRecord`, in
     evaluation order, and ``xs`` to its solution, the warm starts of later
-    evaluations. Each evaluation solves to ``tol``, sieved if ``sieve``.
+    evaluations. ``xs`` also holds ``x = 0`` at ``top``, ``lambda_inf``, if
+    given. Each evaluation solves to ``tol``, sieved if ``sieve``.
     """
 
-    def __init__(self, data, reg, tol, sieve, x_warm=None):
+    def __init__(self, data, reg, tol, sieve, x_warm=None, top=None):
         self.data = data
         self.reg = reg
         self.tol = tol
         self.sieve = sieve
         self.x_warm = x_warm
         self.cache: dict[float, EvalRecord] = {}
-        self.xs: dict[float, np.ndarray] = {}
+        self.xs: dict[float, np.ndarray] = {} if top is None else {top: np.zeros(data.A.n)}
 
     def _warm_start(self, lam):
-        """Interpolate the two nearest cached solutions around ``lam``.
+        """Interpolate the two nearest known solutions around ``lam``; before
+        the first evaluation, ``x_warm``.
 
         The solution path is piecewise affine in the penalty strength for
         these polyhedral gauges, so interpolation is exact away from the
         kinks and a strong start elsewhere.
         """
+        if not self.cache:
+            return self.x_warm
         below = above = None
-        for l0 in self.cache:
+        for l0 in self.xs:
             if l0 < lam and (below is None or l0 > below):
                 below = l0
             elif l0 > lam and (above is None or l0 < above):
@@ -175,9 +179,7 @@ class _PhiOracle:
         if below is not None and above is not None:
             w = (lam - below) / (above - below)
             return (1.0 - w) * self.xs[below] + w * self.xs[above]
-        if below is not None or above is not None:
-            return self.xs[below if below is not None else above]
-        return self.x_warm
+        return self.xs[below if below is not None else above]
 
     def __call__(self, lam):
         rec = self.cache.get(lam)
@@ -235,47 +237,54 @@ def smop_solve(
 
     ``warm`` is the result of a solve on the same data at a nearby ``rho``.
     Its ``x`` seeds the first evaluation. When ``warm.rho > rho``, as on every
-    ``solve_path`` step, ``bracket_init`` turns the guess
-    ``(warm.bracket[0], 1.5 * warm.lambda_star)`` into a sign-changing bracket;
-    from a level at or below ``rho`` the bracket search is the cold one.
-    The root finders see phi's values only; ``x`` is the oracle's at ``lambda*``.
+    ``solve_path`` step, the search from ``(lambda_inf, ||b||)`` first tries
+    the guesses ``1.5 * warm.lambda_star`` and ``warm.bracket[0]``; from a
+    level at or below ``rho`` the search is the cold one. The root finders see
+    phi's values only; ``x`` is the oracle's at ``lambda*``, and ``0`` at the
+    unevaluated ``lambda_inf``. A search that fails with an uncertified
+    evaluation among its own ends unconverged at the known point nearest ``rho``.
     """
     cfg = cfg or SmopConfig()
     if data.rho is None:
         raise ValueError("data.rho must be set")
+    if reg.n is not None and reg.n != data.A.n:
+        raise ValueError(f"the regularizer has {reg.n} weights, the design {data.A.n} columns")
     rho = data.rho
     if warm is not None:
         start_point(warm.x, data.A.n, "warm.x")
     t0 = time.perf_counter()
     lam_top = lambda_inf(reg, data.A, data.b, data.Atb)
     tol = min(KKT_TOL, 0.01 * cfg.stoptol * max(1.0, rho))
-    oracle = _PhiOracle(data, reg, tol, cfg.sieve, x_warm=None if warm is None else warm.x)
+    oracle = _PhiOracle(data, reg, tol, cfg.sieve, None if warm is None else warm.x, lam_top)
 
     # a level at or below rho gives no upper guess: its lambda* lies below ours
-    lo, hi = (None, None)
+    guesses = ()
     if warm is not None and warm.rho > rho:
-        lo, hi = warm.bracket[0], 1.5 * warm.lambda_star
-    phase = "bracket search"
+        guesses = (1.5 * warm.lambda_star, warm.bracket[0])
     try:
-        lo, hi = bracket_init(oracle, rho, lam_top, data.bnorm, oracle.derivative, lo, hi)
-        phase = "bracket and root search"
         if cfg.method == "smop":
-            lam_star, state = hybrid_secant_solve(oracle, rho, lo, hi, cfg.stoptol, cfg.mu,
-                                                  oracle.derivative)
+            lam_star, state = hybrid_secant_solve(oracle, rho, None, lam_top, cfg.stoptol,
+                                                  cfg.mu, oracle.derivative, data.bnorm, guesses)
         else:
-            lam_star, state = bisection_solve(oracle, rho, lo, hi, cfg.stoptol)
+            lam_star, state = bisection_solve(oracle, rho, None, lam_top, cfg.stoptol,
+                                              oracle.derivative, data.bnorm, guesses)
     except BracketError as exc:
         # an evaluation that stopped short of its KKT tolerance can misplace
-        # the sign of phi - rho; name that cause rather than the bracket's
+        # the sign of phi - rho: that is non-convergence, not a bad level, and
+        # the solve ends at the known point nearest rho, the top included
         uncertified = sum(not rec.converged for rec in oracle.cache.values())
         if not uncertified:
             raise
-        raise BracketError(
-            f"{uncertified} of {len(oracle.cache)} phi evaluations in the {phase} "
-            f"did not certify their KKT residual ({exc})"
-        ) from exc
+        log.warning("%d of %d phi evaluations did not certify their KKT residual (%s)",
+                    uncertified, len(oracle.cache), exc)
+        known = {lam_top: data.bnorm} | {lam: rec.phi for lam, rec in oracle.cache.items()}
+        lam_star = min(known, key=lambda lam: np.nan_to_num(abs(known[lam] - rho), nan=np.inf))
+        state = RootState(0.0, lam_top, bracket=(0.0, lam_top))
 
-    final, x_star = oracle.cache[lam_star], oracle.xs[lam_star]
+    final, x_star = oracle.cache.get(lam_star), oracle.xs[lam_star]
+    if final is None:  # the unevaluated top point, where x = 0 is exact
+        final = EvalRecord(index=0, lam=lam_star, phi=data.bnorm, inner_iters=0, support=0,
+                           eta_l=eta_l(x_star, data.A, data.b, reg, lam_star), converged=True)
     evals = list(oracle.cache.values())
     if not final.converged:
         log.warning("the phi evaluation at lambda*=%.8g did not certify its KKT residual",
@@ -294,7 +303,7 @@ def smop_solve(
         nnz=nnz(x_star),
         method=cfg.method,
         converged=state.converged and final.converged,
-        bracket=(lo, hi),
+        bracket=state.bracket,
         root_state=state,
         evals=evals,
     )

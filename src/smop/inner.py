@@ -207,12 +207,14 @@ def phi_derivative(data: ProblemData, reg: Regularizer, x, lam: float, phi: floa
 
 def start_point(x0, n: int, name: str = "x0"):
     """``x0`` as a float64 vector, or None; any shape but ``(n,)`` raises
-    ``ValueError`` naming both shapes."""
+    ``ValueError`` naming both shapes, and a non-finite entry one naming ``name``."""
     if x0 is None:
         return None
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (n,):
         raise ValueError(f"{name} must have shape ({n},), got {x0.shape}")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"{name} must be finite")
     return x0
 
 

@@ -458,6 +458,8 @@ class SynthSpec:
             raise ValueError("support size s must satisfy 0 <= s <= n")
         if not 0 <= self.sigma < np.inf:
             raise ValueError("noise level sigma must be finite and nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
 
 
 def synth_instance(spec: SynthSpec):

@@ -15,6 +15,8 @@ from scipy.optimize import isotonic_regression
 class Regularizer:
     """Interface shared by the penalty implementations."""
 
+    n: int | None = None  # the one vector length it takes, or None for any
+
     def value(self, x) -> float:
         raise NotImplementedError
 

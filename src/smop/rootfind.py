@@ -1,20 +1,34 @@
 """Univariate root finding on the value function phi.
 
-Two solvers share one safeguarded skeleton for the equation
-``phi(lam) = rho`` on a sign-changing bracket:
+Two solvers share one safeguarded search for ``phi(lam) = rho``:
 
-* ``hybrid_secant_solve`` proposes secant steps and falls back to bisection
-  when a proposal leaves the initial bracket or fails a sufficient-decrease
-  test against the residual three accepted iterates ago; ``mu`` in (0, 1),
-  the method's one free parameter, is that test's factor;
-* ``bisection_solve`` is the plain bisection baseline: the same skeleton
-  with no proposal, so every step bisects the current bracket.
+* ``hybrid_secant_solve`` proposes the root of the piece of phi (below), then
+  the secant step, and falls back to bisection when a proposal leaves the
+  first bracket or fails a sufficient-decrease test against the residual
+  three accepted iterates ago; ``mu`` in (0, 1), the method's one free
+  parameter, is that test's factor;
+* ``bisection_solve`` is the plain bisection baseline: the same search with
+  no proposal, so every step bisects the current bracket.
+
+The search starts from an upper point ``hi``. ``smop_solve`` starts it from
+the exact point ``(lam_inf, ||b||)``, where ``x = 0`` is optimal: a value
+given as ``phi_hi`` is never evaluated, and no derivative is asked for there.
+Without a lower end, the search first evaluates its ``guesses`` in order, each
+only while it lies inside the bracket found so far, and then steps down until
+``phi < rho``; each point at or above ``rho`` on the way becomes the upper end. A
+step is the piece root through the last point where there is one in
+``(max(floor, 0.1 * lam), lam)``, else ``lam *= max(0.1, 0.5 * rho / phi(lam))``:
+where phi is proportional to lam that lands at half the root. No step shrinks
+``lam`` by more than a decade: on a degenerate design a far jump can land
+where the warm start of its evaluation is poor, and that evaluation then runs
+to its iteration cap. Once both ends are known, they are checked against
+``stoptol``, ``hi`` first, and the safeguarded steps begin inside that first
+bracket.
 
 ``phi(lam)`` and ``dphi(lam)`` return numbers, and every solver returns
 ``(lam, RootState)``: the caller keeps the solution behind each value. A run
 that has not reached ``stoptol`` after ``MAX_OUTER`` proposals stops unconverged;
-a ``phi`` that is not finite ends any solver or bracket search at once with a
-``BracketError``.
+a ``phi`` that is not finite ends the search at once with a ``BracketError``.
 
 On a fixed pattern of a polyhedral gauge ``phi^2`` is affine in ``lam^2``, so
 with ``v`` the generalized derivative of phi at ``lam`` the root of the piece
@@ -26,24 +40,10 @@ is exact on that piece (Newton on ``phi^2`` as a function of ``lam^2``). It is
 no step where ``dphi`` gives no positive, finite slope (``x = 0`` has no
 pattern; ``dphi`` refuses an uncertified evaluation) or where it moves ``lam``
 by no more than roundoff: a piece root that landed off ``rho`` by roundoff
-would only find itself again. Given a ``dphi``, the skeleton proposes the piece
-root through whichever of the last two accepted iterates lies nearer ``rho``
-first, and the secant step only where there is none or it leaves the initial
+would only find itself again. The secant hybrid proposes the piece root
+through whichever of the last two accepted iterates lies nearer ``rho``
+first, and the secant step only where there is none or it leaves the first
 bracket.
-
-``bracket_init`` supplies the bracket for cold and warm starts alike. A cold
-search starts from the exact point ``(lam_inf, ||b||)``, where ``x = 0`` is
-optimal, without a solve; a warm upper guess at or below the root becomes
-the lower end, with ``lam_inf`` the upper one. The lower end steps down to
-the root of the piece through the last evaluation. Where there is none (also
-where no ``dphi`` is given), or where it leaves
-``(max(floor, 0.1 * lam), lam)``, the step falls back to
-``lam *= max(0.1, 0.5 * rho / phi(lam))``: where phi is proportional to lam
-that lands at half the root. No step shrinks ``lam`` by more than a decade: on
-a degenerate design a far jump can land where the warm start of its evaluation
-is poor, and that evaluation then runs to its iteration cap. Every evaluated
-point tightens the bracket, so no evaluation lies strictly inside the bracket
-it returns.
 
 The module also provides the plain (unsafeguarded) secant iteration together
 with two scalar test functions and a convergence-order estimator used to
@@ -92,7 +92,8 @@ class RootState:
     hi: float
     history: list[IterRecord] = field(default_factory=list)
     converged: bool = False
-    n_evals: int = 0
+    n_evals: int = 0          # evaluated trials inside the first bracket
+    bracket: tuple = ()       # the first sign-changing bracket (lo, hi)
 
     def record(self, lam, phi, step):
         self.history.append(IterRecord(len(self.history), lam, phi, step, self.lo, self.hi))
@@ -214,60 +215,75 @@ def _evaluate(phi, lam):
     return p
 
 
-def _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, step_name,
-                       dphi=None):
-    """Shared skeleton of the secant hybrid and of bisection.
+def _safeguarded_solve(phi, rho, lo, hi, stoptol, mu, propose, dphi, phi_hi, guesses):
+    """The search shared by the secant hybrid and bisection (module docstring).
 
-    A run stops at the first evaluation with ``eta <= stoptol``, bracket ends
-    included. Given a ``dphi``, a trial is first the piece root through the
-    nearer to ``rho`` of the last two accepted iterates (step ``"piece"``).
-    Where there is none, or it leaves the initial interval,
-    ``proposal(history)`` returns a trial lambda from the accepted iterates
-    (``state.history``, a list of ``IterRecord``) or None to force bisection.
-    Every evaluation updates the bracket by the sign of
-    ``phi - rho``; trial points are only evaluated inside the *initial*
-    interval, and an accepted trial must either be among the first two since
-    the last bisection or shrink the residual by ``mu`` relative to three
-    iterates back; a rejected one is followed by a bisection. A run that does
-    not converge returns the evaluated point, bracket ends included, with the
-    smallest ``|phi - rho|``. A ``phi`` that is not finite ends the run at once
-    with a ``BracketError``.
+    ``phi_hi``, if given, is ``phi(hi)``. A given ``lo`` is evaluated as the
+    lower end; else the search finds one from ``guesses`` and step-downs, and
+    raises ``BracketError`` below the floor ``1e-12 * hi``. A run stops at the
+    first evaluation with ``eta <= stoptol``, bracket ends included.
+    ``propose(history, piece)`` yields ``(step, lam)`` trials from the
+    accepted iterates (``state.history``, a list of ``IterRecord``), where
+    ``piece(lam, phi)`` is the piece root through an iterate or None; the
+    first inside the first bracket is taken, and with none the step bisects.
+    Every evaluation updates the bracket by the sign of ``phi - rho``; an
+    accepted trial must either be among the first two since the last
+    bisection or shrink the residual by ``mu`` relative to three iterates
+    back; a rejected one is followed by a bisection. A run that does not
+    converge returns the evaluated point, bracket ends included, with the
+    smallest ``|phi - rho|``. A ``phi`` that is not finite ends the run at
+    once with a ``BracketError``.
     """
     if stoptol < 0:
         raise ValueError("stoptol must be nonnegative")
     if not 0.0 < mu < 1.0:
         raise ValueError("mu must lie in (0, 1)")
-    if not 0 < lam_m1 < lam_0:
+    if not (0 < hi and (lo is None or 0 < lo < hi)):
         raise BracketError("need 0 < lam_lo < lam_hi")
-    state = RootState(lo=lam_m1, hi=lam_0)
-    p_hi = _evaluate(phi, lam_0)
+    top = None if phi_hi is None else hi  # known, not evaluated: no derivative there
+    p_hi = _evaluate(phi, hi) if phi_hi is None else phi_hi
+
+    def piece(lam, p):
+        return None if lam == top else _piece_root(dphi, lam, p, rho)
+
+    if lo is not None:
+        p_lo = _evaluate(phi, lo)
+    else:
+        if not 0 < rho < p_hi:
+            raise BracketError(f"require 0 < rho < phi({hi:.6g}) = {p_hi:.6g}")
+        floor, lam, p, guesses = 1e-12 * hi, hi, p_hi, iter(guesses)
+        while p >= rho:
+            new = next((g for g in guesses if 0 < g < hi), None)
+            if new is None:
+                new = piece(lam, p)
+                if new is None or not max(floor, 0.1 * lam) < new < lam:
+                    new = lam * max(0.1, 0.5 * rho / p)
+                if new < floor:
+                    raise BracketError(
+                        f"rho={rho:.6g} too small: phi({lam:.3g})={p:.6g} near the lam floor; "
+                        "no level below the least-squares residual min ||A x - b|| is reachable"
+                    )
+            lam, p = new, _evaluate(phi, new)
+            if p >= rho:
+                hi, p_hi = lam, p
+        lo, p_lo = lam, p
+    state = RootState(lo=lo, hi=hi, bracket=(lo, hi))
     if eta(p_hi, rho) <= stoptol:
-        return _finish(state, lam_0, p_hi, "init")
-    p_lo = _evaluate(phi, lam_m1)
+        return _finish(state, hi, p_hi, "init")
     if eta(p_lo, rho) <= stoptol:
-        return _finish(state, lam_m1, p_lo, "init")
+        return _finish(state, lo, p_lo, "init")
     if not p_lo < rho < p_hi:
         raise BracketError(
-            f"phi({lam_m1:.6g})={p_lo:.6g}, phi({lam_0:.6g})={p_hi:.6g} "
-            f"do not bracket rho={rho:.6g}"
+            f"phi({lo:.6g})={p_lo:.6g}, phi({hi:.6g})={p_hi:.6g} do not bracket rho={rho:.6g}"
         )
-    state.record(lam_m1, p_lo, "init")
-    state.record(lam_0, p_hi, "init")
-    seen = [(lam_0, p_hi), (lam_m1, p_lo)]  # every evaluated point, in order
+    state.record(lo, p_lo, "init")
+    state.record(hi, p_hi, "init")
+    seen = [(hi, p_hi), (lo, p_lo)]  # the ends, then every trial, in order
     since_bisection = 0  # evaluated trials since the last bisection
 
-    def piece(history):
-        near = min(history[-2:], key=lambda rec: abs(rec.phi - rho))
-        return _piece_root(dphi, near.lam, near.phi, rho)
-
-    proposals = ([("piece", piece)] if dphi is not None else []) + [(step_name, proposal)]
     for _ in range(MAX_OUTER):
-        step = None
-        for name, propose in proposals:
-            lam = propose(state.history)
-            if lam is not None and lam_m1 <= lam <= lam_0:
-                step = name
-                break
+        step, lam = next(((name, lam) for name, lam in propose(state.history, piece)
+                          if lam is not None and lo <= lam <= hi), (None, None))
         while True:
             if step is None:
                 step, lam = "bisection", 0.5 * (state.lo + state.hi)
@@ -292,77 +308,37 @@ def _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, step_name
     return lam, state
 
 
-def hybrid_secant_solve(phi, rho: float, lam_m1: float, lam_0: float, stoptol: float,
-                        mu: float = 0.5, dphi=None):
+def hybrid_secant_solve(phi, rho: float, lam_lo, lam_hi: float, stoptol: float,
+                        mu: float = 0.5, dphi=None, phi_hi=None, guesses=()):
     """Globally convergent safeguarded secant method for ``phi(lam) = rho``.
 
-    Requires ``phi(lam_m1) < rho < phi(lam_0)``; returns ``(lam, RootState)``
-    at the first point with ``eta = |phi - rho| / max(1, rho) <= stoptol``.
-    ``mu``, in (0, 1), is the sufficient-decrease factor of the safeguard.
-    Given ``dphi``, phi's generalized derivative, the piece root comes first
-    and the secant step is its fallback.
+    Returns ``(lam, RootState)`` at the first point with
+    ``eta = |phi - rho| / max(1, rho) <= stoptol``. With ``lam_lo`` given,
+    ``phi(lam_lo) < rho < phi(lam_hi)`` is required; with ``lam_lo=None`` the
+    search finds the lower end below ``lam_hi`` (module docstring). ``mu``, in
+    (0, 1), is the sufficient-decrease factor of the safeguard. Given ``dphi``,
+    phi's generalized derivative, the piece root comes first and the secant
+    step is its fallback; the step-down uses it too.
     """
 
-    def proposal(history):
+    def propose(history, piece):
+        near = min(history[-2:], key=lambda rec: abs(rec.phi - rho))
+        yield "piece", piece(near.lam, near.phi)
         prev, last = history[-2], history[-1]
         try:
-            return secant_step(last.lam, prev.lam, last.phi - rho, prev.phi - rho)
+            secant = secant_step(last.lam, prev.lam, last.phi - rho, prev.phi - rho)
         except DegenerateSecantError:
-            return None
+            return
+        yield "secant", secant
 
-    return _safeguarded_solve(phi, rho, lam_m1, lam_0, stoptol, mu, proposal, "secant", dphi)
+    return _safeguarded_solve(phi, rho, lam_lo, lam_hi, stoptol, mu, propose, dphi, phi_hi,
+                              guesses)
 
 
-def bisection_solve(phi, rho: float, lam_lo: float, lam_hi: float, stoptol: float):
-    """Plain bisection baseline: the safeguarded skeleton with no proposal."""
+def bisection_solve(phi, rho: float, lam_lo, lam_hi: float, stoptol: float, dphi=None,
+                    phi_hi=None, guesses=()):
+    """Plain bisection baseline: the search with no proposal, where ``dphi``
+    drives only the step-down to a lower end."""
     # every step bisects, so the safeguard factor is never read
-    return _safeguarded_solve(phi, rho, lam_lo, lam_hi, stoptol, 0.5, lambda _h: None,
-                              "bisection")
-
-
-def bracket_init(phi, rho: float, lam_inf: float, bnorm: float, dphi, lo=None, hi=None):
-    """Turn a guess into the tightest sign-changing bracket ``(lo, hi)`` seen.
-
-    ``bnorm`` is ``phi(lam_inf) = ||b||``, so ``lam_inf`` is never evaluated.
-    The upper end starts at ``hi`` (cold: ``lam_inf``); a warm ``hi`` with
-    ``phi(hi) <= rho`` is returned as the lower end, under ``lam_inf``.
-    Otherwise the lower end starts at ``lo`` (if given and below ``hi``) or one
-    step below ``hi`` and steps down until ``phi(lam) < rho``; each point passed
-    on the way becomes the upper end. A step is the root of the piece through
-    the last point when ``dphi(lam)``, phi's derivative there, gives a usable
-    one (module docstring), else ``lam *= max(0.1, 0.5 * rho / phi(lam))``;
-    with ``dphi=None`` every step is the latter. A ``phi`` that is not
-    finite ends the search at once with a ``BracketError``.
-    """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if rho >= bnorm:
-        raise BracketError("require 0 < rho < ||b||")
-
-    hi = lam_inf if hi is None else min(hi, lam_inf)
-    p = bnorm if hi == lam_inf else _evaluate(phi, hi)
-    if p <= rho:  # a warm upper guess at or below the root
-        return hi, lam_inf
-    floor = 1e-12 * hi
-
-    def step_down(lam, p):
-        """The root of the piece through ``(lam, p)`` if there is one in
-        ``(max(floor, 0.1 * lam), lam)``; else ``lam * max(0.1, 0.5 * rho / p)``."""
-        # x = 0 at lam_inf: no pattern, so no derivative is asked for there
-        new = _piece_root(dphi, lam, p, rho) if lam < lam_inf else None
-        if new is not None and max(floor, 0.1 * lam) < new < lam:
-            return new
-        return lam * max(0.1, 0.5 * rho / p)
-
-    lam = lo if lo is not None and lo < hi else step_down(hi, p)
-    while True:
-        if lam < floor:
-            raise BracketError(
-                f"rho={rho:.6g} too small: phi({hi:.3g})={p:.6g} near the lam floor; no "
-                "level below the least-squares residual min ||A x - b|| is reachable"
-            )
-        p = _evaluate(phi, lam)
-        if p < rho:
-            return lam, hi
-        hi = lam
-        lam = step_down(lam, p)
+    return _safeguarded_solve(phi, rho, lam_lo, lam_hi, stoptol, 0.5, lambda h, piece: (), dphi,
+                              phi_hi, guesses)

@@ -229,8 +229,9 @@ class TestSolve:
         ("m=20,n=50,s=3,m=30", "synth field 'm' is given twice"),
         ("m=20,n=x,s=3", "synth field 'n' must be an integer, got 'x'"),
         ("m=20,n=50,s=3,sigma=big", "synth field 'sigma' must be a number, got 'big'"),
+        ("m=20,n=50,s=3,seed=-1", "seed must be nonnegative, got -1"),
     ], ids=["missing-n-s", "missing-m", "sigma-nan", "sigma-inf", "repeated-field",
-            "n-not-integer", "sigma-not-number"])
+            "n-not-integer", "sigma-not-number", "seed-negative"])
     def test_bad_synth_spec(self, capsys, spec, message):
         code, out, err = run(capsys, "solve", "--synth", spec, "--c", "0.1")
         assert code == 1
@@ -245,6 +246,15 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ||b|| overflows float64: b is too large in scale")
+
+    def test_uncertified_search_exits_two(self, capsys, caplog, monkeypatch):
+        # one sieve round certifies no evaluation, so the step-down reaches the
+        # lam floor: an unconverged result, not an error
+        monkeypatch.setattr("smop.sieving.MAX_ROUNDS", 1)
+        code, out, _ = run(capsys, "solve", "--synth", "m=40,n=120,s=8,seed=0", "--c", "0.1")
+        assert code == 2
+        assert json.loads(out)["converged"] is False
+        assert "did not certify their KKT residual" in caplog.text
 
     def test_nonconvergence_exits_two(self, capsys, monkeypatch):
         # no trial runs: the bracket end nearer rho is returned, unconverged
@@ -324,17 +334,32 @@ class TestConsoleScript:
     """The ``smop`` command that ``pyproject.toml`` installs, run in its own process."""
 
     @staticmethod
-    def _run(*argv, **environ):
+    def _env(**environ):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p), **environ}
+
+    @classmethod
+    def _run(cls, *argv, **environ):
         tomllib = pytest.importorskip("tomllib")
         root = pathlib.Path(__file__).resolve().parents[1]
         with open(root / "pyproject.toml", "rb") as fh:
             target = tomllib.load(fh)["project"]["scripts"]["smop"]
         module, func = target.split(":")
-        paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p), **environ}
         code = f"from {module} import {func}; {func}()"
-        return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+        return subprocess.run([sys.executable, "-c", code, *argv], env=cls._env(**environ),
                               capture_output=True, text=True, timeout=120)
+
+    def test_python_m_smop_runs_the_cli(self):
+        # `python -m smop.cli` exited 0 and printed nothing
+        proc = subprocess.run([sys.executable, "-m", "smop", "rootdemo", "beta:1.5", "--check"],
+                              env=self._env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("check passed\n")
+        proc = subprocess.run([sys.executable, "-m", "smop", "solve", "--bogus"],
+                              env=self._env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "unrecognized arguments: --bogus" in proc.stderr
 
     def test_rootdemo_check_exits_zero(self):
         proc = self._run("rootdemo", "beta:1.5", "--check")

@@ -16,9 +16,9 @@ from smop import (
     SortedL1,
     SparseMatrix,
     SynthSpec,
-    bracket_init,
     eta,
     eta_l,
+    hybrid_secant_solve,
     lambda_inf,
     linear_weights,
     nnz,
@@ -193,9 +193,9 @@ class TestSmopSolve:
 
     def test_l1_counter_pin(self):
         # the Newton step changes no root-finder step (APG alone: 6
-        # evaluations, 507 inner iterations); the piece-root step-down of the
-        # bracket search takes the count from 6 to 4, and the piece root as the
-        # root finder's first proposal from 4 to 3
+        # evaluations, 507 inner iterations); the piece-root step-down to the
+        # first bracket takes the count from 6 to 4, and the piece root as the
+        # first proposal inside it from 4 to 3
         data, _ = synth_instance(SynthSpec(m=60, n=400, s=8, sigma=0.01, seed=1))
         data = data.with_rho(0.1 * data.bnorm)
         res = smop_solve(data, L1(), SmopConfig(stoptol=1e-8))
@@ -297,53 +297,54 @@ class TestSmopSolve:
         assert rec.rounds[-1].size_J == 0
 
     @pytest.mark.parametrize("sieving", [True, False])
-    def test_uncertified_bracket_evaluations_named(self, monkeypatch, sieving):
+    def test_uncertified_bracket_evaluations_named(self, monkeypatch, caplog, sieving):
         # one sieve round (x = 0) or one APG iteration leaves phi near ||b||,
-        # so the lower bracket end runs off the numeric range; the error must
-        # name the uncertified evaluations, not only the range
-        data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=0))
-        data = data.with_rho(0.1 * data.bnorm)
+        # so the step-down runs to the lam floor. That is non-convergence, not
+        # a bad level: the solve ends unconverged at the known point nearest
+        # rho, and the warning names the uncertified evaluations and the floor
         if sieving:
             monkeypatch.setattr("smop.sieving.MAX_ROUNDS", 1)
         else:
             monkeypatch.setattr("smop.inner.MAX_ITERS", 1)
-        cfg = SmopConfig(stoptol=1e-8, sieve=sieving)
-        with pytest.raises(BracketError, match="did not certify their KKT residual") as exc:
-            smop_solve(data, L1(), cfg)
-        assert re.match(r"\d+ of \d+ phi evaluations in the bracket search", str(exc.value))
-        assert str(exc.value.__cause__) in str(exc.value)
-        assert isinstance(exc.value.__cause__, BracketError)
+        for seed in range(3):
+            data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=seed))
+            data = data.with_rho(0.1 * data.bnorm)
+            caplog.clear()
+            res = smop_solve(data, L1(), SmopConfig(stoptol=1e-8, sieve=sieving))
+            assert not res.converged and not res.root_state.converged
+            assert np.all(np.isfinite(res.x))
+            assert res.phi == next((rec.phi for rec in res.evals if rec.lam == res.lambda_star),
+                                   data.bnorm)
+            assert re.search(r"\d+ of \d+ phi evaluations did not certify their KKT residual "
+                             r"\(rho=\S+ too small: .* near the lam floor", caplog.text)
 
-    def test_uncertified_root_evaluations_named(self, monkeypatch):
-        # after the bracket search every evaluation stops uncertified at
-        # phi = nan: the root finder ends at the first one, and the error
-        # counts it as the bracket search's error counts its own. On the
-        # second step of a path the root lies inside the warm bracket
+    def test_uncertified_root_evaluations_named(self, monkeypatch, caplog):
+        # on the second step of a path the root lies between the two warm
+        # guesses, and every evaluation after them stops uncertified at
+        # phi = nan. The search ends at the first such one, and the solve
+        # unconverged at the guess nearer rho, naming the uncertified one
         data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=0))
         cfg = SmopConfig(stoptol=1e-8)
         first, second = PathSpec(base_c=0.1, count=4).rhos(data.bnorm)[:2]
         prev = smop_solve(data.with_rho(first), L1(), cfg)
-        brackets, evaluate, search = [], driver.phi_eval, driver.bracket_init
-
-        def bracket(*args):
-            brackets.append(search(*args))
-            return brackets[-1]
+        calls, evaluate = [], driver.phi_eval
 
         def failing(*args, **kwargs):
             res, trace = evaluate(*args, **kwargs)
-            if brackets:
+            calls.append(args[2])
+            if len(calls) > 2:
                 res.phi, res.converged = float("nan"), False
             return res, trace
 
-        monkeypatch.setattr(driver, "bracket_init", bracket)
         monkeypatch.setattr(driver, "phi_eval", failing)
-        with pytest.raises(BracketError, match="did not certify their KKT residual") as exc:
-            smop_solve(data.with_rho(second), L1(), cfg, warm=prev)
-        assert len(brackets) == 1
-        assert re.match(r"1 of \d+ phi evaluations in the bracket and root search",
-                        str(exc.value))
-        assert "is not finite" in str(exc.value)
-        assert isinstance(exc.value.__cause__, BracketError)
+        res = smop_solve(data.with_rho(second), L1(), cfg, warm=prev)
+        assert not res.converged
+        assert calls[:2] == [1.5 * prev.lambda_star, prev.bracket[0]] and len(calls) == 3
+        guesses = res.evals[:2]
+        assert guesses[1].phi < second < guesses[0].phi
+        assert res.lambda_star == min(guesses, key=lambda rec: abs(rec.phi - second)).lam
+        assert "1 of 3 phi evaluations did not certify their KKT residual" in caplog.text
+        assert "is not finite" in caplog.text
 
     def test_configs_are_frozen(self):
         # a field set after construction would skip its check: mu = 1.5
@@ -461,9 +462,10 @@ class TestPieceRootBracket:
 
     @pytest.mark.parametrize("c, top", [(0.1, False), (0.3, True), (0.999, True)])
     def test_cold_search_starts_from_lambda_inf_unevaluated(self, c, top, monkeypatch):
-        # every phi_eval call is an evaluation of the result, and 0.95 lambda_inf
-        # is not one of them; where the first step lands below the root, the
-        # upper end stays at lambda_inf and the root finder evaluates it
+        # every phi_eval call is an evaluation of the result, and neither
+        # lambda_inf nor 0.95 lambda_inf is one of them; where the first step
+        # lands below the root, the first bracket keeps the known point
+        # (lambda_inf, ||b||) as its upper end
         import smop.driver as driver
 
         calls = []
@@ -478,7 +480,46 @@ class TestPieceRootBracket:
         assert calls == [rec.lam for rec in res.evals]
         assert calls[0] == lam_top * max(0.1, 0.5 * data.rho / data.bnorm)
         assert 0.95 * lam_top not in calls
-        assert (res.bracket[1] == lam_top) == (lam_top in calls) == top
+        assert lam_top not in calls
+        assert (res.bracket[1] == lam_top) == top
+
+    @pytest.mark.parametrize("method", ["smop", "bmop"])
+    @pytest.mark.parametrize("kind", ["l1", "slope"])
+    @pytest.mark.parametrize("m, n", [(40, 120), (60, 400)])
+    def test_no_evaluation_at_lambda_inf(self, m, n, kind, method, monkeypatch):
+        # the known top point is never solved for, also where it stays the
+        # upper end of the first bracket (c near 1) or the search returns there
+        calls = []
+        orig = driver.phi_eval
+        monkeypatch.setattr(driver, "phi_eval",
+                            lambda *a, **k: calls.append(a[2]) or orig(*a, **k))
+        reg = L1() if kind == "l1" else SortedL1(linear_weights(n))
+        for seed in range(3):
+            data, _ = synth_instance(SynthSpec(m=m, n=n, s=8, sigma=0.01, seed=seed))
+            lam_top = lambda_inf(reg, data.A, data.b)
+            for c in (0.02, 0.1, 0.3, 0.9, 0.999):
+                calls.clear()
+                res = smop_solve(data.with_rho(c * data.bnorm), reg,
+                                 SmopConfig(stoptol=1e-8, method=method))
+                assert res.converged, (seed, c)
+                assert calls and lam_top not in calls, (seed, c)
+
+    def test_result_at_the_top_point_takes_x_zero(self):
+        # rho within stoptol of ||b||: the check of the first bracket's ends
+        # returns its upper end, the top point, unevaluated. x = 0 is exact
+        # there, and its iterate event names no evaluation
+        data, _ = synth_instance(SynthSpec(m=40, n=120, s=5, sigma=0.01, seed=3))
+        data = data.with_rho((1.0 - 1e-9) * data.bnorm)
+        lam_top = lambda_inf(L1(), data.A, data.b)
+        res = smop_solve(data, L1(), SmopConfig(stoptol=1e-6))
+        assert res.converged and res.lambda_star == lam_top and res.bracket[1] == lam_top
+        assert res.x.shape == (data.A.n,) and not res.x.any() and res.nnz == 0
+        assert res.phi == data.bnorm and res.eta <= 1e-6
+        assert res.kkt == eta_l(res.x, data.A, data.b, L1(), lam_top) <= 1e-15
+        assert lam_top not in [rec.lam for rec in res.evals] and res.n_subproblems >= 1
+        iterates = [e for e in res.events() if e["event"] == "iterate"]
+        assert iterates == [{"event": "iterate", "k": 0, "eval": None, "step": "init",
+                             "lo": res.bracket[0], "hi": lam_top}]
 
     @pytest.mark.parametrize("kind", ["l1", "slope"])
     def test_derivative_formed_once_per_evaluation(self, kind, monkeypatch):
@@ -542,7 +583,7 @@ class TestPieceRootBracket:
 
     def test_uncertified_evaluation_gives_no_derivative(self, monkeypatch):
         # one APG iteration certifies nothing: the derivative is refused, and
-        # the bracket search takes the plain step lam * max(0.1, 0.5 rho / phi)
+        # the step-down from the guess lam is the plain lam * max(0.1, 0.5 rho / phi)
         from smop.driver import _PhiOracle
 
         data, _ = synth_instance(SynthSpec(m=40, n=120, s=8, sigma=0.01, seed=0))
@@ -556,7 +597,8 @@ class TestPieceRootBracket:
             oracle.derivative(lam)
         rho = 0.5 * p
         try:
-            bracket_init(oracle, rho, lam_top, data.bnorm, oracle.derivative, hi=lam)
+            hybrid_secant_solve(oracle, rho, None, lam_top, np.inf, 0.5, oracle.derivative,
+                                data.bnorm, (lam,))
         except BracketError:
             pass  # uncertified evaluations may never cross rho
         assert list(oracle.cache)[1] == lam * 0.25
@@ -566,6 +608,22 @@ class TestPieceRootBracket:
         p = certified(lam)
         assert certified.derivative(lam) == \
             phi_derivative(ProblemData(data.A, data.b), L1(), certified.xs[lam], lam, p)
+
+    def test_warm_start_interpolates_to_x_zero_at_the_top(self):
+        # x = 0 at lambda_inf is known without a solve: a trial between the
+        # last evaluation and the top starts on the segment between them, as
+        # it did when the search solved at the top
+        from smop.driver import _PhiOracle
+
+        data, _ = synth_instance(SynthSpec(m=40, n=120, s=5, sigma=0.01, seed=3))
+        lam_top = lambda_inf(L1(), data.A, data.b)
+        oracle = _PhiOracle(data, L1(), 1e-10, True, top=lam_top)
+        assert oracle._warm_start(0.5 * lam_top) is None  # before any evaluation: x_warm
+        lo = 0.2 * lam_top
+        oracle(lo)
+        assert list(oracle.cache) == [lo] and oracle.xs[lo].any()
+        np.testing.assert_allclose(oracle._warm_start(0.6 * lam_top), 0.5 * oracle.xs[lo],
+                                   rtol=1e-12)
 
     def test_derivative_refuses_an_unevaluated_lam(self):
         from smop.driver import _PhiOracle
@@ -588,6 +646,30 @@ def test_warm_result_of_another_design_is_refused():
     warm = smop_solve(small.with_rho(0.1 * small.bnorm), L1(), SmopConfig(stoptol=1e-8))
     with pytest.raises(ValueError, match=re.escape("warm.x must have shape (50,), got (30,)")):
         smop_solve(data.with_rho(0.1 * data.bnorm), L1(), SmopConfig(stoptol=1e-8), warm=warm)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nonfinite_warm_x_is_refused(value):
+    data, _ = synth_instance(SynthSpec(m=20, n=50, s=3, sigma=0.01, seed=0))
+    data = data.with_rho(0.1 * data.bnorm)
+    warm = smop_solve(data.with_rho(0.2 * data.bnorm), L1(), SmopConfig(stoptol=1e-8))
+    warm.x = warm.x.copy()
+    warm.x[7] = value
+    with pytest.raises(ValueError, match=re.escape("warm.x must be finite")):
+        smop_solve(data, L1(), SmopConfig(stoptol=1e-8), warm=warm)
+
+
+@pytest.mark.parametrize("count", [30, 80])
+def test_regularizer_of_another_length_is_refused(monkeypatch, count):
+    # 30 weights on 50 columns failed inside the solve with "expected a
+    # vector of length 30", naming neither the weights nor the design
+    data, _ = synth_instance(SynthSpec(m=20, n=50, s=3, sigma=0.01, seed=0))
+    calls = []
+    monkeypatch.setattr(driver, "lambda_inf", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match=re.escape(
+            f"the regularizer has {count} weights, the design 50 columns")):
+        smop_solve(data.with_rho(0.1 * data.bnorm), SortedL1(linear_weights(count)))
+    assert calls == []  # refused before any product or solve
 
 
 class TestSolvePath:
@@ -727,11 +809,12 @@ class TestEdgeInstances:
             assert eta_l(res.x, data.A, data.b, L1(), res.lambda_star) <= 1e-8
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_scale_ends_uncertified(self, monkeypatch):
+    def test_overflowing_scale_ends_uncertified(self, monkeypatch, caplog):
         # a design on the scale 1e150 overflows the APG certificate; the first
-        # evaluation stops there, uncertified, with phi = nan, and the bracket
-        # search ends at it, sieved or direct (without the guards: 13
-        # evaluations of 20,000 iterations, then 12 walking to the lam floor).
+        # evaluation stops there, uncertified, with phi = nan, and the search
+        # ends at it, sieved or direct (without the guards: 13 evaluations of
+        # 20,000 iterations, then 12 walking to the lam floor). The solve ends
+        # unconverged at the known top point, x = 0.
         # The sieve stops at the first round whose reduced phi is not finite
         # (without that stop: all 100 rounds, 99 of them one iteration each)
         iters, rounds = [], []
@@ -753,9 +836,10 @@ class TestEdgeInstances:
             iters.clear()
             rounds.clear()
             t0 = time.perf_counter()
-            with pytest.raises(BracketError, match="did not certify") as exc:
-                smop_solve(data, L1(), SmopConfig(stoptol=1e-8, sieve=sieve))
-            assert "is not finite" in str(exc.value)
+            caplog.clear()
+            res = smop_solve(data, L1(), SmopConfig(stoptol=1e-8, sieve=sieve))
+            assert not res.converged and not res.x.any() and res.phi == data.bnorm
+            assert "did not certify" in caplog.text and "is not finite" in caplog.text
             assert time.perf_counter() - t0 < 10.0
             assert len(iters) == 1
             assert iters[0] <= MAX_ROUNDS

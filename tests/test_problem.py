@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import re
 import subprocess
 import sys
 import textwrap
@@ -764,6 +765,12 @@ class TestSynth:
         fields = {"m": 20, "n": 50, "s": 3, "seed": 0, field: value}
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
             SynthSpec(**fields)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-5)])
+    def test_seed_must_be_nonnegative(self, seed):
+        # numpy refused a negative seed only inside synth_instance
+        with pytest.raises(ValueError, match=re.escape(f"seed must be nonnegative, got {seed!r}")):
+            SynthSpec(m=20, n=50, s=3, seed=seed)
 
     def test_numpy_integers_are_integers(self):
         spec = SynthSpec(m=np.int64(4), n=np.int32(8), s=np.int64(2), seed=np.uint8(7))

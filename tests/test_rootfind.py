@@ -13,7 +13,6 @@ from smop import (
     SortedL1,
     SparseMatrix,
     bisection_solve,
-    bracket_init,
     eval_beta_fn,
     eval_constructed_fn,
     hybrid_secant_solve,
@@ -321,8 +320,8 @@ class TestHybridFuzz:
             slope = lambda lam: (value(lam) - value(lam - h)) / h
             lo0, hi0 = lam_true * rng.uniform(0.2, 1.6, 2)
             phi = recording(value)
-            lo, hi = bracket_init(phi, rho, lam_inf, value(lam_inf), slope,
-                                  float(lo0), float(hi0))
+            lo, hi = first_bracket(phi, rho, lam_inf, value(lam_inf), slope,
+                                   (float(hi0), float(lo0)))
             assert 0 < lo < hi <= lam_inf, trial
             # an exact slope can land a piece root on rho itself; that end is
             # then the root, and the root finder stops there
@@ -449,6 +448,13 @@ def recording(phi):
     return wrapped
 
 
+def first_bracket(phi, rho, lam_inf, bnorm, dphi=None, guesses=()):
+    """The first sign-changing bracket of the search from ``(lam_inf, bnorm)``;
+    at ``stoptol = inf`` the search stops at that bracket's upper end."""
+    _, state = hybrid_secant_solve(phi, rho, None, lam_inf, math.inf, 0.5, dphi, bnorm, guesses)
+    return state.bracket
+
+
 def synthetic_phi():
     """The phi oracle of a small synthetic l1 instance, with its lambda_inf
     and ||b||; ``.derivative`` is its certified derivative."""
@@ -468,7 +474,7 @@ class TestNonFinitePhi:
     @pytest.mark.parametrize("solver", ["secant", "bisection", "bracket"])
     def test_raises_after_one_trial(self, solver):
         # from (0.1, 0.9) to rho = 0.5 the first trial of every solver is 0.5;
-        # the warm bracket search evaluates its upper guess and then 0.5
+        # the search from (1, 1) evaluates its guess 0.9 and then 0.5
         phi = recording(self._phi)
         with pytest.raises(BracketError, match=r"phi\(0\.5\)=nan is not finite"):
             if solver == "secant":
@@ -476,17 +482,20 @@ class TestNonFinitePhi:
             elif solver == "bisection":
                 bisection_solve(phi, 0.5, 0.1, 0.9, 1e-10)
             else:
-                bracket_init(phi, 0.5, 1.0, 1.0, None, lo=0.5, hi=0.9)
+                first_bracket(phi, 0.5, 1.0, 1.0, None, (0.9, 0.5))
         trials = phi.lams[1:] if solver == "bracket" else phi.lams[2:]
         assert trials == [0.5]
 
 
 class TestBracketInit:
+    """The search's first sign-changing bracket, from ``(lam_inf, ||b||)`` and
+    its guesses."""
+
     def test_scalar_example(self, scalar_data):
         # the cold search starts from phi(lam_inf) = ||b|| = 1 > 0.3 without
         # evaluating it, so one step of 1 * 0.5 * 0.3 / 1
         phi = recording(scalar_phi)
-        lo, hi = bracket_init(phi, 0.3, 1.0, 1.0, l1_dphi(scalar_data, scalar_x, scalar_phi))
+        lo, hi = first_bracket(phi, 0.3, 1.0, 1.0, l1_dphi(scalar_data, scalar_x, scalar_phi))
         assert hi == 1.0
         assert lo == pytest.approx(0.15)
         assert phi.lams == [pytest.approx(0.15)]
@@ -503,7 +512,7 @@ class TestBracketInit:
         # ||b|| = sqrt(2), lam_inf = 2
         phi = recording(diagonal_phi)
         dphi = l1_dphi(diagonal_data, diagonal_x, diagonal_phi)
-        lo, hi = bracket_init(phi, rho, 2.0, math.sqrt(2.0), dphi)
+        lo, hi = first_bracket(phi, rho, 2.0, math.sqrt(2.0), dphi)
         self._assert_tightest(diagonal_phi, rho, lo, hi, phi.lams)
 
     @pytest.mark.parametrize("c", [0.05, 0.1, 0.3, 0.9])
@@ -511,66 +520,66 @@ class TestBracketInit:
         base, lam_inf, bnorm = synthetic_phi()
         phi = recording(base)
         rho = c * bnorm
-        lo, hi = bracket_init(phi, rho, lam_inf, bnorm, base.derivative)
+        lo, hi = first_bracket(phi, rho, lam_inf, bnorm, base.derivative)
         self._assert_tightest(base, rho, lo, hi, phi.lams)
 
     @pytest.mark.parametrize("c", [0.05, 0.3])
     def test_synthetic_warm_guesses(self, c):
         base, lam_inf, bnorm = synthetic_phi()
         rho = c * bnorm
-        lam_star = 0.5 * sum(bracket_init(base, rho, lam_inf, bnorm, base.derivative))
+        lam_star = 0.5 * sum(first_bracket(base, rho, lam_inf, bnorm, base.derivative))
         for lo0, hi0 in [(0.5 * lam_star, 1.5 * lam_star), (1.1 * lam_star, 1.3 * lam_star),
                          (0.2 * lam_star, 0.6 * lam_star), (0.9 * lam_star, 0.95 * lam_star)]:
             phi = recording(base)
-            lo, hi = bracket_init(phi, rho, lam_inf, bnorm, base.derivative, lo0, hi0)
+            lo, hi = first_bracket(phi, rho, lam_inf, bnorm, base.derivative, (hi0, lo0))
             self._assert_tightest(base, rho, lo, hi, phi.lams)
 
     def test_warm_hi_below_root(self):
         # root of scalar_phi at rho = 0.3 is 0.3: hi = 0.2 lies below it, so it
         # is the lower end and lam_inf the upper one, after one evaluation
         phi = recording(scalar_phi)
-        lo, hi = bracket_init(phi, 0.3, 1.0, 1.0, None, lo=0.1, hi=0.2)
+        lo, hi = first_bracket(phi, 0.3, 1.0, 1.0, None, (0.2, 0.1))
         assert (lo, hi) == (0.2, 1.0)
         assert phi.lams == [0.2]
 
     def test_warm_lo_above_root_steps_down(self):
         # phi(0.5) = 0.5 > 0.3 makes 0.5 the upper end; 0.5 * 0.3 = 0.15 below
         phi = recording(scalar_phi)
-        lo, hi = bracket_init(phi, 0.3, 1.0, 1.0, None, lo=0.5, hi=0.8)
+        lo, hi = first_bracket(phi, 0.3, 1.0, 1.0, None, (0.8, 0.5))
         assert hi == 0.5
         assert lo == pytest.approx(0.15)
         assert phi.lams == [0.8, 0.5, pytest.approx(0.15)]
 
     def test_warm_bracket_kept_when_valid(self):
         phi = recording(scalar_phi)
-        assert bracket_init(phi, 0.3, 1.0, 1.0, None, lo=0.25, hi=0.35) == (0.25, 0.35)
+        assert first_bracket(phi, 0.3, 1.0, 1.0, None, (0.35, 0.25)) == (0.25, 0.35)
         assert phi.lams == [0.35, 0.25]
 
     def test_warm_lo_not_below_hi_is_ignored(self):
         phi = recording(scalar_phi)
-        lo, hi = bracket_init(phi, 0.3, 1.0, 1.0, None, lo=0.9, hi=0.6)
+        lo, hi = first_bracket(phi, 0.3, 1.0, 1.0, None, (0.6, 0.9))
         assert hi == 0.6
         assert lo == pytest.approx(0.15)
         assert 0.9 not in phi.lams
 
     def test_warm_hi_capped_at_lam_inf(self):
-        lo, hi = bracket_init(scalar_phi, 0.97, 1.0, 1.0, None, lo=0.5, hi=4.0)
+        lo, hi = first_bracket(scalar_phi, 0.97, 1.0, 1.0, None, (4.0, 0.5))
         assert hi == 1.0
         assert scalar_phi(lo) < 0.97
 
     def test_rho_too_large(self):
         with pytest.raises(BracketError, match="0 < rho"):
-            bracket_init(scalar_phi, 1.2, 1.0, 1.0, None)
+            first_bracket(scalar_phi, 1.2, 1.0, 1.0, None)
 
     def test_rho_barely_below_bnorm(self):
         # the upper end stays at lam_inf, where phi = ||b|| = 1 > rho
-        lo, hi = bracket_init(scalar_phi, 0.97, 1.0, 1.0, None)
+        lo, hi = first_bracket(scalar_phi, 0.97, 1.0, 1.0, None)
         assert hi == 1.0
         assert scalar_phi(lo) < 0.97
 
     def test_rho_too_small(self):
         with pytest.raises(BracketError, match="too small"):
-            bracket_init(scalar_phi, 1e-14, 1.0, 1.0, None)
+            first_bracket(scalar_phi, 1e-14, 1.0, 1.0, None)
 
 
 def explicit_piece_root(data, reg, x, rho):
@@ -596,7 +605,7 @@ def _raise(exc):
 
 
 class TestPieceRootStep:
-    """The step-down of ``bracket_init`` to the root of the piece."""
+    """The search's step-down to the root of the piece."""
 
     @pytest.mark.parametrize("kind", ["l1", "slope"])
     def test_step_is_the_explicit_piece_root(self, kind):
@@ -616,14 +625,14 @@ class TestPieceRootStep:
         want, clustered = explicit_piece_root(data, reg, base.xs[lam0], rho)
         assert clustered == (kind == "slope")
         phi = recording(base)
-        bracket_init(phi, rho, lam_inf, data.bnorm, base.derivative, hi=lam0)
+        first_bracket(phi, rho, lam_inf, data.bnorm, base.derivative, (lam0,))
         assert phi.lams[0] == lam0
         assert phi.lams[1] == pytest.approx(want, rel=1e-12)
 
     def test_exact_derivative_steps_onto_the_root(self):
         # phi = lam below 1: v = 1 and the step lands on rho = 0.3 at once
         phi = recording(scalar_phi)
-        bracket_init(phi, 0.3, 1.0, 1.0, lambda lam: 1.0, hi=0.8)
+        first_bracket(phi, 0.3, 1.0, 1.0, lambda lam: 1.0, (0.8,))
         assert phi.lams[1] == pytest.approx(0.3, rel=1e-15)
 
     @pytest.mark.parametrize("dphi", [
@@ -637,7 +646,7 @@ class TestPieceRootStep:
     def test_falls_back_without_a_usable_derivative(self, dphi):
         # the plain step 0.8 * max(0.1, 0.5 * 0.3 / 0.8) = 0.15
         phi = recording(scalar_phi)
-        lo, hi = bracket_init(phi, 0.3, 1.0, 1.0, dphi, hi=0.8)
+        lo, hi = first_bracket(phi, 0.3, 1.0, 1.0, dphi, (0.8,))
         assert phi.lams == [0.8, pytest.approx(0.15)]
         assert (lo, hi) == (pytest.approx(0.15), 0.8)
 
@@ -653,7 +662,7 @@ class TestPieceRootStep:
         phi = recording(base)
         dphi = recording(base.derivative)
         rho = 0.1 * bnorm
-        bracket_init(phi, rho, lam_inf, p_top, dphi)
+        first_bracket(phi, rho, lam_inf, p_top, dphi)
         assert phi.lams[0] == lam_inf * max(0.1, 0.5 * rho / p_top)
         assert lam_inf not in phi.lams + dphi.lams
 
@@ -662,12 +671,12 @@ class TestPieceRootStep:
         # by roundoff, so the step is the plain one, 0.5 * 0.3 = 0.15
         hi = math.nextafter(0.3, 1.0)
         phi = recording(scalar_phi)
-        bracket_init(phi, 0.3, 1.0, 1.0, lambda lam: 1.0, hi=hi)
+        first_bracket(phi, 0.3, 1.0, 1.0, lambda lam: 1.0, (hi,))
         assert phi.lams == [hi, pytest.approx(0.15)]
         # a gap of 1e-12 is no roundoff: the piece root is taken
         hi = 0.3 * (1.0 + 1e-12)
         phi = recording(scalar_phi)
-        bracket_init(phi, 0.3, 1.0, 1.0, lambda lam: 1.0, hi=hi)
+        first_bracket(phi, 0.3, 1.0, 1.0, lambda lam: 1.0, (hi,))
         assert phi.lams[1] == pytest.approx(0.3, rel=1e-15)
 
     @pytest.mark.parametrize("c", [0.05, 0.1, 0.3, 0.9])
@@ -677,7 +686,7 @@ class TestPieceRootStep:
         base, lam_inf, bnorm = synthetic_phi()
         phi = recording(base)
         rho = c * bnorm
-        lo, hi = bracket_init(phi, rho, lam_inf, bnorm, base.derivative)
+        lo, hi = first_bracket(phi, rho, lam_inf, bnorm, base.derivative)
         assert phi.lams[0] == lam_inf * max(0.1, 0.5 * c)
         assert max(phi.lams) < 0.95 * lam_inf
         TestBracketInit._assert_tightest(base, rho, lo, hi, phi.lams)

@@ -244,6 +244,25 @@ def test_x0_of_another_shape_is_refused(solve, shape):
         calls[solve]()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("solve", ["solve_reduced", "sieve_solve", "phi_eval", "phi_eval-direct"])
+def test_nonfinite_x0_is_refused(solve, value):
+    # a nan x0 made solve_reduced return phi = nan, unconverged, after 0
+    # iterations, naming no cause
+    data, _ = synth_instance(SynthSpec(m=20, n=50, s=3, sigma=0.01, seed=0))
+    lam = 0.3 * lambda_inf(L1(), data.A, data.b)
+    x0 = np.ones(50)
+    x0[3] = value
+    calls = {
+        "solve_reduced": lambda: solve_reduced(data, L1(), lam, np.arange(10), x0=x0),
+        "sieve_solve": lambda: sieve_solve(data, L1(), lam, [], x0=x0),
+        "phi_eval": lambda: phi_eval(data, L1(), lam, x0=x0),
+        "phi_eval-direct": lambda: phi_eval(data, L1(), lam, x0=x0, sieve=False),
+    }
+    with pytest.raises(ValueError, match=re.escape("x0 must be finite")):
+        calls[solve]()
+
+
 @pytest.mark.parametrize("lam", [np.nan, np.inf, 0.0, -1.0])
 @pytest.mark.parametrize("solve", ["solve_reduced", "sieve_solve", "phi_eval", "phi_eval-direct"])
 def test_lam_must_be_positive_and_finite(solve, lam):
